@@ -132,35 +132,26 @@ def cmd_norms(args) -> int:
     if args.weights:
         table = json.loads(Path(args.weights).read_text())
         weights = resolve_weights([table], 0, group)
+    elif isinstance(cfg.weights, str):
+        weights = resolve_weights(cfg.weights, 0, group)
     else:
-        weights = resolve_weights(cfg.weights if isinstance(cfg.weights, str) else "canonical", 0, group)
+        raise ValueError(
+            "config field 'weights' is a per-group list, which cannot be matched to "
+            "a coefficient file; pass the weight table with --weights PATH"
+        )
     f = inverse_transform(coeffs, group)
     wmeta = {"kind": window.kind, "band": window.band}
-    rows = []
-    for p in cfg.p_values:
-        rows.append(
-            {"name": "s_p_norm", "value": s_p_norm(coeffs, p), "window": wmeta, "params": {"p": p}}
-        )
+
+    def row(name, value, **params):
+        return {"name": name, "value": value, "window": wmeta, "params": params}
+
+    rows = [row("s_p_norm", s_p_norm(coeffs, p), p=p) for p in cfg.p_values]
     for s in cfg.s_values:
-        rows.append(
-            {
-                "name": "h_s_norm",
-                "value": h_s_norm(coeffs, weights, s),
-                "window": wmeta,
-                "params": {"s": s, "weights": weights.name},
-            }
-        )
-    rows.append(
-        {"name": "l2_norm", "value": l_p_norm(f, group, 2.0), "window": wmeta, "params": {"p": 2.0}}
-    )
-    rows.append(
-        {
-            "name": "sup_norm",
-            "value": sup_norm(f, group, extra_samples=cfg.sup_extra_samples, seed=cfg.seed),
-            "window": wmeta,
-            "params": {"extra_samples": cfg.sup_extra_samples, "seed": cfg.seed},
-        }
-    )
+        rows.append(row("h_s_norm", h_s_norm(coeffs, weights, s), s=s, weights=weights.name))
+    rows.append(row("l2_norm", l_p_norm(f, group, 2.0), p=2.0))
+    extra, seed = cfg.sup_extra_samples, cfg.seed
+    sup = sup_norm(f, group, extra_samples=extra, seed=seed)
+    rows.append(row("sup_norm", sup, extra_samples=extra, seed=seed))
     _emit(cfg, rows, f"norms_{_slug(group.name)}.json")
     return EXIT_OK
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from pathlib import Path
 from typing import Any, Callable
@@ -195,14 +196,50 @@ class DualWindow:
         if len(self.dims) != len(self.labels):
             raise ValueError("labels and dims must be parallel")
 
+    @cached_property
+    def _positions(self) -> dict:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index(self, label) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):
             raise KeyError(f"label {label!r} is not in the dual window") from None
 
     def dim_of(self, label) -> int:
         return self.dims[self.index(label)]
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """First packed column of each label, then K = sum d^2. The packed
+        layout puts u_{b+1, a+1} of a label in its column a*d + b."""
+        return (0, *np.cumsum([d * d for d in self.dims]).tolist())
+
+    @property
+    def size(self) -> int:
+        return self.offsets[-1]
+
+    def columns(self, label) -> slice:
+        i = self.index(label)
+        return slice(self.offsets[i], self.offsets[i + 1])
+
+    def entry_values(self, per_label) -> np.ndarray:
+        """Spread one value per label over that label's d^2 packed entries."""
+        return np.repeat(np.asarray(per_label, dtype=float), [d * d for d in self.dims])
+
+    @cached_property
+    def entry_dims(self) -> np.ndarray:
+        out = self.entry_values(self.dims)
+        out.flags.writeable = False
+        return out
+
+    def block_view(self, packed: np.ndarray, label) -> np.ndarray:
+        """(d, d, m) view of one label's rows of a packed (K, m) array.
+
+        Entry [i, j] pairs with u_{i+1, j+1}, which is packed row j*d + i.
+        """
+        d = self.dim_of(label)
+        return packed[self.columns(label)].reshape(d, d, -1).swapaxes(0, 1)
 
     def band_of(self, label) -> float:
         """Band parameter of one label (frequency, spin, or table index)."""
@@ -248,7 +285,8 @@ class GroupSpec:
     order: int | None
     _multiply: Callable[[Any, Any], Any]
     _sampler: Callable[[np.random.Generator, int], np.ndarray]
-    _node_stacks: dict = field(default_factory=dict, repr=False)
+    #: all window coefficients at the nodes, (nodes, K) in packed order, read-only
+    node_matrix: np.ndarray | None = None
 
     def irrep(self, label) -> Irrep:
         try:
@@ -260,8 +298,25 @@ class GroupSpec:
         return self.irrep(label).matrices(elements)
 
     def node_stack(self, label) -> np.ndarray:
-        """Irrep matrices at all quadrature nodes, cached; shape (n, d, d)."""
-        return self._node_stacks[self.window.index(label)]
+        """Irrep matrices at all quadrature nodes; shape (n, d, d), a view."""
+        d = self.dim_of(label)
+        return self.node_matrix[:, self.window.columns(label)].reshape(-1, d, d)
+
+    def packed_matrices(self, elements, labels=None) -> np.ndarray:
+        """Coefficients of ``labels`` (default: the window) at the elements in
+        packed column order, shape (n, sum d^2); column-major, so that each
+        label's columns are filled contiguously."""
+        labels = self.window.labels if labels is None else labels
+        out, col = None, 0
+        for label in labels:
+            mats = self.irrep_matrices(label, elements)
+            n, d = mats.shape[:2]
+            if out is None:
+                k = sum(self.dim_of(l) ** 2 for l in labels)
+                out = np.empty((n, k), dtype=complex, order="F")
+            out[:, col : col + d * d] = mats.reshape(n, d * d)
+            col += d * d
+        return out
 
     def multiply(self, x, y):
         return self._multiply(x, y)
@@ -286,10 +341,9 @@ class GroupSpec:
 
 
 def _precompute_stacks(group: GroupSpec) -> None:
-    for label in group.window.labels:
-        group._node_stacks[group.window.index(label)] = group.irrep_matrices(
-            label, group.quadrature.nodes
-        )
+    matrix = group.packed_matrices(group.quadrature.nodes)
+    matrix.flags.writeable = False
+    object.__setattr__(group, "node_matrix", matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +745,7 @@ class OrthogonalityReport:
 
 def _coefficient_columns(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """All window coefficients as columns over the nodes, plus the target Gram."""
-    cols = []
-    expected = []
-    for label in group.window.labels:
-        stack = group.node_stack(label)
-        d = group.dim_of(label)
-        cols.append(stack.reshape(group.node_count, d * d))
-        expected.extend([1.0 / d] * (d * d))
-    return np.concatenate(cols, axis=1), np.diag(expected)
+    return group.node_matrix, np.diag(1.0 / group.window.entry_dims)
 
 
 def orthogonality_selftest(

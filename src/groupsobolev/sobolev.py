@@ -13,13 +13,14 @@ summable" or "diverging"; a finite window cannot decide an infinite sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from .groups import DualWindow, GroupSpec
-from .transform import VectorFunction, FourierCoefficients, e_norm
+from .transform import FourierCoefficients, VectorFunction, e_norm, synthesize
+from .transform import weighted_spectral_norm
 
 __all__ = [
     "ConstantEstimate",
@@ -52,6 +53,7 @@ class WeightSequence:
     name: str
     table: dict
     formula: Callable[[Any], float] | None = None
+    _sobolev_entries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def value(self, label) -> float:
         if label in self.table:
@@ -67,6 +69,19 @@ class WeightSequence:
         if self.formula is not None:
             return []
         return [l for l in window.labels if l not in self.table]
+
+    def sobolev_entries(self, window: DualWindow, s: float) -> np.ndarray:
+        """d * (1 + w^2)^s per packed entry of ``window``, cached per (window, s)."""
+        vec = self._sobolev_entries.get((window, s))
+        if vec is None:
+            missing = self.missing(window)
+            if missing:
+                raise KeyError(f"no weight defined for window labels {missing}")
+            w = np.array([self.value(l) for l in window.labels])
+            vec = window.entry_dims * window.entry_values((1.0 + w * w) ** s)
+            vec.flags.writeable = False
+            self._sobolev_entries[(window, s)] = vec
+        return vec
 
 
 def _table_for(window: DualWindow, formula) -> dict:
@@ -114,23 +129,19 @@ def canonical_weights(group: GroupSpec) -> WeightSequence:
 
 
 def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> float:
-    """Order-s Sobolev norm: blockwise (1 + w^2)^s weighting of the square.
+    """Order-s Sobolev norm: entrywise d (1 + w^2)^s weighting of the square.
 
     Reduces bit-for-bit to the p = 2 spectral norm at s = 0.
     """
     if s < 0:
         raise ValueError("Sobolev order s must be >= 0")
-    missing = weights.missing(coeffs.window)
-    if missing:
-        raise KeyError(f"no weight defined for window labels {missing}")
-    total = 0.0
-    for label, d in zip(coeffs.window.labels, coeffs.window.dims):
-        block = coeffs.blocks.get(label)
-        if block is None:
-            continue
-        w = weights.value(label)
-        total += d * (1.0 + w * w) ** s * float((e_norm(block, coeffs.p_E) ** 2.0).sum())
-    return total**0.5
+    return weighted_spectral_norm(coeffs, weights.sobolev_entries(coeffs.window, s), 2.0)
+
+
+def lebesgue_norm(samples, group: GroupSpec, p_E: float, p: float) -> float:
+    """Quadrature Lebesgue norm (sum_k w_k |f(x_k)|_E^p)^(1/p) of node samples."""
+    vals = e_norm(samples, p_E)
+    return float((group.quadrature.weights * vals**p).sum() ** (1.0 / p))
 
 
 def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
@@ -140,8 +151,24 @@ def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
     """
     if not (p >= 1 and math.isfinite(p)):
         raise ValueError("Lebesgue norm requires finite p >= 1")
-    vals = e_norm(f.sample(group), f.p_E)
-    return float((group.quadrature.weights * vals**p).sum() ** (1.0 / p))
+    return lebesgue_norm(f.sample(group), group, f.p_E, p)
+
+
+def probed_sup(
+    samples, p_E: float, coeffs=None, group=None, extra_samples=0, seed=0, probe_values=None
+) -> float:
+    """Max of |f|_E over the node samples and the probe values.
+
+    Without ``probe_values``, spectral ``coeffs`` are probed at
+    ``extra_samples`` Haar-random elements drawn from ``seed``.
+    """
+    best = float(e_norm(samples, p_E).max())
+    if probe_values is None and coeffs is not None and extra_samples > 0:
+        els = group.random_elements(np.random.default_rng(seed), extra_samples)
+        probe_values = synthesize(coeffs, group, elements=els)
+    if probe_values is not None:
+        best = max(best, float(e_norm(probe_values, p_E).max()))
+    return best
 
 
 def sup_norm(
@@ -154,11 +181,7 @@ def sup_norm(
 
     A lower bound on the true sup; sampled functions use the nodes only.
     """
-    best = float(e_norm(f.sample(group), f.p_E).max())
-    if f.coefficients is not None and extra_samples > 0:
-        els = group.random_elements(np.random.default_rng(seed), extra_samples)
-        best = max(best, float(e_norm(f.evaluate(group, els), f.p_E).max()))
-    return best
+    return probed_sup(f.sample(group), f.p_E, f.coefficients, group, extra_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +213,10 @@ def exponents(s: float, t: float) -> SobolevParams:
     return SobolevParams(s=float(s), t=float(t), alpha=alpha, alpha_prime=alpha_prime)
 
 
-def _series_term(dim: int, weight: float, s: float) -> float:
-    return dim**3 * (1.0 + weight * weight) ** (-s)
+def _series_sum(weights: WeightSequence, s: float, members) -> float:
+    """Sum of d^3 (1 + w^2)^(-s) over (label, d) pairs."""
+    terms = ((d, weights.value(l)) for l, d in members)
+    return sum(d**3 * (1.0 + w * w) ** (-s) for d, w in terms)
 
 
 def _window_bands(window: DualWindow) -> list[tuple[float, list[tuple[Any, int]]]]:
@@ -243,16 +268,12 @@ def summability_check(
     """
     band_terms: list[tuple[float, float]] = []
     for band, members in _window_bands(window):
-        band_terms.append(
-            (band, sum(_series_term(d, weights.value(l), s) for l, d in members))
-        )
+        band_terms.append((band, _series_sum(weights, s, members)))
     probed = False
     finite_dual = window.kind in FINITE_KINDS
     if not finite_dual and weights.formula is not None:
         for band, members in _extension_bands(window, probe_limit):
-            band_terms.append(
-                (band, sum(_series_term(d, weights.value(l), s) for l, d in members))
-            )
+            band_terms.append((band, _series_sum(weights, s, members)))
             probed = True
 
     bands = tuple(b for b, _ in band_terms)
@@ -298,9 +319,7 @@ def embedding_constant_C(
     summability verdict of the underlying series."""
     if s < 0:
         raise ValueError("Sobolev order s must be >= 0")
-    total = sum(
-        _series_term(d, weights.value(l), s) for l, d in zip(window.labels, window.dims)
-    )
+    total = _series_sum(weights, s, zip(window.labels, window.dims))
     report = summability_check(weights, s, window, probe_limit)
     return ConstantEstimate(
         value=math.sqrt(total),
@@ -315,7 +334,5 @@ def lq_bound_constant(
     """(sum over the window of d^3 (1 + w^2)^(-t))^(s/(2t)) for t > s > 0."""
     if not t > s > 0:
         raise ValueError(f"need t > s > 0, got s={s}, t={t}")
-    total = sum(
-        _series_term(d, weights.value(l), t) for l, d in zip(window.labels, window.dims)
-    )
+    total = _series_sum(weights, t, zip(window.labels, window.dims))
     return total ** (s / (2.0 * t))

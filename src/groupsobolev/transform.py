@@ -6,13 +6,16 @@ quadrature nodes is the family of blocks
 
     C_sigma[i][j] = quad( conj(u_ij(x)) * f(x) ),   0-based i, j,
 
-one (d, d, m) array per window irrep; the reconstruction series
+one (d, d, m) array per window irrep, all stored in one packed (K, m)
+array (K = sum of d^2) whose rows follow the columns of the group's
+(nodes, K) node matrix; the reconstruction series
 
     f(x) = sum_sigma d_sigma sum_ij C_sigma[i][j] * u_ij(x)
 
 is a finite sum over the window, so band-limited functions round-trip to
 quadrature precision and the p = 2 spectral norm matches the quadrature
-L2 norm (Plancherel).
+L2 norm (Plancherel). The transform and synthesis are one matmul each
+against the node matrix, and the spectral norms one weighted reduction.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable
 
@@ -43,6 +47,7 @@ __all__ = [
     "s_p_norm",
     "save_coefficients",
     "synthesize",
+    "weighted_spectral_norm",
     "zero_coefficients",
 ]
 
@@ -62,47 +67,51 @@ def label_key(label) -> str:
     return str(label)
 
 
-@dataclass(frozen=True, eq=False)
 class FourierCoefficients:
-    """Coefficient blocks per window irrep; absent blocks are zero.
+    """Coefficients over the window, packed into one (K, m) array.
 
-    ``blocks[label]`` has shape (d, d, m): entry [i, j] is the E-vector
-    paired with the matrix coefficient u_{i+1, j+1}.
+    ``packed`` holds K = sum of d^2 rows in the column order of the group's
+    node matrix. ``blocks[label]`` and ``block(label)`` are (d, d, m) views
+    of it: entry [i, j] is the E-vector paired with the matrix coefficient
+    u_{i+1, j+1}. Labels missing from ``blocks`` at construction are zero.
     """
 
-    window: DualWindow
-    m: int
-    blocks: dict
-    p_E: float = 2.0
-
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, window: DualWindow, m: int, blocks: dict | None = None,
+                 p_E: float = 2.0, *, packed: np.ndarray | None = None):
+        if m < 1:
             raise ValueError("target dimension m must be >= 1")
-        if self.p_E < 1:
+        if p_E < 1:
             raise ValueError("p_E must be >= 1")
-        clean = {}
-        for label, block in self.blocks.items():
-            d = self.window.dim_of(label)  # raises KeyError for foreign labels
-            arr = np.ascontiguousarray(block, dtype=complex)
-            if arr.shape != (d, d, self.m):
-                raise ValueError(
-                    f"block {label!r} must have shape ({d}, {d}, {self.m}), got {arr.shape}"
-                )
-            clean[label] = arr
-        object.__setattr__(self, "blocks", clean)
+        if packed is None:
+            packed = np.zeros((window.size, m), dtype=complex)
+            for label, block in (blocks or {}).items():
+                view = window.block_view(packed, label)  # KeyError for foreign labels
+                arr = np.asarray(block, dtype=complex)
+                if arr.shape != view.shape:
+                    raise ValueError(
+                        f"block {label!r} must have shape {view.shape}, got {arr.shape}"
+                    )
+                view[...] = arr
+        elif (packed := np.asarray(packed, dtype=complex)).shape != (window.size, m):
+            raise ValueError(f"packed coefficients must have shape ({window.size}, {m})")
+        if not np.isfinite(packed).all():
+            raise ValueError("Fourier coefficients must be finite")
+        self.window, self.m, self.p_E, self.packed = window, m, p_E, packed
+
+    @cached_property
+    def blocks(self) -> dict:
+        return {label: self.block(label) for label in self.window.labels}
 
     def block(self, label) -> np.ndarray:
-        d = self.window.dim_of(label)
-        got = self.blocks.get(label)
-        return got if got is not None else np.zeros((d, d, self.m), dtype=complex)
+        return self.window.block_view(self.packed, label)
 
     def _binary(self, other, op):
         if not isinstance(other, FourierCoefficients):
             return NotImplemented
         if self.window != other.window or self.m != other.m:
             raise ValueError("coefficient families live on different windows")
-        blocks = {l: op(self.block(l), other.block(l)) for l in self.window.labels}
-        return FourierCoefficients(self.window, self.m, blocks, self.p_E)
+        packed = op(self.packed, other.packed)
+        return FourierCoefficients(self.window, self.m, p_E=self.p_E, packed=packed)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -113,14 +122,12 @@ class FourierCoefficients:
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        blocks = {l: scalar * b for l, b in self.blocks.items()}
-        return FourierCoefficients(self.window, self.m, blocks, self.p_E)
+        return FourierCoefficients(self.window, self.m, p_E=self.p_E, packed=scalar * self.packed)
 
     __rmul__ = __mul__
 
     def max_abs(self) -> float:
-        tops = [np.abs(b).max() for b in self.blocks.values() if b.size]
-        return float(max(tops, default=0.0))
+        return float(np.abs(self.packed).max())
 
     def max_difference(self, other: "FourierCoefficients") -> float:
         diff = self - other
@@ -128,7 +135,7 @@ class FourierCoefficients:
 
 
 def zero_coefficients(group: GroupSpec, m: int, p_E: float = 2.0) -> FourierCoefficients:
-    return FourierCoefficients(group.window, m, {}, p_E)
+    return FourierCoefficients(group.window, m, p_E=p_E)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,47 +206,35 @@ def synthesize(
     coeffs: FourierCoefficients,
     group: GroupSpec,
     elements=None,
-    stacks: dict | None = None,
+    probe: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate the reconstruction series; returns (n, m) values.
 
     Evaluates at the quadrature nodes by default, at ``elements``
-    otherwise. ``stacks`` may supply precomputed irrep matrices keyed by
-    label (overrides ``elements``; used to amortize repeated probes).
+    otherwise (only the irreps whose blocks are nonzero). ``probe`` may
+    supply a packed (n, K) matrix from ``GroupSpec.packed_matrices``
+    (overrides ``elements``; used to amortize repeated probes).
     """
-    if coeffs.window != group.window:
+    window = group.window
+    if coeffs.window != window:
         raise ValueError("coefficient window does not match the group")
-    if stacks is not None:
-        n = next(iter(stacks.values())).shape[0]
-    elif elements is None:
-        n = group.node_count
-    else:
-        first = group.irrep_matrices(group.window.trivial, elements)
-        n = first.shape[0]
-    out = np.zeros((n, coeffs.m), dtype=complex)
-    for label in group.window.labels:
-        block = coeffs.blocks.get(label)
-        if block is None or not block.any():
-            continue
-        if stacks is not None:
-            stack = stacks[label]
-        elif elements is None:
-            stack = group.node_stack(label)
-        else:
-            stack = group.irrep_matrices(label, elements)
-        out += group.dim_of(label) * np.einsum("ijm,kji->km", block, stack)
-    return out
+    weighted = window.entry_dims[:, None] * coeffs.packed
+    if probe is not None:
+        return probe @ weighted
+    if elements is None:
+        return group.node_matrix @ weighted
+    live = [l for l in window.labels if coeffs.packed[window.columns(l)].any()]
+    live = live or [window.trivial]
+    rows = np.r_[tuple(window.columns(l) for l in live)]
+    return group.packed_matrices(elements, live) @ weighted[rows]
 
 
 def forward_transform(f: VectorFunction, group: GroupSpec) -> FourierCoefficients:
-    """Coefficient blocks of ``f`` via quadrature against conj(u_ij)."""
+    """Coefficients of ``f`` via quadrature against conj(u_ij), as one matmul."""
     samples = f.sample(group)
-    w = group.quadrature.weights
-    blocks = {}
-    for label in group.window.labels:
-        stack = group.node_stack(label)
-        blocks[label] = np.einsum("k,kji,km->ijm", w, stack.conj(), samples)
-    return FourierCoefficients(group.window, f.m, blocks, f.p_E)
+    packed = group.node_matrix.T @ np.conj(group.quadrature.weights[:, None] * samples)
+    np.conjugate(packed, out=packed)
+    return FourierCoefficients(group.window, f.m, p_E=f.p_E, packed=packed)
 
 
 def inverse_transform(coeffs: FourierCoefficients, group: GroupSpec) -> VectorFunction:
@@ -247,6 +242,11 @@ def inverse_transform(coeffs: FourierCoefficients, group: GroupSpec) -> VectorFu
     if coeffs.window != group.window:
         raise ValueError("coefficient window does not match the group")
     return VectorFunction.from_coefficients(coeffs)
+
+
+def weighted_spectral_norm(coeffs: FourierCoefficients, entry_weights, p: float) -> float:
+    """(sum_c entry_weights[c] * |P[c]|_E^p)^(1/p) over the packed rows P."""
+    return float((entry_weights * e_norm(coeffs.packed, coeffs.p_E) ** p).sum()) ** (1.0 / p)
 
 
 def s_p_norm(coeffs: FourierCoefficients, p: float) -> float:
@@ -257,19 +257,8 @@ def s_p_norm(coeffs: FourierCoefficients, p: float) -> float:
     if p < 1:
         raise ValueError("spectral norm requires p >= 1")
     if math.isinf(p):
-        best = 0.0
-        for label in coeffs.window.labels:
-            block = coeffs.blocks.get(label)
-            if block is not None and block.size:
-                best = max(best, float(e_norm(block, coeffs.p_E).max()))
-        return best
-    acc = 0.0
-    for label, d in zip(coeffs.window.labels, coeffs.window.dims):
-        block = coeffs.blocks.get(label)
-        if block is None:
-            continue
-        acc += d * float((e_norm(block, coeffs.p_E) ** p).sum())
-    return acc ** (1.0 / p)
+        return float(e_norm(coeffs.packed, coeffs.p_E).max())
+    return weighted_spectral_norm(coeffs, coeffs.window.entry_dims, p)
 
 
 def random_band_limited(
@@ -285,29 +274,18 @@ def random_band_limited(
     (label, dim) -> scale applied per block. Deterministic in ``seed``.
     """
     rng = np.random.default_rng(seed)
-    blocks = {}
-    for label, d in zip(group.window.labels, group.window.dims):
-        if amplitude == "zero":
-            continue
-        scale = 1.0 if amplitude == "gaussian" else float(amplitude(label, d))
-        draw = rng.standard_normal((d, d, m)) + 1j * rng.standard_normal((d, d, m))
-        blocks[label] = scale * draw
-    return FourierCoefficients(group.window, m, blocks, p_E)
+    window = group.window
+    packed = np.zeros((window.size, m), dtype=complex)
+    if amplitude != "zero":
+        for label, d in zip(window.labels, window.dims):
+            scale = 1.0 if amplitude == "gaussian" else float(amplitude(label, d))
+            draw = rng.standard_normal((d, d, m)) + 1j * rng.standard_normal((d, d, m))
+            window.block_view(packed, label)[...] = scale * draw
+    return FourierCoefficients(window, m, p_E=p_E, packed=packed)
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _window_to_json(window: DualWindow) -> dict:
-    return {
-        "kind": window.kind,
-        "band": window.band,
-        "labels": list(window.labels),
-        "dims": list(window.dims),
-        "trivial": window.trivial,
-        "half_integers": window.half_integers,
-    }
 
 
 def window_from_json(data: dict) -> DualWindow:
@@ -325,15 +303,15 @@ def coefficients_to_json(coeffs: FourierCoefficients) -> dict:
     """JSON-safe dict; floats keep full precision, zero blocks are dropped."""
     blocks = {}
     for label in coeffs.window.labels:
-        arr = coeffs.blocks.get(label)
-        if arr is None or not arr.any():
+        arr = coeffs.block(label)
+        if not arr.any():
             continue
         blocks[label_key(label)] = [
             [[[z.real, z.imag] for z in arr[i, j]] for j in range(arr.shape[1])]
             for i in range(arr.shape[0])
         ]
     return {
-        "window": _window_to_json(coeffs.window),
+        "window": asdict(coeffs.window),
         "m": coeffs.m,
         "p_E": "inf" if math.isinf(coeffs.p_E) else coeffs.p_E,
         "blocks": blocks,
@@ -357,7 +335,7 @@ def coefficients_from_json(data: dict, group: GroupSpec) -> FourierCoefficients:
 
 
 def dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:

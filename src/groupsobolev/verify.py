@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -28,7 +28,9 @@ from .sobolev import (
     embedding_constant_C,
     exponents,
     h_s_norm,
+    lebesgue_norm,
     lq_bound_constant,
+    probed_sup,
     zero_weights,
     weights_from_table,
 )
@@ -134,6 +136,11 @@ def _record(
     )
 
 
+def _exponent(p: float):
+    """Exponent as a report value; reports are strict JSON, so inf is "inf"."""
+    return "inf" if math.isinf(p) else p
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -150,7 +157,7 @@ def check_vector_norm_comparison(
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     factor = vec.size ** (1.0 / p - inv_q)
     tol = ALGEBRAIC_TOL * (1.0 + norm_p)
-    ctx = {**(context or {}), "p": p, "q": q, "n": vec.size}
+    ctx = {**(context or {}), "p": p, "q": _exponent(q), "n": vec.size}
     return [
         _record("vector_norm_decreasing", norm_q, norm_p, tol, group=group, seed=seed, context=ctx),
         _record(
@@ -178,18 +185,18 @@ def check_block_comparison(
     if not (1 <= p <= q):
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    starts = coeffs.window.offsets[:-1]
+    entry_norms = e_norm(coeffs.packed, coeffs.p_E)
+    lhs_all = np.add.reduceat(entry_norms**p, starts) ** (1.0 / p)
+    if math.isinf(q):
+        norm_q_all = np.maximum.reduceat(entry_norms, starts)
+    else:
+        norm_q_all = np.add.reduceat(entry_norms**q, starts) ** (1.0 / q)
     records = []
-    for label, d in zip(coeffs.window.labels, coeffs.window.dims):
-        entry_norms = e_norm(coeffs.block(label), coeffs.p_E).reshape(-1)
-        lhs = float((entry_norms**p).sum() ** (1.0 / p))
-        norm_q = (
-            float(entry_norms.max())
-            if math.isinf(q)
-            else float((entry_norms**q).sum() ** (1.0 / q))
-        )
-        rhs = (d * d) ** (1.0 / p - inv_q) * norm_q
+    for label, d, lhs, norm_q in zip(coeffs.window.labels, coeffs.window.dims, lhs_all, norm_q_all):
+        rhs = (d * d) ** (1.0 / p - inv_q) * float(norm_q)
         tol = ALGEBRAIC_TOL * (1.0 + rhs)
-        ctx = {**(context or {}), "p": p, "q": q, "block": label_key(label)}
+        ctx = {**(context or {}), "p": p, "q": _exponent(q), "block": label_key(label)}
         records.append(
             _record("block_norm_comparison", lhs, rhs, tol, group=group, seed=seed, context=ctx)
         )
@@ -231,8 +238,7 @@ def check_l2_embedding(
         raise ValueError("the L2 embedding check rests on Plancherel and needs p_E = 2")
     if samples is None:
         samples = synthesize(coeffs, group)
-    vals = e_norm(samples, 2.0)
-    lhs = float(np.sqrt((group.quadrature.weights * vals**2).sum()))
+    lhs = lebesgue_norm(samples, group, 2.0, 2.0)
     rhs = h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     ctx = {**(context or {}), "s": s}
@@ -260,23 +266,15 @@ def check_sup_embedding(
     """
     if samples is None:
         samples = synthesize(coeffs, group)
-    sup_val = float(e_norm(samples, coeffs.p_E).max())
-    if probe_values is not None:
-        sup_val = max(sup_val, float(e_norm(probe_values, coeffs.p_E).max()))
-    elif extra_samples > 0:
-        els = group.random_elements(np.random.default_rng(probe_seed), extra_samples)
-        sup_val = max(sup_val, float(e_norm(synthesize(coeffs, group, elements=els), coeffs.p_E).max()))
+    sup_val = probed_sup(
+        samples, coeffs.p_E, coeffs, group, extra_samples, probe_seed, probe_values
+    )
     if constant is None:
         constant = embedding_constant_C(weights, s, group.window).value
     rhs = constant * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     ctx = {**(context or {}), "s": s, "constant": constant}
     return _record("sup_embedding", sup_val, rhs, tol, group=group.name, seed=seed, context=ctx)
-
-
-def _lebesgue_from_samples(samples, weights_vec, p_E, p) -> float:
-    vals = e_norm(samples, p_E)
-    return float((weights_vec * vals**p).sum() ** (1.0 / p))
 
 
 def check_hausdorff_young(
@@ -294,7 +292,7 @@ def check_hausdorff_young(
     alpha_prime = alpha / (alpha - 1.0)
     if samples is None:
         samples = synthesize(coeffs, group)
-    lhs = _lebesgue_from_samples(samples, group.quadrature.weights, coeffs.p_E, alpha_prime)
+    lhs = lebesgue_norm(samples, group, coeffs.p_E, alpha_prime)
     rhs = s_p_norm(coeffs, alpha)
     tol = LEBESGUE_TOL * (1.0 + rhs)
     ctx = {**(context or {}), "alpha": alpha, "alpha_prime": alpha_prime}
@@ -328,9 +326,7 @@ def check_lq_embedding(
     rhs = bound * h_s_norm(coeffs, weights, s)
     if samples is None:
         samples = synthesize(coeffs, group)
-    lhs_lp = _lebesgue_from_samples(
-        samples, group.quadrature.weights, coeffs.p_E, params.alpha_prime
-    )
+    lhs_lp = lebesgue_norm(samples, group, coeffs.p_E, params.alpha_prime)
     lhs_chain = s_p_norm(coeffs, params.alpha)
     ctx = {
         **(context or {}),
@@ -340,25 +336,13 @@ def check_lq_embedding(
         "alpha_prime": params.alpha_prime,
         "constant": bound,
     }
+    checks = (
+        ("lq_embedding", lhs_lp, LEBESGUE_TOL),
+        ("lq_embedding_chain", lhs_chain, QUADRATURE_TOL),
+    )
     return [
-        _record(
-            "lq_embedding",
-            lhs_lp,
-            rhs,
-            LEBESGUE_TOL * (1.0 + rhs),
-            group=group.name,
-            seed=seed,
-            context=ctx,
-        ),
-        _record(
-            "lq_embedding_chain",
-            lhs_chain,
-            rhs,
-            QUADRATURE_TOL * (1.0 + rhs),
-            group=group.name,
-            seed=seed,
-            context=ctx,
-        ),
+        _record(name, lhs, rhs, tol * (1.0 + rhs), group=group.name, seed=seed, context=ctx)
+        for name, lhs, tol in checks
     ]
 
 
@@ -398,43 +382,16 @@ def check_continuity_modulus(
 # suite configuration
 
 
-DEFAULT_CONFIG = {
-    "groups": [
-        {"kind": "cyclic", "n": 12},
-        {"kind": "s3"},
-        {"kind": "circle", "band": 16},
-        {"kind": "su2", "band": 2, "half_integers": False},
-    ],
-    "m": 3,
-    "p_E": 2.0,
-    "weights": "canonical",
-    "s_values": [0.0, 0.5, 1.0, 2.0],
-    "st_pairs": [[1.0, 2.0], [1.0, 3.0], [0.5, 2.0]],
-    "batch_size": 200,
-    "seed": 1729,
-    "vector_checks": 2000,
-    "vector_max_dim": 16,
-    "continuity_pairs": 500,
-    "sup_extra_samples": 1000,
-    "block_check_stride": 10,
-    "p_values": [1.0, 2.0],
-    "tamper": False,
-    "out_dir": "out",
-    "formats": ["json", "csv"],
-    "quiet": False,
-}
-
-
 @dataclass
 class RunConfig:
-    """Validated suite configuration; see DEFAULT_CONFIG for the shape."""
+    """Validated suite configuration; DEFAULT_CONFIG shows the shape."""
 
     groups: list
     m: int = 3
     p_E: float = 2.0
     weights: Any = "canonical"
     s_values: list = field(default_factory=lambda: [0.0, 0.5, 1.0, 2.0])
-    st_pairs: list = field(default_factory=lambda: [(1.0, 2.0), (1.0, 3.0), (0.5, 2.0)])
+    st_pairs: list = field(default_factory=lambda: [[1.0, 2.0], [1.0, 3.0], [0.5, 2.0]])
     batch_size: int = 200
     seed: int = 1729
     vector_checks: int = 2000
@@ -510,6 +467,19 @@ class RunConfig:
         return out
 
 
+#: The bundled default (acceptance) configuration as a plain dict.
+DEFAULT_CONFIG = asdict(
+    RunConfig(
+        groups=[
+            {"kind": "cyclic", "n": 12},
+            {"kind": "s3"},
+            {"kind": "circle", "band": 16},
+            {"kind": "su2", "band": 2, "half_integers": False},
+        ]
+    )
+)
+
+
 def resolve_weights(spec, index: int, group: GroupSpec) -> WeightSequence:
     if isinstance(spec, (list, tuple)):
         spec = spec[index]
@@ -549,9 +519,10 @@ class VerificationReport:
         return [r for r in self.records if not r.passed and not r.hypothesis_sensitive]
 
     def min_slack(self) -> dict:
+        """Smallest slack per check; NaN when any of its records has NaN slack."""
         out: dict[str, float] = {}
         for r in self.records:
-            if r.name not in out or r.slack < out[r.name]:
+            if r.name not in out or r.slack < out[r.name] or math.isnan(r.slack):
                 out[r.name] = r.slack
         return {k: out[k] for k in sorted(out)}
 
@@ -647,13 +618,10 @@ def run_suite(config) -> VerificationReport:
         weights = resolve_weights(cfg.weights, gi, group)
         constants = {s: embedding_constant_C(weights, s, group.window) for s in cfg.s_values}
 
-        probe_stacks = None
+        probe = None
         if cfg.sup_extra_samples > 0:
             probe_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, gi)))
-            probe_els = group.random_elements(probe_rng, cfg.sup_extra_samples)
-            probe_stacks = {
-                label: group.irrep_matrices(label, probe_els) for label in group.window.labels
-            }
+            probe = group.packed_matrices(group.random_elements(probe_rng, cfg.sup_extra_samples))
 
         if cfg.continuity_pairs > 0:
             budget = max(1, cfg.continuity_pairs // len(group.window.labels))
@@ -668,9 +636,7 @@ def run_suite(config) -> VerificationReport:
             fseed = _derive_seed(cfg.seed, gi, b)
             coeffs = random_band_limited(fseed, group, cfg.m, p_E=cfg.p_E)
             samples = synthesize(coeffs, group)
-            probe_vals = (
-                synthesize(coeffs, group, stacks=probe_stacks) if probe_stacks else None
-            )
+            probe_vals = None if probe is None else synthesize(coeffs, group, probe=probe)
             ctx = {"batch": b}
 
             for s, t in monotone_pairs:

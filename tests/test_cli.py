@@ -260,3 +260,16 @@ def test_flag_overrides_config_seed(tmp_path):
     a = (out1 / "spectra_cyclic_4.json").read_bytes()
     b = (out2 / "spectra_cyclic_4.json").read_bytes()
     assert a != b
+
+
+def test_norms_refuses_per_group_weight_list(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spectra", "--group", "cyclic:4", "--out", str(out), "--quiet"]) == 0
+    coeff_path = str(out / "spectra_cyclic_4.json")
+    cfg = write_config(tmp_path, weights=["zero", "canonical"])
+    argv = ["norms", "--coefficients", coeff_path, "--config", cfg, "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    assert "--weights" in capsys.readouterr().err
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps({"0": 0.0, "1": 1.0, "2": 2.0, "3": 1.0}))
+    assert main(argv + ["--weights", str(wpath)]) == 0

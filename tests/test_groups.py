@@ -330,6 +330,45 @@ def test_entry_difference_bounded_by_operator_norm(su2_2):
 
 
 # ---------------------------------------------------------------------------
+# packed node matrix
+
+
+def test_node_matrix_shape_and_read_only(any_group):
+    u = any_group.node_matrix
+    assert u.shape == (any_group.node_count, sum(d * d for d in any_group.window.dims))
+    assert not u.flags.writeable
+    assert any_group.window.offsets[-1] == any_group.window.size == u.shape[1]
+
+
+def test_node_stack_is_view_of_node_matrix(any_group):
+    u = any_group.node_matrix
+    nodes = any_group.quadrature.nodes
+    for label, d in zip(any_group.window.labels, any_group.window.dims):
+        stack = any_group.node_stack(label)
+        assert stack.shape == (any_group.node_count, d, d)
+        assert np.shares_memory(stack, u)
+        assert np.array_equal(stack, any_group.irrep_matrices(label, nodes))
+
+
+def test_packed_matrices_follow_window_columns(any_group):
+    els = any_group.random_elements(np.random.default_rng(3), 7)
+    packed = any_group.packed_matrices(els)
+    for label, d in zip(any_group.window.labels, any_group.window.dims):
+        cols = packed[:, any_group.window.columns(label)]
+        assert np.array_equal(cols, any_group.irrep_matrices(label, els).reshape(7, d * d))
+    last = any_group.window.labels[-1]
+    subset = any_group.packed_matrices(els, [last])
+    assert np.array_equal(subset, packed[:, any_group.window.columns(last)])
+
+
+def test_window_index_rejects_foreign_labels(su2_2):
+    assert su2_2.window.index(1) == su2_2.window.index(1.0) == 1
+    for label in (7.0, "x", [1.0]):
+        with pytest.raises(KeyError):
+            su2_2.window.index(label)
+
+
+# ---------------------------------------------------------------------------
 # custom finite groups
 
 

@@ -350,3 +350,170 @@ def test_block_shape_validation(z4):
         gs.FourierCoefficients(z4.window, 2, {0: np.zeros((1, 1, 3))})
     with pytest.raises(KeyError):
         gs.FourierCoefficients(z4.window, 2, {9: np.zeros((1, 1, 2))})
+
+
+# ---------------------------------------------------------------------------
+# packed coefficient layout
+
+
+def _custom_s3():
+    """S3 reloaded through the custom JSON loader (labels become strings)."""
+    s3 = gs.make_group("s3")
+    order = s3.node_count
+    irreps = [
+        {
+            "label": label,
+            "dim": d,
+            "matrices": [
+                [[[z.real, z.imag] for z in row] for row in mat] for mat in s3.node_stack(label)
+            ],
+        }
+        for label, d in zip(s3.window.labels, s3.window.dims)
+    ]
+    table = [[s3.multiply(x, y) for y in range(order)] for x in range(order)]
+    return gs.make_group("custom", source={"order": order, "mult_table": table, "irreps": irreps})
+
+
+@pytest.fixture(scope="module")
+def custom_s3():
+    return _custom_s3()
+
+
+LAYOUT_KINDS = ("z12", "s3", "circle16", "su2_2", "su2_1h", "custom_s3")
+
+
+def test_blocks_are_views_of_packed(any_group):
+    coeffs = gs.random_band_limited(4, any_group, m=3)
+    assert coeffs.packed.shape == (sum(d * d for d in any_group.window.dims), 3)
+    for label in any_group.window.labels:
+        assert np.shares_memory(coeffs.blocks[label], coeffs.packed)
+        assert np.shares_memory(coeffs.block(label), coeffs.packed)
+
+
+def test_coefficients_from_blocks_equal_forward_transform(any_group):
+    rng = np.random.default_rng(5)
+    n = any_group.node_count
+    samples = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    coeffs = gs.forward_transform(gs.VectorFunction.from_samples(samples), any_group)
+    blocks = {label: coeffs.block(label).copy() for label in any_group.window.labels}
+    rebuilt = gs.FourierCoefficients(any_group.window, 2, blocks)
+    assert np.array_equal(rebuilt.packed, coeffs.packed)
+
+
+def test_packed_row_pairs_with_matrix_coefficient(su2_2):
+    # block entry [i, j] pairs with u_{i+1, j+1}: a single nonzero entry
+    # synthesizes to d * u_{i+1, j+1} at every node.
+    block = np.zeros((3, 3, 1), dtype=complex)
+    block[0, 2, 0] = 1.0
+    coeffs = gs.FourierCoefficients(su2_2.window, 1, {1.0: block})
+    u13 = np.array([gs.matrix_coefficient(su2_2, 1.0, 1, 3, x) for x in su2_2.quadrature.nodes])
+    assert np.abs(gs.synthesize(coeffs, su2_2)[:, 0] - 3.0 * u13).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", LAYOUT_KINDS)
+def test_synthesis_paths_agree(name, request):
+    group = request.getfixturevalue(name)
+    coeffs = gs.random_band_limited(6, group, m=2)
+    nodes = group.quadrature.nodes
+    at_nodes = gs.synthesize(coeffs, group)
+    scale = 1.0 + float(np.abs(at_nodes).max())
+    assert np.abs(gs.synthesize(coeffs, group, elements=nodes) - at_nodes).max() <= 1e-12 * scale
+    probe = group.packed_matrices(nodes)
+    assert np.abs(gs.synthesize(coeffs, group, probe=probe) - at_nodes).max() <= 1e-12 * scale
+    els = group.random_elements(np.random.default_rng(7), 25)
+    off = gs.synthesize(coeffs, group, elements=els)
+    via_probe = gs.synthesize(coeffs, group, probe=group.packed_matrices(els))
+    assert np.abs(off - via_probe).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", LAYOUT_KINDS)
+def test_h0_norm_is_bit_equal_to_s2_norm(name, request):
+    group = request.getfixturevalue(name)
+    for p_E in (2.0, 3.0, math.inf):
+        coeffs = gs.random_band_limited(8, group, m=3, p_E=p_E)
+        for weights in (gs.canonical_weights(group), gs.zero_weights(group.window)):
+            assert gs.h_s_norm(coeffs, weights, 0.0) == gs.s_p_norm(coeffs, 2.0)
+
+
+def test_off_node_constant_evaluates_trivial_irrep_only(su2_2, monkeypatch):
+    seen = []
+    original = gs.GroupSpec.irrep_matrices
+
+    def recording(self, label, elements):
+        seen.append(label)
+        return original(self, label, elements)
+
+    monkeypatch.setattr(gs.GroupSpec, "irrep_matrices", recording)
+    f = gs.VectorFunction.constant(su2_2, np.array([1.0, 2.0j]))
+    vals = f.evaluate(su2_2, su2_2.random_elements(np.random.default_rng(0), 5))
+    assert seen == [su2_2.window.trivial]
+    assert np.abs(vals - np.array([1.0, 2.0j])).max() <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# non-finite values are refused
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_coefficients_reject_non_finite(z4, bad):
+    with pytest.raises(ValueError, match="finite"):
+        gs.FourierCoefficients(z4.window, 1, {2: np.full((1, 1, 1), bad)})
+    samples = np.zeros((4, 1), dtype=complex)
+    samples[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gs.forward_transform(gs.VectorFunction.from_samples(samples), z4)
+    with pytest.raises(ValueError, match="finite"):
+        _ = math.inf * gs.random_band_limited(0, z4, m=1)
+
+
+def test_dump_json_rejects_non_finite():
+    assert dump_json({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            dump_json({"x": bad})
+
+
+# ---------------------------------------------------------------------------
+# per-label loops kept as references for the packed paths
+
+
+def _forward_by_label(samples, group):
+    w = group.quadrature.weights
+    return {
+        label: np.einsum("k,kji,km->ijm", w, group.node_stack(label).conj(), samples)
+        for label in group.window.labels
+    }
+
+
+def _synthesize_by_label(coeffs, group):
+    out = np.zeros((group.node_count, coeffs.m), dtype=complex)
+    for label, d in zip(group.window.labels, group.window.dims):
+        out += d * np.einsum("ijm,kji->km", coeffs.block(label), group.node_stack(label))
+    return out
+
+
+def _s_p_by_label(coeffs, p, level=lambda label: 1.0):
+    return sum(
+        d * level(label) * float((gs.e_norm(coeffs.block(label), coeffs.p_E) ** p).sum())
+        for label, d in zip(coeffs.window.labels, coeffs.window.dims)
+    ) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("name", LAYOUT_KINDS)
+def test_packed_paths_match_per_label_loops(name, request):
+    group = request.getfixturevalue(name)
+    coeffs = gs.random_band_limited(12, group, m=3, p_E=3.0)
+    samples = _synthesize_by_label(coeffs, group)
+    scale = 1.0 + float(np.abs(samples).max())
+    assert np.abs(gs.synthesize(coeffs, group) - samples).max() <= 1e-12 * scale
+    packed = gs.forward_transform(gs.VectorFunction.from_samples(samples), group)
+    for label, block in _forward_by_label(samples, group).items():
+        assert np.abs(packed.block(label) - block).max() <= 1e-12 * scale
+    weights = gs.canonical_weights(group)
+    for p in (1.0, 1.5, 2.0, 4.0):
+        ref = _s_p_by_label(coeffs, p)
+        assert abs(gs.s_p_norm(coeffs, p) - ref) <= 1e-12 * ref
+    for s in (0.5, 2.0):
+        ref = _s_p_by_label(coeffs, 2.0, lambda label: (1.0 + weights.value(label) ** 2) ** s)
+        assert abs(gs.h_s_norm(coeffs, weights, s) - ref) <= 1e-12 * ref

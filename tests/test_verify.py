@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupsobolev as gs
+from groupsobolev.transform import dump_json
 from groupsobolev.verify import RunConfig, resolve_weights
 
 SMALL_CONFIG = {
@@ -330,6 +333,58 @@ def test_report_summary_fields():
     assert set(summary["min_slack"]) == set(summary["records_per_check"])
 
 
+def test_min_slack_reports_nan():
+    def record(slack):
+        return gs.InequalityRecord("x", "-", -1, 0.0, slack, slack, 1e-12, bool(slack >= -1e-12))
+
+    for slacks in ([1.0, math.nan, 0.5], [math.nan, 2.0], [0.5, 0.25]):
+        report = gs.VerificationReport([record(s) for s in slacks], {})
+        got = report.min_slack()["x"]
+        if any(math.isnan(s) for s in slacks):
+            assert math.isnan(got)
+        else:
+            assert got == min(slacks)
+
+
+def test_infinite_exponent_is_strict_json():
+    x = np.array([3.0, 4.0j])
+    for rec in gs.check_vector_norm_comparison(x, 1.5, math.inf):
+        assert rec.context["q"] == "inf"
+    coeffs = gs.random_band_limited(0, gs.make_group("cyclic", n=3), m=1)
+    for rec in gs.check_block_comparison(coeffs, 1.0, math.inf):
+        assert rec.context["q"] == "inf" and rec.passed
+    report = gs.run_suite({**SMALL_CONFIG, "batch_size": 1, "vector_checks": 60})
+    assert any(r.context.get("q") == "inf" for r in report.records)
+    json.loads(dump_json(report.to_json_dict()))
+
+
+def _load_compare_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_reports_script():
+    compare = _load_compare_script().compare
+    old = gs.run_suite({**SMALL_CONFIG, "batch_size": 1, "vector_checks": 60}).to_json_dict()
+    problems, stats = compare(old, json.loads(dump_json(old)))
+    assert problems == [] and sum(n for n, _ in stats.values()) == len(old["records"])
+
+    # the bare-token spelling of an infinite exponent compares equal
+    legacy = json.loads(json.dumps(old).replace('"q": "inf"', '"q": Infinity'))
+    assert compare(legacy, old)[0] == []
+
+    nudged = json.loads(dump_json(old))
+    rec = nudged["records"][0]
+    rec["lhs"] += 2.0 * rec["tol"]
+    assert any("of tol" in p for p in compare(old, nudged)[0])
+    flipped = json.loads(dump_json(old))
+    flipped["records"][1]["pass"] = not flipped["records"][1]["pass"]
+    assert any("pass" in p for p in compare(old, flipped)[0])
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -388,3 +443,15 @@ def test_suite_with_exotic_p_E_marks_hypothesis_sensitive():
     assert hy and all(r.hypothesis_sensitive for r in hy)
     # failures among hypothesis-sensitive records do not fail the suite
     assert report.all_pass
+
+
+def test_block_comparison_matches_per_block_loop(su2_2):
+    coeffs = gs.random_band_limited(3, su2_2, m=2, p_E=3.0)
+    for p, q in ((1.0, 2.0), (1.5, 4.0), (1.2, math.inf)):
+        records = gs.check_block_comparison(coeffs, p, q)
+        for rec, label, d in zip(records, su2_2.window.labels, su2_2.window.dims):
+            norms = gs.e_norm(coeffs.block(label), 3.0).reshape(-1)
+            lhs = (norms**p).sum() ** (1.0 / p)
+            norm_q = norms.max() if math.isinf(q) else (norms**q).sum() ** (1.0 / q)
+            rhs = (d * d) ** (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q)) * norm_q
+            assert abs(rec.lhs - lhs) <= 1e-12 * lhs and abs(rec.rhs - rhs) <= 1e-12 * rhs
