@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 from .groups import (
     DualWindow,
     GroupSpec,
-    Irrep,
     OrthogonalityReport,
     QuadratureRule,
-    group_from_window,
     irrep_matrix,
     make_group,
     matrix_coefficient,

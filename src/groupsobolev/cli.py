@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import group_from_window, make_group
+from .groups import make_group
 from .sobolev import (
     embedding_constant_C,
     h_s_norm,
@@ -124,10 +124,12 @@ def cmd_norms(args) -> int:
     cfg = _load_config(args)
     data = json.loads(Path(args.coefficients).read_text())
     window = window_from_json(data["window"])
-    if args.group:
-        group = make_group(parse_group_arg(args.group))
-    else:
-        group = group_from_window(window)
+    if window.kind == "custom" and not args.group:
+        raise ValueError(
+            "a custom group cannot be rebuilt from the coefficient file alone; "
+            "name its JSON description with --group custom:PATH"
+        )
+    group = make_group(parse_group_arg(args.group) if args.group else window)
     coeffs = coefficients_from_json(data, group)
     if args.weights:
         table = json.loads(Path(args.weights).read_text())

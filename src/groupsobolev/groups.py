@@ -4,8 +4,9 @@ Built-in groups are the cyclic groups Z_n, the symmetric group S3, the
 circle, and SU(2); additional finite groups can be loaded from a JSON
 description (multiplication table plus unitary irrep matrices).
 
-Every group bundles a truncated unitary dual (the "window"), vectorized
-irrep evaluators, and a quadrature rule for the normalized Haar measure.
+Every group bundles a truncated unitary dual (the "window"), one
+vectorized irrep evaluator, and a quadrature rule for the normalized Haar
+measure; ``make_group`` is the one way to build it.
 The rule is sized so that products of any two window matrix coefficients
 integrate exactly, which makes the Schur orthogonality relations
 
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 from pathlib import Path
@@ -37,10 +39,8 @@ import numpy as np
 __all__ = [
     "DualWindow",
     "GroupSpec",
-    "Irrep",
     "OrthogonalityReport",
     "QuadratureRule",
-    "group_from_window",
     "irrep_matrix",
     "make_group",
     "matrix_coefficient",
@@ -156,28 +156,6 @@ def _su2_euler_from_matrix(u: np.ndarray) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
-class Irrep:
-    """One irreducible unitary representation with a vectorized evaluator."""
-
-    label: Any
-    dim: int
-    _matrices: Callable[[np.ndarray], np.ndarray]
-
-    def matrices(self, elements) -> np.ndarray:
-        """Evaluate at a batch of group elements; returns (n, dim, dim)."""
-        out = self._matrices(elements)
-        return np.ascontiguousarray(out, dtype=complex)
-
-    def matrix(self, x) -> np.ndarray:
-        return self.matrices(_single(x))[0]
-
-
-def _single(x) -> np.ndarray:
-    arr = np.asarray(x)
-    return arr[None, ...] if arr.ndim <= 1 else arr
-
-
-@dataclass(frozen=True)
 class DualWindow:
     """Ordered, truncated list of irrep labels with their dimensions."""
 
@@ -274,28 +252,43 @@ class QuadratureRule:
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """A compact group bundled with its window, irreps, and quadrature."""
+    """A compact group: its window, a Haar quadrature rule and one evaluator.
+
+    ``_matrices(label, elements)`` gives the matrices of one window irrep at
+    a batch of elements, shape (n, d, d). The node matrix is built from it
+    once, at construction, after a check that it fits in physical memory.
+    """
 
     kind: str
     name: str
     window: DualWindow
     quadrature: QuadratureRule
-    irreps: dict
     identity: Any
     order: int | None
+    _matrices: Callable[[Any, np.ndarray], np.ndarray]
     _multiply: Callable[[Any, Any], Any]
     _sampler: Callable[[np.random.Generator, int], np.ndarray]
     #: all window coefficients at the nodes, (nodes, K) in packed order, read-only
-    node_matrix: np.ndarray | None = None
+    node_matrix: np.ndarray = field(init=False)
 
-    def irrep(self, label) -> Irrep:
-        try:
-            return self.irreps[label]
-        except KeyError:
-            raise KeyError(f"unknown irrep label {label!r} for {self.name}") from None
+    def __post_init__(self):
+        n, k = self.node_count, self.window.size
+        needed = n * k * 16
+        available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if needed > available:
+            raise ValueError(
+                f"{self.name}: the node matrix of N = {n} nodes by K = {k} coefficients "
+                f"needs {needed} bytes, more than the {available} bytes of physical memory"
+            )
+        matrix = self.packed_matrices(self.quadrature.nodes)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "node_matrix", matrix)
 
     def irrep_matrices(self, label, elements) -> np.ndarray:
-        return self.irrep(label).matrices(elements)
+        """Matrices of the window irrep ``label`` at a batch of elements,
+        shape (n, d, d); KeyError for a label outside the window."""
+        self.window.index(label)
+        return np.ascontiguousarray(self._matrices(label, elements), dtype=complex)
 
     def node_stack(self, label) -> np.ndarray:
         """Irrep matrices at all quadrature nodes; shape (n, d, d), a view."""
@@ -340,12 +333,6 @@ class GroupSpec:
         return f"GroupSpec({self.name})"
 
 
-def _precompute_stacks(group: GroupSpec) -> None:
-    matrix = group.packed_matrices(group.quadrature.nodes)
-    matrix.flags.writeable = False
-    object.__setattr__(group, "node_matrix", matrix)
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -370,19 +357,12 @@ def _finite_group(
     if identity is None:
         raise ValueError(f"{name}: multiplication table has no identity element")
 
-    def make_eval(table: np.ndarray):
-        def evaluate(elements):
-            idx = np.atleast_1d(np.asarray(elements, dtype=int))
-            if idx.min(initial=0) < 0 or idx.max(initial=0) >= order:
-                raise ValueError(f"{name}: element index out of range 0..{order - 1}")
-            return table[idx]
+    def matrices(label, elements):
+        idx = np.atleast_1d(np.asarray(elements, dtype=int))
+        if idx.min(initial=0) < 0 or idx.max(initial=0) >= order:
+            raise ValueError(f"{name}: element index out of range 0..{order - 1}")
+        return irrep_tables[label][idx]
 
-        return evaluate
-
-    irreps = {
-        label: Irrep(label, table.shape[1], make_eval(table))
-        for label, table in irrep_tables.items()
-    }
     window = DualWindow(
         kind=kind,
         band=band,
@@ -397,19 +377,17 @@ def _finite_group(
     def sampler(rng, count):
         return rng.integers(0, order, size=count)
 
-    group = GroupSpec(
+    return GroupSpec(
         kind=kind,
         name=name,
         window=window,
         quadrature=QuadratureRule(nodes, weights),
-        irreps=irreps,
         identity=identity,
         order=order,
+        _matrices=matrices,
         _multiply=multiply,
         _sampler=sampler,
     )
-    _precompute_stacks(group)
-    return group
 
 
 def _make_cyclic(n: int) -> GroupSpec:
@@ -472,14 +450,10 @@ def _make_circle(band: int) -> GroupSpec:
     for b in range(1, band + 1):
         labels.extend([-b, b])
 
-    def make_eval(freq: int):
-        def evaluate(elements):
-            x = np.atleast_1d(np.asarray(elements, dtype=float))
-            return np.exp(1j * freq * x).reshape(-1, 1, 1)
+    def matrices(freq, elements):
+        x = np.atleast_1d(np.asarray(elements, dtype=float))
+        return np.exp(1j * freq * x).reshape(-1, 1, 1)
 
-        return evaluate
-
-    irreps = {n: Irrep(n, 1, make_eval(n)) for n in labels}
     window = DualWindow(
         kind="circle",
         band=band,
@@ -488,19 +462,17 @@ def _make_circle(band: int) -> GroupSpec:
         trivial=0,
     )
 
-    group = GroupSpec(
+    return GroupSpec(
         kind="circle",
         name=f"circle({band})",
         window=window,
         quadrature=QuadratureRule(nodes, weights),
-        irreps=irreps,
         identity=0.0,
         order=None,
+        _matrices=matrices,
         _multiply=lambda x, y: (float(x) + float(y)) % TWO_PI,
         _sampler=lambda rng, count: rng.uniform(0.0, TWO_PI, size=count),
     )
-    _precompute_stacks(group)
-    return group
 
 
 def _make_su2(band: float, half_integers: bool = False) -> GroupSpec:
@@ -532,10 +504,6 @@ def _make_su2(band: float, half_integers: bool = False) -> GroupSpec:
         np.full(n_gamma, 1.0 / n_gamma),
     ).reshape(-1)
 
-    irreps = {
-        ell: Irrep(ell, int(round(2 * ell)) + 1, (lambda e, _l=ell: wigner_d_matrix(_l, e)))
-        for ell in ells
-    }
     window = DualWindow(
         kind="su2",
         band=band,
@@ -555,19 +523,17 @@ def _make_su2(band: float, half_integers: bool = False) -> GroupSpec:
         return np.stack([alpha, beta, gamma], axis=-1)
 
     name = f"su2({band:g},half)" if half_integers else f"su2({band:g})"
-    group = GroupSpec(
+    return GroupSpec(
         kind="su2",
         name=name,
         window=window,
         quadrature=QuadratureRule(nodes, weights),
-        irreps=irreps,
         identity=(0.0, 0.0, 0.0),
         order=None,
+        _matrices=wigner_d_matrix,
         _multiply=multiply,
         _sampler=sampler,
     )
-    _precompute_stacks(group)
-    return group
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +544,11 @@ def _make_custom(source) -> GroupSpec:
     """Finite group from {order, mult_table, irreps: [{label, dim, matrices}]}.
 
     ``matrices`` lists one dim x dim complex matrix per element, entries
-    as [re, im] pairs. The table is validated (unitarity, homomorphism
-    spot checks, Schur orthogonality) before the group is returned.
+    as [re, im] pairs. Before the group is returned, the table is checked
+    to be a Latin square and associative, and the irreps to be unitary,
+    homomorphisms, Schur orthogonal and complete (sum of d^2 = order).
+    Associativity and the homomorphism property are checked on every tuple
+    up to order 32 and on 200 seeded tuples above that.
     """
     if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text())
@@ -594,6 +563,15 @@ def _make_custom(source) -> GroupSpec:
         raise ValueError(f"custom group: mult_table must be {order}x{order}")
     if table.min() < 0 or table.max() >= order:
         raise ValueError("custom group: mult_table entries must index elements")
+    ids = np.arange(order)
+    if not ((np.sort(table, axis=0) == ids[:, None]).all() and (np.sort(table, axis=1) == ids).all()):
+        raise ValueError(
+            "custom group: mult_table is not a Latin square (an element repeats in a row or column)"
+        )
+    i, j, k = _index_tuples(order, 3)
+    if (bad := np.flatnonzero(table[table[i, j], k] != table[i, table[j, k]])).size:
+        t = bad[0]
+        raise ValueError(f"custom group: mult_table is not associative at ({i[t]}, {j[t]}, {k[t]})")
 
     tables: dict[str, np.ndarray] = {}
     for spec in data.get("irreps", []):
@@ -606,32 +584,26 @@ def _make_custom(source) -> GroupSpec:
                 f"shape {dim}x{dim} with [re, im] entries"
             )
         mats = raw[..., 0] + 1j * raw[..., 1]
-        eye = np.eye(dim)
-        for x in range(order):
-            dev = np.abs(mats[x] @ mats[x].conj().T - eye).max()
-            if dev > 1e-10:
-                raise ValueError(
-                    f"custom group: irrep {label!r} matrix at element {x} is "
-                    f"not unitary (deviation {dev:.3e})"
-                )
+        dev = np.abs(mats @ mats.conj().swapaxes(1, 2) - np.eye(dim)).max(axis=(1, 2))
+        if (bad := np.flatnonzero(dev > 1e-10)).size:
+            x = bad[0]
+            raise ValueError(
+                f"custom group: irrep {label!r} matrix at element {x} is "
+                f"not unitary (deviation {dev[x]:.3e})"
+            )
         if label in tables:
             raise ValueError(f"custom group: duplicate irrep label {label!r}")
         tables[label] = mats
 
-    # Homomorphism spot checks on the supplied matrices.
-    rng = np.random.default_rng(0)
-    if order <= 32:
-        pairs = [(i, j) for i in range(order) for j in range(order)]
-    else:
-        pairs = list(zip(rng.integers(0, order, 200), rng.integers(0, order, 200)))
+    i, j = _index_tuples(order, 2)
     for label, mats in tables.items():
-        for i, j in pairs:
-            dev = np.abs(mats[table[i, j]] - mats[i] @ mats[j]).max()
-            if dev > 1e-9:
-                raise ValueError(
-                    f"custom group: irrep {label!r} fails the homomorphism "
-                    f"check at pair ({i}, {j}) (deviation {dev:.3e})"
-                )
+        dev = np.abs(mats[table[i, j]] - mats[i] @ mats[j]).max(axis=(1, 2))
+        if (bad := np.flatnonzero(dev > 1e-9)).size:
+            t = bad[0]
+            raise ValueError(
+                f"custom group: irrep {label!r} fails the homomorphism "
+                f"check at pair ({i[t]}, {j[t]}) (deviation {dev[t]:.3e})"
+            )
 
     trivial_label = None
     for label, mats in tables.items():
@@ -661,7 +633,20 @@ def _make_custom(source) -> GroupSpec:
             f"(max deviation {report.max_deviation:.3e}); check that they are "
             "irreducible and pairwise inequivalent"
         )
+    if group.window.size != order:
+        raise ValueError(
+            f"custom group: the irreps are incomplete: their sum of d^2 is "
+            f"{group.window.size}, but the group order is {order}"
+        )
     return group
+
+
+def _index_tuples(order: int, arity: int) -> np.ndarray:
+    """Element index tuples as rows of an (arity, count) array: every tuple
+    up to order 32, else 200 seeded ones."""
+    if order <= 32:
+        return np.indices((order,) * arity).reshape(arity, -1)
+    return np.random.default_rng(0).integers(0, order, size=(arity, 200))
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +654,20 @@ def _make_custom(source) -> GroupSpec:
 
 
 def make_group(kind, **params) -> GroupSpec:
-    """Build a group from a kind string or a {"kind": ..., ...} mapping.
+    """Build a group from a kind string, a {"kind": ..., ...} mapping, or
+    the ``DualWindow`` of a built-in group (as stored in coefficient files).
 
     Kinds: cyclic(n), s3, circle(band), su2(band, half_integers),
     custom(source=path or dict).
     """
+    if isinstance(kind, DualWindow):
+        window, kind = kind, {"kind": kind.kind}
+        if window.kind == "cyclic":
+            kind["n"] = int(window.band) + 1
+        elif window.kind in ("circle", "su2"):
+            kind["band"] = window.band
+        if window.half_integers:
+            kind["half_integers"] = True
     if isinstance(kind, dict):
         params = {**kind, **params}
         if "kind" not in params:
@@ -705,22 +699,10 @@ def _take(kind, params, name):
         raise ValueError(f"{kind!r} group requires parameter {name!r}") from None
 
 
-def group_from_window(window: DualWindow) -> GroupSpec:
-    """Rebuild a built-in group matching a serialized dual window."""
-    if window.kind == "cyclic":
-        return _make_cyclic(int(window.band) + 1)
-    if window.kind == "s3":
-        return _make_s3()
-    if window.kind == "circle":
-        return _make_circle(int(window.band))
-    if window.kind == "su2":
-        return _make_su2(float(window.band), window.half_integers)
-    raise ValueError(f"cannot rebuild a {window.kind!r} group from its window alone")
-
-
 def irrep_matrix(group: GroupSpec, label, x) -> np.ndarray:
     """Unitary matrix of irrep ``label`` at the element ``x``."""
-    return group.irrep(label).matrix(x)
+    arr = np.asarray(x)
+    return group.irrep_matrices(label, arr[None, ...] if arr.ndim <= 1 else arr)[0]
 
 
 def matrix_coefficient(group: GroupSpec, label, i: int, j: int, x) -> complex:
@@ -743,11 +725,6 @@ class OrthogonalityReport:
     pairs_checked: int
 
 
-def _coefficient_columns(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
-    """All window coefficients as columns over the nodes, plus the target Gram."""
-    return group.node_matrix, np.diag(1.0 / group.window.entry_dims)
-
-
 def orthogonality_selftest(
     group: GroupSpec,
     tol: float = ORTHOGONALITY_TOL,
@@ -760,7 +737,7 @@ def orthogonality_selftest(
     exact values delta/d. ``max_pairs`` optionally subsamples coefficient
     pairs for very large windows.
     """
-    u, expected = _coefficient_columns(group)
+    u, expected = group.node_matrix, np.diag(1.0 / group.window.entry_dims)
     k = u.shape[1]
     if max_pairs is not None and k * k > max_pairs:
         keep = max(2, math.isqrt(max_pairs))

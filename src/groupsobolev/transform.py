@@ -160,6 +160,8 @@ class VectorFunction:
                 arr = arr[:, None]
             if arr.ndim != 2 or arr.shape[1] != self.m:
                 raise ValueError(f"samples must have shape (nodes, {self.m})")
+            if not np.isfinite(arr).all():
+                raise ValueError("function samples must be finite")
             object.__setattr__(self, "values", np.ascontiguousarray(arr))
         else:
             if self.coefficients.m != self.m:

@@ -273,3 +273,23 @@ def test_norms_refuses_per_group_weight_list(tmp_path, capsys):
     wpath = tmp_path / "w.json"
     wpath.write_text(json.dumps({"0": 0.0, "1": 1.0, "2": 2.0, "3": 1.0}))
     assert main(argv + ["--weights", str(wpath)]) == 0
+
+
+def test_norms_of_custom_group_file_names_the_group_flag(tmp_path, capsys):
+    table = [[(i + j) % 2 for j in range(2)] for i in range(2)]
+    source = tmp_path / "z2.json"
+    source.write_text(json.dumps({
+        "order": 2,
+        "mult_table": table,
+        "irreps": [{"label": "sign", "dim": 1, "matrices": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]}],
+    }))
+    out = tmp_path / "out"
+    group_arg = f"custom:{source}"
+    assert main(["spectra", "--group", group_arg, "--out", str(out), "--quiet"]) == 0
+    (coeff_path,) = out.glob("spectra_*.json")
+    argv = ["norms", "--coefficients", str(coeff_path), "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--group custom:PATH" in err
+    assert "requires parameter" not in err
+    assert main(argv + ["--group", group_arg]) == 0

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -75,8 +76,26 @@ def test_make_group_degenerate_bands():
 
 
 def test_group_from_window(any_group):
-    rebuilt = gs.group_from_window(any_group.window)
+    rebuilt = gs.make_group(any_group.window)
     assert rebuilt.window == any_group.window
+
+
+def test_make_group_refuses_node_matrix_beyond_physical_memory(monkeypatch):
+    def no_evaluation(self, label, elements):
+        raise AssertionError("an irrep was evaluated before the memory check")
+
+    monkeypatch.setattr(gs.GroupSpec, "irrep_matrices", no_evaluation)
+    start = time.perf_counter()
+    # 800,001 nodes by 400,001 coefficients: about 5 TB of node matrix
+    with pytest.raises(ValueError, match=r"N = 800001 .*K = 400001 .*needs 5120019200016 bytes"):
+        gs.make_group("circle", band=200_000)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_make_group_from_window_needs_a_built_in_kind():
+    custom = gs.make_group("custom", source=_z3_custom(include_trivial=True))
+    with pytest.raises(ValueError, match="source"):
+        gs.make_group(custom.window)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +450,48 @@ def test_custom_group_rejects_equivalent_duplicates():
     data["irreps"].append(clone)
     with pytest.raises(ValueError, match="orthogonality"):
         gs.make_group("custom", source=data)
+
+
+def test_custom_group_rejects_non_latin_square():
+    data = _z3_custom(include_trivial=True)
+    data["mult_table"][1] = [1, 1, 0]
+    with pytest.raises(ValueError, match="Latin square"):
+        gs.make_group("custom", source=data)
+
+
+def test_custom_group_rejects_non_associative_table():
+    # a loop of order 5: a Latin square with identity 0, but 1 * 1 = 0 has no
+    # place in a group of order 5
+    table = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    with pytest.raises(ValueError, match="not associative at"):
+        gs.make_group("custom", source={"order": 5, "mult_table": table, "irreps": []})
+
+
+def test_custom_group_rejects_incomplete_irreps():
+    data = _z3_custom(include_trivial=True)
+    del data["irreps"][2]
+    with pytest.raises(ValueError, match=r"incomplete.* 2, but the group order is 3"):
+        gs.make_group("custom", source=data)
+
+
+def test_custom_group_above_order_32_loads():
+    order = 40
+    x = np.arange(order)
+    chars = np.exp(2j * math.pi * np.outer(x, x) / order)
+    irreps = [
+        {"label": f"chi{k}", "dim": 1, "matrices": [[[[z.real, z.imag]]] for z in chars[k]]}
+        for k in range(order)
+    ]
+    table = ((x[:, None] + x[None, :]) % order).tolist()
+    g = gs.make_group("custom", source={"order": order, "mult_table": table, "irreps": irreps})
+    assert g.window.size == order
+    assert gs.orthogonality_selftest(g).passed
 
 
 def test_custom_group_shape_errors():

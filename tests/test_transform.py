@@ -467,6 +467,14 @@ def test_coefficients_reject_non_finite(z4, bad):
         _ = math.inf * gs.random_band_limited(0, z4, m=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_samples_reject_non_finite(z4, bad):
+    samples = np.zeros((4, 2), dtype=complex)
+    samples[3, 1] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        gs.l_p_norm(gs.VectorFunction.from_samples(samples), z4, 2.0)
+
+
 def test_dump_json_rejects_non_finite():
     assert dump_json({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
     for bad in (math.nan, math.inf, -math.inf):
