@@ -20,7 +20,7 @@ import numpy as np
 
 from .groups import DualWindow, GroupSpec
 from .transform import FourierCoefficients, VectorFunction, e_norm, synthesize
-from .transform import weighted_spectral_norm
+from .transform import _per_function, _pth_root, weighted_spectral_norm
 
 __all__ = [
     "ConstantEstimate",
@@ -128,8 +128,9 @@ def canonical_weights(group: GroupSpec) -> WeightSequence:
 # norms
 
 
-def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> float:
-    """Order-s Sobolev norm: entrywise d (1 + w^2)^s weighting of the square.
+def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> float | np.ndarray:
+    """Order-s Sobolev norm: entrywise d (1 + w^2)^s weighting of the square;
+    one value per function of a batch.
 
     Reduces bit-for-bit to the p = 2 spectral norm at s = 0.
     """
@@ -138,10 +139,11 @@ def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> 
     return weighted_spectral_norm(coeffs, weights.sobolev_entries(coeffs.window, s), 2.0)
 
 
-def lebesgue_norm(samples, group: GroupSpec, p_E: float, p: float) -> float:
-    """Quadrature Lebesgue norm (sum_k w_k |f(x_k)|_E^p)^(1/p) of node samples."""
+def lebesgue_norm(samples, group: GroupSpec, p_E: float, p: float) -> float | np.ndarray:
+    """Quadrature Lebesgue norm (sum_k w_k |f(x_k)|_E^p)^(1/p) of node
+    samples (n, m); one value per function of a batch (B, n, m)."""
     vals = e_norm(samples, p_E)
-    return float((group.quadrature.weights * vals**p).sum() ** (1.0 / p))
+    return _pth_root((group.quadrature.weights * vals**p).sum(axis=-1), p)
 
 
 def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
@@ -154,21 +156,16 @@ def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
     return lebesgue_norm(f.sample(group), group, f.p_E, p)
 
 
-def probed_sup(
-    samples, p_E: float, coeffs=None, group=None, extra_samples=0, seed=0, probe_values=None
-) -> float:
-    """Max of |f|_E over the node samples and the probe values.
-
-    Without ``probe_values``, spectral ``coeffs`` are probed at
-    ``extra_samples`` Haar-random elements drawn from ``seed``.
+def probed_sup(samples, p_E: float, coeffs=None, group=None, extra_samples=0, seed=0):
+    """Max of |f|_E over the node samples and, for spectral ``coeffs``, over
+    ``extra_samples`` Haar-random elements drawn from ``seed`` (an int or a
+    tuple of ints); one value per function of a batch.
     """
-    best = float(e_norm(samples, p_E).max())
-    if probe_values is None and coeffs is not None and extra_samples > 0:
+    best = e_norm(samples, p_E).max(axis=-1)
+    if coeffs is not None and extra_samples > 0:
         els = group.random_elements(np.random.default_rng(seed), extra_samples)
-        probe_values = synthesize(coeffs, group, elements=els)
-    if probe_values is not None:
-        best = max(best, float(e_norm(probe_values, p_E).max()))
-    return best
+        best = np.maximum(best, e_norm(synthesize(coeffs, group, elements=els), p_E).max(axis=-1))
+    return _per_function(best)
 
 
 def sup_norm(

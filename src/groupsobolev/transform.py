@@ -58,7 +58,8 @@ def e_norm(values, p: float = 2.0, axis: int = -1) -> np.ndarray:
     if math.isinf(p):
         return a.max(axis=axis)
     if p == 2.0:
-        return np.sqrt((a * a).sum(axis=axis))
+        # squared in place: for a batch of samples, a is the largest temporary
+        return np.sqrt(np.square(a, out=a).sum(axis=axis))
     return (a**p).sum(axis=axis) ** (1.0 / p)
 
 
@@ -68,12 +69,14 @@ def label_key(label) -> str:
 
 
 class FourierCoefficients:
-    """Coefficients over the window, packed into one (K, m) array.
+    """Coefficients over the window, packed into one (K, m) array, or a
+    batch of B functions packed into one (B, K, m) array.
 
     ``packed`` holds K = sum of d^2 rows in the column order of the group's
     node matrix. ``blocks[label]`` and ``block(label)`` are (d, d, m) views
-    of it: entry [i, j] is the E-vector paired with the matrix coefficient
-    u_{i+1, j+1}. Labels missing from ``blocks`` at construction are zero.
+    of it, (B, d, d, m) for a batch: entry [i, j] is the E-vector paired
+    with the matrix coefficient u_{i+1, j+1}. Labels missing from
+    ``blocks`` at construction are zero.
     """
 
     def __init__(self, window: DualWindow, m: int, blocks: dict | None = None,
@@ -92,8 +95,10 @@ class FourierCoefficients:
                         f"block {label!r} must have shape {view.shape}, got {arr.shape}"
                     )
                 view[...] = arr
-        elif (packed := np.asarray(packed, dtype=complex)).shape != (window.size, m):
-            raise ValueError(f"packed coefficients must have shape ({window.size}, {m})")
+        elif (packed := np.asarray(packed, dtype=complex)).shape[-2:] != (window.size, m):
+            raise ValueError(f"packed coefficients must have shape (K, m) = ({window.size}, {m})")
+        elif packed.ndim > 3:
+            raise ValueError("packed coefficients hold one function (K, m) or a batch (B, K, m)")
         if not np.isfinite(packed).all():
             raise ValueError("Fourier coefficients must be finite")
         self.window, self.m, self.p_E, self.packed = window, m, p_E, packed
@@ -204,31 +209,23 @@ class VectorFunction:
         return synthesize(self.coefficients, group, elements=elements)
 
 
-def synthesize(
-    coeffs: FourierCoefficients,
-    group: GroupSpec,
-    elements=None,
-    probe: np.ndarray | None = None,
-) -> np.ndarray:
-    """Evaluate the reconstruction series; returns (n, m) values.
+def synthesize(coeffs: FourierCoefficients, group: GroupSpec, elements=None) -> np.ndarray:
+    """Evaluate the reconstruction series; returns (n, m) values, (B, n, m)
+    for a batch.
 
     Evaluates at the quadrature nodes by default, at ``elements``
-    otherwise (only the irreps whose blocks are nonzero). ``probe`` may
-    supply a packed (n, K) matrix from ``GroupSpec.packed_matrices``
-    (overrides ``elements``; used to amortize repeated probes).
+    otherwise (only the irreps whose blocks are nonzero).
     """
     window = group.window
     if coeffs.window != window:
         raise ValueError("coefficient window does not match the group")
     weighted = window.entry_dims[:, None] * coeffs.packed
-    if probe is not None:
-        return probe @ weighted
     if elements is None:
         return group.node_matrix @ weighted
-    live = [l for l in window.labels if coeffs.packed[window.columns(l)].any()]
+    live = [l for l in window.labels if coeffs.packed[..., window.columns(l), :].any()]
     live = live or [window.trivial]
     rows = np.r_[tuple(window.columns(l) for l in live)]
-    return group.packed_matrices(elements, live) @ weighted[rows]
+    return group.packed_matrices(elements, live) @ weighted[..., rows, :]
 
 
 def forward_transform(f: VectorFunction, group: GroupSpec) -> FourierCoefficients:
@@ -246,20 +243,33 @@ def inverse_transform(coeffs: FourierCoefficients, group: GroupSpec) -> VectorFu
     return VectorFunction.from_coefficients(coeffs)
 
 
-def weighted_spectral_norm(coeffs: FourierCoefficients, entry_weights, p: float) -> float:
-    """(sum_c entry_weights[c] * |P[c]|_E^p)^(1/p) over the packed rows P."""
-    return float((entry_weights * e_norm(coeffs.packed, coeffs.p_E) ** p).sum()) ** (1.0 / p)
+def _per_function(values) -> float | np.ndarray:
+    """A float for one function, the array of one value per function for a batch."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
-def s_p_norm(coeffs: FourierCoefficients, p: float) -> float:
-    """Spectral norm (sum_sigma d_sigma sum_ij |C|_E^p)^(1/p).
+def _pth_root(total, p: float) -> float | np.ndarray:
+    """total ** (1/p) per function through the scalar power: numpy's array
+    power can differ from it in the last bit, and a batch must not."""
+    return _per_function(np.vectorize(lambda t: t ** (1.0 / p), otypes=[float])(total))
+
+
+def weighted_spectral_norm(coeffs: FourierCoefficients, entry_weights, p: float):
+    """(sum_c entry_weights[c] * |P[c]|_E^p)^(1/p) over the packed rows P;
+    one value per function of a batch."""
+    return _pth_root((entry_weights * e_norm(coeffs.packed, coeffs.p_E) ** p).sum(axis=-1), p)
+
+
+def s_p_norm(coeffs: FourierCoefficients, p: float) -> float | np.ndarray:
+    """Spectral norm (sum_sigma d_sigma sum_ij |C|_E^p)^(1/p), a float, or
+    one value per function of a batch.
 
     ``p = inf`` is the unweighted max of the entry norms, for diagnostics.
     """
     if p < 1:
         raise ValueError("spectral norm requires p >= 1")
     if math.isinf(p):
-        return float(e_norm(coeffs.packed, coeffs.p_E).max())
+        return _per_function(e_norm(coeffs.packed, coeffs.p_E).max(axis=-1))
     return weighted_spectral_norm(coeffs, coeffs.window.entry_dims, p)
 
 
@@ -303,6 +313,8 @@ def window_from_json(data: dict) -> DualWindow:
 
 def coefficients_to_json(coeffs: FourierCoefficients) -> dict:
     """JSON-safe dict; floats keep full precision, zero blocks are dropped."""
+    if coeffs.packed.ndim != 2:
+        raise ValueError("a coefficient file holds one function, not a batch")
     blocks = {}
     for label in coeffs.window.labels:
         arr = coeffs.block(label)

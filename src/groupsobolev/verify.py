@@ -1,9 +1,14 @@
 """Property-test harness for the embedding inequalities.
 
-Each check computes one inequality instance and records lhs, rhs,
-slack = rhs - lhs, and a pass flag (slack >= -tol). ``run_suite`` runs
-batches of seeded random band-limited functions through every check on
-every configured group and aggregates a deterministic report.
+Each check computes one inequality instance per function and records lhs,
+rhs, slack = rhs - lhs, and a pass flag (slack >= -tol). A check takes one
+function, packed (K, m), and returns its record (or its list of records),
+or a batch, packed (B, K, m), with one seed and one context per function,
+and returns the records of all functions in one list, function after
+function; it computes its samples, probe values and constants once per
+call. ``run_suite`` draws each configured group's batch of seeded random
+band-limited functions, runs every check on it once per parameter, and
+aggregates a deterministic report.
 
 Tolerance classes: 1e-12 (algebraic identities), 1e-9 (quantities the
 quadrature computes exactly), 1e-6 (Lebesgue norms of non-band-limited
@@ -15,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
@@ -109,31 +115,50 @@ class InequalityRecord:
         ]
 
 
-def _record(
+def _records(
     name: str,
-    lhs: float,
-    rhs: float,
-    tol: float,
+    lhs,
+    rhs,
+    tol,
+    seeds: list,
+    contexts: list,
+    extra: dict | None = None,
     *,
     group: str = "-",
-    seed: int = -1,
-    context: dict | None = None,
     hypothesis_sensitive: bool = False,
-) -> InequalityRecord:
-    lhs, rhs, tol = float(lhs), float(rhs), float(tol)
-    slack = rhs - lhs
-    return InequalityRecord(
-        name=name,
-        group=group,
-        seed=seed,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        tol=tol,
-        passed=bool(slack >= -tol),
-        context=dict(context or {}),
-        hypothesis_sensitive=hypothesis_sensitive,
-    )
+) -> list[InequalityRecord]:
+    """One record per (seed, context) pair, its context extended by ``extra``;
+    lhs, rhs and tol hold one value per pair or one for all."""
+    n = len(seeds)
+    columns = (np.broadcast_to(np.asarray(v, dtype=float), (n,)).tolist() for v in (lhs, rhs, tol))
+    return [
+        InequalityRecord(
+            name=name,
+            group=group,
+            seed=sd,
+            lhs=a,
+            rhs=b,
+            slack=b - a,
+            tol=t,
+            passed=bool(b - a >= -t),
+            context={**(ctx or {}), **(extra or {})},
+            hypothesis_sensitive=hypothesis_sensitive,
+        )
+        for a, b, t, sd, ctx in zip(*columns, seeds, contexts)
+    ]
+
+
+def _fan_out(coeffs: FourierCoefficients, seed, context) -> tuple[list, list]:
+    """Seeds and contexts, one per function: a batch takes a sequence of each
+    (a single seed or context is shared), one function a seed and a context."""
+    if coeffs.packed.ndim == 2:
+        return [seed], [context]
+    n = len(coeffs.packed)
+    seeds = [seed] * n if np.ndim(seed) == 0 else list(seed)
+    contexts = [context] * n if context is None or isinstance(context, dict) else list(context)
+    if len(seeds) != n or len(contexts) != n:
+        raise ValueError(f"a batch of {n} functions needs {n} seeds and {n} contexts")
+    return seeds, contexts
 
 
 def _exponent(p: float):
@@ -157,19 +182,10 @@ def check_vector_norm_comparison(
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     factor = vec.size ** (1.0 / p - inv_q)
     tol = ALGEBRAIC_TOL * (1.0 + norm_p)
-    ctx = {**(context or {}), "p": p, "q": _exponent(q), "n": vec.size}
-    return [
-        _record("vector_norm_decreasing", norm_q, norm_p, tol, group=group, seed=seed, context=ctx),
-        _record(
-            "vector_norm_dimension_bound",
-            norm_p,
-            factor * norm_q,
-            tol,
-            group=group,
-            seed=seed,
-            context=ctx,
-        ),
-    ]
+    args = ([seed], [context], {"p": p, "q": _exponent(q), "n": vec.size})
+    return _records("vector_norm_decreasing", norm_q, norm_p, tol, *args, group=group) + _records(
+        "vector_norm_dimension_bound", norm_p, factor * norm_q, tol, *args, group=group
+    )
 
 
 def check_block_comparison(
@@ -181,26 +197,27 @@ def check_block_comparison(
     seed: int = -1,
     context: dict | None = None,
 ) -> list[InequalityRecord]:
-    """Per-block (sum |C|^p)^(1/p) <= (d^2)^(1/p - 1/q) (sum |C|^q)^(1/q)."""
+    """Per-block (sum |C|^p)^(1/p) <= (d^2)^(1/p - 1/q) (sum |C|^q)^(1/q);
+    one record per block, function after function for a batch."""
     if not (1 <= p <= q):
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
+    seeds, contexts = _fan_out(coeffs, seed, context)
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     starts = coeffs.window.offsets[:-1]
-    entry_norms = e_norm(coeffs.packed, coeffs.p_E)
-    lhs_all = np.add.reduceat(entry_norms**p, starts) ** (1.0 / p)
+    entry_norms = e_norm(coeffs.packed, coeffs.p_E).reshape(len(seeds), -1)
+    lhs = np.add.reduceat(entry_norms**p, starts, axis=-1).ravel() ** (1.0 / p)
     if math.isinf(q):
-        norm_q_all = np.maximum.reduceat(entry_norms, starts)
+        norm_q = np.maximum.reduceat(entry_norms, starts, axis=-1)
     else:
-        norm_q_all = np.add.reduceat(entry_norms**q, starts) ** (1.0 / q)
-    records = []
-    for label, d, lhs, norm_q in zip(coeffs.window.labels, coeffs.window.dims, lhs_all, norm_q_all):
-        rhs = (d * d) ** (1.0 / p - inv_q) * float(norm_q)
-        tol = ALGEBRAIC_TOL * (1.0 + rhs)
-        ctx = {**(context or {}), "p": p, "q": _exponent(q), "block": label_key(label)}
-        records.append(
-            _record("block_norm_comparison", lhs, rhs, tol, group=group, seed=seed, context=ctx)
-        )
-    return records
+        norm_q = np.add.reduceat(entry_norms**q, starts, axis=-1) ** (1.0 / q)
+    factors = np.array([(d * d) ** (1.0 / p - inv_q) for d in coeffs.window.dims])
+    rhs = (factors * norm_q).ravel()
+    tol = ALGEBRAIC_TOL * (1.0 + rhs)
+    blocks = [label_key(label) for label in coeffs.window.labels]
+    pq = {"p": p, "q": _exponent(q)}
+    contexts = [{**(ctx or {}), **pq, "block": block} for ctx in contexts for block in blocks]
+    seeds = [fseed for fseed in seeds for _ in blocks]
+    return _records("block_norm_comparison", lhs, rhs, tol, seeds, contexts, group=group)
 
 
 def check_monotone_embedding(
@@ -212,15 +229,17 @@ def check_monotone_embedding(
     group: str = "-",
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord:
+) -> InequalityRecord | list[InequalityRecord]:
     """Order monotonicity of the Sobolev norms: |f|_(H^s) <= |f|_(H^t)."""
     if not t > s >= 0:
         raise ValueError(f"need t > s >= 0, got s={s}, t={t}")
+    seeds, contexts = _fan_out(coeffs, seed, context)
     lhs = h_s_norm(coeffs, weights, s)
     rhs = h_s_norm(coeffs, weights, t)
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
-    ctx = {**(context or {}), "s": s, "t": t}
-    return _record("monotone_embedding", lhs, rhs, tol, group=group, seed=seed, context=ctx)
+    extra = {"s": s, "t": t}
+    records = _records("monotone_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group)
+    return records if coeffs.packed.ndim == 3 else records[0]
 
 
 def check_l2_embedding(
@@ -228,21 +247,19 @@ def check_l2_embedding(
     weights: WeightSequence,
     s: float,
     group: GroupSpec,
-    samples: np.ndarray | None = None,
     *,
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord:
+) -> InequalityRecord | list[InequalityRecord]:
     """Quadrature L2 norm of the synthesized function <= |f|_(H^s)."""
     if coeffs.p_E != 2.0:
         raise ValueError("the L2 embedding check rests on Plancherel and needs p_E = 2")
-    if samples is None:
-        samples = synthesize(coeffs, group)
-    lhs = lebesgue_norm(samples, group, 2.0, 2.0)
+    seeds, contexts = _fan_out(coeffs, seed, context)
+    lhs = lebesgue_norm(synthesize(coeffs, group), group, 2.0, 2.0)
     rhs = h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
-    ctx = {**(context or {}), "s": s}
-    return _record("l2_embedding", lhs, rhs, tol, group=group.name, seed=seed, context=ctx)
+    records = _records("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
+    return records if coeffs.packed.ndim == 3 else records[0]
 
 
 def check_sup_embedding(
@@ -250,62 +267,50 @@ def check_sup_embedding(
     weights: WeightSequence,
     s: float,
     group: GroupSpec,
-    samples: np.ndarray | None = None,
-    probe_values: np.ndarray | None = None,
     extra_samples: int = 1000,
-    probe_seed: int = 0,
-    constant: float | None = None,
+    probe_seed: int | tuple = 0,
     *,
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord:
+) -> InequalityRecord | list[InequalityRecord]:
     """Sampled sup of |f|_E <= C * |f|_(H^s) with the window constant C.
 
     The lhs is a lower bound on the true sup, so underestimation can only
-    weaken the test, never fake a pass of a violated inequality.
+    weaken the test, never fake a pass of a violated inequality. The sup
+    is probed at ``extra_samples`` elements drawn from ``probe_seed``, the
+    same elements for every function of a batch.
     """
-    if samples is None:
-        samples = synthesize(coeffs, group)
-    sup_val = probed_sup(
-        samples, coeffs.p_E, coeffs, group, extra_samples, probe_seed, probe_values
-    )
-    if constant is None:
-        constant = embedding_constant_C(weights, s, group.window).value
+    seeds, contexts = _fan_out(coeffs, seed, context)
+    samples = synthesize(coeffs, group)
+    lhs = probed_sup(samples, coeffs.p_E, coeffs, group, extra_samples, probe_seed)
+    constant = embedding_constant_C(weights, s, group.window).value
     rhs = constant * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
-    ctx = {**(context or {}), "s": s, "constant": constant}
-    return _record("sup_embedding", sup_val, rhs, tol, group=group.name, seed=seed, context=ctx)
+    extra = {"s": s, "constant": constant}
+    records = _records("sup_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
+    return records if coeffs.packed.ndim == 3 else records[0]
 
 
 def check_hausdorff_young(
     coeffs: FourierCoefficients,
     group: GroupSpec,
     alpha: float,
-    samples: np.ndarray | None = None,
     *,
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord:
+) -> InequalityRecord | list[InequalityRecord]:
     """|f|_(L^a') <= |spectrum|_(S_a) for 1 < a < 2, a' the conjugate."""
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"need 1 < alpha < 2, got {alpha}")
+    seeds, contexts = _fan_out(coeffs, seed, context)
     alpha_prime = alpha / (alpha - 1.0)
-    if samples is None:
-        samples = synthesize(coeffs, group)
-    lhs = lebesgue_norm(samples, group, coeffs.p_E, alpha_prime)
+    lhs = lebesgue_norm(synthesize(coeffs, group), group, coeffs.p_E, alpha_prime)
     rhs = s_p_norm(coeffs, alpha)
     tol = LEBESGUE_TOL * (1.0 + rhs)
-    ctx = {**(context or {}), "alpha": alpha, "alpha_prime": alpha_prime}
-    return _record(
-        "hausdorff_young",
-        lhs,
-        rhs,
-        tol,
-        group=group.name,
-        seed=seed,
-        context=ctx,
-        hypothesis_sensitive=coeffs.p_E != 2.0,
-    )
+    extra = {"alpha": alpha, "alpha_prime": alpha_prime}
+    kw = {"group": group.name, "hypothesis_sensitive": coeffs.p_E != 2.0}
+    records = _records("hausdorff_young", lhs, rhs, tol, seeds, contexts, extra, **kw)
+    return records if coeffs.packed.ndim == 3 else records[0]
 
 
 def check_lq_embedding(
@@ -314,36 +319,31 @@ def check_lq_embedding(
     s: float,
     t: float,
     group: GroupSpec,
-    samples: np.ndarray | None = None,
     *,
     seed: int = -1,
     context: dict | None = None,
 ) -> list[InequalityRecord]:
     """Lebesgue embedding |f|_(L^a') <= K |f|_(H^s), plus the spectral
-    chain |spectrum|_(S_a) <= K |f|_(H^s) that the proof routes through."""
+    chain |spectrum|_(S_a) <= K |f|_(H^s) that the proof routes through;
+    two records per function, function after function for a batch."""
     params = exponents(s, t)
+    seeds, contexts = _fan_out(coeffs, seed, context)
     bound = lq_bound_constant(weights, t, s, group.window)
     rhs = bound * h_s_norm(coeffs, weights, s)
-    if samples is None:
-        samples = synthesize(coeffs, group)
-    lhs_lp = lebesgue_norm(samples, group, coeffs.p_E, params.alpha_prime)
+    lhs_lp = lebesgue_norm(synthesize(coeffs, group), group, coeffs.p_E, params.alpha_prime)
     lhs_chain = s_p_norm(coeffs, params.alpha)
-    ctx = {
-        **(context or {}),
+    extra = {
         "s": s,
         "t": t,
         "alpha": params.alpha,
         "alpha_prime": params.alpha_prime,
         "constant": bound,
     }
-    checks = (
-        ("lq_embedding", lhs_lp, LEBESGUE_TOL),
-        ("lq_embedding_chain", lhs_chain, QUADRATURE_TOL),
-    )
-    return [
-        _record(name, lhs, rhs, tol * (1.0 + rhs), group=group.name, seed=seed, context=ctx)
-        for name, lhs, tol in checks
-    ]
+    args = (seeds, contexts, extra)
+    lq_tol, chain_tol = LEBESGUE_TOL * (1.0 + rhs), QUADRATURE_TOL * (1.0 + rhs)
+    lq = _records("lq_embedding", lhs_lp, rhs, lq_tol, *args, group=group.name)
+    chain = _records("lq_embedding_chain", lhs_chain, rhs, chain_tol, *args, group=group.name)
+    return [r for pair in zip(lq, chain) for r in pair]
 
 
 def check_continuity_modulus(
@@ -361,21 +361,12 @@ def check_continuity_modulus(
     diff = group.irrep_matrices(label, xs) - group.irrep_matrices(label, ys)
     entry_max = np.abs(diff).max(axis=(1, 2))
     op_norm = np.linalg.svd(diff, compute_uv=False)[:, 0]
-    records = []
-    for k in range(pair_budget):
-        ctx = {**(context or {}), "block": label_key(label), "pair": k}
-        records.append(
-            _record(
-                "continuity_modulus",
-                entry_max[k],
-                op_norm[k],
-                CONTINUITY_TOL,
-                group=group.name,
-                seed=seed,
-                context=ctx,
-            )
-        )
-    return records
+    block = label_key(label)
+    contexts = [{**(context or {}), "block": block, "pair": k} for k in range(pair_budget)]
+    seeds = [seed] * pair_budget
+    return _records(
+        "continuity_modulus", entry_max, op_norm, CONTINUITY_TOL, seeds, contexts, group=group.name
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +416,19 @@ class RunConfig:
         for g in self.groups:
             if not isinstance(g, dict) or "kind" not in g:
                 raise ValueError(f"each group spec needs a 'kind' field, got {g!r}")
-        if self.m < 1:
-            raise ValueError("config field 'm' must be >= 1")
-        if not self.p_E >= 1:
-            raise ValueError("config field 'p_E' must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("config field 'batch_size' must be >= 1")
-        for s in self.s_values:
-            if s < 0:
-                raise ValueError(f"s values must be >= 0, got {s}")
+        for name, least in self.INTEGER_FIELDS.items():
+            v = getattr(self, name)
+            if not (_is_number(v, numbers.Integral) and v >= least):
+                raise ValueError(f"config field {name!r} needs an integer >= {least}, got {v!r}")
+        if not (_is_number(self.p_E) and self.p_E >= 1):
+            raise ValueError(f"config field 'p_E' needs a number >= 1 or 'inf', got {self.p_E!r}")
+        for name, least in (("s_values", 0), ("p_values", 1)):
+            for v in getattr(self, name):
+                if not (_is_number(v) and v >= least):
+                    raise ValueError(f"config field {name!r} needs numbers >= {least}, got {v!r}")
         for pair in self.st_pairs:
-            if len(pair) != 2 or not pair[1] > pair[0] > 0:
-                raise ValueError(f"st_pairs entries need t > s > 0, got {pair!r}")
-        for p in self.p_values:
-            if p < 1:
-                raise ValueError(f"p values must be >= 1, got {p}")
+            if len(pair) != 2 or not all(map(_is_number, pair)) or not pair[1] > pair[0] > 0:
+                raise ValueError(f"config field 'st_pairs' entries need t > s > 0, got {pair!r}")
         bad = [f for f in self.formats if f not in ("json", "csv")]
         if bad:
             raise ValueError(f"unknown output formats {bad}; use 'json' and/or 'csv'")
@@ -449,6 +438,18 @@ class RunConfig:
                     "config field 'weights' must be 'canonical', 'zero', or a list "
                     "with one entry per group"
                 )
+
+    #: integer fields and the least value each admits
+    INTEGER_FIELDS = {
+        "m": 1,
+        "batch_size": 1,
+        "seed": 0,
+        "vector_checks": 0,
+        "vector_max_dim": 1,
+        "continuity_pairs": 0,
+        "sup_extra_samples": 0,
+        "block_check_stride": 0,
+    }
 
     #: fields that only steer presentation, not the verification content
     OUTPUT_FIELDS = ("out_dir", "formats", "quiet")
@@ -478,6 +479,10 @@ DEFAULT_CONFIG = asdict(
         ]
     )
 )
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def resolve_weights(spec, index: int, group: GroupSpec) -> WeightSequence:
@@ -596,95 +601,54 @@ def run_suite(config) -> VerificationReport:
         x = rng_vec.standard_normal(n) + 1j * rng_vec.standard_normal(n)
         p = float(1.0 + 3.0 * rng_vec.random())
         q = math.inf if rng_vec.random() < 0.1 else p + float(3.0 * rng_vec.random())
-        records.extend(
-            check_vector_norm_comparison(x, p, q, seed=cfg.seed, context={"index": idx})
-        )
+        records += check_vector_norm_comparison(x, p, q, seed=cfg.seed, context={"index": idx})
 
     s_sorted = sorted(cfg.s_values)
-    monotone_pairs = [(a, b) for a, b in zip(s_sorted, s_sorted[1:]) if b > a]
-    for pair in cfg.st_pairs:
-        pair = (float(pair[0]), float(pair[1]))
-        if pair not in monotone_pairs:
-            monotone_pairs.append(pair)
-    alphas = []
-    for s, t in cfg.st_pairs:
-        a = exponents(s, t).alpha
-        if a not in alphas:
-            alphas.append(a)
+    adjacent = [(a, b) for a, b in zip(s_sorted, s_sorted[1:]) if b > a]
+    monotone_pairs = dict.fromkeys(adjacent + [(float(s), float(t)) for s, t in cfg.st_pairs])
+    alphas = dict.fromkeys(exponents(s, t).alpha for s, t in cfg.st_pairs)
     pq_pairs = [(1.0, 2.0)] + [(a, 2.0) for a in alphas if a != 1.0]
 
     for gi, gspec in enumerate(cfg.groups):
         group = make_group(dict(gspec))
         weights = resolve_weights(cfg.weights, gi, group)
-        constants = {s: embedding_constant_C(weights, s, group.window) for s in cfg.s_values}
-
-        probe = None
-        if cfg.sup_extra_samples > 0:
-            probe_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, gi)))
-            probe = group.packed_matrices(group.random_elements(probe_rng, cfg.sup_extra_samples))
+        probe = (cfg.seed, 7, gi)  # seeds the sup probe elements
 
         if cfg.continuity_pairs > 0:
             budget = max(1, cfg.continuity_pairs // len(group.window.labels))
             for li, label in enumerate(group.window.labels):
-                records.extend(
-                    check_continuity_modulus(
-                        group, label, budget, seed=_derive_seed(cfg.seed, 11, gi, li)
-                    )
-                )
+                label_seed = _derive_seed(cfg.seed, 11, gi, li)
+                records += check_continuity_modulus(group, label, budget, seed=label_seed)
 
-        for b in range(cfg.batch_size):
-            fseed = _derive_seed(cfg.seed, gi, b)
-            coeffs = random_band_limited(fseed, group, cfg.m, p_E=cfg.p_E)
-            samples = synthesize(coeffs, group)
-            probe_vals = None if probe is None else synthesize(coeffs, group, probe=probe)
-            ctx = {"batch": b}
+        seeds = [_derive_seed(cfg.seed, gi, b) for b in range(cfg.batch_size)]
+        contexts = [{"batch": b} for b in range(cfg.batch_size)]
+        draws = [random_band_limited(fseed, group, cfg.m, p_E=cfg.p_E).packed for fseed in seeds]
+        coeffs = FourierCoefficients(group.window, cfg.m, p_E=cfg.p_E, packed=np.stack(draws))
+        batch = {"seed": seeds, "context": contexts}
 
-            for s, t in monotone_pairs:
-                records.append(
-                    check_monotone_embedding(
-                        coeffs, weights, s, t, group=group.name, seed=fseed, context=ctx
-                    )
+        for s, t in monotone_pairs:
+            records += check_monotone_embedding(coeffs, weights, s, t, group=group.name, **batch)
+        for s in cfg.s_values:
+            if cfg.p_E == 2.0:
+                records += check_l2_embedding(coeffs, weights, s, group, **batch)
+            verdict = embedding_constant_C(weights, s, group.window).verdict
+            sup_ctx = [{**ctx, "constant_verdict": verdict} for ctx in contexts]
+            records += check_sup_embedding(
+                coeffs, weights, s, group, cfg.sup_extra_samples, probe, seed=seeds, context=sup_ctx
+            )
+        for alpha in alphas:
+            records += check_hausdorff_young(coeffs, group, alpha, **batch)
+        for s, t in cfg.st_pairs:
+            records += check_lq_embedding(coeffs, weights, s, t, group, **batch)
+        if cfg.block_check_stride:
+            step = slice(None, None, cfg.block_check_stride)
+            strided = FourierCoefficients(
+                group.window, cfg.m, p_E=cfg.p_E, packed=coeffs.packed[step]
+            )
+            for p, q in pq_pairs:
+                records += check_block_comparison(
+                    strided, p, q, group=group.name, seed=seeds[step], context=contexts[step]
                 )
-            for s in cfg.s_values:
-                if cfg.p_E == 2.0:
-                    records.append(
-                        check_l2_embedding(
-                            coeffs, weights, s, group, samples=samples, seed=fseed, context=ctx
-                        )
-                    )
-                records.append(
-                    check_sup_embedding(
-                        coeffs,
-                        weights,
-                        s,
-                        group,
-                        samples=samples,
-                        probe_values=probe_vals,
-                        extra_samples=cfg.sup_extra_samples,
-                        constant=constants[s].value,
-                        seed=fseed,
-                        context={**ctx, "constant_verdict": constants[s].verdict},
-                    )
-                )
-            for alpha in alphas:
-                records.append(
-                    check_hausdorff_young(
-                        coeffs, group, alpha, samples=samples, seed=fseed, context=ctx
-                    )
-                )
-            for s, t in cfg.st_pairs:
-                records.extend(
-                    check_lq_embedding(
-                        coeffs, weights, s, t, group, samples=samples, seed=fseed, context=ctx
-                    )
-                )
-            if cfg.block_check_stride and b % cfg.block_check_stride == 0:
-                for p, q in pq_pairs:
-                    records.extend(
-                        check_block_comparison(
-                            coeffs, p, q, group=group.name, seed=fseed, context=ctx
-                        )
-                    )
 
     if cfg.tamper:
         records = [_tampered(r) for r in records]

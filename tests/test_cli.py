@@ -229,6 +229,16 @@ def test_verify_invalid_config_exit_code(tmp_path):
     assert main(["verify", "--config", cfgpath, "--quiet"]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("m", 2.5), ("batch_size", 2.5), ("seed", 1.5), ("p_E", "2"), ("s_values", ["a"])],
+)
+def test_verify_refuses_wrongly_typed_config_fields(tmp_path, capsys, field, value):
+    cfgpath = write_config(tmp_path, **{field: value})
+    assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["verify", "--config", str(tmp_path / "nope.json"), "--quiet"]) == 2
 

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.integrate
 import scipy.linalg
 
 import groupsobolev as gs
-from groupsobolev.groups import _su2_euler_from_matrix
+from groupsobolev.groups import ORTHOGONALITY_TOL, SU2_MAX_SPIN, _su2_euler_from_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,6 +91,25 @@ def test_make_group_refuses_node_matrix_beyond_physical_memory(monkeypatch):
     with pytest.raises(ValueError, match=r"N = 800001 .*K = 400001 .*needs 5120019200016 bytes"):
         gs.make_group("circle", band=200_000)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "band, refusal",
+    [
+        (40.0, r"spin 40 is above SU2_MAX_SPIN = 25"),
+        # 530,604 nodes by 23,426 coefficients: about 200 GB of node matrix
+        (SU2_MAX_SPIN, r"N = 530604 .*K = 23426 .*needs 198878868864 bytes"),
+    ],
+)
+def test_refused_su2_build_allocates_no_quadrature_grid(band, refusal):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=refusal):
+            gs.make_group("su2", band=band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_make_group_from_window_needs_a_built_in_kind():
@@ -292,6 +312,19 @@ def test_wigner_d1_closed_form():
             ]
         )
         assert np.abs(got[k] - expected).max() <= 1e-13
+
+
+def test_wigner_refuses_spin_above_the_limit():
+    with pytest.raises(ValueError, match=r"spin 25.5 is above SU2_MAX_SPIN = 25"):
+        gs.wigner_d_matrix(SU2_MAX_SPIN + 0.5, [(0.3, 1.1, 2.0)])
+
+
+def test_wigner_at_the_spin_limit_is_unitary():
+    betas = np.linspace(0.0, math.pi, 2001)
+    eulers = np.stack([np.full_like(betas, 0.3), betas, np.full_like(betas, 2.0)], axis=-1)
+    mats = gs.wigner_d_matrix(SU2_MAX_SPIN, eulers)
+    deviation = np.abs(mats @ mats.conj().swapaxes(1, 2) - np.eye(mats.shape[1])).max()
+    assert deviation <= ORTHOGONALITY_TOL
 
 
 @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])

@@ -418,12 +418,40 @@ def test_synthesis_paths_agree(name, request):
     at_nodes = gs.synthesize(coeffs, group)
     scale = 1.0 + float(np.abs(at_nodes).max())
     assert np.abs(gs.synthesize(coeffs, group, elements=nodes) - at_nodes).max() <= 1e-12 * scale
-    probe = group.packed_matrices(nodes)
-    assert np.abs(gs.synthesize(coeffs, group, probe=probe) - at_nodes).max() <= 1e-12 * scale
-    els = group.random_elements(np.random.default_rng(7), 25)
-    off = gs.synthesize(coeffs, group, elements=els)
-    via_probe = gs.synthesize(coeffs, group, probe=group.packed_matrices(els))
-    assert np.abs(off - via_probe).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", LAYOUT_KINDS)
+def test_batch_views_synthesis_and_norms_match_single_functions(name, request):
+    group = request.getfixturevalue(name)
+    singles = [gs.random_band_limited(seed, group, m=2, p_E=3.0) for seed in range(4)]
+    packed = np.stack([c.packed for c in singles])
+    batch = gs.FourierCoefficients(group.window, 2, p_E=3.0, packed=packed)
+    weights = gs.canonical_weights(group)
+    els = group.random_elements(np.random.default_rng(2), 9)
+    at_nodes = gs.synthesize(batch, group)
+    off_nodes = gs.synthesize(batch, group, elements=els)
+    assert at_nodes.shape == (4, group.node_count, 2) and off_nodes.shape == (4, 9, 2)
+    for i, coeffs in enumerate(singles):
+        for label in group.window.labels:
+            assert np.array_equal(batch.block(label)[i], coeffs.block(label))
+        scale = 1.0 + float(np.abs(at_nodes[i]).max())
+        assert np.abs(at_nodes[i] - gs.synthesize(coeffs, group)).max() <= 1e-12 * scale
+        single_off = gs.synthesize(coeffs, group, elements=els)
+        assert np.abs(off_nodes[i] - single_off).max() <= 1e-12 * scale
+        # the norms of a batch are bit-equal to those of its single functions
+        for p in (1.0, 1.5, 2.0, math.inf):
+            assert gs.s_p_norm(batch, p)[i] == gs.s_p_norm(coeffs, p)
+        assert gs.h_s_norm(batch, weights, 1.0)[i] == gs.h_s_norm(coeffs, weights, 1.0)
+
+
+def test_batch_shape_rules(z4):
+    with pytest.raises(ValueError, match="one function"):
+        gs.FourierCoefficients(z4.window, 1, packed=np.ones((2, 2, 4, 1)))
+    with pytest.raises(ValueError, match="shape"):
+        gs.FourierCoefficients(z4.window, 1, packed=np.ones((2, 3, 1)))
+    batch = gs.FourierCoefficients(z4.window, 1, packed=np.ones((2, 4, 1)))
+    with pytest.raises(ValueError, match="not a batch"):
+        coefficients_to_json(batch)
 
 
 @pytest.mark.parametrize("name", LAYOUT_KINDS)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import groupsobolev as gs
 from groupsobolev.transform import dump_json
-from groupsobolev.verify import RunConfig, resolve_weights
+from groupsobolev.verify import RunConfig, _derive_seed, _sort_key, resolve_weights
 
 SMALL_CONFIG = {
     "groups": [
@@ -455,3 +455,121 @@ def test_block_comparison_matches_per_block_loop(su2_2):
             norm_q = norms.max() if math.isinf(q) else (norms**q).sum() ** (1.0 / q)
             rhs = (d * d) ** (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q)) * norm_q
             assert abs(rec.lhs - lhs) <= 1e-12 * lhs and abs(rec.rhs - rhs) <= 1e-12 * rhs
+
+
+# ---------------------------------------------------------------------------
+# batches: one call on B functions gives the records of B single calls
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.name, g.group, g.seed, g.context, g.passed, g.hypothesis_sensitive) == (
+            w.name,
+            w.group,
+            w.seed,
+            w.context,
+            w.passed,
+            w.hypothesis_sensitive,
+        )
+        assert abs(g.lhs - w.lhs) <= 1e-12 * abs(w.lhs)
+        assert abs(g.rhs - w.rhs) <= 1e-12 * abs(w.rhs)
+
+
+def _coefficient_check(name, group):
+    """One coefficient check with fixed parameters, as f(coeffs, seed=, context=)."""
+    weights = gs.canonical_weights(group)
+    return {
+        "monotone": lambda c, **kw: gs.check_monotone_embedding(
+            c, weights, 0.5, 2.0, group=group.name, **kw
+        ),
+        "l2": lambda c, **kw: gs.check_l2_embedding(c, weights, 1.0, group, **kw),
+        "sup": lambda c, **kw: gs.check_sup_embedding(c, weights, 1.0, group, 50, (3, 7, 1), **kw),
+        "hausdorff_young": lambda c, **kw: gs.check_hausdorff_young(c, group, 1.5, **kw),
+        "lq": lambda c, **kw: gs.check_lq_embedding(c, weights, 1.0, 2.0, group, **kw),
+        "block": lambda c, **kw: gs.check_block_comparison(c, 1.2, 3.0, group=group.name, **kw),
+    }[name]
+
+
+@pytest.mark.parametrize("check", ["monotone", "l2", "sup", "hausdorff_young", "lq", "block"])
+def test_batch_gives_the_records_of_single_calls(any_group, check):
+    run = _coefficient_check(check, any_group)
+    seeds = [11, 12, 13, 14, 15]
+    contexts = [{"batch": b} for b in range(5)]
+    singles = [gs.random_band_limited(fseed, any_group, m=2) for fseed in seeds]
+    packed = np.stack([c.packed for c in singles])
+    batch = gs.FourierCoefficients(any_group.window, 2, packed=packed)
+    want = []
+    for coeffs, fseed, ctx in zip(singles, seeds, contexts):
+        out = run(coeffs, seed=fseed, context=ctx)
+        want += out if isinstance(out, list) else [out]
+    _assert_same_records(run(batch, seed=seeds, context=contexts), want)
+
+
+def test_batch_needs_one_seed_and_context_per_function(z4):
+    batch = gs.FourierCoefficients(z4.window, 1, packed=np.ones((3, 4, 1)))
+    with pytest.raises(ValueError, match="3 seeds and 3 contexts"):
+        gs.check_hausdorff_young(batch, z4, 1.5, seed=[1, 2])
+    shared = gs.check_hausdorff_young(batch, z4, 1.5, seed=9, context={"k": 1})
+    assert [(r.seed, r.context["k"]) for r in shared] == [(9, 1)] * 3
+
+
+def _suite_one_function_at_a_time(config):
+    """The records of run_suite, built by calling the public checks on one
+    function at a time, as the suite did before it batched its functions."""
+    cfg = RunConfig.from_dict(dict(config))
+    records = []
+    rng_vec = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101)))
+    for idx in range(cfg.vector_checks):
+        n = int(rng_vec.integers(1, cfg.vector_max_dim + 1))
+        x = rng_vec.standard_normal(n) + 1j * rng_vec.standard_normal(n)
+        p = float(1.0 + 3.0 * rng_vec.random())
+        q = math.inf if rng_vec.random() < 0.1 else p + float(3.0 * rng_vec.random())
+        records += gs.check_vector_norm_comparison(x, p, q, seed=cfg.seed, context={"index": idx})
+    s_sorted = sorted(cfg.s_values)
+    monotone_pairs = [(a, b) for a, b in zip(s_sorted, s_sorted[1:]) if b > a]
+    for s, t in cfg.st_pairs:
+        if (s, t) not in monotone_pairs:
+            monotone_pairs.append((s, t))
+    alphas = []
+    for s, t in cfg.st_pairs:
+        if gs.exponents(s, t).alpha not in alphas:
+            alphas.append(gs.exponents(s, t).alpha)
+    pq_pairs = [(1.0, 2.0)] + [(a, 2.0) for a in alphas]
+
+    for gi, gspec in enumerate(cfg.groups):
+        group = gs.make_group(dict(gspec))
+        weights = resolve_weights(cfg.weights, gi, group)
+        budget = max(1, cfg.continuity_pairs // len(group.window.labels))
+        for li, label in enumerate(group.window.labels):
+            lseed = _derive_seed(cfg.seed, 11, gi, li)
+            records += gs.check_continuity_modulus(group, label, budget, seed=lseed)
+        for b in range(cfg.batch_size):
+            fseed = _derive_seed(cfg.seed, gi, b)
+            coeffs = gs.random_band_limited(fseed, group, cfg.m, p_E=cfg.p_E)
+            kw = {"seed": fseed, "context": {"batch": b}}
+            for s, t in monotone_pairs:
+                records.append(
+                    gs.check_monotone_embedding(coeffs, weights, s, t, group=group.name, **kw)
+                )
+            for s in cfg.s_values:
+                records.append(gs.check_l2_embedding(coeffs, weights, s, group, **kw))
+                verdict = gs.embedding_constant_C(weights, s, group.window).verdict
+                sup_kw = {"seed": fseed, "context": {"batch": b, "constant_verdict": verdict}}
+                probe = (cfg.seed, 7, gi)
+                extra = cfg.sup_extra_samples
+                records.append(gs.check_sup_embedding(coeffs, weights, s, group, extra, probe, **sup_kw))
+            for alpha in alphas:
+                records.append(gs.check_hausdorff_young(coeffs, group, alpha, **kw))
+            for s, t in cfg.st_pairs:
+                records += gs.check_lq_embedding(coeffs, weights, s, t, group, **kw)
+            if b % cfg.block_check_stride == 0:
+                for p, q in pq_pairs:
+                    records += gs.check_block_comparison(coeffs, p, q, group=group.name, **kw)
+    return sorted(records, key=_sort_key)
+
+
+def test_run_suite_matches_checks_called_one_function_at_a_time():
+    config = {**SMALL_CONFIG, "block_check_stride": 2}
+    report = gs.run_suite(config)
+    _assert_same_records(report.records, _suite_one_function_at_a_time(config))
