@@ -78,6 +78,7 @@ def _load_config(args) -> RunConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
     merged = {**DEFAULT_CONFIG, **data}
+    RunConfig.from_dict(merged)  # the file on its own, so that no flag hides a bad field
     if getattr(args, "seed", None) is not None:
         merged["seed"] = args.seed
     if getattr(args, "out", None) is not None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,9 +53,10 @@ __all__ = [
 #: Largest acceptable deviation from exact Schur orthogonality.
 ORTHOGONALITY_TOL = 1e-9
 
-#: Largest SU(2) spin whose factorial-sum d-matrices are unitary to
-#: ORTHOGONALITY_TOL: the error over 2001 angles beta in [0, pi] is 6.2e-10
-#: at spin 25 and 1.0e-9 at 25.5, and grows with the spin.
+#: Largest SU(2) spin accepted. Accuracy does not set it: the d-matrices are
+#: unitary to about 1e-14 at and well past it. Memory does: an SU(2) window
+#: of band 25 already needs a node matrix of about 199 GB. A transform that
+#: builds no node matrix would let the limit rise.
 SU2_MAX_SPIN = 25.0
 
 TWO_PI = 2.0 * math.pi
@@ -66,52 +68,27 @@ FOUR_PI = 4.0 * math.pi
 
 
 def _little_d_matrix(ell: float, beta: np.ndarray) -> np.ndarray:
-    """Real d-matrices of spin ``ell`` at angles ``beta``, shape (n, d, d).
+    """Real d-matrices of spin ``ell`` at angles ``beta``, shape (n, d, d),
+    rows and columns indexed by m = ell, ell-1, ..., -ell.
 
-    Rows and columns are indexed by m = ell, ell-1, ..., -ell. Uses the
-    explicit factorial sum, valid for integer and half-integer spin.
+    d(beta) = exp(-i beta J_y) with J_y = V diag(lam) V^H diagonalised once:
+    one row of exp(-i beta lam) per angle times the table V[a, k] conj(V[b, k])
+    (the Fourier-series method of Trapani & Navaza, Acta Cryst. A62, 2006).
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    two_j = int(round(2 * ell))
-    dim = two_j + 1
-    c = np.cos(beta / 2.0)
-    s = np.sin(beta / 2.0)
-    fact = math.factorial
-    out = np.zeros((beta.size, dim, dim))
-    for a in range(dim):  # row: m' = ell - a, doubled value two_j - 2a
-        two_mp = two_j - 2 * a
-        for b in range(dim):  # col: m = ell - b
-            two_m = two_j - 2 * b
-            mp_minus_m = (two_mp - two_m) // 2
-            pref = math.sqrt(
-                fact((two_j + two_mp) // 2)
-                * fact((two_j - two_mp) // 2)
-                * fact((two_j + two_m) // 2)
-                * fact((two_j - two_m) // 2)
-            )
-            k_min = max(0, -mp_minus_m)
-            k_max = min((two_j + two_m) // 2, (two_j - two_mp) // 2)
-            acc = np.zeros_like(beta)
-            for k in range(k_min, k_max + 1):
-                denom = (
-                    fact((two_j + two_m) // 2 - k)
-                    * fact(k)
-                    * fact(mp_minus_m + k)
-                    * fact((two_j - two_mp) // 2 - k)
-                )
-                sign = -1.0 if (mp_minus_m + k) % 2 else 1.0
-                acc = acc + (sign / denom) * c ** (two_j - mp_minus_m - 2 * k) * s ** (
-                    mp_minus_m + 2 * k
-                )
-            out[:, a, b] = pref * acc
-    return out
+    dim = int(round(2 * ell)) + 1
+    m = ell - np.arange(1, dim)  # J_+ takes m = ell - a to m + 1, row a - 1
+    ladder = np.sqrt((ell - m) * (ell + m + 1)) / 2j
+    lam, v = np.linalg.eigh(np.diag(ladder, 1) - np.diag(ladder, -1))
+    table = np.einsum("ak,bk->kab", v, v.conj()).reshape(dim, dim * dim)
+    return (np.exp(-1j * np.outer(beta, lam)) @ table).real.reshape(beta.size, dim, dim)
 
 
 def _check_spin(ell: float) -> None:
     if ell > SU2_MAX_SPIN:
         raise ValueError(
-            f"spin {ell:g} is above SU2_MAX_SPIN = {SU2_MAX_SPIN:g}, the largest spin whose "
-            f"d-matrices are unitary to {ORTHOGONALITY_TOL:g}"
+            f"spin {ell:g} is above SU2_MAX_SPIN = {SU2_MAX_SPIN:g}; an SU(2) window of "
+            f"band {SU2_MAX_SPIN:g} already needs a node matrix of about 199 GB"
         )
 
 
@@ -697,15 +674,16 @@ def make_group(kind, **params) -> GroupSpec:
             raise ValueError("group spec mapping needs a 'kind' entry")
         kind = params.pop("kind")
     if kind == "cyclic":
-        group = _make_cyclic(int(_take(kind, params, "n")))
+        group = _make_cyclic(int(_whole(kind, "n", _take(kind, params, "n"))))
     elif kind == "s3":
         group = _make_s3()
     elif kind == "circle":
-        group = _make_circle(int(_take(kind, params, "band")))
+        group = _make_circle(int(_whole(kind, "band", _take(kind, params, "band"))))
     elif kind == "su2":
-        group = _make_su2(
-            float(_take(kind, params, "band")), bool(params.pop("half_integers", False))
-        )
+        half = params.pop("half_integers", False)
+        if not isinstance(half, bool):
+            raise ValueError(f"{kind!r} group parameter 'half_integers' needs a bool, got {half!r}")
+        group = _make_su2(float(_whole(kind, "band", _take(kind, params, "band"), 0.5)), half)
     elif kind == "custom":
         group = _make_custom(_take(kind, params, "source"))
     else:
@@ -713,6 +691,16 @@ def make_group(kind, **params) -> GroupSpec:
     if params:
         raise ValueError(f"unexpected parameters for {kind!r} group: {sorted(params)}")
     return group
+
+
+def _whole(kind, name, value, unit: float = 1.0):
+    """``value`` if it is a whole number of ``unit``s (16.0 counts as 16);
+    a bool, a non-number or any other value is refused, naming the parameter."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        if float(value / unit).is_integer():
+            return value
+    what = "an integer" if unit == 1 else f"a multiple of {unit:g}"
+    raise ValueError(f"{kind!r} group parameter {name!r} needs {what}, got {value!r}")
 
 
 def _take(kind, params, name):

@@ -186,6 +186,9 @@ def sup_norm(
 
 FINITE_KINDS = ("cyclic", "s3", "custom")
 
+#: Largest band the summability probe reaches past a circle or SU(2) window.
+PROBE_LIMIT = 20.0
+
 
 @dataclass(frozen=True)
 class SobolevParams:
@@ -224,17 +227,17 @@ def _window_bands(window: DualWindow) -> list[tuple[float, list[tuple[Any, int]]
     return sorted(grouped.items())
 
 
-def _extension_bands(window: DualWindow, upto: float):
-    """Bands past the window for kinds with an unbounded dual."""
+def _extension_bands(window: DualWindow):
+    """Bands past the window, up to PROBE_LIMIT, for kinds with an unbounded dual."""
     if window.kind == "circle":
         b = int(window.band) + 1
-        while b <= upto:
+        while b <= PROBE_LIMIT:
             yield float(b), [(-b, 1), (b, 1)]
             b += 1
     elif window.kind == "su2":
         step = 0.5 if window.half_integers else 1.0
         ell = float(window.band) + step
-        while ell <= upto:
+        while ell <= PROBE_LIMIT:
             yield ell, [(ell, int(round(2 * ell)) + 1)]
             ell += step
 
@@ -250,16 +253,11 @@ class SummabilityReport:
     probed_beyond_window: bool
 
 
-def summability_check(
-    weights: WeightSequence,
-    s: float,
-    window: DualWindow,
-    probe_limit: float = 20.0,
-) -> SummabilityReport:
+def summability_check(weights: WeightSequence, s: float, window: DualWindow) -> SummabilityReport:
     """Partial-sum and term-growth diagnostic for sum d^3 (1 + w^2)^(-s).
 
     Terms are grouped by band. For the circle and SU(2) the probe extends
-    past the window (up to ``probe_limit``) when the weights have a
+    past the window (up to ``PROBE_LIMIT``) when the weights have a
     closed form. Verdict: "plausibly summable" if the tail terms decay,
     "diverging" if they grow or stay of constant order. Heuristic only.
     """
@@ -269,7 +267,7 @@ def summability_check(
     probed = False
     finite_dual = window.kind in FINITE_KINDS
     if not finite_dual and weights.formula is not None:
-        for band, members in _extension_bands(window, probe_limit):
+        for band, members in _extension_bands(window):
             band_terms.append((band, _series_sum(weights, s, members)))
             probed = True
 
@@ -306,18 +304,13 @@ class ConstantEstimate:
         return self.value
 
 
-def embedding_constant_C(
-    weights: WeightSequence,
-    s: float,
-    window: DualWindow,
-    probe_limit: float = 20.0,
-) -> ConstantEstimate:
+def embedding_constant_C(weights: WeightSequence, s: float, window: DualWindow) -> ConstantEstimate:
     """sqrt(sum over the window of d^3 (1 + w^2)^(-s)), flagged by the
     summability verdict of the underlying series."""
     if s < 0:
         raise ValueError("Sobolev order s must be >= 0")
     total = _series_sum(weights, s, zip(window.labels, window.dims))
-    report = summability_check(weights, s, window, probe_limit)
+    report = summability_check(weights, s, window)
     return ConstantEstimate(
         value=math.sqrt(total),
         verdict=report.verdict,

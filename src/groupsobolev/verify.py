@@ -278,15 +278,16 @@ def check_sup_embedding(
     The lhs is a lower bound on the true sup, so underestimation can only
     weaken the test, never fake a pass of a violated inequality. The sup
     is probed at ``extra_samples`` elements drawn from ``probe_seed``, the
-    same elements for every function of a batch.
+    same elements for every function of a batch. Each record carries the
+    summability verdict of the series behind C as ``constant_verdict``.
     """
     seeds, contexts = _fan_out(coeffs, seed, context)
     samples = synthesize(coeffs, group)
     lhs = probed_sup(samples, coeffs.p_E, coeffs, group, extra_samples, probe_seed)
-    constant = embedding_constant_C(weights, s, group.window).value
-    rhs = constant * h_s_norm(coeffs, weights, s)
+    estimate = embedding_constant_C(weights, s, group.window)
+    rhs = estimate.value * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
-    extra = {"s": s, "constant": constant}
+    extra = {"constant_verdict": estimate.verdict, "s": s, "constant": estimate.value}
     records = _records("sup_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
     return records if coeffs.packed.ndim == 3 else records[0]
 
@@ -422,12 +423,19 @@ class RunConfig:
                 raise ValueError(f"config field {name!r} needs an integer >= {least}, got {v!r}")
         if not (_is_number(self.p_E) and self.p_E >= 1):
             raise ValueError(f"config field 'p_E' needs a number >= 1 or 'inf', got {self.p_E!r}")
+        for name in ("tamper", "quiet"):
+            if not isinstance(v := getattr(self, name), bool):
+                raise ValueError(f"config field {name!r} needs true or false, got {v!r}")
+        for name in ("s_values", "p_values", "st_pairs", "formats"):
+            if not isinstance(v := getattr(self, name), (list, tuple)):
+                raise ValueError(f"config field {name!r} needs a list, got {v!r}")
         for name, least in (("s_values", 0), ("p_values", 1)):
             for v in getattr(self, name):
                 if not (_is_number(v) and v >= least):
                     raise ValueError(f"config field {name!r} needs numbers >= {least}, got {v!r}")
         for pair in self.st_pairs:
-            if len(pair) != 2 or not all(map(_is_number, pair)) or not pair[1] > pair[0] > 0:
+            ok = isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))
+            if not (ok and pair[1] > pair[0] > 0):
                 raise ValueError(f"config field 'st_pairs' entries need t > s > 0, got {pair!r}")
         bad = [f for f in self.formats if f not in ("json", "csv")]
         if bad:
@@ -631,10 +639,8 @@ def run_suite(config) -> VerificationReport:
         for s in cfg.s_values:
             if cfg.p_E == 2.0:
                 records += check_l2_embedding(coeffs, weights, s, group, **batch)
-            verdict = embedding_constant_C(weights, s, group.window).verdict
-            sup_ctx = [{**ctx, "constant_verdict": verdict} for ctx in contexts]
             records += check_sup_embedding(
-                coeffs, weights, s, group, cfg.sup_extra_samples, probe, seed=seeds, context=sup_ctx
+                coeffs, weights, s, group, cfg.sup_extra_samples, probe, **batch
             )
         for alpha in alphas:
             records += check_hausdorff_young(coeffs, group, alpha, **batch)

@@ -231,12 +231,29 @@ def test_verify_invalid_config_exit_code(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("m", 2.5), ("batch_size", 2.5), ("seed", 1.5), ("p_E", "2"), ("s_values", ["a"])],
+    [
+        ("m", 2.5),
+        ("batch_size", 2.5),
+        ("seed", 1.5),
+        ("p_E", "2"),
+        ("s_values", ["a"]),
+        ("tamper", "false"),
+        ("quiet", "no"),
+        ("st_pairs", [5]),
+        ("s_values", 1.0),
+        ("formats", "json"),
+    ],
 )
 def test_verify_refuses_wrongly_typed_config_fields(tmp_path, capsys, field, value):
     cfgpath = write_config(tmp_path, **{field: value})
     assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_non_integer_circle_band(tmp_path, capsys):
+    cfgpath = write_config(tmp_path, groups=[{"kind": "circle", "band": 2.7}], batch_size=1)
+    assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "'circle' group parameter 'band' needs an integer" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groupsobolev as gs
 from groupsobolev.groups import ORTHOGONALITY_TOL, SU2_MAX_SPIN, _su2_euler_from_matrix
@@ -110,6 +112,30 @@ def test_refused_su2_build_allocates_no_quadrature_grid(band, refusal):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        ({"kind": "circle", "band": 2.7}, "band"),
+        ({"kind": "circle", "band": "16"}, "band"),
+        ({"kind": "circle", "band": math.inf}, "band"),
+        ({"kind": "cyclic", "n": 2.5}, "n"),
+        ({"kind": "cyclic", "n": True}, "n"),
+        ({"kind": "su2", "band": 1, "half_integers": "false"}, "half_integers"),
+        ({"kind": "su2", "band": 0.7, "half_integers": True}, "band"),
+        ({"kind": "su2", "band": None}, "band"),
+    ],
+)
+def test_group_parameters_are_checked_not_coerced(spec, name):
+    with pytest.raises(ValueError, match=rf"group parameter '{name}' needs .*, got {spec[name]!r}"):
+        gs.make_group(spec)
+
+
+def test_integral_float_group_parameters_are_accepted():
+    assert gs.make_group({"kind": "circle", "band": 16.0}).name == "circle(16)"
+    assert gs.make_group({"kind": "cyclic", "n": 4.0}).name == "cyclic(4)"
+    assert gs.make_group({"kind": "su2", "band": 1.5, "half_integers": True}).name == "su2(1.5,half)"
 
 
 def test_make_group_from_window_needs_a_built_in_kind():
@@ -283,7 +309,7 @@ def _angular_momentum_matrices(ell):
     return jz, jy
 
 
-@pytest.mark.parametrize("ell", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("ell", [0.5, 1.0, 1.5, 2.0, 7.5, 12.0, 24.5, 25.0])
 def test_wigner_matrix_against_exponential_oracle(ell):
     jz, jy = _angular_momentum_matrices(ell)
     rng = np.random.default_rng(29)
@@ -312,6 +338,22 @@ def test_wigner_d1_closed_form():
             ]
         )
         assert np.abs(got[k] - expected).max() <= 1e-13
+
+
+EULER_TRIPLES = st.tuples(
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2 * TWO_PI, exclude_max=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_ell=st.integers(min_value=0, max_value=50), x=EULER_TRIPLES, y=EULER_TRIPLES)
+def test_wigner_matrices_are_a_unitary_representation(su2_1h, two_ell, x, y):
+    ell = two_ell / 2.0
+    dx, dy, dxy = gs.wigner_d_matrix(ell, [x, y, su2_1h.multiply(x, y)])
+    assert np.abs(dxy - dx @ dy).max() <= 1e-9
+    assert np.abs(dx @ dx.conj().T - np.eye(two_ell + 1)).max() <= 1e-12
 
 
 def test_wigner_refuses_spin_above_the_limit():

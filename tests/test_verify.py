@@ -170,6 +170,15 @@ def test_sup_embedding_constant_function(z4):
     assert record.passed
 
 
+def test_sup_embedding_records_carry_the_constant_verdict(circle16):
+    weights = gs.canonical_weights(circle16)
+    coeffs = gs.random_band_limited(3, circle16, m=2)
+    for s, verdict in ((0.0, "diverging"), (2.0, "plausibly summable")):
+        record = gs.check_sup_embedding(coeffs, weights, s, circle16, context={"batch": 0})
+        assert list(record.context) == ["batch", "constant_verdict", "s", "constant"]
+        assert record.context["constant_verdict"] == verdict
+
+
 def test_sup_embedding_batches(any_group):
     weights = gs.canonical_weights(any_group)
     for seed in range(10):
