@@ -38,7 +38,6 @@ from .transform import (
 from .sobolev import (
     ConstantEstimate,
     SobolevParams,
-    SummabilityReport,
     WeightSequence,
     canonical_weights,
     circle_weights,
@@ -47,7 +46,6 @@ from .sobolev import (
     h_s_norm,
     l_p_norm,
     lq_bound_constant,
-    summability_check,
     sup_norm,
     su2_weights,
     weights_from_table,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import re
 import sys
@@ -24,7 +25,6 @@ from .sobolev import (
     h_s_norm,
     l_p_norm,
     lq_bound_constant,
-    summability_check,
     sup_norm,
 )
 from .transform import (
@@ -173,24 +173,10 @@ def cmd_constants(args) -> int:
                     "name": "embedding_constant_C",
                     "group": group.name,
                     "value": est.value,
+                    "upper": "inf" if math.isinf(est.upper) else est.upper,
                     "verdict": est.verdict,
                     "window": wmeta,
                     "params": {"s": s, "weights": weights.name},
-                }
-            )
-            rep = summability_check(weights, s, group.window)
-            rows.append(
-                {
-                    "name": "summability",
-                    "group": group.name,
-                    "value": rep.partial_sums[-1],
-                    "verdict": rep.verdict,
-                    "window": wmeta,
-                    "params": {
-                        "s": s,
-                        "weights": weights.name,
-                        "probed_beyond_window": rep.probed_beyond_window,
-                    },
                 }
             )
         for s, t in cfg.st_pairs:

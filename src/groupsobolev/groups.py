@@ -85,6 +85,8 @@ def _little_d_matrix(ell: float, beta: np.ndarray) -> np.ndarray:
 
 
 def _check_spin(ell: float) -> None:
+    if not (ell >= 0 and float(2 * ell).is_integer()):
+        raise ValueError(f"spin {ell:g} is not a nonnegative multiple of 1/2")
     if ell > SU2_MAX_SPIN:
         raise ValueError(
             f"spin {ell:g} is above SU2_MAX_SPIN = {SU2_MAX_SPIN:g}; an SU(2) window of "
@@ -96,8 +98,8 @@ def wigner_d_matrix(ell: float, eulers: np.ndarray) -> np.ndarray:
     """Unitary rotation matrices D^ell at Euler triples, shape (n, d, d).
 
     D(alpha, beta, gamma) = exp(-i m' alpha) d^ell(beta) exp(-i m gamma)
-    with row/column order m = ell, ell-1, ..., -ell; refused above
-    ``SU2_MAX_SPIN``.
+    with row/column order m = ell, ell-1, ..., -ell; refused for a spin
+    that is negative, not a multiple of 1/2, or above ``SU2_MAX_SPIN``.
     """
     _check_spin(ell)
     e = np.atleast_2d(np.asarray(eulers, dtype=float))
@@ -212,16 +214,6 @@ class DualWindow:
         d = self.dim_of(label)
         rows = packed[..., self.columns(label), :]
         return rows.reshape(*rows.shape[:-2], d, d, -1).swapaxes(-3, -2)
-
-    def band_of(self, label) -> float:
-        """Band parameter of one label (frequency, spin, or table index)."""
-        if self.kind == "circle":
-            return float(abs(label))
-        if self.kind == "su2":
-            return float(label)
-        if self.kind == "cyclic":
-            return float(label)
-        return float(self.index(label))
 
 
 @dataclass(frozen=True, eq=False)

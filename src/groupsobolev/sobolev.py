@@ -6,8 +6,10 @@ norm rescales each coefficient block by (1 + weight^2)^(s/2) before the
 p = 2 spectral norm. Built-in weights: zero, |n| on the circle, and
 sqrt(l(l+1)) on SU(2) (square roots of Laplacian eigenvalues).
 
-Series diagnostics (``summability_check``) only ever report "plausibly
-summable" or "diverging"; a finite window cannot decide an infinite sum.
+The sup-norm constant rests on the series sum d^3 (1 + w^2)^(-s) over the
+whole unitary dual. For the built-in weights it is decided exactly ("summable"
+or "diverging"), and the part past the window is bounded in closed form by the
+integral test; custom weight tables on an unbounded dual stay "undecided".
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .transform import _per_function, _pth_root, weighted_spectral_norm
 __all__ = [
     "ConstantEstimate",
     "SobolevParams",
-    "SummabilityReport",
     "WeightSequence",
     "canonical_weights",
     "circle_weights",
@@ -34,7 +35,6 @@ __all__ = [
     "h_s_norm",
     "l_p_norm",
     "lq_bound_constant",
-    "summability_check",
     "sup_norm",
     "su2_weights",
     "weights_from_table",
@@ -46,8 +46,10 @@ __all__ = [
 class WeightSequence:
     """Nonnegative weight per irrep label, with an optional closed form.
 
-    The closed form (``formula``) lets diagnostics probe bands beyond the
-    window; table-only sequences are restricted to their window.
+    The closed form (``formula``) gives weights past the window. When it is
+    one of the built-in formulas, the series behind the sup-norm constant
+    is decided over the whole dual; table-only sequences are restricted to
+    their window.
     """
 
     name: str
@@ -88,18 +90,28 @@ def _table_for(window: DualWindow, formula) -> dict:
     return {label: float(formula(label)) for label in window.labels}
 
 
+def _zero(label) -> float:
+    return 0.0
+
+
+def _abs_frequency(n) -> float:
+    return float(abs(n))
+
+
+def _sqrt_laplacian(ell) -> float:
+    return math.sqrt(ell * (ell + 1.0))
+
+
 def zero_weights(window: DualWindow) -> WeightSequence:
-    return WeightSequence("zero", _table_for(window, lambda _: 0.0), lambda _: 0.0)
+    return WeightSequence("zero", _table_for(window, _zero), _zero)
 
 
 def circle_weights(window: DualWindow) -> WeightSequence:
-    formula = lambda n: float(abs(n))
-    return WeightSequence("abs-frequency", _table_for(window, formula), formula)
+    return WeightSequence("abs-frequency", _table_for(window, _abs_frequency), _abs_frequency)
 
 
 def su2_weights(window: DualWindow) -> WeightSequence:
-    formula = lambda ell: math.sqrt(ell * (ell + 1.0))
-    return WeightSequence("sqrt-laplacian", _table_for(window, formula), formula)
+    return WeightSequence("sqrt-laplacian", _table_for(window, _sqrt_laplacian), _sqrt_laplacian)
 
 
 def weights_from_table(table: dict, window: DualWindow | None = None) -> WeightSequence:
@@ -182,12 +194,9 @@ def sup_norm(
 
 
 # ---------------------------------------------------------------------------
-# embedding constants and series diagnostics
+# embedding constants and series verdicts
 
 FINITE_KINDS = ("cyclic", "s3", "custom")
-
-#: Largest band the summability probe reaches past a circle or SU(2) window.
-PROBE_LIMIT = 20.0
 
 
 @dataclass(frozen=True)
@@ -219,103 +228,98 @@ def _series_sum(weights: WeightSequence, s: float, members) -> float:
     return sum(d**3 * (1.0 + w * w) ** (-s) for d, w in terms)
 
 
-def _window_bands(window: DualWindow) -> list[tuple[float, list[tuple[Any, int]]]]:
-    """Window labels grouped by band parameter, in increasing band order."""
-    grouped: dict[float, list[tuple[Any, int]]] = {}
-    for label, dim in zip(window.labels, window.dims):
-        grouped.setdefault(window.band_of(label), []).append((label, dim))
-    return sorted(grouped.items())
+def _integral_tail(term, integral, band: float, step: float) -> float:
+    """Bound on the sum of term(x) over x = band + step, band + 2 step, ...
 
-
-def _extension_bands(window: DualWindow):
-    """Bands past the window, up to PROBE_LIMIT, for kinds with an unbounded dual."""
-    if window.kind == "circle":
-        b = int(window.band) + 1
-        while b <= PROBE_LIMIT:
-            yield float(b), [(-b, 1), (b, 1)]
-            b += 1
-    elif window.kind == "su2":
-        step = 0.5 if window.half_integers else 1.0
-        ell = float(window.band) + step
-        while ell <= PROBE_LIMIT:
-            yield ell, [(ell, int(round(2 * ell)) + 1)]
-            ell += step
-
-
-@dataclass(frozen=True)
-class SummabilityReport:
-    bands: tuple
-    terms: tuple
-    partial_sums: tuple
-    tail_ratios: tuple
-    verdict: str
-    finite_dual: bool
-    probed_beyond_window: bool
-
-
-def summability_check(weights: WeightSequence, s: float, window: DualWindow) -> SummabilityReport:
-    """Partial-sum and term-growth diagnostic for sum d^3 (1 + w^2)^(-s).
-
-    Terms are grouped by band. For the circle and SU(2) the probe extends
-    past the window (up to ``PROBE_LIMIT``) when the weights have a
-    closed form. Verdict: "plausibly summable" if the tail terms decay,
-    "diverging" if they grow or stay of constant order. Heuristic only.
+    The terms up to x = 1 are added one by one; the rest are at most
+    integral(start) / step, with integral(start) the integral of the term
+    from start = max(band, 1) on, which needs the term nonincreasing there.
     """
-    band_terms: list[tuple[float, float]] = []
-    for band, members in _window_bands(window):
-        band_terms.append((band, _series_sum(weights, s, members)))
-    probed = False
-    finite_dual = window.kind in FINITE_KINDS
-    if not finite_dual and weights.formula is not None:
-        for band, members in _extension_bands(window):
-            band_terms.append((band, _series_sum(weights, s, members)))
-            probed = True
+    total, x, start = 0.0, band + step, max(band, 1.0)
+    while x <= start:
+        total += term(x)
+        x += step
+    return total + integral(start) / step
 
-    bands = tuple(b for b, _ in band_terms)
-    terms = tuple(t for _, t in band_terms)
-    sums = tuple(np.cumsum(terms).tolist())
-    ratios = tuple(terms[i + 1] / terms[i] for i in range(len(terms) - 1))
-    if finite_dual:
-        verdict = "plausibly summable"
-    else:
-        tail = ratios[-min(5, len(ratios)) :] if ratios else ()
-        decaying = bool(tail) and all(r < 1.0 - 1e-3 for r in tail)
-        verdict = "plausibly summable" if decaying else "diverging"
-    return SummabilityReport(
-        bands=bands,
-        terms=terms,
-        partial_sums=sums,
-        tail_ratios=ratios,
-        verdict=verdict,
-        finite_dual=finite_dual,
-        probed_beyond_window=probed,
+
+def _circle_tail(s: float, window: DualWindow) -> float:
+    """Sum over |n| > band of (1 + n^2)^(-s): finite iff s > 1/2, bounded
+    through (1 + x^2)^(-s) <= x^(-2s) by 2 B^(1-2s) / (2s - 1) past B >= 1."""
+    if s <= 0.5:
+        return math.inf
+    return _integral_tail(
+        lambda n: 2.0 * (1.0 + n * n) ** (-s),
+        lambda b: 2.0 * b ** (1.0 - 2.0 * s) / (2.0 * s - 1.0),
+        float(window.band),
+        1.0,
     )
+
+
+def _su2_tail(s: float, window: DualWindow) -> float:
+    """Sum over spins past the band of (2l+1)^3 (1 + l(l+1))^(-s): finite
+    iff s > 2. With u = l^2 + l + 1, (2l+1)^2 = 4u - 3 and (2l+1) dl = du,
+    so the integral from l = B is 4 u_B^(2-s)/(s-2) - 3 u_B^(1-s)/(s-1).
+    The term falls once u >= 3s/(4s - 6), so from l = 1 for every s > 2."""
+    if s <= 2.0:
+        return math.inf
+
+    def integral(ell):
+        u = ell * ell + ell + 1.0
+        return 4.0 * u ** (2.0 - s) / (s - 2.0) - 3.0 * u ** (1.0 - s) / (s - 1.0)
+
+    return _integral_tail(
+        lambda ell: (2.0 * ell + 1.0) ** 3 * (1.0 + ell * (ell + 1.0)) ** (-s),
+        integral,
+        float(window.band),
+        0.5 if window.half_integers else 1.0,
+    )
+
+
+def _diverges(s: float, window: DualWindow) -> float:
+    return math.inf
+
+
+#: Tail bound past the window per (window kind, weight formula); finite groups
+#: have no tail, and any other pair on an unbounded dual is undecided.
+_TAIL_BOUNDS = {
+    ("circle", _abs_frequency): _circle_tail,
+    ("su2", _sqrt_laplacian): _su2_tail,
+    ("circle", _zero): _diverges,
+    ("su2", _zero): _diverges,
+}
 
 
 @dataclass(frozen=True)
 class ConstantEstimate:
-    """Window partial sum for the sup-norm constant, with a series verdict."""
+    """Sup-norm constant of the window and of the whole dual.
+
+    ``value`` is the window constant. When ``verdict`` is "summable", the
+    full-series constant lies in [value, upper]; for "diverging" and
+    "undecided" ``upper`` is infinite.
+    """
 
     value: float
+    upper: float
     verdict: str
-    diverging: bool
 
     def __float__(self) -> float:
         return self.value
 
 
 def embedding_constant_C(weights: WeightSequence, s: float, window: DualWindow) -> ConstantEstimate:
-    """sqrt(sum over the window of d^3 (1 + w^2)^(-s)), flagged by the
-    summability verdict of the underlying series."""
+    """sqrt(sum over the window of d^3 (1 + w^2)^(-s)), with the verdict on
+    the series over the whole dual and sqrt(window sum + tail bound)."""
     if s < 0:
         raise ValueError("Sobolev order s must be >= 0")
     total = _series_sum(weights, s, zip(window.labels, window.dims))
-    report = summability_check(weights, s, window)
-    return ConstantEstimate(
-        value=math.sqrt(total),
-        verdict=report.verdict,
-        diverging=report.verdict == "diverging",
-    )
+    if window.kind in FINITE_KINDS:
+        tail = 0.0
+    elif (bound := _TAIL_BOUNDS.get((window.kind, weights.formula))) is None:
+        return ConstantEstimate(math.sqrt(total), math.inf, "undecided")
+    else:
+        tail = bound(s, window)
+    verdict = "summable" if math.isfinite(tail) else "diverging"
+    return ConstantEstimate(math.sqrt(total), math.sqrt(total + tail), verdict)
 
 
 def lq_bound_constant(

@@ -279,7 +279,7 @@ def check_sup_embedding(
     weaken the test, never fake a pass of a violated inequality. The sup
     is probed at ``extra_samples`` elements drawn from ``probe_seed``, the
     same elements for every function of a batch. Each record carries the
-    summability verdict of the series behind C as ``constant_verdict``.
+    verdict on the series behind C over the whole dual as ``constant_verdict``.
     """
     seeds, contexts = _fan_out(coeffs, seed, context)
     samples = synthesize(coeffs, group)
@@ -378,7 +378,14 @@ def check_continuity_modulus(
 class RunConfig:
     """Validated suite configuration; DEFAULT_CONFIG shows the shape."""
 
-    groups: list
+    groups: list = field(
+        default_factory=lambda: [
+            {"kind": "cyclic", "n": 12},
+            {"kind": "s3"},
+            {"kind": "circle", "band": 16},
+            {"kind": "su2", "band": 2, "half_integers": False},
+        ]
+    )
     m: int = 3
     p_E: float = 2.0
     weights: Any = "canonical"
@@ -477,16 +484,7 @@ class RunConfig:
 
 
 #: The bundled default (acceptance) configuration as a plain dict.
-DEFAULT_CONFIG = asdict(
-    RunConfig(
-        groups=[
-            {"kind": "cyclic", "n": 12},
-            {"kind": "s3"},
-            {"kind": "circle", "band": 16},
-            {"kind": "su2", "band": 2, "half_integers": False},
-        ]
-    )
-)
+DEFAULT_CONFIG = asdict(RunConfig())
 
 
 def _is_number(value, kind=numbers.Real) -> bool:

@@ -177,8 +177,9 @@ def test_constants_values_and_determinism(tmp_path):
         if r["name"] == "embedding_constant_C" and r["group"] == "cyclic(2)" and r["params"]["s"] == 1.0
     )
     assert abs(z2_c["value"] - math.sqrt(2.0)) <= 1e-12  # zero weights on finite groups
-    assert any(r["name"] == "summability" and "verdict" in r for r in rows)
-    assert any(r["name"] == "lq_bound_constant" for r in rows)
+    assert su2_c["verdict"] == "diverging" and su2_c["upper"] == "inf"  # s = 2 is not above 2
+    assert z2_c["verdict"] == "summable" and z2_c["upper"] == z2_c["value"]
+    assert {r["name"] for r in rows} == {"embedding_constant_C", "lq_bound_constant"}
 
 
 def test_verify_small_config(tmp_path):

@@ -361,6 +361,12 @@ def test_wigner_refuses_spin_above_the_limit():
         gs.wigner_d_matrix(SU2_MAX_SPIN + 0.5, [(0.3, 1.1, 2.0)])
 
 
+@pytest.mark.parametrize("spin", [0.3, -0.5, -1.0, math.nan])
+def test_wigner_refuses_a_spin_that_is_not_a_nonnegative_half_integer(spin):
+    with pytest.raises(ValueError, match=f"spin {spin:g} is not a nonnegative multiple of 1/2"):
+        gs.wigner_d_matrix(spin, [(0.3, 1.1, 2.0)])
+
+
 def test_wigner_at_the_spin_limit_is_unitary():
     betas = np.linspace(0.0, math.pi, 2001)
     eulers = np.stack([np.full_like(betas, 0.3), betas, np.full_like(betas, 2.0)], axis=-1)

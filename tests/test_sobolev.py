@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 
 import groupsobolev as gs
+from groupsobolev import sobolev
 
 
 def direct_series_sum(dims_and_weights, s):
@@ -160,7 +162,7 @@ def test_sup_norm_is_lower_bound(su2_2):
 def test_embedding_constant_z2_zero_weights(z2):
     est = gs.embedding_constant_C(gs.zero_weights(z2.window), 3.0, z2.window)
     assert abs(est.value - math.sqrt(2.0)) <= 1e-12
-    assert est.verdict == "plausibly summable" and not est.diverging
+    assert est.verdict == "summable" and est.upper == est.value
 
 
 def test_embedding_constant_z2_table(z2):
@@ -253,64 +255,135 @@ def test_exponents_rejects_bad_pairs():
 
 
 # ---------------------------------------------------------------------------
-# summability diagnostics
+# series verdicts and tail bounds
+
+DIRECT_TERMS = 10**6
 
 
-def test_summability_zero_weights_on_su2_diverges(su2_2):
-    rep = gs.summability_check(gs.zero_weights(su2_2.window), 3.0, su2_2.window)
-    assert rep.verdict == "diverging"
-    assert rep.probed_beyond_window
-    assert rep.terms[-1] > rep.terms[0]
+def circle_window(band):
+    labels = (0, *(sign * b for b in range(1, band + 1) for sign in (-1, 1)))
+    return gs.DualWindow("circle", band, labels, (1,) * len(labels), 0)
+
+
+def su2_window(band, half=False):
+    step = 0.5 if half else 1.0
+    ells = tuple(k * step for k in range(int(round(band / step)) + 1))
+    dims = tuple(int(round(2 * ell)) + 1 for ell in ells)
+    return gs.DualWindow("su2", float(band), ells, dims, 0.0, half)
+
+
+def direct_su2_tail(band, step, s, count=DIRECT_TERMS):
+    ell = band + step * np.arange(1, count + 1)
+    return float(((2 * ell + 1) ** 3 * (1 + ell * (ell + 1)) ** (-s)).sum())
+
+
+def direct_circle_tail(band, s, count=DIRECT_TERMS):
+    """2 * sum of (1 + n^2)^(-s) over band < n <= count."""
+    n = np.arange(band + 1, count + 1, dtype=float)
+    return float(2.0 * ((1 + n * n) ** (-s)).sum())
+
+
+def verdict(weights, s, window):
+    return gs.embedding_constant_C(weights, s, window).verdict
+
+
+def test_summability_zero_weights_on_su2_diverges(su2_2, circle16):
+    for group in (su2_2, circle16):
+        for s in (0.0, 3.0, 50.0):
+            est = gs.embedding_constant_C(gs.zero_weights(group.window), s, group.window)
+            assert est.verdict == "diverging" and est.upper == math.inf
 
 
 def test_summability_su2_canonical_decays(su2_2):
     weights = gs.su2_weights(su2_2.window)
-    # terms (2l+1)^3 (1+l(l+1))^(-s) decay once s > 1.5; s=3 and s=4 both
-    # decay on the probed ladder (l <= 20), s=1.5 sits at constant order.
     for s in (3.0, 4.0):
-        rep = gs.summability_check(weights, s, su2_2.window)
-        assert rep.verdict == "plausibly summable", (s, rep.tail_ratios)
-        tail = rep.terms[-5:]
-        assert all(b < a for a, b in zip(tail, tail[1:]))
-    rep = gs.summability_check(weights, 1.5, su2_2.window)
-    assert rep.verdict == "diverging"
-    assert abs(rep.terms[-1] / rep.terms[-2] - 1.0) < 0.2  # constant-order tail
+        est = gs.embedding_constant_C(weights, s, su2_2.window)
+        assert est.verdict == "summable" and est.value < est.upper < math.inf
+    for s in (0.0, 1.5, 2.0):
+        assert verdict(weights, s, su2_2.window) == "diverging"
 
 
-def test_summability_su2_s4_term_decay_rate(su2_2):
-    # at s=4 the probed terms behave like 8/l^5; check the l=20 value
-    rep = gs.summability_check(gs.su2_weights(su2_2.window), 4.0, su2_2.window)
-    ell = rep.bands[-1]
-    assert ell == 20.0
-    expected = (2 * ell + 1) ** 3 / (1 + ell * (ell + 1)) ** 4
-    assert abs(rep.terms[-1] - expected) <= 1e-12
+def test_verdicts_at_the_boundary_orders(circle16, su2_2):
+    su2_half = gs.make_group("su2", band=2, half_integers=True)
+    for group, s in ((circle16, 0.5), (su2_2, 2.0), (su2_half, 2.0)):
+        weights = gs.canonical_weights(group)
+        assert verdict(weights, s, group.window) == "diverging", group.name
+        est = gs.embedding_constant_C(weights, s + 1e-3, group.window)
+        assert est.verdict == "summable", group.name
+        assert est.value < est.upper < math.inf
 
 
-def test_summability_finite_dual(z12):
-    rep = gs.summability_check(gs.zero_weights(z12.window), 0.0, z12.window)
-    assert rep.finite_dual and not rep.probed_beyond_window
-    assert rep.verdict == "plausibly summable"
+def test_summability_su2_s4_term_decay_rate():
+    # past band 20 the terms behave like 8/l^5, and the tail bound like
+    # 2/20^4 within about ten percent of the tail itself
+    window = su2_window(20)
+    direct = direct_su2_tail(20.0, 1.0, 4.0)
+    bound = gs.embedding_constant_C(gs.su2_weights(window), 4.0, window)
+    tail = bound.upper**2 - bound.value**2
+    assert direct <= tail <= 1.2 * direct
+
+
+def test_summability_finite_dual(z12, s3, z2):
+    for group in (z12, s3, z2):
+        for weights in (gs.zero_weights(group.window), gs.canonical_weights(group)):
+            for s in (0.0, 1.0):
+                est = gs.embedding_constant_C(weights, s, group.window)
+                assert est.verdict == "summable" and est.upper == est.value
 
 
 def test_summability_table_weights_stay_in_window(circle16):
     table = {n: float(abs(n)) for n in circle16.window.labels}
     weights = gs.weights_from_table(table, circle16.window)
-    rep = gs.summability_check(weights, 1.0, circle16.window)
-    assert not rep.probed_beyond_window
-    assert rep.bands[-1] == 16.0
+    for s in (0.5, 1.0, 5.0):
+        est = gs.embedding_constant_C(weights, s, circle16.window)
+        assert est.verdict == "undecided" and est.upper == math.inf
+        assert est.value == gs.embedding_constant_C(gs.circle_weights(circle16.window), s, circle16.window).value
 
 
 def test_summability_circle_canonical_probes(circle16):
-    rep = gs.summability_check(gs.circle_weights(circle16.window), 1.0, circle16.window)
-    assert rep.probed_beyond_window and rep.bands[-1] == 20.0
-    assert rep.verdict == "plausibly summable"
+    weights = gs.circle_weights(circle16.window)
+    est = gs.embedding_constant_C(weights, 1.0, circle16.window)
+    assert est.verdict == "summable"
+    # the closed form reaches past band 16: 2 * 16^(1 - 2s) / (2s - 1) = 2/16
+    assert abs(est.upper**2 - est.value**2 - 2.0 / 16) <= 1e-12
 
 
-def test_summability_partial_sums_monotone(su2_2):
-    rep = gs.summability_check(gs.su2_weights(su2_2.window), 2.0, su2_2.window)
-    sums = rep.partial_sums
-    assert all(b >= a for a, b in zip(sums, sums[1:]))
-    assert abs(sums[-1] - sum(rep.terms)) <= 1e-9
+def test_summability_partial_sums_monotone():
+    # as the window grows the interval [value, upper] can only shrink
+    ladders = [
+        [(circle_window(b), gs.circle_weights) for b in range(0, 21)],
+        [(su2_window(b), gs.su2_weights) for b in range(0, 7)],
+        [(su2_window(k / 2, half=True), gs.su2_weights) for k in range(0, 13)],
+    ]
+    for ladder in ladders:
+        for s in (2.5, 4.0):
+            ests = [gs.embedding_constant_C(make(w), s, w) for w, make in ladder]
+            for small, big in zip(ests, ests[1:]):
+                assert small.value <= big.value
+                assert big.upper <= small.upper * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("band", [0, 1, 16, 512])
+def test_circle_tail_bound_encloses_the_tail(band):
+    tail = sobolev._TAIL_BOUNDS["circle", sobolev._abs_frequency]
+    for s in (0.5 + 1e-3, 0.75, 1.0, 2.0, 5.0):
+        bound = tail(s, circle_window(band))
+        direct = direct_circle_tail(band, s)
+        assert math.isfinite(bound) and bound >= direct
+        # every term past the direct sum is at most n^(-2s): Hurwitz zeta
+        assert bound >= direct + 2.0 * zeta(2.0 * s, DIRECT_TERMS + 1)
+
+
+@pytest.mark.parametrize(
+    "band, half",
+    [(0, False), (1, False), (2, False), (6, False), (0, True), (0.5, True), (1, True), (2, True), (6, True)],
+)
+def test_su2_tail_bound_encloses_the_tail(band, half):
+    tail = sobolev._TAIL_BOUNDS["su2", sobolev._sqrt_laplacian]
+    for s in (2.0 + 1e-3, 2.5, 3.0, 4.0, 8.0):
+        bound = tail(s, su2_window(band, half))
+        direct = direct_su2_tail(float(band), 0.5 if half else 1.0, s)
+        assert math.isfinite(bound) and bound >= direct
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupsobolev as gs
+from groupsobolev.groups import ORTHOGONALITY_TOL
 from groupsobolev.transform import (
     atomic_write_text,
     coefficients_from_json,
     coefficients_to_json,
     dump_json,
 )
+from groupsobolev.verify import QUADRATURE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +174,45 @@ def test_synthesize_window_mismatch(z4, z12):
         gs.synthesize(coeffs, z12)
     with pytest.raises(ValueError):
         gs.inverse_transform(coeffs, z12)
+
+
+# ---------------------------------------------------------------------------
+# properties over random groups and bands
+
+GROUP_SPECS = st.one_of(
+    st.integers(1, 64).map(lambda n: ("cyclic", n, False)),
+    st.integers(0, 64).map(lambda band: ("circle", band, False)),
+    st.integers(0, 3).map(lambda band: ("su2", band, False)),
+    st.integers(0, 6).map(lambda k: ("su2", k / 2, True)),
+)
+
+
+@functools.lru_cache(maxsize=32)
+def group_of(kind, size, half):
+    if kind == "cyclic":
+        return gs.make_group(kind, n=size)
+    if kind == "circle":
+        return gs.make_group(kind, band=size)
+    return gs.make_group(kind, band=size, half_integers=half)
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=GROUP_SPECS, seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3))
+def test_round_trip_and_plancherel_property(spec, seed, m):
+    group = group_of(*spec)
+    coeffs = gs.random_band_limited(seed, group, m=m)
+    samples = gs.synthesize(coeffs, group)
+    back = gs.forward_transform(gs.VectorFunction.from_samples(samples), group)
+    assert coeffs.max_difference(back) <= QUADRATURE_TOL * (1.0 + coeffs.max_abs())
+    l2 = math.sqrt(float((group.quadrature.weights * gs.e_norm(samples, 2.0) ** 2).sum()))
+    assert abs(gs.s_p_norm(coeffs, 2.0) - l2) <= QUADRATURE_TOL * (1.0 + l2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=GROUP_SPECS)
+def test_orthogonality_selftest_property(spec):
+    report = gs.orthogonality_selftest(group_of(*spec))
+    assert report.passed and report.max_deviation <= ORTHOGONALITY_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_sup_embedding_constant_function(z4):
 def test_sup_embedding_records_carry_the_constant_verdict(circle16):
     weights = gs.canonical_weights(circle16)
     coeffs = gs.random_band_limited(3, circle16, m=2)
-    for s, verdict in ((0.0, "diverging"), (2.0, "plausibly summable")):
+    for s, verdict in ((0.0, "diverging"), (0.5, "diverging"), (2.0, "summable")):
         record = gs.check_sup_embedding(coeffs, weights, s, circle16, context={"batch": 0})
         assert list(record.context) == ["batch", "constant_verdict", "s", "constant"]
         assert record.context["constant_verdict"] == verdict
@@ -291,6 +291,23 @@ def test_run_suite_empty_groups_passes():
     )
     assert report.records == []
     assert report.all_pass
+
+
+def test_run_suite_without_groups_runs_the_default_groups():
+    report = gs.run_suite(
+        {
+            "batch_size": 1,
+            "vector_checks": 0,
+            "continuity_pairs": 0,
+            "sup_extra_samples": 0,
+            "block_check_stride": 0,
+            "s_values": [1.0],
+            "st_pairs": [],
+        }
+    )
+    assert report.metadata["config"]["groups"] == gs.DEFAULT_CONFIG["groups"]
+    names = {r.group for r in report.records}
+    assert names == {"cyclic(12)", "s3", "circle(16)", "su2(2)"}
 
 
 def test_run_suite_small_config_all_pass():
