@@ -166,29 +166,20 @@ def cmd_constants(args) -> int:
         group = make_group(dict(gspec))
         weights = resolve_weights(cfg.weights, gi, group)
         wmeta = {"kind": group.window.kind, "band": group.window.band}
+
+        def row(name, value, extra, **params):
+            return {"name": name, "group": group.name, "value": value, **extra,
+                    "window": wmeta, "params": {**params, "weights": weights.name}}
+
         for s in cfg.s_values:
             est = embedding_constant_C(weights, s, group.window)
-            rows.append(
-                {
-                    "name": "embedding_constant_C",
-                    "group": group.name,
-                    "value": est.value,
-                    "upper": "inf" if math.isinf(est.upper) else est.upper,
-                    "verdict": est.verdict,
-                    "window": wmeta,
-                    "params": {"s": s, "weights": weights.name},
-                }
-            )
+            extra = {"upper": "inf" if math.isinf(est.upper) else est.upper, "verdict": est.verdict}
+            rows.append(row("embedding_constant_C", est.value, extra, s=s))
         for s, t in cfg.st_pairs:
-            rows.append(
-                {
-                    "name": "lq_bound_constant",
-                    "group": group.name,
-                    "value": lq_bound_constant(weights, t, s, group.window),
-                    "window": wmeta,
-                    "params": {"s": s, "t": t, "weights": weights.name},
-                }
-            )
+            # the verdict on the series sum d^3 (1 + w^2)^(-t) behind the constant
+            extra = {"verdict": embedding_constant_C(weights, t, group.window).verdict}
+            value = lq_bound_constant(weights, t, s, group.window)
+            rows.append(row("lq_bound_constant", value, extra, s=s, t=t))
     _emit(cfg, rows, "constants.json")
     return EXIT_OK
 
@@ -199,7 +190,7 @@ def cmd_verify(args) -> int:
     report.metadata["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     outdir = Path(cfg.out_dir)
     if "json" in cfg.formats:
-        atomic_write_text(outdir / "verification_report.json", dump_json(report.to_json_dict()))
+        atomic_write_text(outdir / "verification_report.json", report.to_json_text())
     if "csv" in cfg.formats:
         atomic_write_text(outdir / "verification_report.csv", report.to_csv_text())
     if not cfg.quiet:

@@ -94,24 +94,26 @@ def _check_spin(ell: float) -> None:
         )
 
 
-def wigner_d_matrix(ell: float, eulers: np.ndarray) -> np.ndarray:
-    """Unitary rotation matrices D^ell at Euler triples, shape (n, d, d).
+def wigner_d_matrix(ell: float, eulers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary rotation matrices D^ell at Euler triples, shape (n, d, d),
+    written into ``out`` when given.
 
     D(alpha, beta, gamma) = exp(-i m' alpha) d^ell(beta) exp(-i m gamma)
     with row/column order m = ell, ell-1, ..., -ell; refused for a spin
     that is negative, not a multiple of 1/2, or above ``SU2_MAX_SPIN``.
+    d^ell is evaluated once per distinct beta (a quadrature grid has few).
     """
     _check_spin(ell)
     e = np.atleast_2d(np.asarray(eulers, dtype=float))
     if e.shape[-1] != 3:
         raise ValueError("SU(2) elements are Euler triples (alpha, beta, gamma)")
     alpha, beta, gamma = e[:, 0], e[:, 1], e[:, 2]
-    two_j = int(round(2 * ell))
-    m = ell - np.arange(two_j + 1)
-    d = _little_d_matrix(ell, beta)
-    pa = np.exp(-1j * np.outer(alpha, m))
-    pg = np.exp(-1j * np.outer(gamma, m))
-    return pa[:, :, None] * d * pg[:, None, :]
+    m = ell - np.arange(int(round(2 * ell)) + 1)
+    betas, where = np.unique(beta, return_inverse=True)
+    d = _little_d_matrix(ell, betas)[where]
+    out = np.multiply(np.exp(-1j * np.outer(alpha, m))[:, :, None], d, out=out)
+    out *= np.exp(-1j * np.outer(gamma, m))[:, None, :]
+    return out
 
 
 def su2_element_matrix(x) -> np.ndarray:
@@ -240,9 +242,9 @@ class QuadratureRule:
 class GroupSpec:
     """A compact group: its window, a Haar quadrature rule and one evaluator.
 
-    ``_matrices(label, elements)`` gives the matrices of one window irrep at
-    a batch of elements, shape (n, d, d). The node matrix is built from it
-    once, at construction, after a check that it fits in physical memory.
+    ``_matrices(label, elements, out)`` gives one window irrep's matrices at
+    a batch of elements, shape (n, d, d), in ``out`` unless that is None. The
+    node matrix is built from it at construction, once it is known to fit in memory.
     """
 
     kind: str
@@ -263,11 +265,12 @@ class GroupSpec:
         matrix.flags.writeable = False
         object.__setattr__(self, "node_matrix", matrix)
 
-    def irrep_matrices(self, label, elements) -> np.ndarray:
+    def irrep_matrices(self, label, elements, out=None) -> np.ndarray:
         """Matrices of the window irrep ``label`` at a batch of elements,
-        shape (n, d, d); KeyError for a label outside the window."""
+        shape (n, d, d), written into the complex array ``out`` when given;
+        KeyError for a label outside the window."""
         self.window.index(label)
-        return np.ascontiguousarray(self._matrices(label, elements), dtype=complex)
+        return self._matrices(label, elements, out)
 
     def node_stack(self, label) -> np.ndarray:
         """Irrep matrices at all quadrature nodes; shape (n, d, d), a view."""
@@ -277,16 +280,14 @@ class GroupSpec:
     def packed_matrices(self, elements, labels=None) -> np.ndarray:
         """Coefficients of ``labels`` (default: the window) at the elements in
         packed column order, shape (n, sum d^2); column-major, so that each
-        label's columns are filled contiguously."""
+        label's d*d columns are one (n, d, d) view that its evaluator fills."""
         labels = self.window.labels if labels is None else labels
-        out, col = None, 0
+        n = np.size(elements) // np.size(self.identity)
+        out = np.empty((n, sum(self.dim_of(l) ** 2 for l in labels)), dtype=complex, order="F")
+        col = 0
         for label in labels:
-            mats = self.irrep_matrices(label, elements)
-            n, d = mats.shape[:2]
-            if out is None:
-                k = sum(self.dim_of(l) ** 2 for l in labels)
-                out = np.empty((n, k), dtype=complex, order="F")
-            out[:, col : col + d * d] = mats.reshape(n, d * d)
+            d = self.dim_of(label)
+            self.irrep_matrices(label, elements, out[:, col : col + d * d].reshape(n, d, d))
             col += d * d
         return out
 
@@ -348,11 +349,11 @@ def _finite_group(
     if identity is None:
         raise ValueError(f"{name}: multiplication table has no identity element")
 
-    def matrices(label, elements):
+    def matrices(label, elements, out):
         idx = np.atleast_1d(np.asarray(elements, dtype=int))
         if idx.min(initial=0) < 0 or idx.max(initial=0) >= order:
             raise ValueError(f"{name}: element index out of range 0..{order - 1}")
-        return irrep_tables[label][idx]
+        return np.take(irrep_tables[label], idx, axis=0, out=out)
 
     window = DualWindow(
         kind=kind,
@@ -441,9 +442,9 @@ def _make_circle(band: int) -> GroupSpec:
     for b in range(1, band + 1):
         labels.extend([-b, b])
 
-    def matrices(freq, elements):
+    def matrices(freq, elements, out):
         x = np.atleast_1d(np.asarray(elements, dtype=float))
-        return np.exp(1j * freq * x).reshape(-1, 1, 1)
+        return np.exp(1j * freq * x.reshape(-1, 1, 1), out=out)
 
     window = DualWindow(
         kind="circle",

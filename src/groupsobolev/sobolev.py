@@ -171,12 +171,19 @@ def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
 def probed_sup(samples, p_E: float, coeffs=None, group=None, extra_samples=0, seed=0):
     """Max of |f|_E over the node samples and, for spectral ``coeffs``, over
     ``extra_samples`` Haar-random elements drawn from ``seed`` (an int or a
-    tuple of ints); one value per function of a batch.
+    tuple of ints); one value per function of a batch. The max off the
+    nodes is computed once per (group, seed, extra_samples, p_E) and kept
+    on ``coeffs``.
     """
     best = e_norm(samples, p_E).max(axis=-1)
     if coeffs is not None and extra_samples > 0:
-        els = group.random_elements(np.random.default_rng(seed), extra_samples)
-        best = np.maximum(best, e_norm(synthesize(coeffs, group, elements=els), p_E).max(axis=-1))
+
+        def probe():
+            els = group.random_elements(np.random.default_rng(seed), extra_samples)
+            return e_norm(synthesize(coeffs, group, elements=els), p_E).max(axis=-1)
+
+        key = ("sup_probe", group, seed, extra_samples, p_E)
+        best = np.maximum(best, coeffs.memo(key, probe))
     return _per_function(best)
 
 

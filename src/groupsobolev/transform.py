@@ -43,6 +43,7 @@ __all__ = [
     "inverse_transform",
     "label_key",
     "load_coefficients",
+    "node_samples",
     "random_band_limited",
     "s_p_norm",
     "save_coefficients",
@@ -77,6 +78,9 @@ class FourierCoefficients:
     of it, (B, d, d, m) for a batch: entry [i, j] is the E-vector paired
     with the matrix coefficient u_{i+1, j+1}. Labels missing from
     ``blocks`` at construction are zero.
+
+    ``packed`` is a read-only copy of the array passed in, so what is derived
+    from it, such as the node samples, is computed once and kept (``memo``).
     """
 
     def __init__(self, window: DualWindow, m: int, blocks: dict | None = None,
@@ -95,13 +99,22 @@ class FourierCoefficients:
                         f"block {label!r} must have shape {view.shape}, got {arr.shape}"
                     )
                 view[...] = arr
-        elif (packed := np.asarray(packed, dtype=complex)).shape[-2:] != (window.size, m):
+        elif (packed := np.array(packed, dtype=complex)).shape[-2:] != (window.size, m):
             raise ValueError(f"packed coefficients must have shape (K, m) = ({window.size}, {m})")
         elif packed.ndim > 3:
             raise ValueError("packed coefficients hold one function (K, m) or a batch (B, K, m)")
         if not np.isfinite(packed).all():
             raise ValueError("Fourier coefficients must be finite")
+        packed.flags.writeable = False
         self.window, self.m, self.p_E, self.packed = window, m, p_E, packed
+        self._memo: dict = {}
+
+    def memo(self, key, compute) -> np.ndarray:
+        """``compute()`` on the first call with ``key``, then the kept value; read-only."""
+        if (value := self._memo.get(key)) is None:
+            value = self._memo[key] = np.asarray(compute())
+            value.flags.writeable = False
+        return value
 
     @cached_property
     def blocks(self) -> dict:
@@ -135,8 +148,7 @@ class FourierCoefficients:
         return float(np.abs(self.packed).max())
 
     def max_difference(self, other: "FourierCoefficients") -> float:
-        diff = self - other
-        return diff.max_abs()
+        return (self - other).max_abs()
 
 
 def zero_coefficients(group: GroupSpec, m: int, p_E: float = 2.0) -> FourierCoefficients:
@@ -228,6 +240,12 @@ def synthesize(coeffs: FourierCoefficients, group: GroupSpec, elements=None) -> 
     return group.packed_matrices(elements, live) @ weighted[..., rows, :]
 
 
+def node_samples(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:
+    """``synthesize(coeffs, group)`` at the nodes, computed once per group
+    and kept on ``coeffs``; read-only."""
+    return coeffs.memo(("samples", group), lambda: synthesize(coeffs, group))
+
+
 def forward_transform(f: VectorFunction, group: GroupSpec) -> FourierCoefficients:
     """Coefficients of ``f`` via quadrature against conj(u_ij), as one matmul."""
     samples = f.sample(group)
@@ -283,16 +301,22 @@ def random_band_limited(
     """Seeded random coefficients, one complex-Gaussian draw per entry.
 
     ``amplitude`` is "gaussian" (unit scale), "zero", or a callable
-    (label, dim) -> scale applied per block. Deterministic in ``seed``.
+    (label, dim) -> scale applied per block. Deterministic in ``seed``: the
+    2 K m normals are drawn at once and read label by label, each block
+    (d, d, m) in row-major order, its real parts first, then its imaginary ones.
     """
-    rng = np.random.default_rng(seed)
     window = group.window
-    packed = np.zeros((window.size, m), dtype=complex)
-    if amplitude != "zero":
-        for label, d in zip(window.labels, window.dims):
-            scale = 1.0 if amplitude == "gaussian" else float(amplitude(label, d))
-            draw = rng.standard_normal((d, d, m)) + 1j * rng.standard_normal((d, d, m))
-            window.block_view(packed, label)[...] = scale * draw
+    if amplitude == "zero":
+        return FourierCoefficients(window, m, p_E=p_E)
+    scales = [1.0 if amplitude == "gaussian" else float(amplitude(l, d))
+              for l, d in zip(window.labels, window.dims)]
+    normals = np.random.default_rng(seed).standard_normal(2 * window.size * m)
+    dims = window.entry_dims.astype(int)
+    starts = window.entry_values(window.offsets[:-1]).astype(int)
+    j, i = np.divmod(np.arange(window.size) - starts, dims)  # packed row j*d + i holds [i, j]
+    real = (2 * starts + i * dims + j)[:, None] * m + np.arange(m)
+    draw = normals[real] + 1j * normals[real + (dims * dims * m)[:, None]]
+    packed = window.entry_values(scales)[:, None] * draw
     return FourierCoefficients(window, m, p_E=p_E, packed=packed)
 
 

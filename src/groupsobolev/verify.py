@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
+import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -44,9 +46,9 @@ from .transform import (
     FourierCoefficients,
     e_norm,
     label_key,
+    node_samples,
     random_band_limited,
     s_p_norm,
-    synthesize,
 )
 
 __all__ = [
@@ -103,16 +105,8 @@ class InequalityRecord:
         return out
 
     def to_row(self) -> list:
-        return [
-            self.name,
-            self.group,
-            self.seed,
-            repr(self.lhs),
-            repr(self.rhs),
-            repr(self.slack),
-            repr(self.tol),
-            str(self.passed).lower(),
-        ]
+        floats = map(repr, (self.lhs, self.rhs, self.slack, self.tol))
+        return [self.name, self.group, self.seed, *floats, str(self.passed).lower()]
 
 
 def _records(
@@ -255,7 +249,7 @@ def check_l2_embedding(
     if coeffs.p_E != 2.0:
         raise ValueError("the L2 embedding check rests on Plancherel and needs p_E = 2")
     seeds, contexts = _fan_out(coeffs, seed, context)
-    lhs = lebesgue_norm(synthesize(coeffs, group), group, 2.0, 2.0)
+    lhs = lebesgue_norm(node_samples(coeffs, group), group, 2.0, 2.0)
     rhs = h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     records = _records("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
@@ -282,7 +276,7 @@ def check_sup_embedding(
     verdict on the series behind C over the whole dual as ``constant_verdict``.
     """
     seeds, contexts = _fan_out(coeffs, seed, context)
-    samples = synthesize(coeffs, group)
+    samples = node_samples(coeffs, group)
     lhs = probed_sup(samples, coeffs.p_E, coeffs, group, extra_samples, probe_seed)
     estimate = embedding_constant_C(weights, s, group.window)
     rhs = estimate.value * h_s_norm(coeffs, weights, s)
@@ -305,7 +299,7 @@ def check_hausdorff_young(
         raise ValueError(f"need 1 < alpha < 2, got {alpha}")
     seeds, contexts = _fan_out(coeffs, seed, context)
     alpha_prime = alpha / (alpha - 1.0)
-    lhs = lebesgue_norm(synthesize(coeffs, group), group, coeffs.p_E, alpha_prime)
+    lhs = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, alpha_prime)
     rhs = s_p_norm(coeffs, alpha)
     tol = LEBESGUE_TOL * (1.0 + rhs)
     extra = {"alpha": alpha, "alpha_prime": alpha_prime}
@@ -326,12 +320,15 @@ def check_lq_embedding(
 ) -> list[InequalityRecord]:
     """Lebesgue embedding |f|_(L^a') <= K |f|_(H^s), plus the spectral
     chain |spectrum|_(S_a) <= K |f|_(H^s) that the proof routes through;
-    two records per function, function after function for a batch."""
+    two records per function, function after function for a batch. Each
+    record carries the verdict on the series sum d^3 (1 + w^2)^(-t) behind
+    K over the whole dual as ``constant_verdict``."""
     params = exponents(s, t)
     seeds, contexts = _fan_out(coeffs, seed, context)
     bound = lq_bound_constant(weights, t, s, group.window)
+    verdict = embedding_constant_C(weights, t, group.window).verdict
     rhs = bound * h_s_norm(coeffs, weights, s)
-    lhs_lp = lebesgue_norm(synthesize(coeffs, group), group, coeffs.p_E, params.alpha_prime)
+    lhs_lp = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, params.alpha_prime)
     lhs_chain = s_p_norm(coeffs, params.alpha)
     extra = {
         "s": s,
@@ -339,6 +336,7 @@ def check_lq_embedding(
         "alpha": params.alpha,
         "alpha_prime": params.alpha_prime,
         "constant": bound,
+        "constant_verdict": verdict,
     }
     args = (seeds, contexts, extra)
     lq_tol, chain_tol = LEBESGUE_TOL * (1.0 + rhs), QUADRATURE_TOL * (1.0 + rhs)
@@ -538,10 +536,7 @@ class VerificationReport:
         return {k: out[k] for k in sorted(out)}
 
     def counts(self) -> dict:
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.name] = out.get(r.name, 0) + 1
-        return {k: out[k] for k in sorted(out)}
+        return dict(sorted(Counter(r.name for r in self.records).items()))
 
     def summary(self) -> dict:
         return {
@@ -559,6 +554,14 @@ class VerificationReport:
             "summary": self.summary(),
             "records": [r.to_dict() for r in self.records],
         }
+
+    def to_json_text(self) -> str:
+        """``to_json_dict`` as strict JSON: metadata and summary indented by
+        two, then one record per line through the C encoder."""
+        data = self.to_json_dict()
+        records = map(json.JSONEncoder(allow_nan=False).encode, data.pop("records"))
+        head = json.dumps(data, indent=2, allow_nan=False)[:-2]  # drops the closing "\n}"
+        return head + ',\n  "records": [\n    ' + ",\n    ".join(records) + "\n  ]\n}\n"
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

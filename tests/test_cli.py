@@ -182,6 +182,37 @@ def test_constants_values_and_determinism(tmp_path):
     assert {r["name"] for r in rows} == {"embedding_constant_C", "lq_bound_constant"}
 
 
+def test_lq_bound_constant_rows_carry_the_series_verdict(tmp_path):
+    cfgpath = write_config(
+        tmp_path,
+        groups=[{"kind": "cyclic", "n": 2}, {"kind": "su2", "band": 2}],
+        st_pairs=[[1.0, 2.0], [1.0, 3.0]],
+    )
+    out = tmp_path / "o"
+    assert main(["constants", "--config", cfgpath, "--out", str(out), "--quiet"]) == 0
+    rows = json.loads((out / "constants.json").read_text())
+    verdicts = {
+        (r["group"], r["params"]["t"]): r["verdict"] for r in rows if r["name"] == "lq_bound_constant"
+    }
+    assert verdicts == {
+        ("cyclic(2)", 2.0): "summable",
+        ("cyclic(2)", 3.0): "summable",
+        ("su2(2)", 2.0): "diverging",
+        ("su2(2)", 3.0): "summable",
+    }
+
+
+def test_verify_writes_one_record_per_line(tmp_path):
+    cfgpath = write_config(tmp_path)
+    out = tmp_path / "report"
+    assert main(["verify", "--config", cfgpath, "--out", str(out), "--quiet"]) == 0
+    lines = (out / "verification_report.json").read_text().splitlines()
+    report = json.loads("\n".join(lines))
+    start = lines.index('  "records": [')
+    assert len(lines) == start + len(report["records"]) + 3
+    assert f'    "record_count": {len(report["records"])},' in lines
+
+
 def test_verify_small_config(tmp_path):
     cfgpath = write_config(tmp_path)
     out = tmp_path / "report"

@@ -84,7 +84,7 @@ def test_group_from_window(any_group):
 
 
 def test_make_group_refuses_node_matrix_beyond_physical_memory(monkeypatch):
-    def no_evaluation(self, label, elements):
+    def no_evaluation(self, label, elements, out=None):
         raise AssertionError("an irrep was evaluated before the memory check")
 
     monkeypatch.setattr(gs.GroupSpec, "irrep_matrices", no_evaluation)
@@ -338,6 +338,29 @@ def test_wigner_d1_closed_form():
             ]
         )
         assert np.abs(got[k] - expected).max() <= 1e-13
+
+
+def test_wigner_matrices_share_the_d_matrix_of_a_repeated_beta():
+    rng = np.random.default_rng(8)
+    betas = rng.uniform(0.0, math.pi, 3)
+    eulers = np.stack(
+        [rng.uniform(0.0, TWO_PI, 12), np.repeat(betas, 4), rng.uniform(0.0, 2 * TWO_PI, 12)], -1
+    )
+    for ell in (0.5, 2.0, 3.5):
+        together = gs.wigner_d_matrix(ell, eulers)
+        alone = np.concatenate([gs.wigner_d_matrix(ell, e[None]) for e in eulers])
+        assert np.abs(together - alone).max() <= 1e-14
+
+
+def test_wigner_matrices_fill_a_column_major_output(su2_2):
+    nodes = su2_2.quadrature.nodes
+    n = len(nodes)
+    out = np.empty((n, 25), dtype=complex, order="F")
+    view = out.reshape(n, 5, 5)  # a view, since out is column-major
+    assert np.shares_memory(view, out)
+    assert gs.wigner_d_matrix(2.0, nodes, out=view) is view
+    assert np.array_equal(view, gs.wigner_d_matrix(2.0, nodes))
+    assert np.array_equal(out, su2_2.node_matrix[:, su2_2.window.columns(2.0)])
 
 
 EULER_TRIPLES = st.tuples(

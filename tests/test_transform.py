@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import hashlib
 import json
 import math
 
@@ -14,7 +16,9 @@ from groupsobolev.transform import (
     coefficients_from_json,
     coefficients_to_json,
     dump_json,
+    node_samples,
 )
+from groupsobolev.sobolev import probed_sup
 from groupsobolev.verify import QUADRATURE_TOL
 
 
@@ -279,6 +283,115 @@ def test_random_band_limited_callable_amplitude(su2_2):
     assert np.abs(scaled.block(1.0)).max() == 0.0
 
 
+#: sha256 of random_band_limited(2024, group, 3, amplitude).packed.tobytes() as
+#: drawn label by label, two standard_normal calls per block. The single draw
+#: of 2 K m normals must reproduce that stream bit for bit.
+STREAM_DIGESTS = {
+    ("cyclic(12)", "gaussian"): "c15a085dbd2cd3a78d72cffcf73b779f51b00b6f913ec17fd51be031e87a4429",
+    ("cyclic(12)", "callable"): "d94ee046caa3451e9f8afd3bfe30b0907da59d5a68f7cd33ac101eab3dd43517",
+    ("cyclic(12)", "zero"): "1a0295f4bf5986c5f74eca9153a6a4cb10b073a01a76ba4a457fd862c78966a4",
+    ("circle(16)", "gaussian"): "228c2eb320ab0a7e16649f72d4f26ad559fd354bbbde2cafe6b9bd656b1e3a37",
+    ("circle(16)", "callable"): "0937326fae8442147a76a11e3a80861fe1b3762598342864a11cb7cb7487ca51",
+    ("circle(16)", "zero"): "c87499548f9efbd98c824a95a664af38f414efb1c9eede544e55e019473d6b24",
+    ("su2(2)", "gaussian"): "527265828886eb1ecaf062ee5a918a9ad54ad85ce8b84b3d43b6005c546f4177",
+    ("su2(2)", "callable"): "61eaa44b49f6ca8fdc0ea084e052086678058267ba85a5d9b81eba46f3798525",
+    ("su2(2)", "zero"): "065cc6b2b996ca729f6aa0208e13ac4b494dd0d74a4c4df6053d08b0c11da865",
+    ("su2(1.5,half)", "gaussian"): "42c689e62a03ce7389ff53ac59a28d5e2d06d9ece83835b05e0a17165709b0d5",
+    ("su2(1.5,half)", "callable"): "c82b49da7e8456c06b3f102fca9b58cf7943c49ebcf448c605f5585b1c7cb4af",
+    ("su2(1.5,half)", "zero"): "52dbd4365b026555e3382c056240376d3aa319c7e46c1aa7c38caa4883570517",
+}
+AMPLITUDES = {
+    "gaussian": "gaussian",
+    "callable": lambda label, d: 0.5 + abs(float(label)) / d,
+    "zero": "zero",
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "cyclic", "n": 12},
+        {"kind": "circle", "band": 16},
+        {"kind": "su2", "band": 2},
+        {"kind": "su2", "band": 1.5, "half_integers": True},
+    ],
+)
+@pytest.mark.parametrize("amplitude", sorted(AMPLITUDES))
+def test_random_band_limited_stream_is_pinned(spec, amplitude):
+    group = gs.make_group(spec)
+    coeffs = gs.random_band_limited(2024, group, 3, amplitude=AMPLITUDES[amplitude])
+    digest = hashlib.sha256(coeffs.packed.tobytes()).hexdigest()
+    assert digest == STREAM_DIGESTS[(group.name, amplitude)]
+
+
+def test_random_band_limited_reads_each_block_row_major_real_then_imaginary(su2_2):
+    m = 2
+    coeffs = gs.random_band_limited(9, su2_2, m)
+    normals = np.random.default_rng(9).standard_normal(2 * su2_2.window.size * m)
+    start = 0
+    for label, d in zip(su2_2.window.labels, su2_2.window.dims):
+        real, imag = normals[start : start + 2 * d * d * m].reshape(2, d, d, m)
+        assert np.array_equal(coeffs.block(label), real + 1j * imag)
+        start += 2 * d * d * m
+
+
+# ---------------------------------------------------------------------------
+# kept node samples and probes
+
+
+def test_packed_is_a_read_only_copy_of_the_callers_array(su2_2):
+    mine = gs.random_band_limited(4, su2_2, m=2).packed.copy()
+    coeffs = gs.FourierCoefficients(su2_2.window, 2, packed=mine)
+    assert not np.shares_memory(coeffs.packed, mine) and mine.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        coeffs.packed[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        coeffs.block(1.0)[0, 0] = 1.0
+
+
+def test_node_samples_are_kept_read_only_and_never_stale(any_group):
+    mine = gs.random_band_limited(5, any_group, m=3).packed.copy()
+    coeffs = gs.FourierCoefficients(any_group.window, 3, packed=mine)
+    samples = node_samples(coeffs, any_group)
+    assert not samples.flags.writeable
+    fresh = any_group.node_matrix @ (any_group.window.entry_dims[:, None] * mine)
+    assert np.array_equal(samples, fresh)
+    assert np.array_equal(samples, gs.synthesize(coeffs, any_group))
+    mine[...] = 0.0  # the caller's array is not the coefficients' own
+    again = node_samples(coeffs, any_group)
+    assert again is samples and np.array_equal(again, fresh)
+    assert gs.synthesize(coeffs, any_group).flags.writeable  # synthesize returns a new array
+
+
+def test_node_samples_are_kept_per_group(z12):
+    other = gs.make_group("cyclic", n=12)  # the same window, a different group object
+    coeffs = gs.random_band_limited(6, z12, m=2)
+    assert node_samples(coeffs, other) is not node_samples(coeffs, z12)
+    assert np.array_equal(node_samples(coeffs, other), node_samples(coeffs, z12))
+
+
+def test_probe_is_kept_per_group_seed_count_and_target_norm(su2_2):
+    coeffs = gs.random_band_limited(7, su2_2, m=3)
+    samples = np.zeros((su2_2.node_count, 3))  # so that the probe alone sets the max
+    # the same window, other probe elements
+    other = dataclasses.replace(su2_2, _sampler=lambda rng, n: su2_2.random_elements(rng, 2 * n)[n:])
+    values = set()
+    for group, seed, count, p_E in [
+        (su2_2, 1, 50, 2.0),
+        (su2_2, 2, 50, 2.0),
+        (su2_2, 1, 60, 2.0),
+        (su2_2, 1, 50, 1.0),
+        (other, 1, 50, 2.0),
+        (su2_2, (1, 2), 50, 2.0),
+    ]:
+        unkept = gs.FourierCoefficients(su2_2.window, 3, packed=coeffs.packed)
+        expected = probed_sup(samples, p_E, unkept, group, count, seed)
+        assert probed_sup(samples, p_E, coeffs, group, count, seed) == expected
+        assert probed_sup(samples, p_E, coeffs, group, count, seed) == expected
+        values.add(expected)
+    assert len(values) == 6
+
+
 # ---------------------------------------------------------------------------
 # VectorFunction plumbing
 
@@ -509,9 +622,9 @@ def test_off_node_constant_evaluates_trivial_irrep_only(su2_2, monkeypatch):
     seen = []
     original = gs.GroupSpec.irrep_matrices
 
-    def recording(self, label, elements):
+    def recording(self, label, elements, out=None):
         seen.append(label)
-        return original(self, label, elements)
+        return original(self, label, elements, out)
 
     monkeypatch.setattr(gs.GroupSpec, "irrep_matrices", recording)
     f = gs.VectorFunction.constant(su2_2, np.array([1.0, 2.0j]))

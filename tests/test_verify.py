@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupsobolev as gs
+from groupsobolev import transform
 from groupsobolev.transform import dump_json
 from groupsobolev.verify import RunConfig, _derive_seed, _sort_key, resolve_weights
 
@@ -238,6 +239,21 @@ def test_lq_embedding_single_block(z4):
     assert all(r.passed for r in records)
 
 
+def test_lq_embedding_records_carry_the_series_verdict(su2_2, circle16, z4):
+    cases = [
+        (su2_2, 1.0, 2.0, "diverging"),  # sum (2l+1)^3 (1 + l(l+1))^(-t) needs t > 2
+        (su2_2, 1.0, 3.0, "summable"),
+        (circle16, 0.5, 2.0, "summable"),
+        (z4, 1.0, 2.0, "summable"),
+    ]
+    for group, s, t, verdict in cases:
+        weights = gs.canonical_weights(group)
+        coeffs = gs.random_band_limited(1, group, m=2)
+        records = gs.check_lq_embedding(coeffs, weights, s, t, group)
+        assert gs.embedding_constant_C(weights, t, group.window).verdict == verdict
+        assert [r.context["constant_verdict"] for r in records] == [verdict, verdict]
+
+
 def test_lq_embedding_batches(su2_2, circle16):
     for group in (su2_2, circle16):
         weights = gs.canonical_weights(group)
@@ -334,6 +350,61 @@ def test_run_suite_deterministic():
     b = gs.run_suite(SMALL_CONFIG)
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
     assert a.to_csv_text() == b.to_csv_text()
+
+
+def test_default_run_synthesizes_once_per_group(monkeypatch):
+    """Every check of a group shares one synthesis at the nodes and one at
+    the probe elements; the node matrix build is the only other evaluation."""
+    off_nodes, at_nodes = [], []
+    evaluate, synthesize = gs.GroupSpec.packed_matrices, transform.synthesize
+
+    def counting_evaluation(self, elements, labels=None):
+        if elements is not self.quadrature.nodes:
+            off_nodes.append(self.name)
+        return evaluate(self, elements, labels)
+
+    def counting_synthesis(coeffs, group, elements=None):
+        if elements is None:
+            at_nodes.append(group.name)
+        return synthesize(coeffs, group, elements)
+
+    monkeypatch.setattr(gs.GroupSpec, "packed_matrices", counting_evaluation)
+    monkeypatch.setattr(transform, "synthesize", counting_synthesis)
+    report = gs.run_suite({**gs.DEFAULT_CONFIG, "batch_size": 4, "vector_checks": 0})
+    names = ["cyclic(12)", "s3", "circle(16)", "su2(2)"]
+    assert off_nodes == names and at_nodes == names
+    assert report.counts()["sup_embedding"] == 4 * 4 * len(gs.DEFAULT_CONFIG["s_values"])
+
+
+def test_report_text_has_one_record_per_line():
+    report = gs.run_suite({**SMALL_CONFIG, "batch_size": 1, "vector_checks": 60})
+    report.metadata["generated_at"] = "2026-01-01T00:00:00+00:00"
+    text = report.to_json_text()
+    assert json.loads(text) == json.loads(dump_json(report.to_json_dict()))
+    lines = text.splitlines()
+    assert f'    "record_count": {len(report.records)},' in lines
+    assert '    "generated_at": "2026-01-01T00:00:00+00:00"' in lines
+    start = lines.index('  "records": [')
+    assert lines[start + len(report.records) + 1 :] == ["  ]", "}"]
+    for line, record in zip(lines[start + 1 :], report.records):
+        assert json.loads(line.strip().rstrip(",")) == record.to_dict()
+    assert text.endswith("\n") and dump_json(report.to_json_dict()).endswith("\n")
+
+
+def test_report_text_without_records_is_json():
+    report = gs.VerificationReport([], {"package": "groupsobolev"})
+    assert json.loads(report.to_json_text()) == report.to_json_dict()
+
+
+def test_report_text_refuses_nan():
+    def report(lhs, context):
+        record = gs.InequalityRecord("x", "-", -1, lhs, 1.0, 1.0 - lhs, 1e-12, True, context)
+        return gs.VerificationReport([record], {})
+
+    assert json.loads(report(0.5, {"alpha": 1.5}).to_json_text())
+    for lhs, context in ((0.5, {"alpha": math.nan}), (math.nan, {}), (math.inf, {})):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            report(lhs, context).to_json_text()
 
 
 def test_run_suite_tamper_hook_fails():
