@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
