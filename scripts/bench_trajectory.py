@@ -1,22 +1,20 @@
 """Run the benchmark's workloads on one source tree and record their medians.
 
     python3 scripts/bench_trajectory.py --tree DIR --label NAME --out BENCH_N.json
-        [--seeds 1 2 3] [--seconds S]
 
-For each workload that ``DIR/BENCHMARK.json`` declares and each seed, runs
-the benchmark command of that file (``python3 bench/run.py``) inside DIR with
-``--workload W --seed SEED --seconds S --trace 0``, one process at a time,
-and keeps the end-to-end metrics of its result line (the last line of its
-stdout). S defaults to the file's ``run_seconds``.
+For each workload that ``DIR/BENCHMARK.json`` declares and each of the seeds
+1, 2 and 3, runs the benchmark command of that file (``python3 bench/run.py``)
+inside DIR with ``--workload W --seed SEED --seconds S --trace 0``, S being
+the file's ``run_seconds``, one process at a time, and keeps the end-to-end
+metrics of its result line (the last line of its stdout).
 
-The entry named NAME in the output file is created or replaced; entries of
-other names are kept, in order. It holds the tree's git commit (when DIR is
-a git checkout), the seeds and seconds, the ``env`` line of the first run,
-and per workload the median of each metric over the seeds beside the
-individual runs. Afterwards every median is printed with its ratio to the
-same median of each other entry, so that one file holds the before and
-after of a change. A run that fails, or reports an incorrect operation,
-stops the script with exit code 1 before anything is written.
+The entry named NAME in the output file is replaced, or appended when there
+is none, so that one file holds the before and after of a change. It holds
+the tree's git commit (when DIR is a git checkout), the seeds and seconds,
+the ``env`` line of the first run, and per workload the median of each
+metric over the seeds beside the individual runs. A run that fails, or
+reports an incorrect operation, stops the script with exit code 1 before
+anything is written.
 """
 
 from __future__ import annotations
@@ -27,6 +25,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SEEDS = (1, 2, 3)
 
 
 def run_once(tree: Path, command: list, workload: str, seed: int, seconds: float) -> tuple:
@@ -51,14 +51,14 @@ def commit_of(tree: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def measure(tree: Path, label: str, seeds: list, seconds: float | None) -> dict:
+def measure(tree: Path, label: str) -> dict:
     declared = json.loads((tree / "BENCHMARK.json").read_text())
-    seconds = declared["run_seconds"] if seconds is None else seconds
-    entry = {"label": label, "commit": commit_of(tree), "seeds": seeds, "seconds": seconds}
+    seconds = declared["run_seconds"]
+    entry = {"label": label, "commit": commit_of(tree), "seeds": list(SEEDS), "seconds": seconds}
     workloads = {}
     for workload in (w["name"] for w in declared["workloads"]):
         runs = []
-        for seed in seeds:
+        for seed in SEEDS:
             env, metrics = run_once(tree, declared["command"], workload, seed, seconds)
             entry.setdefault("env", env)
             runs.append({"seed": seed, "metrics": metrics})
@@ -70,38 +70,20 @@ def measure(tree: Path, label: str, seeds: list, seconds: float | None) -> dict:
     return entry
 
 
-def report(entries: list, label: str) -> None:
-    """Each median of ``label`` with its ratio to every other entry's."""
-    new = next(e for e in entries if e["label"] == label)
-    for workload, data in new["workloads"].items():
-        for name, value in data["median"].items():
-            ratios = [
-                f"{value / old:.3f}x {e['label']}"
-                for e in entries
-                if e is not new and (old := e["workloads"].get(workload, {}).get("median", {}).get(name))
-            ]
-            print(f"{label} {workload} {name} = {value:.6g}  " + "  ".join(ratios))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--tree", required=True, type=Path, help="source tree to benchmark")
     parser.add_argument("--label", required=True, help="name of the entry, e.g. parent or change")
     parser.add_argument("--out", required=True, type=Path, help="BENCH_*.json file to update")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds)")
     args = parser.parse_args(argv)
     try:
-        entry = measure(args.tree.resolve(), args.label, args.seeds, args.seconds)
+        entry = measure(args.tree.resolve(), args.label)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     data = json.loads(args.out.read_text()) if args.out.exists() else {"entries": []}
-    entries = [e for e in data["entries"] if e["label"] != args.label]
-    at = next((i for i, e in enumerate(data["entries"]) if e["label"] == args.label), len(entries))
-    entries.insert(at, entry)
+    entries = [e for e in data["entries"] if e["label"] != args.label] + [entry]
     args.out.write_text(json.dumps({**data, "entries": entries}, indent=2) + "\n")
-    report(entries, args.label)
     return 0
 
 

@@ -217,6 +217,15 @@ class DualWindow:
         rows = packed[..., self.columns(label), :]
         return rows.reshape(*rows.shape[:-2], d, d, -1).swapaxes(-3, -2)
 
+    @cached_property
+    def row_major_position(self) -> np.ndarray:
+        """Position of each packed row when the blocks are read one label after
+        another, each in row-major order as ``block_view(...).ravel()``; read-only."""
+        rows = np.arange(self.size)[:, None]
+        out = np.argsort(np.concatenate([self.block_view(rows, l).ravel() for l in self.labels]))
+        out.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
@@ -287,7 +296,9 @@ class GroupSpec:
         col = 0
         for label in labels:
             d = self.dim_of(label)
-            self.irrep_matrices(label, elements, out[:, col : col + d * d].reshape(n, d, d))
+            view = out[:, col : col + d * d].reshape(n, d, d)
+            if (mats := self.irrep_matrices(label, elements, view)) is not view:
+                view[...] = mats
             col += d * d
         return out
 

@@ -148,7 +148,8 @@ class FourierCoefficients:
         return float(np.abs(self.packed).max())
 
     def max_difference(self, other: "FourierCoefficients") -> float:
-        return (self - other).max_abs()
+        diff = self - other
+        return diff.max_abs()
 
 
 def zero_coefficients(group: GroupSpec, m: int, p_E: float = 2.0) -> FourierCoefficients:
@@ -310,12 +311,9 @@ def random_band_limited(
         return FourierCoefficients(window, m, p_E=p_E)
     scales = [1.0 if amplitude == "gaussian" else float(amplitude(l, d))
               for l, d in zip(window.labels, window.dims)]
-    normals = np.random.default_rng(seed).standard_normal(2 * window.size * m)
-    dims = window.entry_dims.astype(int)
-    starts = window.entry_values(window.offsets[:-1]).astype(int)
-    j, i = np.divmod(np.arange(window.size) - starts, dims)  # packed row j*d + i holds [i, j]
-    real = (2 * starts + i * dims + j)[:, None] * m + np.arange(m)
-    draw = normals[real] + 1j * normals[real + (dims * dims * m)[:, None]]
+    draws = np.random.default_rng(seed).standard_normal((2 * window.size, m))
+    real = window.row_major_position + window.entry_values(window.offsets[:-1]).astype(int)
+    draw = draws[real] + 1j * draws[real + window.entry_dims.astype(int) ** 2]
     packed = window.entry_values(scales)[:, None] * draw
     return FourierCoefficients(window, m, p_E=p_E, packed=packed)
 

@@ -22,7 +22,6 @@ import io
 import json
 import math
 import numbers
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
@@ -105,8 +104,16 @@ class InequalityRecord:
         return out
 
     def to_row(self) -> list:
-        floats = map(repr, (self.lhs, self.rhs, self.slack, self.tol))
-        return [self.name, self.group, self.seed, *floats, str(self.passed).lower()]
+        return [
+            self.name,
+            self.group,
+            self.seed,
+            repr(self.lhs),
+            repr(self.rhs),
+            repr(self.slack),
+            repr(self.tol),
+            str(self.passed).lower(),
+        ]
 
 
 def _records(
@@ -536,7 +543,10 @@ class VerificationReport:
         return {k: out[k] for k in sorted(out)}
 
     def counts(self) -> dict:
-        return dict(sorted(Counter(r.name for r in self.records).items()))
+        out: dict[str, int] = {}
+        for r in self.records:
+            out[r.name] = out.get(r.name, 0) + 1
+        return {k: out[k] for k in sorted(out)}
 
     def summary(self) -> dict:
         return {

@@ -484,6 +484,19 @@ def test_packed_matrices_follow_window_columns(any_group):
     assert np.array_equal(subset, packed[:, any_group.window.columns(last)])
 
 
+def test_packed_matrices_copy_in_what_an_evaluator_returns(any_group, monkeypatch):
+    els = any_group.random_elements(np.random.default_rng(3), 7)
+    expected = any_group.packed_matrices(els)
+    original = gs.GroupSpec.irrep_matrices
+
+    def ignores_out(self, label, elements, out=None):
+        return original(self, label, elements) + 0.0  # a fresh array, never ``out``
+
+    monkeypatch.setattr(gs.GroupSpec, "irrep_matrices", ignores_out)
+    assert np.array_equal(any_group.packed_matrices(els), expected)
+    assert np.array_equal(gs.make_group(any_group.window).node_matrix, any_group.node_matrix)
+
+
 def test_window_index_rejects_foreign_labels(su2_2):
     assert su2_2.window.index(1) == su2_2.window.index(1.0) == 1
     for label in (7.0, "x", [1.0]):
