@@ -54,6 +54,7 @@ from .sobolev import (
 from .verify import (
     DEFAULT_CONFIG,
     InequalityRecord,
+    RecordTable,
     RunConfig,
     VerificationReport,
     check_block_comparison,

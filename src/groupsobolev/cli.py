@@ -39,7 +39,7 @@ from .transform import (
     save_coefficients,
     window_from_json,
 )
-from .verify import DEFAULT_CONFIG, RunConfig, resolve_weights, run_suite
+from .verify import DEFAULT_CONFIG, ROW_KEYS, RunConfig, resolve_weights, run_suite
 
 ENV_CONFIG = "GROUPSOBOLEV_CONFIG"
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -190,16 +190,20 @@ def cmd_verify(args) -> int:
     report.metadata["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     outdir = Path(cfg.out_dir)
     if "json" in cfg.formats:
-        atomic_write_text(outdir / "verification_report.json", report.to_json_text())
+        atomic_write_text(outdir / "verification_report.json", report.json_parts())
     if "csv" in cfg.formats:
         atomic_write_text(outdir / "verification_report.csv", report.to_csv_text())
     if not cfg.quiet:
-        counts = report.counts()
-        slacks = report.min_slack()
-        fail_names = {r.name for r in report.failures()}
+        counts, slacks, tightest = report.counts(), report.min_slack(), report.tightest()
+        fail_names = set(report.failures().name_codes()[0])
         for name in sorted(counts):
             status = "FAIL" if name in fail_names else "pass"
-            print(f"{status} {name}: {counts[name]} records, min slack {slacks[name]:.3e}")
+            r = tightest[name]
+            where = " ".join(f"{k}={r.context[k]}" for k in ROW_KEYS if k in r.context)
+            print(
+                f"{status} {name}: {counts[name]} records, min slack {slacks[name]:.3e}, "
+                f"tightest group={r.group} seed={r.seed} {where}".rstrip()
+            )
         print(
             f"{'PASS' if report.all_pass else 'FAIL'}: "
             f"{len(report.records)} records, {len(report.failures())} failures"

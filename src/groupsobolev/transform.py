@@ -374,14 +374,15 @@ def dump_json(data: dict) -> str:
     return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+def atomic_write_text(path, text) -> None:
+    """Write ``text``, a str or an iterable of them, via a temp file in the
+    target directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

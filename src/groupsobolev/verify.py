@@ -2,13 +2,13 @@
 
 Each check computes one inequality instance per function and records lhs,
 rhs, slack = rhs - lhs, and a pass flag (slack >= -tol). A check takes one
-function, packed (K, m), and returns its record (or its list of records),
-or a batch, packed (B, K, m), with one seed and one context per function,
-and returns the records of all functions in one list, function after
-function; it computes its samples, probe values and constants once per
-call. ``run_suite`` draws each configured group's batch of seeded random
-band-limited functions, runs every check on it once per parameter, and
-aggregates a deterministic report.
+function, packed (K, m), and returns its record (or its RecordTable of
+records), or a batch, packed (B, K, m), with one seed and one context per
+function, and returns the records of all functions in one RecordTable,
+function after function; it computes its samples, probe values and
+constants once per call. ``run_suite`` draws each configured group's batch
+of seeded random band-limited functions, runs every check on it once per
+parameter, and aggregates a deterministic report from the checks' tables.
 
 Tolerance classes: 1e-12 (algebraic identities), 1e-9 (quantities the
 quadrature computes exactly), 1e-6 (Lebesgue norms of non-band-limited
@@ -22,7 +22,9 @@ import io
 import json
 import math
 import numbers
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property, lru_cache
 from typing import Any
 
 import numpy as np
@@ -53,6 +55,7 @@ from .transform import (
 __all__ = [
     "DEFAULT_CONFIG",
     "InequalityRecord",
+    "RecordTable",
     "RunConfig",
     "VerificationReport",
     "check_block_comparison",
@@ -74,6 +77,13 @@ CONTINUITY_TOL = 1e-10
 CSV_COLUMNS = ("name", "group", "seed", "lhs", "rhs", "slack", "tol", "pass")
 
 
+#: Context keys whose values differ from record to record within one check
+#: call; records are ordered by name, group, seed and these keys, then by the
+#: repr of their sorted context.
+ROW_KEYS = ("batch", "index", "block", "pair")
+_JSON = json.JSONEncoder(allow_nan=False).encode
+
+
 @dataclass(frozen=True)
 class InequalityRecord:
     name: str
@@ -88,65 +98,264 @@ class InequalityRecord:
     hypothesis_sensitive: bool = False
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "group": self.group,
-            "seed": self.seed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "tol": self.tol,
-            "pass": self.passed,
-            "context": self.context,
-        }
-        if self.hypothesis_sensitive:
-            out["hypothesis_sensitive"] = True
-        return out
-
-    def to_row(self) -> list:
-        return [
-            self.name,
-            self.group,
-            self.seed,
-            repr(self.lhs),
-            repr(self.rhs),
-            repr(self.slack),
-            repr(self.tol),
-            str(self.passed).lower(),
-        ]
+        out = {"name": self.name, "group": self.group, "seed": self.seed, "lhs": self.lhs,
+               "rhs": self.rhs, "slack": self.slack, "tol": self.tol, "pass": self.passed,
+               "context": self.context}
+        return {**out, "hypothesis_sensitive": True} if self.hypothesis_sensitive else out
 
 
-def _records(
-    name: str,
-    lhs,
-    rhs,
-    tol,
-    seeds: list,
-    contexts: list,
-    extra: dict | None = None,
-    *,
-    group: str = "-",
-    hypothesis_sensitive: bool = False,
-) -> list[InequalityRecord]:
-    """One record per (seed, context) pair, its context extended by ``extra``;
-    lhs, rhs and tol hold one value per pair or one for all."""
-    n = len(seeds)
-    columns = (np.broadcast_to(np.asarray(v, dtype=float), (n,)).tolist() for v in (lhs, rhs, tol))
-    return [
-        InequalityRecord(
-            name=name,
-            group=group,
-            seed=sd,
-            lhs=a,
-            rhs=b,
-            slack=b - a,
-            tol=t,
-            passed=bool(b - a >= -t),
-            context={**(ctx or {}), **(extra or {})},
-            hypothesis_sensitive=hypothesis_sensitive,
+def _texts(values, encode) -> list:
+    """Each value as text: ints through ``int.__repr__``, others through ``encode``."""
+    return list(map(int.__repr__ if set(map(type, values)) <= {int} else encode, values))
+
+
+@lru_cache(maxsize=1024)
+def _csv_fields(*values) -> str:
+    """``values`` as ``csv.writer`` writes them in one row, without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(values)
+    return buf.getvalue()[:-1]
+
+
+def _ranks(values) -> np.ndarray:
+    """Each value's place among the distinct values in ascending order."""
+    place = {v: i for i, v in enumerate(sorted(set(values)))}
+    return np.fromiter(map(place.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """Records of one check call that share name, group and context keys:
+    record i has ``floats[:, i]`` as lhs, rhs and tol, and its context maps
+    each of ``keys``, in order, to ``columns[k][i]`` where k has a column and
+    to ``shared[k]`` elsewhere."""
+
+    name: str
+    group: str
+    hypothesis_sensitive: bool
+    seeds: list
+    floats: np.ndarray
+    keys: tuple
+    shared: dict
+    columns: dict
+
+    def context(self, i: int) -> dict:
+        return {k: self.columns[k][i] if k in self.columns else self.shared[k] for k in self.keys}
+
+    def record(self, i: int) -> InequalityRecord:
+        lhs, rhs, tol = self.floats[:, i].tolist()
+        return InequalityRecord(self.name, self.group, self.seeds[i], lhs, rhs, rhs - lhs, tol,
+                                rhs - lhs >= -tol, self.context(i), self.hypothesis_sensitive)
+
+    def json_tails(self) -> list:
+        """Each record's JSON text from its context to the end, the shared
+        context items encoded once."""
+        tail = ', "hypothesis_sensitive": true}' if self.hypothesis_sensitive else "}"
+        if not self.columns:
+            return [_JSON(self.context(0)) + tail] * len(self.seeds)
+        parts, values = [], []
+        for k in self.keys:
+            if k in self.columns:
+                parts.append(_JSON({k: 0})[1:-2].replace("%", "%%") + "%s")
+                values.append(_texts(self.columns[k], _JSON))
+            else:
+                parts.append(_JSON({k: self.shared[k]})[1:-1].replace("%", "%%"))
+        template = "{" + ", ".join(parts) + "}" + tail
+        return [template % row for row in zip(*values)]
+
+    def tie_reprs(self, exact: bool) -> list:
+        """Each record's repr of its sorted context items; unless ``exact``,
+        with 0 for every ROW_KEYS value, which orders records that agree in
+        those items as their own reprs would, one repr for the whole chunk
+        when no other key has a column."""
+        one = not exact and self.columns.keys() <= set(ROW_KEYS)
+        texts = []
+        for i in range(1 if one else len(self.seeds)):
+            ctx = self.context(i)
+            ctx.update(() if exact else ((k, 0) for k in ROW_KEYS if k in ctx))
+            texts.append(repr(sorted(ctx.items(), key=lambda kv: kv[0])))
+        return texts * len(self.seeds) if one else texts
+
+
+class RecordTable(Sequence):
+    """Records held column by column: ``chunks`` as the checks built them, and
+    ``order``, the table's records as positions in the chunks' concatenation
+    (None for that concatenation as it is). Indexing and iteration build
+    each ``InequalityRecord`` when it is asked for."""
+
+    def __init__(self, chunks=(), order=None):
+        self.chunks, self.order = list(chunks), order
+        self.size = sum(len(c.seeds) for c in self.chunks)
+
+    @classmethod
+    def concat(cls, tables) -> RecordTable:
+        tables = list(tables)
+        chunks = [c for t in tables for c in t.chunks]
+        if all(t.order is None for t in tables):
+            return cls(chunks)
+        offsets = np.cumsum([0] + [t.size for t in tables])
+        return cls(chunks, np.concatenate([t.rows + o for t, o in zip(tables, offsets)]))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        j = self.rows[i]
+        c = int(self.chunk_of[j])
+        return self.chunks[c].record(int(j - self.starts[c]))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+    def take(self, positions) -> RecordTable:
+        return RecordTable(self.chunks, self.rows[positions])
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.arange(self.size) if self.order is None else self.order
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum([0] + [len(c.seeds) for c in self.chunks])
+
+    @cached_property
+    def chunk_of(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.chunks)), np.diff(self.starts))
+
+    def per_chunk(self, values) -> np.ndarray:
+        """Each record's entry of ``values``, which holds one per chunk."""
+        return np.asarray(values)[self.chunk_of][self.rows]
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        """lhs, rhs, slack and tol of all the chunks' records, shape (4, size)."""
+        lhs, rhs, tol = np.concatenate([np.empty((3, 0))] + [c.floats for c in self.chunks], axis=1)
+        return np.stack([lhs, rhs, rhs - lhs, tol])
+
+    slack = property(lambda self: self.floats[2, self.rows])
+    passed = property(lambda self: self.slack >= -self.floats[3, self.rows])
+    hypothesis_sensitive = property(
+        lambda self: self.per_chunk(np.array([c.hypothesis_sensitive for c in self.chunks], bool))
+    )
+
+    def name_codes(self) -> tuple[list, np.ndarray]:
+        """The check names in ascending order, and each record's index into them."""
+        names = sorted({c.name for c in self.chunks})
+        codes, per_record = np.unique(
+            self.per_chunk(_ranks([c.name for c in self.chunks])), return_inverse=True
         )
-        for a, b, t, sd, ctx in zip(*columns, seeds, contexts)
-    ]
+        return [names[k] for k in codes.tolist()], per_record
+
+    def tampered(self) -> RecordTable:
+        """Every rhs halved and ``"tampered": True`` in every context."""
+        chunks = [replace(c, floats=c.floats * [[1.0], [0.5], [1.0]],
+                          keys=tuple(dict.fromkeys([*c.keys, "tampered"])),
+                          shared={**c.shared, "tampered": True},
+                          columns={k: v for k, v in c.columns.items() if k != "tampered"})
+                  for c in self.chunks]
+        return RecordTable(chunks, self.order)
+
+    def ordered(self) -> RecordTable:
+        """The records sorted by name, group, seed, the ROW_KEYS values (-1 if
+        absent; the block as text, "" if absent), then the repr of the sorted
+        context; equal records keep their order."""
+        standard = True  # every ROW_KEYS value an int, the block a str
+
+        def ranks(key, default):
+            nonlocal standard
+            values = []
+            for c in self.chunks:
+                n = len(c.seeds)
+                values += c.columns[key] if key in c.columns else [c.shared.get(key, default)] * n
+            standard &= set(map(type, values)) <= {type(default)}
+            return _ranks(list(map(str, values)) if key == "block" else values)
+
+        keys = [_ranks([c.name for c in self.chunks])[self.chunk_of],
+                _ranks([c.group for c in self.chunks])[self.chunk_of],
+                _ranks([s for c in self.chunks for s in c.seeds]),
+                ranks("batch", -1), ranks("index", -1), ranks("block", ""), ranks("pair", -1)]
+        keys = np.stack(keys)[:, self.rows]
+        perm = np.lexsort(keys[::-1])
+        tied = np.r_[False, (keys[:, perm[1:]] == keys[:, perm[:-1]]).all(axis=0)]
+        tied[:-1] |= tied[1:]
+        if tied.any():  # broken by the context reprs of the chunks that hold tied records
+            chunks = np.unique(self.chunk_of[self.rows[perm[tied]]]).tolist()
+            at = np.concatenate([np.arange(self.starts[c], self.starts[c + 1]) for c in chunks])
+            ties = np.zeros(self.size, dtype=np.intp)
+            ties[at] = _ranks([t for c in chunks for t in self.chunks[c].tie_reprs(not standard)])
+            perm = np.lexsort(np.vstack([keys, ties[self.rows]])[::-1])
+        return RecordTable(self.chunks, self.rows[perm])
+
+    @cached_property
+    def float_texts(self) -> list:
+        """lhs, rhs, slack and tol of all the chunks' records as
+        ``float.__repr__`` writes them, each distinct value once, and pass as
+        "true" or "false": the texts of both report formats."""
+        bits, inverse = np.unique(self.floats.view(np.int64), return_inverse=True)
+        reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+        passed = np.array(["false", "true"], dtype=object)[(self.floats[2] >= -self.floats[3]) * 1]
+        return reprs[inverse].reshape(4, -1).tolist() + [passed.tolist()]
+
+    def json_lines(self) -> Iterator[str]:
+        """Each record, made as it is asked for, as ``json.JSONEncoder(allow_nan=False)``
+        writes its ``to_dict()``."""
+        if not np.isfinite(self.floats[:, self.rows]).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        heads, seeds, contexts, known = [], [], [], {}
+        for c in self.chunks:
+            head = known.get((c.name, c.group)) or known.setdefault(
+                (c.name, c.group), f'{{"name": {_JSON(c.name)}, "group": {_JSON(c.group)}, "seed": '
+            )
+            heads += [head] * len(c.seeds)
+            seeds += _texts(c.seeds, _JSON)
+            contexts += c.json_tails()
+        lhs, rhs, slack, tol, passed = self.float_texts
+        for j in self.rows.tolist():
+            yield (
+                f'{heads[j]}{seeds[j]}, "lhs": {lhs[j]}, "rhs": {rhs[j]}, "slack": {slack[j]}, '
+                f'"tol": {tol[j]}, "pass": {passed[j]}, "context": {contexts[j]}'
+            )
+
+    def csv_lines(self) -> list:
+        """Each record as ``csv.writer`` writes its CSV_COLUMNS fields."""
+        heads = [h for c in self.chunks for h in [_csv_fields(c.name, c.group, "")] * len(c.seeds)]
+        seeds = [s for c in self.chunks for s in _texts(c.seeds, _csv_fields)]
+        fields = zip(heads, seeds, *self.float_texts)
+        lines = [f"{h}{s},{a},{b},{d},{t},{p}" for h, s, a, b, d, t, p in fields]
+        return [lines[j] for j in self.rows.tolist()]
+
+
+def _table(
+    name: str, lhs, rhs, tol, seeds: list, contexts: list, extra: dict | None = None,
+    rows: dict | None = None, *, group: str = "-", hypothesis_sensitive: bool = False
+) -> RecordTable:
+    """The records of one check call, one per (seed, context) pair, each with
+    the context ``{**context, **extra, **row}``, its row's values taken from
+    ``rows``; lhs, rhs and tol hold one value per pair or one for all."""
+    n, extra, rows = len(seeds), extra or {}, rows or {}
+    floats = np.empty((3, n))
+    floats[0], floats[1], floats[2] = lhs, rhs, tol
+    contexts = [ctx or {} for ctx in contexts]
+    if len({tuple(ctx) for ctx in {id(ctx): ctx for ctx in contexts}.values()}) > 1:
+        return RecordTable.concat(  # contexts with different keys: one chunk per record
+            _table(name, *floats[:, i], seeds[i : i + 1], contexts[i : i + 1], extra,
+                   {k: v[i : i + 1] for k, v in rows.items()}, group=group,
+                   hypothesis_sensitive=hypothesis_sensitive)
+            for i in range(n)
+        )
+    first = contexts[0] if contexts else {}
+    own = {k: [ctx[k] for ctx in contexts] for k in first if k not in extra and k not in rows}
+    shared = {k: v[0] for k, v in own.items() if all(x is v[0] for x in v)}
+    shared |= {k: v for k, v in extra.items() if k not in rows}
+    columns = {k: v for k, v in own.items() if k not in shared}
+    columns |= {k: list(v) for k, v in rows.items()}
+    keys = tuple(dict.fromkeys([*first, *extra, *rows]))
+    chunk = _Chunk(name, group, hypothesis_sensitive, list(seeds), floats, keys, shared, columns)
+    return RecordTable([chunk])
 
 
 def _fan_out(coeffs: FourierCoefficients, seed, context) -> tuple[list, list]:
@@ -173,7 +382,7 @@ def _exponent(p: float):
 
 def check_vector_norm_comparison(
     x, p: float, q: float, *, group: str = "-", seed: int = -1, context: dict | None = None
-) -> list[InequalityRecord]:
+) -> RecordTable:
     """|x|_q <= |x|_p and |x|_p <= n^(1/p - 1/q) |x|_q for 1 <= p <= q."""
     if not (1 <= p <= q):
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
@@ -184,8 +393,11 @@ def check_vector_norm_comparison(
     factor = vec.size ** (1.0 / p - inv_q)
     tol = ALGEBRAIC_TOL * (1.0 + norm_p)
     args = ([seed], [context], {"p": p, "q": _exponent(q), "n": vec.size})
-    return _records("vector_norm_decreasing", norm_q, norm_p, tol, *args, group=group) + _records(
-        "vector_norm_dimension_bound", norm_p, factor * norm_q, tol, *args, group=group
+    return RecordTable.concat(
+        [
+            _table("vector_norm_decreasing", norm_q, norm_p, tol, *args, group=group),
+            _table("vector_norm_dimension_bound", norm_p, factor * norm_q, tol, *args, group=group),
+        ]
     )
 
 
@@ -197,7 +409,7 @@ def check_block_comparison(
     group: str = "-",
     seed: int = -1,
     context: dict | None = None,
-) -> list[InequalityRecord]:
+) -> RecordTable:
     """Per-block (sum |C|^p)^(1/p) <= (d^2)^(1/p - 1/q) (sum |C|^q)^(1/q);
     one record per block, function after function for a batch."""
     if not (1 <= p <= q):
@@ -216,9 +428,10 @@ def check_block_comparison(
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
     blocks = [label_key(label) for label in coeffs.window.labels]
     pq = {"p": p, "q": _exponent(q)}
-    contexts = [{**(ctx or {}), **pq, "block": block} for ctx in contexts for block in blocks]
+    rows = {"block": blocks * len(seeds)}
     seeds = [fseed for fseed in seeds for _ in blocks]
-    return _records("block_norm_comparison", lhs, rhs, tol, seeds, contexts, group=group)
+    contexts = [ctx for ctx in contexts for _ in blocks]
+    return _table("block_norm_comparison", lhs, rhs, tol, seeds, contexts, pq, rows, group=group)
 
 
 def check_monotone_embedding(
@@ -230,7 +443,7 @@ def check_monotone_embedding(
     group: str = "-",
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord | list[InequalityRecord]:
+) -> InequalityRecord | RecordTable:
     """Order monotonicity of the Sobolev norms: |f|_(H^s) <= |f|_(H^t)."""
     if not t > s >= 0:
         raise ValueError(f"need t > s >= 0, got s={s}, t={t}")
@@ -239,7 +452,7 @@ def check_monotone_embedding(
     rhs = h_s_norm(coeffs, weights, t)
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
     extra = {"s": s, "t": t}
-    records = _records("monotone_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group)
+    records = _table("monotone_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group)
     return records if coeffs.packed.ndim == 3 else records[0]
 
 
@@ -251,7 +464,7 @@ def check_l2_embedding(
     *,
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord | list[InequalityRecord]:
+) -> InequalityRecord | RecordTable:
     """Quadrature L2 norm of the synthesized function <= |f|_(H^s)."""
     if coeffs.p_E != 2.0:
         raise ValueError("the L2 embedding check rests on Plancherel and needs p_E = 2")
@@ -259,7 +472,7 @@ def check_l2_embedding(
     lhs = lebesgue_norm(node_samples(coeffs, group), group, 2.0, 2.0)
     rhs = h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
-    records = _records("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
+    records = _table("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
     return records if coeffs.packed.ndim == 3 else records[0]
 
 
@@ -273,7 +486,7 @@ def check_sup_embedding(
     *,
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord | list[InequalityRecord]:
+) -> InequalityRecord | RecordTable:
     """Sampled sup of |f|_E <= C * |f|_(H^s) with the window constant C.
 
     The lhs is a lower bound on the true sup, so underestimation can only
@@ -289,7 +502,7 @@ def check_sup_embedding(
     rhs = estimate.value * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     extra = {"constant_verdict": estimate.verdict, "s": s, "constant": estimate.value}
-    records = _records("sup_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
+    records = _table("sup_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
     return records if coeffs.packed.ndim == 3 else records[0]
 
 
@@ -300,7 +513,7 @@ def check_hausdorff_young(
     *,
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord | list[InequalityRecord]:
+) -> InequalityRecord | RecordTable:
     """|f|_(L^a') <= |spectrum|_(S_a) for 1 < a < 2, a' the conjugate."""
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"need 1 < alpha < 2, got {alpha}")
@@ -311,7 +524,7 @@ def check_hausdorff_young(
     tol = LEBESGUE_TOL * (1.0 + rhs)
     extra = {"alpha": alpha, "alpha_prime": alpha_prime}
     kw = {"group": group.name, "hypothesis_sensitive": coeffs.p_E != 2.0}
-    records = _records("hausdorff_young", lhs, rhs, tol, seeds, contexts, extra, **kw)
+    records = _table("hausdorff_young", lhs, rhs, tol, seeds, contexts, extra, **kw)
     return records if coeffs.packed.ndim == 3 else records[0]
 
 
@@ -324,7 +537,7 @@ def check_lq_embedding(
     *,
     seed: int = -1,
     context: dict | None = None,
-) -> list[InequalityRecord]:
+) -> RecordTable:
     """Lebesgue embedding |f|_(L^a') <= K |f|_(H^s), plus the spectral
     chain |spectrum|_(S_a) <= K |f|_(H^s) that the proof routes through;
     two records per function, function after function for a batch. Each
@@ -347,9 +560,10 @@ def check_lq_embedding(
     }
     args = (seeds, contexts, extra)
     lq_tol, chain_tol = LEBESGUE_TOL * (1.0 + rhs), QUADRATURE_TOL * (1.0 + rhs)
-    lq = _records("lq_embedding", lhs_lp, rhs, lq_tol, *args, group=group.name)
-    chain = _records("lq_embedding_chain", lhs_chain, rhs, chain_tol, *args, group=group.name)
-    return [r for pair in zip(lq, chain) for r in pair]
+    lq = _table("lq_embedding", lhs_lp, rhs, lq_tol, *args, group=group.name)
+    chain = _table("lq_embedding_chain", lhs_chain, rhs, chain_tol, *args, group=group.name)
+    n = len(seeds)
+    return RecordTable.concat([lq, chain]).take(np.arange(2 * n).reshape(2, n).T.ravel())
 
 
 def check_continuity_modulus(
@@ -359,7 +573,7 @@ def check_continuity_modulus(
     seed: int = 0,
     *,
     context: dict | None = None,
-) -> list[InequalityRecord]:
+) -> RecordTable:
     """|u_ij(x) - u_ij(a)| <= |irrep(x) - irrep(a)|_op for random pairs."""
     rng = np.random.default_rng(seed)
     xs = group.random_elements(rng, pair_budget)
@@ -367,11 +581,10 @@ def check_continuity_modulus(
     diff = group.irrep_matrices(label, xs) - group.irrep_matrices(label, ys)
     entry_max = np.abs(diff).max(axis=(1, 2))
     op_norm = np.linalg.svd(diff, compute_uv=False)[:, 0]
-    block = label_key(label)
-    contexts = [{**(context or {}), "block": block, "pair": k} for k in range(pair_budget)]
-    seeds = [seed] * pair_budget
-    return _records(
-        "continuity_modulus", entry_max, op_norm, CONTINUITY_TOL, seeds, contexts, group=group.name
+    args = ([seed] * pair_budget, [context] * pair_budget, {"block": label_key(label)})
+    rows = {"pair": range(pair_budget)}
+    return _table(
+        "continuity_modulus", entry_max, op_norm, CONTINUITY_TOL, *args, rows, group=group.name
     )
 
 
@@ -524,36 +737,54 @@ def _derive_seed(*parts: int) -> int:
 
 @dataclass
 class VerificationReport:
-    records: list
+    """A run's records, as a RecordTable (a list of InequalityRecord is
+    converted to one), and its metadata."""
+
+    records: RecordTable
     metadata: dict
+
+    def __post_init__(self):
+        if not isinstance(self.records, RecordTable):
+            self.records = RecordTable.concat(
+                _table(r.name, r.lhs, r.rhs, r.tol, [r.seed], [r.context], group=r.group,
+                       hypothesis_sensitive=r.hypothesis_sensitive)
+                for r in self.records
+            )
+
+    def _failing(self) -> np.ndarray:
+        return ~(self.records.passed | self.records.hypothesis_sensitive)
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed or r.hypothesis_sensitive for r in self.records)
+        return not self._failing().any()
 
-    def failures(self) -> list:
-        return [r for r in self.records if not r.passed and not r.hypothesis_sensitive]
+    def failures(self) -> RecordTable:
+        return self.records.take(np.flatnonzero(self._failing()))
 
     def min_slack(self) -> dict:
         """Smallest slack per check; NaN when any of its records has NaN slack."""
-        out: dict[str, float] = {}
-        for r in self.records:
-            if r.name not in out or r.slack < out[r.name] or math.isnan(r.slack):
-                out[r.name] = r.slack
-        return {k: out[k] for k in sorted(out)}
+        names, codes = self.records.name_codes()
+        return {name: float(self.records.slack[codes == k].min()) for k, name in enumerate(names)}
 
     def counts(self) -> dict:
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.name] = out.get(r.name, 0) + 1
-        return {k: out[k] for k in sorted(out)}
+        names, codes = self.records.name_codes()
+        return dict(zip(names, np.bincount(codes, minlength=len(names)).tolist()))
+
+    def tightest(self) -> dict:
+        """Per check, its record of least slack (its first NaN slack, if any)."""
+        names, codes = self.records.name_codes()
+        slack, out = self.records.slack, {}
+        for k, name in enumerate(names):
+            rows = np.flatnonzero(codes == k)
+            out[name] = self.records[int(rows[np.argmin(slack[rows])])]
+        return out
 
     def summary(self) -> dict:
         return {
             "all_pass": self.all_pass,
             "record_count": len(self.records),
-            "failure_count": len(self.failures()),
-            "hypothesis_sensitive_count": sum(1 for r in self.records if r.hypothesis_sensitive),
+            "failure_count": int(self._failing().sum()),
+            "hypothesis_sensitive_count": int(self.records.hypothesis_sensitive.sum()),
             "min_slack": self.min_slack(),
             "records_per_check": self.counts(),
         }
@@ -565,54 +796,31 @@ class VerificationReport:
             "records": [r.to_dict() for r in self.records],
         }
 
+    def json_parts(self) -> Iterator[str]:
+        """The text of ``to_json_text`` in pieces, made as they are asked for:
+        metadata and summary indented by two, then one record per line as
+        ``json.JSONEncoder`` writes it."""
+        data = {"metadata": self.metadata, "summary": self.summary()}
+        lines = self.records.json_lines()
+        # [:-2] drops the closing "\n}"
+        yield json.dumps(data, indent=2, allow_nan=False)[:-2] + ',\n  "records": [\n    '
+        yield next(lines, "")
+        yield from (",\n    " + line for line in lines)
+        yield "\n  ]\n}\n"
+
     def to_json_text(self) -> str:
-        """``to_json_dict`` as strict JSON: metadata and summary indented by
-        two, then one record per line through the C encoder."""
-        data = self.to_json_dict()
-        records = map(json.JSONEncoder(allow_nan=False).encode, data.pop("records"))
-        head = json.dumps(data, indent=2, allow_nan=False)[:-2]  # drops the closing "\n}"
-        return head + ',\n  "records": [\n    ' + ",\n    ".join(records) + "\n  ]\n}\n"
+        """``to_json_dict`` as strict JSON, laid out as ``json_parts`` says."""
+        return "".join(self.json_parts())
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in self.records:
-            writer.writerow(r.to_row())
-        return buf.getvalue()
-
-
-def _tampered(record: InequalityRecord) -> InequalityRecord:
-    rhs = record.rhs * 0.5
-    slack = rhs - record.lhs
-    return replace(
-        record,
-        rhs=rhs,
-        slack=slack,
-        passed=bool(slack >= -record.tol),
-        context={**record.context, "tampered": True},
-    )
-
-
-def _sort_key(record: InequalityRecord):
-    ctx = record.context
-    return (
-        record.name,
-        record.group,
-        record.seed,
-        ctx.get("batch", -1),
-        ctx.get("index", -1),
-        str(ctx.get("block", "")),
-        ctx.get("pair", -1),
-        repr(sorted(ctx.items(), key=lambda kv: kv[0])),
-    )
+        return "\n".join([",".join(CSV_COLUMNS)] + self.records.csv_lines()) + "\n"
 
 
 def run_suite(config) -> VerificationReport:
     """Run every check on the configured groups; deterministic in the seeds."""
     cfg = config if isinstance(config, RunConfig) else RunConfig.from_dict(dict(config))
     cfg.validate()
-    records: list[InequalityRecord] = []
+    parts: list[RecordTable] = []
 
     rng_vec = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101)))
     for idx in range(cfg.vector_checks):
@@ -620,7 +828,7 @@ def run_suite(config) -> VerificationReport:
         x = rng_vec.standard_normal(n) + 1j * rng_vec.standard_normal(n)
         p = float(1.0 + 3.0 * rng_vec.random())
         q = math.inf if rng_vec.random() < 0.1 else p + float(3.0 * rng_vec.random())
-        records += check_vector_norm_comparison(x, p, q, seed=cfg.seed, context={"index": idx})
+        parts.append(check_vector_norm_comparison(x, p, q, seed=cfg.seed, context={"index": idx}))
 
     s_sorted = sorted(cfg.s_values)
     adjacent = [(a, b) for a, b in zip(s_sorted, s_sorted[1:]) if b > a]
@@ -637,7 +845,7 @@ def run_suite(config) -> VerificationReport:
             budget = max(1, cfg.continuity_pairs // len(group.window.labels))
             for li, label in enumerate(group.window.labels):
                 label_seed = _derive_seed(cfg.seed, 11, gi, li)
-                records += check_continuity_modulus(group, label, budget, seed=label_seed)
+                parts.append(check_continuity_modulus(group, label, budget, seed=label_seed))
 
         seeds = [_derive_seed(cfg.seed, gi, b) for b in range(cfg.batch_size)]
         contexts = [{"batch": b} for b in range(cfg.batch_size)]
@@ -646,30 +854,31 @@ def run_suite(config) -> VerificationReport:
         batch = {"seed": seeds, "context": contexts}
 
         for s, t in monotone_pairs:
-            records += check_monotone_embedding(coeffs, weights, s, t, group=group.name, **batch)
+            parts.append(check_monotone_embedding(coeffs, weights, s, t, group=group.name, **batch))
         for s in cfg.s_values:
             if cfg.p_E == 2.0:
-                records += check_l2_embedding(coeffs, weights, s, group, **batch)
-            records += check_sup_embedding(
-                coeffs, weights, s, group, cfg.sup_extra_samples, probe, **batch
-            )
+                parts.append(check_l2_embedding(coeffs, weights, s, group, **batch))
+            extra = cfg.sup_extra_samples
+            parts.append(check_sup_embedding(coeffs, weights, s, group, extra, probe, **batch))
         for alpha in alphas:
-            records += check_hausdorff_young(coeffs, group, alpha, **batch)
+            parts.append(check_hausdorff_young(coeffs, group, alpha, **batch))
         for s, t in cfg.st_pairs:
-            records += check_lq_embedding(coeffs, weights, s, t, group, **batch)
+            parts.append(check_lq_embedding(coeffs, weights, s, t, group, **batch))
         if cfg.block_check_stride:
             step = slice(None, None, cfg.block_check_stride)
             strided = FourierCoefficients(
                 group.window, cfg.m, p_E=cfg.p_E, packed=coeffs.packed[step]
             )
             for p, q in pq_pairs:
-                records += check_block_comparison(
-                    strided, p, q, group=group.name, seed=seeds[step], context=contexts[step]
+                parts.append(
+                    check_block_comparison(
+                        strided, p, q, group=group.name, seed=seeds[step], context=contexts[step]
+                    )
                 )
 
+    records = RecordTable.concat(parts)
     if cfg.tamper:
-        records = [_tampered(r) for r in records]
-    records.sort(key=_sort_key)
+        records = records.tampered()
 
     metadata = {
         "package": "groupsobolev",
@@ -677,4 +886,4 @@ def run_suite(config) -> VerificationReport:
         "config": cfg.to_json_dict(),
         "tamper": cfg.tamper,
     }
-    return VerificationReport(records=records, metadata=metadata)
+    return VerificationReport(records=records.ordered(), metadata=metadata)

@@ -248,6 +248,23 @@ def test_verify_tamper_exits_nonzero(tmp_path):
     assert report["summary"]["failure_count"] >= 1
 
 
+def test_verify_names_the_tightest_record_of_each_check(tmp_path, capsys):
+    cfgpath = write_config(tmp_path)
+    out = tmp_path / "report"
+    assert main(["verify", "--config", cfgpath, "--out", str(out), "--tamper"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    report = json.loads((out / "verification_report.json").read_text())
+    assert len(report["summary"]["min_slack"]) == 10
+    for name, slack in report["summary"]["min_slack"].items():
+        line = next(l for l in lines if l.split(" ", 1)[1].startswith(f"{name}:"))
+        tightest = next(r for r in report["records"] if r["name"] == name and r["slack"] == slack)
+        ctx = tightest["context"]
+        where = [f"{k}={ctx[k]}" for k in ("batch", "index", "block", "pair") if k in ctx]
+        assert where and line.startswith("FAIL ")
+        named = [f"tightest group={tightest['group']}", f"seed={tightest['seed']}", *where]
+        assert line.endswith(" ".join(named))
+
+
 def test_verify_format_selection(tmp_path):
     cfgpath = write_config(tmp_path)
     out = tmp_path / "jsononly"

@@ -1,6 +1,9 @@
+import csv
 import importlib.util
+import io
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,14 @@ from hypothesis import strategies as st
 import groupsobolev as gs
 from groupsobolev import transform
 from groupsobolev.transform import dump_json
-from groupsobolev.verify import RunConfig, _derive_seed, _sort_key, resolve_weights
+from groupsobolev.verify import (
+    CSV_COLUMNS,
+    InequalityRecord,
+    RecordTable,
+    RunConfig,
+    _derive_seed,
+    resolve_weights,
+)
 
 SMALL_CONFIG = {
     "groups": [
@@ -28,6 +38,21 @@ SMALL_CONFIG = {
     "sup_extra_samples": 100,
     "block_check_stride": 1,
 }
+
+
+def _sort_key(record: InequalityRecord):
+    """The report order, record by record: the oracle for RecordTable.ordered."""
+    ctx = record.context
+    return (
+        record.name,
+        record.group,
+        record.seed,
+        ctx.get("batch", -1),
+        ctx.get("index", -1),
+        str(ctx.get("block", "")),
+        ctx.get("pair", -1),
+        repr(sorted(ctx.items(), key=lambda kv: kv[0])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +624,7 @@ def test_batch_gives_the_records_of_single_calls(any_group, check):
     want = []
     for coeffs, fseed, ctx in zip(singles, seeds, contexts):
         out = run(coeffs, seed=fseed, context=ctx)
-        want += out if isinstance(out, list) else [out]
+        want += [out] if isinstance(out, gs.InequalityRecord) else list(out)
     _assert_same_records(run(batch, seed=seeds, context=contexts), want)
 
 
@@ -670,3 +695,105 @@ def test_run_suite_matches_checks_called_one_function_at_a_time():
     config = {**SMALL_CONFIG, "block_check_stride": 2}
     report = gs.run_suite(config)
     _assert_same_records(report.records, _suite_one_function_at_a_time(config))
+
+
+# ---------------------------------------------------------------------------
+# the record table: order, replay, escaping
+
+
+def test_table_order_matches_the_sort_key_oracle(z4):
+    """Records of the suite, tampered and not, and of public checks whose
+    contexts have other key sets or values that tie with the suite's (the
+    same name, group, seed and batch), shuffled: ordered() sorts them as
+    sorted(..., key=_sort_key) does."""
+    report = gs.run_suite({**SMALL_CONFIG, "vector_checks": 20})
+    tampered = gs.run_suite({**SMALL_CONFIG, "vector_checks": 20, "tamper": True})
+    weights = gs.canonical_weights(z4)
+    seeds = [_derive_seed(SMALL_CONFIG["seed"], 0, b) for b in range(3)]
+    batch = gs.FourierCoefficients(
+        z4.window, 2, packed=np.stack([gs.random_band_limited(s, z4, 2).packed for s in seeds])
+    )
+    one = gs.random_band_limited(seeds[1], z4, 2)
+    contexts = [{"batch": b} for b in range(3)]
+    sup = lambda coeffs, s, **kw: gs.check_sup_embedding(coeffs, weights, s, z4, 20, **kw)
+    tables = [
+        report.records,
+        tampered.records,
+        sup(batch, 1.0, seed=seeds, context=[{"batch": b, "zz": 1} for b in range(3)]),
+        sup(batch, 1.0, seed=seeds, context=[{"batch": b, "zz": [0, 2, 0][b]} for b in range(3)]),
+        sup(batch, 0.5, seed=seeds, context=[{"a": b, "batch": b} for b in range(3)]),
+        sup(batch, 2.0, seed=seeds, context=[{"batch": 0}, {"batch": 1, "k": 2}, {"q": 1}]),
+        gs.check_hausdorff_young(batch, z4, 1.5, seed=seeds[0], context={"batch": 0}),
+        gs.check_block_comparison(batch, 1.0, 2.0, group=z4.name, seed=seeds, context=contexts),
+        gs.check_continuity_modulus(z4, 1, 3, seed=seeds[2], context={"batch": 2}),
+    ]
+    # a batch of 1.0 ties with batch 1 but has another repr: ordered by the full reprs
+    odd = gs.VerificationReport([sup(one, 1.0, seed=seeds[1], context={"batch": 1.0})], {})
+    for extra in ([], [odd.records]):
+        table = RecordTable.concat(tables + extra)
+        shuffled = table.take(np.random.default_rng(0).permutation(len(table)))
+        assert list(shuffled.ordered()) == sorted(shuffled, key=_sort_key)
+    rows = list(shuffled)
+    random.Random(1).shuffle(rows)
+    assert list(gs.VerificationReport(rows, {}).records.ordered()) == sorted(rows, key=_sort_key)
+    for run in (report, tampered):
+        assert list(run.records) == sorted(run.records, key=_sort_key)
+
+
+@pytest.mark.parametrize("check", ["monotone", "l2", "sup", "hausdorff_young", "lq", "block"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "cyclic", "n": 12},
+        {"kind": "s3"},
+        {"kind": "circle", "band": 16},
+        {"kind": "su2", "band": 2},
+    ],
+)
+def test_one_function_replays_its_batch_records_bit_for_bit(spec, check):
+    group = gs.make_group(dict(spec))
+    run = _coefficient_check(check, group)
+    singles = [gs.random_band_limited(fseed, group, m=3) for fseed in range(20)]
+    batch = gs.FourierCoefficients(group.window, 3, packed=np.stack([c.packed for c in singles]))
+    table = run(batch, seed=list(range(20)), context=[{"batch": b} for b in range(20)])
+    per = len(table) // 20
+    for b, coeffs in enumerate(singles):
+        out = run(coeffs, seed=b, context={"batch": b})
+        replayed = [out] if isinstance(out, gs.InequalityRecord) else list(out)
+        batched = table[b * per : (b + 1) * per]
+        assert [(r.lhs, r.rhs) for r in replayed] == [(r.lhs, r.rhs) for r in batched]
+
+
+def test_reports_escape_a_group_name_as_csv_and_json_do():
+    name = 'Z2, "odd" \u2202'
+    source = {
+        "name": name,
+        "order": 2,
+        "mult_table": [[0, 1], [1, 0]],
+        "irreps": [{"label": "sign", "dim": 1, "matrices": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]}],
+    }
+    config = {**SMALL_CONFIG, "groups": [{"kind": "custom", "source": source}], "vector_checks": 3}
+    report = gs.run_suite(config)
+    assert {r.group for r in report.records} == {name, "-"}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in report.records:
+        floats = [repr(v) for v in (r.lhs, r.rhs, r.slack, r.tol)]
+        writer.writerow([r.name, r.group, r.seed, *floats, str(r.passed).lower()])
+    assert report.to_csv_text() == buf.getvalue()
+    assert '"Z2, ""odd"" \u2202"' in buf.getvalue()
+    lines = report.to_json_text().splitlines()
+    start = lines.index('  "records": [')
+    got = [line.strip().rstrip(",") for line in lines[start + 1 : start + 1 + len(report.records)]]
+    assert got == [json.JSONEncoder().encode(r.to_dict()) for r in report.records]
+    assert any("\\u2202" in line for line in got)
+
+
+def test_a_seed_beyond_64_bits_reaches_the_vector_records():
+    seed = 2**70
+    config = {**SMALL_CONFIG, "groups": [], "seed": seed, "vector_checks": 5}
+    report = gs.run_suite(config)
+    assert len(report.records) == 10 and all(r.seed == seed for r in report.records)
+    assert report.to_json_text().count(f'"seed": {seed}, ') == 10
+    assert report.to_csv_text().count(f",{seed},") == 10
