@@ -24,7 +24,7 @@ import math
 import numbers
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -109,7 +109,6 @@ def _texts(values, encode) -> list:
     return list(map(int.__repr__ if set(map(type, values)) <= {int} else encode, values))
 
 
-@lru_cache(maxsize=1024)
 def _csv_fields(*values) -> str:
     """``values`` as ``csv.writer`` writes them in one row, without the line end."""
     buf = io.StringIO()
@@ -300,19 +299,20 @@ class RecordTable(Sequence):
         passed = np.array(["false", "true"], dtype=object)[(self.floats[2] >= -self.floats[3]) * 1]
         return reprs[inverse].reshape(4, -1).tolist() + [passed.tolist()]
 
+    def _heads(self, head) -> list:
+        """Each record's ``head(name, group)``, made once per distinct pair."""
+        made = {key: head(*key) for key in dict.fromkeys((c.name, c.group) for c in self.chunks)}
+        return [h for c in self.chunks for h in [made[c.name, c.group]] * len(c.seeds)]
+
     def json_lines(self) -> Iterator[str]:
         """Each record, made as it is asked for, as ``json.JSONEncoder(allow_nan=False)``
         writes its ``to_dict()``."""
         if not np.isfinite(self.floats[:, self.rows]).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        heads, seeds, contexts, known = [], [], [], {}
-        for c in self.chunks:
-            head = known.get((c.name, c.group)) or known.setdefault(
-                (c.name, c.group), f'{{"name": {_JSON(c.name)}, "group": {_JSON(c.group)}, "seed": '
-            )
-            heads += [head] * len(c.seeds)
-            seeds += _texts(c.seeds, _JSON)
-            contexts += c.json_tails()
+        head = lambda name, group: f'{{"name": {_JSON(name)}, "group": {_JSON(group)}, "seed": '
+        heads = self._heads(head)
+        seeds = [s for c in self.chunks for s in _texts(c.seeds, _JSON)]
+        contexts = [x for c in self.chunks for x in c.json_tails()]
         lhs, rhs, slack, tol, passed = self.float_texts
         for j in self.rows.tolist():
             yield (
@@ -322,7 +322,7 @@ class RecordTable(Sequence):
 
     def csv_lines(self) -> list:
         """Each record as ``csv.writer`` writes its CSV_COLUMNS fields."""
-        heads = [h for c in self.chunks for h in [_csv_fields(c.name, c.group, "")] * len(c.seeds)]
+        heads = self._heads(lambda name, group: _csv_fields(name, group, ""))
         seeds = [s for c in self.chunks for s in _texts(c.seeds, _csv_fields)]
         fields = zip(heads, seeds, *self.float_texts)
         lines = [f"{h}{s},{a},{b},{d},{t},{p}" for h, s, a, b, d, t, p in fields]
@@ -763,8 +763,7 @@ class VerificationReport:
 
     def min_slack(self) -> dict:
         """Smallest slack per check; NaN when any of its records has NaN slack."""
-        names, codes = self.records.name_codes()
-        return {name: float(self.records.slack[codes == k].min()) for k, name in enumerate(names)}
+        return {name: record.slack for name, record in self.tightest().items()}
 
     def counts(self) -> dict:
         names, codes = self.records.name_codes()
