@@ -47,23 +47,31 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 def parse_group_arg(text: str) -> dict:
     """Parse compact group specs: cyclic:12, s3, circle:16, su2:2[:half],
-    custom:<path>."""
+    custom:<path>. A part left over is refused; the numbers are read as a
+    config's would be, so ``make_group`` judges them (16.0 counts as 16)."""
     head, _, rest = text.partition(":")
-    if head == "cyclic":
-        return {"kind": "cyclic", "n": int(rest)}
-    if head == "s3":
-        return {"kind": "s3"}
-    if head == "circle":
-        return {"kind": "circle", "band": int(rest)}
-    if head == "su2":
-        parts = rest.split(":")
-        spec = {"kind": "su2", "band": float(parts[0])}
-        if len(parts) > 1 and parts[1] == "half":
-            spec["half_integers"] = True
-        return spec
     if head == "custom":
         return {"kind": "custom", "source": rest}
-    raise ValueError(f"cannot parse group spec {text!r}")
+    parts = rest.split(":") if rest else []
+    half = head == "su2" and parts[1:] == ["half"]
+    names = {"cyclic": ["n"], "s3": [], "circle": ["band"], "su2": ["band"]}.get(head)
+    if names is None or len(parts) - half != len(names):
+        raise ValueError(
+            f"cannot parse group spec {text!r}; use cyclic:N, s3, circle:BAND, "
+            "su2:BAND[:half] or custom:PATH"
+        )
+    spec = {"kind": head, **dict(zip(names, map(_number, parts)))}
+    return {**spec, "half_integers": True} if half else spec
+
+
+def _number(text: str):
+    """``text`` as an int or a float if it reads as one, else ``text``."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _slug(name: str) -> str:

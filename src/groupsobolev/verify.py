@@ -6,7 +6,8 @@ function, packed (K, m), and returns its record (or its RecordTable of
 records), or a batch, packed (B, K, m), with one seed and one context per
 function, and returns the records of all functions in one RecordTable,
 function after function; it computes its samples, probe values and
-constants once per call. ``run_suite`` draws each configured group's batch
+constants once per call. The vector check takes one vector or a list of
+them in the same way. ``run_suite`` draws each configured group's batch
 of seeded random band-limited functions, runs every check on it once per
 parameter, and aggregates a deterministic report from the checks' tables.
 
@@ -77,8 +78,7 @@ CONTINUITY_TOL = 1e-10
 CSV_COLUMNS = ("name", "group", "seed", "lhs", "rhs", "slack", "tol", "pass")
 
 
-#: Context keys whose values differ from record to record within one check
-#: call; records are ordered by name, group, seed and these keys, then by the
+#: Context keys that order records after name, group and seed, before the
 #: repr of their sorted context.
 ROW_KEYS = ("batch", "index", "block", "pair")
 _JSON = json.JSONEncoder(allow_nan=False).encode
@@ -146,54 +146,44 @@ class _Chunk:
         return InequalityRecord(self.name, self.group, self.seeds[i], lhs, rhs, rhs - lhs, tol,
                                 rhs - lhs >= -tol, self.context(i), self.hypothesis_sensitive)
 
-    def json_tails(self) -> list:
-        """Each record's JSON text from its context to the end, the shared
-        context items encoded once."""
-        tail = ', "hypothesis_sensitive": true}' if self.hypothesis_sensitive else "}"
-        if not self.columns:
-            return [_JSON(self.context(0)) + tail] * len(self.seeds)
+    def texts(self, sort: bool) -> list:
+        """Each record's context as text: with ``sort``, exactly its
+        ``repr(sorted(context.items()))``; else its JSON object and the end of
+        its JSON line. The shared items are encoded once."""
+        if sort:
+            keys, item, encode, head, end = sorted(self.keys), repr, repr, "[", "]"
+        else:
+            keys, item, encode, head = self.keys, lambda kv: _JSON(dict([kv]))[1:-1], _JSON, "{"
+            end = '}, "hypothesis_sensitive": true}' if self.hypothesis_sensitive else "}}"
         parts, values = [], []
-        for k in self.keys:
+        for k in keys:
             if k in self.columns:
-                parts.append(_JSON({k: 0})[1:-2].replace("%", "%%") + "%s")
-                values.append(_texts(self.columns[k], _JSON))
+                before, _, after = item((k, 0)).rpartition("0")
+                parts.append(before.replace("%", "%%") + "%s" + after)
+                values.append(_texts(self.columns[k], encode))
             else:
-                parts.append(_JSON({k: self.shared[k]})[1:-1].replace("%", "%%"))
-        template = "{" + ", ".join(parts) + "}" + tail
-        return [template % row for row in zip(*values)]
-
-    def tie_reprs(self, exact: bool) -> list:
-        """Each record's repr of its sorted context items; unless ``exact``,
-        with 0 for every ROW_KEYS value, which orders records that agree in
-        those items as their own reprs would, one repr for the whole chunk
-        when no other key has a column."""
-        one = not exact and self.columns.keys() <= set(ROW_KEYS)
-        texts = []
-        for i in range(1 if one else len(self.seeds)):
-            ctx = self.context(i)
-            ctx.update(() if exact else ((k, 0) for k in ROW_KEYS if k in ctx))
-            texts.append(repr(sorted(ctx.items(), key=lambda kv: kv[0])))
-        return texts * len(self.seeds) if one else texts
+                parts.append(item((k, self.shared[k])).replace("%", "%%"))
+        template = head + ", ".join(parts) + end
+        return [template % row for row in (zip(*values) if values else [()] * len(self.seeds))]
 
 
 class RecordTable(Sequence):
     """Records held column by column: ``chunks`` as the checks built them, and
-    ``order``, the table's records as positions in the chunks' concatenation
-    (None for that concatenation as it is). Indexing and iteration build
+    ``rows``, the table's records as positions in the chunks' concatenation
+    (by default that concatenation as it is). Indexing and iteration build
     each ``InequalityRecord`` when it is asked for."""
 
-    def __init__(self, chunks=(), order=None):
-        self.chunks, self.order = list(chunks), order
+    def __init__(self, chunks=(), rows=None):
+        self.chunks = list(chunks)
         self.size = sum(len(c.seeds) for c in self.chunks)
+        self.rows = np.arange(self.size) if rows is None else rows
 
     @classmethod
     def concat(cls, tables) -> RecordTable:
         tables = list(tables)
-        chunks = [c for t in tables for c in t.chunks]
-        if all(t.order is None for t in tables):
-            return cls(chunks)
         offsets = np.cumsum([0] + [t.size for t in tables])
-        return cls(chunks, np.concatenate([t.rows + o for t, o in zip(tables, offsets)]))
+        rows = [np.arange(0)] + [t.rows + o for t, o in zip(tables, offsets)]
+        return cls([c for t in tables for c in t.chunks], np.concatenate(rows))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -212,10 +202,6 @@ class RecordTable(Sequence):
 
     def take(self, positions) -> RecordTable:
         return RecordTable(self.chunks, self.rows[positions])
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        return np.arange(self.size) if self.order is None else self.order
 
     @cached_property
     def starts(self) -> np.ndarray:
@@ -256,38 +242,26 @@ class RecordTable(Sequence):
                           shared={**c.shared, "tampered": True},
                           columns={k: v for k, v in c.columns.items() if k != "tampered"})
                   for c in self.chunks]
-        return RecordTable(chunks, self.order)
+        return RecordTable(chunks, self.rows)
 
     def ordered(self) -> RecordTable:
         """The records sorted by name, group, seed, the ROW_KEYS values (-1 if
         absent; the block as text, "" if absent), then the repr of the sorted
         context; equal records keep their order."""
-        standard = True  # every ROW_KEYS value an int, the block a str
 
         def ranks(key, default):
-            nonlocal standard
             values = []
             for c in self.chunks:
                 n = len(c.seeds)
                 values += c.columns[key] if key in c.columns else [c.shared.get(key, default)] * n
-            standard &= set(map(type, values)) <= {type(default)}
             return _ranks(list(map(str, values)) if key == "block" else values)
 
         keys = [_ranks([c.name for c in self.chunks])[self.chunk_of],
                 _ranks([c.group for c in self.chunks])[self.chunk_of],
                 _ranks([s for c in self.chunks for s in c.seeds]),
-                ranks("batch", -1), ranks("index", -1), ranks("block", ""), ranks("pair", -1)]
-        keys = np.stack(keys)[:, self.rows]
-        perm = np.lexsort(keys[::-1])
-        tied = np.r_[False, (keys[:, perm[1:]] == keys[:, perm[:-1]]).all(axis=0)]
-        tied[:-1] |= tied[1:]
-        if tied.any():  # broken by the context reprs of the chunks that hold tied records
-            chunks = np.unique(self.chunk_of[self.rows[perm[tied]]]).tolist()
-            at = np.concatenate([np.arange(self.starts[c], self.starts[c + 1]) for c in chunks])
-            ties = np.zeros(self.size, dtype=np.intp)
-            ties[at] = _ranks([t for c in chunks for t in self.chunks[c].tie_reprs(not standard)])
-            perm = np.lexsort(np.vstack([keys, ties[self.rows]])[::-1])
-        return RecordTable(self.chunks, self.rows[perm])
+                ranks("batch", -1), ranks("index", -1), ranks("block", ""), ranks("pair", -1),
+                _ranks([t for c in self.chunks for t in c.texts(sort=True)])]
+        return RecordTable(self.chunks, self.rows[np.lexsort(np.stack(keys)[::-1, self.rows])])
 
     @cached_property
     def float_texts(self) -> list:
@@ -300,9 +274,8 @@ class RecordTable(Sequence):
         return reprs[inverse].reshape(4, -1).tolist() + [passed.tolist()]
 
     def _heads(self, head) -> list:
-        """Each record's ``head(name, group)``, made once per distinct pair."""
-        made = {key: head(*key) for key in dict.fromkeys((c.name, c.group) for c in self.chunks)}
-        return [h for c in self.chunks for h in [made[c.name, c.group]] * len(c.seeds)]
+        """Each record's ``head(name, group)``, made once per chunk."""
+        return [h for c in self.chunks for h in [head(c.name, c.group)] * len(c.seeds)]
 
     def json_lines(self) -> Iterator[str]:
         """Each record, made as it is asked for, as ``json.JSONEncoder(allow_nan=False)``
@@ -312,7 +285,7 @@ class RecordTable(Sequence):
         head = lambda name, group: f'{{"name": {_JSON(name)}, "group": {_JSON(group)}, "seed": '
         heads = self._heads(head)
         seeds = [s for c in self.chunks for s in _texts(c.seeds, _JSON)]
-        contexts = [x for c in self.chunks for x in c.json_tails()]
+        contexts = [x for c in self.chunks for x in c.texts(sort=False)]
         lhs, rhs, slack, tol, passed = self.float_texts
         for j in self.rows.tolist():
             yield (
@@ -358,17 +331,17 @@ def _table(
     return RecordTable([chunk])
 
 
-def _fan_out(coeffs: FourierCoefficients, seed, context) -> tuple[list, list]:
-    """Seeds and contexts, one per function: a batch takes a sequence of each
-    (a single seed or context is shared), one function a seed and a context."""
-    if coeffs.packed.ndim == 2:
-        return [seed], [context]
-    n = len(coeffs.packed)
-    seeds = [seed] * n if np.ndim(seed) == 0 else list(seed)
-    contexts = [context] * n if context is None or isinstance(context, dict) else list(context)
-    if len(seeds) != n or len(contexts) != n:
-        raise ValueError(f"a batch of {n} functions needs {n} seeds and {n} contexts")
-    return seeds, contexts
+def _fan_out(shape: tuple, **values) -> list:
+    """Each keyword's value as a list of one entry per function or vector:
+    for a batch, ``shape`` (n,), a sequence of n entries or one value that
+    all share; for one function or vector, ``shape`` (), the value itself."""
+    if not shape:
+        return [[v] for v in values.values()]
+    (n,) = shape
+    out = [[v] * n if np.ndim(v) == 0 else list(v) for v in values.values()]
+    if any(len(v) != n for v in out):
+        raise ValueError(f"a batch of {n} needs " + " and ".join(f"{n} {k}s" for k in values))
+    return out
 
 
 def _exponent(p: float):
@@ -381,24 +354,30 @@ def _exponent(p: float):
 
 
 def check_vector_norm_comparison(
-    x, p: float, q: float, *, group: str = "-", seed: int = -1, context: dict | None = None
+    x, p, q, *, group: str = "-", seed=-1, context=None
 ) -> RecordTable:
-    """|x|_q <= |x|_p and |x|_p <= n^(1/p - 1/q) |x|_q for 1 <= p <= q."""
-    if not (1 <= p <= q):
-        raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
-    vec = np.asarray(x, dtype=complex).reshape(-1)
-    norm_p = float(e_norm(vec, p))
-    norm_q = float(e_norm(vec, q))
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    factor = vec.size ** (1.0 / p - inv_q)
+    """|x|_q <= |x|_p and |x|_p <= n^(1/p - 1/q) |x|_q for 1 <= p <= q.
+
+    ``x`` is one vector, or a batch: a list of vectors of any lengths, with
+    one p, q, seed and context per vector (a single value is shared). Two
+    records per vector, vector after vector."""
+    batch = isinstance(x, list) and any(np.ndim(v) for v in x)
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in (x if batch else [x])]
+    shape = (len(vecs),) if batch else ()
+    ps, qs, seeds, contexts = _fan_out(shape, p=p, q=q, seed=seed, context=context)
+    for p, q in zip(ps, qs):
+        if not (1 <= p <= q):
+            raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
+    norm_p = np.array([float(e_norm(vec, p)) for vec, p in zip(vecs, ps)])
+    norm_q = np.array([float(e_norm(vec, q)) for vec, q in zip(vecs, qs)])
+    factor = np.array([vec.size ** (1.0 / p - 1.0 / q) for vec, p, q in zip(vecs, ps, qs)])
     tol = ALGEBRAIC_TOL * (1.0 + norm_p)
-    args = ([seed], [context], {"p": p, "q": _exponent(q), "n": vec.size})
-    return RecordTable.concat(
-        [
-            _table("vector_norm_decreasing", norm_q, norm_p, tol, *args, group=group),
-            _table("vector_norm_dimension_bound", norm_p, factor * norm_q, tol, *args, group=group),
-        ]
-    )
+    rows = {"p": ps, "q": list(map(_exponent, qs)), "n": [vec.size for vec in vecs]}
+    args = (seeds, contexts, None, rows)
+    dec = _table("vector_norm_decreasing", norm_q, norm_p, tol, *args, group=group)
+    bound = _table("vector_norm_dimension_bound", norm_p, factor * norm_q, tol, *args, group=group)
+    n = len(vecs)
+    return RecordTable.concat([dec, bound]).take(np.arange(2 * n).reshape(2, n).T.ravel())
 
 
 def check_block_comparison(
@@ -414,8 +393,7 @@ def check_block_comparison(
     one record per block, function after function for a batch."""
     if not (1 <= p <= q):
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
-    seeds, contexts = _fan_out(coeffs, seed, context)
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     starts = coeffs.window.offsets[:-1]
     entry_norms = e_norm(coeffs.packed, coeffs.p_E).reshape(len(seeds), -1)
     lhs = np.add.reduceat(entry_norms**p, starts, axis=-1).ravel() ** (1.0 / p)
@@ -423,7 +401,7 @@ def check_block_comparison(
         norm_q = np.maximum.reduceat(entry_norms, starts, axis=-1)
     else:
         norm_q = np.add.reduceat(entry_norms**q, starts, axis=-1) ** (1.0 / q)
-    factors = np.array([(d * d) ** (1.0 / p - inv_q) for d in coeffs.window.dims])
+    factors = np.array([(d * d) ** (1.0 / p - 1.0 / q) for d in coeffs.window.dims])
     rhs = (factors * norm_q).ravel()
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
     blocks = [label_key(label) for label in coeffs.window.labels]
@@ -447,7 +425,7 @@ def check_monotone_embedding(
     """Order monotonicity of the Sobolev norms: |f|_(H^s) <= |f|_(H^t)."""
     if not t > s >= 0:
         raise ValueError(f"need t > s >= 0, got s={s}, t={t}")
-    seeds, contexts = _fan_out(coeffs, seed, context)
+    seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     lhs = h_s_norm(coeffs, weights, s)
     rhs = h_s_norm(coeffs, weights, t)
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
@@ -468,7 +446,7 @@ def check_l2_embedding(
     """Quadrature L2 norm of the synthesized function <= |f|_(H^s)."""
     if coeffs.p_E != 2.0:
         raise ValueError("the L2 embedding check rests on Plancherel and needs p_E = 2")
-    seeds, contexts = _fan_out(coeffs, seed, context)
+    seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     lhs = lebesgue_norm(node_samples(coeffs, group), group, 2.0, 2.0)
     rhs = h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
@@ -495,7 +473,7 @@ def check_sup_embedding(
     same elements for every function of a batch. Each record carries the
     verdict on the series behind C over the whole dual as ``constant_verdict``.
     """
-    seeds, contexts = _fan_out(coeffs, seed, context)
+    seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     samples = node_samples(coeffs, group)
     lhs = probed_sup(samples, coeffs.p_E, coeffs, group, extra_samples, probe_seed)
     estimate = embedding_constant_C(weights, s, group.window)
@@ -517,7 +495,7 @@ def check_hausdorff_young(
     """|f|_(L^a') <= |spectrum|_(S_a) for 1 < a < 2, a' the conjugate."""
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"need 1 < alpha < 2, got {alpha}")
-    seeds, contexts = _fan_out(coeffs, seed, context)
+    seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     alpha_prime = alpha / (alpha - 1.0)
     lhs = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, alpha_prime)
     rhs = s_p_norm(coeffs, alpha)
@@ -544,7 +522,7 @@ def check_lq_embedding(
     record carries the verdict on the series sum d^3 (1 + w^2)^(-t) behind
     K over the whole dual as ``constant_verdict``."""
     params = exponents(s, t)
-    seeds, contexts = _fan_out(coeffs, seed, context)
+    seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     bound = lq_bound_constant(weights, t, s, group.window)
     verdict = embedding_constant_C(weights, t, group.window).verdict
     rhs = bound * h_s_norm(coeffs, weights, s)
@@ -822,12 +800,15 @@ def run_suite(config) -> VerificationReport:
     parts: list[RecordTable] = []
 
     rng_vec = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101)))
-    for idx in range(cfg.vector_checks):
+    vectors, ps, qs = [], [], []
+    for _ in range(cfg.vector_checks):
         n = int(rng_vec.integers(1, cfg.vector_max_dim + 1))
-        x = rng_vec.standard_normal(n) + 1j * rng_vec.standard_normal(n)
-        p = float(1.0 + 3.0 * rng_vec.random())
-        q = math.inf if rng_vec.random() < 0.1 else p + float(3.0 * rng_vec.random())
-        parts.append(check_vector_norm_comparison(x, p, q, seed=cfg.seed, context={"index": idx}))
+        vectors.append(rng_vec.standard_normal(n) + 1j * rng_vec.standard_normal(n))
+        ps.append(p := float(1.0 + 3.0 * rng_vec.random()))
+        qs.append(math.inf if rng_vec.random() < 0.1 else p + float(3.0 * rng_vec.random()))
+    if vectors:
+        contexts = [{"index": idx} for idx in range(len(vectors))]
+        parts.append(check_vector_norm_comparison(vectors, ps, qs, seed=cfg.seed, context=contexts))
 
     s_sorted = sorted(cfg.s_values)
     adjacent = [(a, b) for a, b in zip(s_sorted, s_sorted[1:]) if b > a]

@@ -38,6 +38,17 @@ def test_parse_group_arg():
     assert parse_group_arg("custom:foo.json") == {"kind": "custom", "source": "foo.json"}
     with pytest.raises(ValueError):
         parse_group_arg("so3:2")
+    # numbers read as a config's: make_group accepts 16.0 and refuses 2.7 alike
+    assert gs.make_group(parse_group_arg("circle:16.0")).name == "circle(16)"
+    assert gs.make_group(parse_group_arg("cyclic:12.0")).name == "cyclic(12)"
+    with pytest.raises(ValueError, match="'circle' group parameter 'band' needs an integer"):
+        gs.make_group(parse_group_arg("circle:2.7"))
+    with pytest.raises(ValueError, match="'cyclic' group parameter 'n' needs an integer"):
+        gs.make_group(parse_group_arg("cyclic:twelve"))
+    # a part left over, or one missing, is refused, naming the spec
+    for spec in ["s3:5", "su2:2:hal", "su2:2:half:x", "cyclic", "circle:", "circle:16:2"]:
+        with pytest.raises(ValueError, match=f"cannot parse group spec '{spec}'"):
+            parse_group_arg(spec)
 
 
 def test_spectra_constant_writes_single_block(tmp_path):
@@ -49,6 +60,20 @@ def test_spectra_constant_writes_single_block(tmp_path):
     data = json.loads((out / "spectra_cyclic_4.json").read_text())
     assert list(data["blocks"]) == ["0"]
     assert data["m"] == 3  # default config target dimension
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("su2:2:hal", "cannot parse group spec 'su2:2:hal'"),
+        ("circle:2.7", "'circle' group parameter 'band' needs an integer, got 2.7"),
+    ],
+)
+def test_spectra_refuses_a_bad_group_flag(tmp_path, capsys, spec, message):
+    argv = ["spectra", "--group", spec, "--out", str(tmp_path / "out"), "--quiet"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectra_random_is_deterministic(tmp_path):

@@ -102,6 +102,44 @@ def test_vector_norm_comparison_property(data, p, gap, use_inf):
         assert record.passed, record
 
 
+def test_a_batched_vector_call_gives_the_records_of_single_calls():
+    rng = np.random.default_rng(3)
+    vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (1, 5, 16, 3, 1)]
+    ps, qs = [1.0, 1.7, 2.0, 3.5, 2.5], [2.0, math.inf, 2.0, 6.0, math.inf]
+    nth = lambda value, i: value[i] if isinstance(value, list) else value
+    cases = [
+        (ps, qs, {"seed": [10, 11, 12, 13, 14], "context": [{"index": i} for i in range(5)]}),
+        (1.5, qs, {"seed": 7, "context": {"k": "shared"}}),  # shared p, seed and context
+        (ps, math.inf, {}),
+    ]
+    for p, q, kw in cases:
+        batch = gs.check_vector_norm_comparison(vectors, p, q, **kw)
+        singles = []
+        for i, x in enumerate(vectors):
+            one = {k: nth(v, i) for k, v in kw.items()}
+            singles += gs.check_vector_norm_comparison(x, nth(p, i), nth(q, i), **one)
+        assert [r.name for r in batch] == [r.name for r in singles]
+        assert [(r.lhs, r.rhs, r.tol, r.seed) for r in batch] == [
+            (r.lhs, r.rhs, r.tol, r.seed) for r in singles
+        ]
+        assert [list(r.context.items()) for r in batch] == [
+            list(r.context.items()) for r in singles
+        ]
+    assert [r.context["n"] for r in batch][::2] == [1, 5, 16, 3, 1]
+    # a list of numbers is one vector, not a batch
+    assert [r.context["n"] for r in gs.check_vector_norm_comparison([3.0, 4.0], 1.0, 2.0)] == [2, 2]
+
+
+def test_a_batched_vector_call_refuses_bad_lengths_and_exponents():
+    vectors = [np.ones(2), np.ones(3), np.ones(1)]
+    with pytest.raises(ValueError, match="a batch of 3 needs"):
+        gs.check_vector_norm_comparison(vectors, [1.0, 2.0], 3.0)
+    with pytest.raises(ValueError, match="a batch of 3 needs"):
+        gs.check_vector_norm_comparison(vectors, 1.0, 3.0, seed=[1, 2, 3, 4])
+    with pytest.raises(ValueError, match=r"got p=3\.0, q=2\.0$"):
+        gs.check_vector_norm_comparison(vectors, [1.0, 3.0, 0.5], [2.0, 2.0, 0.7])
+
+
 # ---------------------------------------------------------------------------
 # block comparison
 
@@ -705,7 +743,9 @@ def test_table_order_matches_the_sort_key_oracle(z4):
     """Records of the suite, tampered and not, and of public checks whose
     contexts have other key sets or values that tie with the suite's (the
     same name, group, seed and batch), shuffled: ordered() sorts them as
-    sorted(..., key=_sort_key) does."""
+    sorted(..., key=_sort_key) does. Batched vector records that tie up to
+    their p, q and n, and contexts with "%" in keys and values, included;
+    the JSON lines of them all are json.JSONEncoder's."""
     report = gs.run_suite({**SMALL_CONFIG, "vector_checks": 20})
     tampered = gs.run_suite({**SMALL_CONFIG, "vector_checks": 20, "tamper": True})
     weights = gs.canonical_weights(z4)
@@ -716,6 +756,12 @@ def test_table_order_matches_the_sort_key_oracle(z4):
     one = gs.random_band_limited(seeds[1], z4, 2)
     contexts = [{"batch": b} for b in range(3)]
     sup = lambda coeffs, s, **kw: gs.check_sup_embedding(coeffs, weights, s, z4, 20, **kw)
+    # records that tie on name, group, seed and index: the p, q and n texts order them
+    vec = lambda p, q, sizes: gs.check_vector_norm_comparison(
+        [np.arange(1.0, n + 1) for n in sizes], p, q, seed=seeds[0], context={"index": 1}
+    )
+    # "%" in a shared key and value and in a key and values that vary by record
+    percent = [{"batch": b, "%k": "5%s", "a%": f"{b}%%"} for b in range(3)]
     tables = [
         report.records,
         tampered.records,
@@ -726,6 +772,9 @@ def test_table_order_matches_the_sort_key_oracle(z4):
         gs.check_hausdorff_young(batch, z4, 1.5, seed=seeds[0], context={"batch": 0}),
         gs.check_block_comparison(batch, 1.0, 2.0, group=z4.name, seed=seeds, context=contexts),
         gs.check_continuity_modulus(z4, 1, 3, seed=seeds[2], context={"batch": 2}),
+        vec([1.5, 1.5, 2.0], [2.0, math.inf, 2.0], [9, 9, 10]),
+        vec([1.5, 1.25], [2.5, math.inf], [9, 10]),
+        sup(batch, 1.0, seed=seeds, context=percent),
     ]
     # a batch of 1.0 ties with batch 1 but has another repr: ordered by the full reprs
     odd = gs.VerificationReport([sup(one, 1.0, seed=seeds[1], context={"batch": 1.0})], {})
@@ -736,6 +785,11 @@ def test_table_order_matches_the_sort_key_oracle(z4):
     rows = list(shuffled)
     random.Random(1).shuffle(rows)
     assert list(gs.VerificationReport(rows, {}).records.ordered()) == sorted(rows, key=_sort_key)
+    report_of_all = gs.VerificationReport(shuffled.ordered(), {})
+    lines = report_of_all.to_json_text().splitlines()
+    start = lines.index('  "records": [')
+    got = [line.strip().rstrip(",") for line in lines[start + 1 : start + 1 + len(shuffled)]]
+    assert got == [json.JSONEncoder().encode(r.to_dict()) for r in report_of_all.records]
     for run in (report, tampered):
         assert list(run.records) == sorted(run.records, key=_sort_key)
 
