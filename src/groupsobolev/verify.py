@@ -1,15 +1,15 @@
 """Property-test harness for the embedding inequalities.
 
 Each check computes one inequality instance per function and records lhs,
-rhs, slack = rhs - lhs, and a pass flag (slack >= -tol). A check takes one
-function, packed (K, m), and returns its record (or its RecordTable of
-records), or a batch, packed (B, K, m), with one seed and one context per
-function, and returns the records of all functions in one RecordTable,
-function after function; it computes its samples, probe values and
-constants once per call. The vector check takes one vector or a list of
-them in the same way. ``run_suite`` draws each configured group's batch
-of seeded random band-limited functions, runs every check on it once per
-parameter, and aggregates a deterministic report from the checks' tables.
+rhs, slack = rhs - lhs, and a pass flag (slack >= -tol). A check takes a
+batch, packed (B, K, m), with one seed and one context per function, or one
+function, packed (K, m), as a batch of one. It returns the records of all
+functions in one RecordTable, function after function, and computes its
+samples, probe values and constants once per call. The vector check takes a
+list of vectors, or one vector, in the same way. ``run_suite`` draws each
+configured group's batch of seeded random band-limited functions, runs every
+check on it once per parameter, and aggregates a deterministic report from
+the checks' tables.
 
 Tolerance classes: 1e-12 (algebraic identities), 1e-9 (quantities the
 quadrature computes exactly), 1e-6 (Lebesgue norms of non-band-limited
@@ -86,6 +86,8 @@ _JSON = json.JSONEncoder(allow_nan=False).encode
 
 @dataclass(frozen=True)
 class InequalityRecord:
+    """One record, as indexing or iterating a RecordTable makes it."""
+
     name: str
     group: str
     seed: int
@@ -194,11 +196,6 @@ class RecordTable(Sequence):
         j = self.rows[i]
         c = int(self.chunk_of[j])
         return self.chunks[c].record(int(j - self.starts[c]))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-    __hash__ = None
 
     def take(self, positions) -> RecordTable:
         return RecordTable(self.chunks, self.rows[positions])
@@ -309,17 +306,13 @@ def _table(
     """The records of one check call, one per (seed, context) pair, each with
     the context ``{**context, **extra, **row}``, its row's values taken from
     ``rows``; lhs, rhs and tol hold one value per pair or one for all."""
-    n, extra, rows = len(seeds), extra or {}, rows or {}
-    floats = np.empty((3, n))
+    extra, rows = extra or {}, rows or {}
+    floats = np.empty((3, len(seeds)))
     floats[0], floats[1], floats[2] = lhs, rhs, tol
     contexts = [ctx or {} for ctx in contexts]
-    if len({tuple(ctx) for ctx in {id(ctx): ctx for ctx in contexts}.values()}) > 1:
-        return RecordTable.concat(  # contexts with different keys: one chunk per record
-            _table(name, *floats[:, i], seeds[i : i + 1], contexts[i : i + 1], extra,
-                   {k: v[i : i + 1] for k, v in rows.items()}, group=group,
-                   hypothesis_sensitive=hypothesis_sensitive)
-            for i in range(n)
-        )
+    key_sets = dict.fromkeys(tuple(ctx) for ctx in {id(ctx): ctx for ctx in contexts}.values())
+    if len(key_sets) > 1:
+        raise ValueError(f"the contexts of one check call need one key set, got {list(key_sets)}")
     first = contexts[0] if contexts else {}
     own = {k: [ctx[k] for ctx in contexts] for k in first if k not in extra and k not in rows}
     shared = {k: v[0] for k, v in own.items() if all(x is v[0] for x in v)}
@@ -334,10 +327,8 @@ def _table(
 def _fan_out(shape: tuple, **values) -> list:
     """Each keyword's value as a list of one entry per function or vector:
     for a batch, ``shape`` (n,), a sequence of n entries or one value that
-    all share; for one function or vector, ``shape`` (), the value itself."""
-    if not shape:
-        return [[v] for v in values.values()]
-    (n,) = shape
+    all share; one function or vector, ``shape`` (), is a batch of one."""
+    (n,) = shape or (1,)
     out = [[v] * n if np.ndim(v) == 0 else list(v) for v in values.values()]
     if any(len(v) != n for v in out):
         raise ValueError(f"a batch of {n} needs " + " and ".join(f"{n} {k}s" for k in values))
@@ -359,12 +350,14 @@ def check_vector_norm_comparison(
     """|x|_q <= |x|_p and |x|_p <= n^(1/p - 1/q) |x|_q for 1 <= p <= q.
 
     ``x`` is one vector, or a batch: a list of vectors of any lengths, with
-    one p, q, seed and context per vector (a single value is shared). Two
-    records per vector, vector after vector."""
-    batch = isinstance(x, list) and any(np.ndim(v) for v in x)
+    one p, q, seed and context per vector (a single value is shared); an
+    empty list is an empty batch. Two records per vector, vector after
+    vector."""
+    batch = isinstance(x, list) and (not x or any(np.ndim(v) for v in x))
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in (x if batch else [x])]
-    shape = (len(vecs),) if batch else ()
-    ps, qs, seeds, contexts = _fan_out(shape, p=p, q=q, seed=seed, context=context)
+    if any(vec.size == 0 for vec in vecs):
+        raise ValueError("a vector needs at least one entry")
+    ps, qs, seeds, contexts = _fan_out((len(vecs),), p=p, q=q, seed=seed, context=context)
     for p, q in zip(ps, qs):
         if not (1 <= p <= q):
             raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
@@ -395,7 +388,7 @@ def check_block_comparison(
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     starts = coeffs.window.offsets[:-1]
-    entry_norms = e_norm(coeffs.packed, coeffs.p_E).reshape(len(seeds), -1)
+    entry_norms = e_norm(coeffs.packed, coeffs.p_E).reshape(len(seeds), coeffs.window.size)
     lhs = np.add.reduceat(entry_norms**p, starts, axis=-1).ravel() ** (1.0 / p)
     if math.isinf(q):
         norm_q = np.maximum.reduceat(entry_norms, starts, axis=-1)
@@ -421,7 +414,7 @@ def check_monotone_embedding(
     group: str = "-",
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord | RecordTable:
+) -> RecordTable:
     """Order monotonicity of the Sobolev norms: |f|_(H^s) <= |f|_(H^t)."""
     if not t > s >= 0:
         raise ValueError(f"need t > s >= 0, got s={s}, t={t}")
@@ -430,8 +423,7 @@ def check_monotone_embedding(
     rhs = h_s_norm(coeffs, weights, t)
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
     extra = {"s": s, "t": t}
-    records = _table("monotone_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group)
-    return records if coeffs.packed.ndim == 3 else records[0]
+    return _table("monotone_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group)
 
 
 def check_l2_embedding(
@@ -442,7 +434,7 @@ def check_l2_embedding(
     *,
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord | RecordTable:
+) -> RecordTable:
     """Quadrature L2 norm of the synthesized function <= |f|_(H^s)."""
     if coeffs.p_E != 2.0:
         raise ValueError("the L2 embedding check rests on Plancherel and needs p_E = 2")
@@ -450,8 +442,7 @@ def check_l2_embedding(
     lhs = lebesgue_norm(node_samples(coeffs, group), group, 2.0, 2.0)
     rhs = h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
-    records = _table("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
-    return records if coeffs.packed.ndim == 3 else records[0]
+    return _table("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
 
 
 def check_sup_embedding(
@@ -464,7 +455,7 @@ def check_sup_embedding(
     *,
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord | RecordTable:
+) -> RecordTable:
     """Sampled sup of |f|_E <= C * |f|_(H^s) with the window constant C.
 
     The lhs is a lower bound on the true sup, so underestimation can only
@@ -480,8 +471,7 @@ def check_sup_embedding(
     rhs = estimate.value * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     extra = {"constant_verdict": estimate.verdict, "s": s, "constant": estimate.value}
-    records = _table("sup_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
-    return records if coeffs.packed.ndim == 3 else records[0]
+    return _table("sup_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
 
 
 def check_hausdorff_young(
@@ -491,7 +481,7 @@ def check_hausdorff_young(
     *,
     seed: int = -1,
     context: dict | None = None,
-) -> InequalityRecord | RecordTable:
+) -> RecordTable:
     """|f|_(L^a') <= |spectrum|_(S_a) for 1 < a < 2, a' the conjugate."""
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"need 1 < alpha < 2, got {alpha}")
@@ -502,8 +492,7 @@ def check_hausdorff_young(
     tol = LEBESGUE_TOL * (1.0 + rhs)
     extra = {"alpha": alpha, "alpha_prime": alpha_prime}
     kw = {"group": group.name, "hypothesis_sensitive": coeffs.p_E != 2.0}
-    records = _table("hausdorff_young", lhs, rhs, tol, seeds, contexts, extra, **kw)
-    return records if coeffs.packed.ndim == 3 else records[0]
+    return _table("hausdorff_young", lhs, rhs, tol, seeds, contexts, extra, **kw)
 
 
 def check_lq_embedding(
@@ -715,19 +704,10 @@ def _derive_seed(*parts: int) -> int:
 
 @dataclass
 class VerificationReport:
-    """A run's records, as a RecordTable (a list of InequalityRecord is
-    converted to one), and its metadata."""
+    """A run's records, as a RecordTable, and its metadata."""
 
     records: RecordTable
     metadata: dict
-
-    def __post_init__(self):
-        if not isinstance(self.records, RecordTable):
-            self.records = RecordTable.concat(
-                _table(r.name, r.lhs, r.rhs, r.tol, [r.seed], [r.context], group=r.group,
-                       hypothesis_sensitive=r.hypothesis_sensitive)
-                for r in self.records
-            )
 
     def _failing(self) -> np.ndarray:
         return ~(self.records.passed | self.records.hypothesis_sensitive)
@@ -806,9 +786,8 @@ def run_suite(config) -> VerificationReport:
         vectors.append(rng_vec.standard_normal(n) + 1j * rng_vec.standard_normal(n))
         ps.append(p := float(1.0 + 3.0 * rng_vec.random()))
         qs.append(math.inf if rng_vec.random() < 0.1 else p + float(3.0 * rng_vec.random()))
-    if vectors:
-        contexts = [{"index": idx} for idx in range(len(vectors))]
-        parts.append(check_vector_norm_comparison(vectors, ps, qs, seed=cfg.seed, context=contexts))
+    contexts = [{"index": idx} for idx in range(len(vectors))]
+    parts.append(check_vector_norm_comparison(vectors, ps, qs, seed=cfg.seed, context=contexts))
 
     s_sorted = sorted(cfg.s_values)
     adjacent = [(a, b) for a, b in zip(s_sorted, s_sorted[1:]) if b > a]
