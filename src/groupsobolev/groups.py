@@ -29,7 +29,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from pathlib import Path
@@ -54,9 +54,9 @@ __all__ = [
 ORTHOGONALITY_TOL = 1e-9
 
 #: Largest SU(2) spin accepted. Accuracy does not set it: the d-matrices are
-#: unitary to about 1e-14 at and well past it. Memory does: an SU(2) window
-#: of band 25 already needs a node matrix of about 199 GB. A transform that
-#: builds no node matrix would let the limit rise.
+#: unitary to about 1e-14 at and well past it. The self-test's memory does: it
+#: builds the node matrix, about 199 GB for an SU(2) window of band 25. The
+#: transforms build none, so a self-test that builds none would let it rise.
 SU2_MAX_SPIN = 25.0
 
 TWO_PI = 2.0 * math.pi
@@ -249,11 +249,13 @@ class QuadratureRule:
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """A compact group: its window, a Haar quadrature rule and one evaluator.
+    """A compact group: its window, a Haar quadrature rule, one evaluator and
+    one pair of node transforms.
 
     ``_matrices(label, elements, out)`` gives one window irrep's matrices at
-    a batch of elements, shape (n, d, d), in ``out`` unless that is None. The
-    node matrix is built from it at construction, once it is known to fit in memory.
+    a batch of elements, shape (n, d, d), in ``out`` unless that is None.
+    ``_transforms`` is the (analysis, synthesis) pair of the group's kind; the
+    default is the node matrix, built from the evaluator on first use.
     """
 
     kind: str
@@ -265,14 +267,27 @@ class GroupSpec:
     _matrices: Callable[[Any, np.ndarray], np.ndarray]
     _multiply: Callable[[Any, Any], Any]
     _sampler: Callable[[np.random.Generator, int], np.ndarray]
-    #: all window coefficients at the nodes, (nodes, K) in packed order, read-only
-    node_matrix: np.ndarray = field(init=False)
+    _transforms: tuple[Callable, Callable] | None = None
 
     def __post_init__(self):
         _check_node_matrix_fits(self.name, self.node_count, self.window.size)
+
+    @cached_property
+    def node_matrix(self) -> np.ndarray:
+        """All window coefficients at the nodes, (nodes, K) in packed order, read-only."""
         matrix = self.packed_matrices(self.quadrature.nodes)
         matrix.flags.writeable = False
-        object.__setattr__(self, "node_matrix", matrix)
+        return matrix
+
+    def analysis(self, samples) -> np.ndarray:
+        """quad(conj(u_c) * f) per packed column c: samples (..., nodes, m) to rows (..., K, m)."""
+        if self._transforms:
+            return self._transforms[0](samples)
+        return np.conj(self.node_matrix.T @ np.conj(self.quadrature.weights[:, None] * samples))
+
+    def synthesis(self, packed) -> np.ndarray:
+        """sum_c u_c * P[c] at every node: packed rows P (..., K, m) to values (..., nodes, m)."""
+        return self._transforms[1](packed) if self._transforms else self.node_matrix @ packed
 
     def irrep_matrices(self, label, elements, out=None) -> np.ndarray:
         """Matrices of the window irrep ``label`` at a batch of elements,
@@ -347,6 +362,7 @@ def _finite_group(
     irrep_tables: dict,
     band: float | int,
     trivial_label,
+    transforms: tuple[Callable, Callable] | None = None,
 ) -> GroupSpec:
     order = mult_table.shape[0]
     nodes = np.arange(order)
@@ -390,7 +406,22 @@ def _finite_group(
         _matrices=matrices,
         _multiply=multiply,
         _sampler=sampler,
+        _transforms=transforms,
     )
+
+
+def _fft_pair(freqs, n: int) -> tuple[Callable, Callable]:
+    """Node transforms of the characters x -> exp(2 pi i k x / n) at n equally
+    weighted nodes (Z_n, or the circle at 2 pi x / n): one FFT along the node
+    axis, frequency k at index k mod n."""
+    rows = np.mod(freqs, n)
+
+    def synthesis(packed):
+        full = np.zeros((*packed.shape[:-2], n, packed.shape[-1]), dtype=complex)
+        full[..., rows, :] = packed
+        return np.fft.ifft(full, axis=-2, norm="forward")
+
+    return lambda samples: np.fft.fft(samples, axis=-2, norm="forward")[..., rows, :], synthesis
 
 
 def _make_cyclic(n: int) -> GroupSpec:
@@ -402,7 +433,7 @@ def _make_cyclic(n: int) -> GroupSpec:
     for k in range(n):
         chars = np.exp(2j * math.pi * k * x / n)
         irrep_tables[k] = chars.reshape(n, 1, 1)
-    return _finite_group("cyclic", f"cyclic({n})", table, irrep_tables, band=n - 1, trivial_label=0)
+    return _finite_group("cyclic", f"cyclic({n})", table, irrep_tables, n - 1, 0, _fft_pair(x, n))
 
 
 def _perm_sign(p: tuple) -> int:
@@ -475,6 +506,7 @@ def _make_circle(band: int) -> GroupSpec:
         _matrices=matrices,
         _multiply=lambda x, y: (float(x) + float(y)) % TWO_PI,
         _sampler=lambda rng, count: rng.uniform(0.0, TWO_PI, size=count),
+        _transforms=_fft_pair(window.labels, npts),
     )
 
 
@@ -537,7 +569,44 @@ def _make_su2(band: float, half_integers: bool = False) -> GroupSpec:
         _matrices=wigner_d_matrix,
         _multiply=multiply,
         _sampler=sampler,
+        _transforms=_su2_pair(window, step, alphas, betas, wbeta, gammas),
     )
+
+
+def _su2_pair(window, step, alphas, betas, wbeta, gammas) -> tuple[Callable, Callable]:
+    """Node transforms separable on the Euler grid (Kostelec & Rockmore, "FFTs on
+    the rotation group", J. Fourier Anal. Appl. 14, 2008): D(a, b, c)[m', m] is
+    exp(-i m' a) d(b)[m', m] exp(-i m c), so alpha and gamma are products with
+    exponentials over the window's distinct m, each spin taking every (1/step)-th
+    m, and beta is one einsum per spin against the d-matrices at the Gauss nodes."""
+    ms = window.band - step * np.arange(round(2 * window.band / step) + 1)
+    e_alpha, e_gamma = np.exp(-1j * np.outer(alphas, ms)), np.exp(-1j * np.outer(gammas, ms))
+    w_beta = wbeta / (len(alphas) * len(gammas))  # the quadrature weight of a node
+    shape, spins = (len(alphas), len(betas), len(gammas)), []
+    for ell, d in zip(window.labels, window.dims):
+        start = round((window.band - ell) / step)
+        m_rows = slice(start, len(ms) - start, round(1 / step))
+        spins.append((window.columns(ell), d, m_rows, _little_d_matrix(ell, betas)))
+
+    def analysis(samples):
+        *lead, _, m = samples.shape
+        f = samples.reshape(-1, *shape, m)  # (L, a, b, c, e), e the vector axis
+        h = np.tensordot(e_alpha.conj(), np.tensordot(f, e_gamma.conj(), axes=(3, 0)), axes=(0, 1))
+        h = h.transpose(1, 2, 0, 4, 3)  # (L, b, m', m, e)
+        blocks = [np.einsum("b,bij,Lbije->Lije", w_beta, d_b, h[:, :, r, r]).reshape(len(h), d * d, m)
+                  for _, d, r, d_b in spins]
+        return np.concatenate(blocks, axis=1).reshape(*lead, window.size, m)
+
+    def synthesis(packed):
+        *lead, _, m = packed.shape
+        p = packed.reshape(-1, window.size, m)
+        g = np.zeros((len(p), len(betas), len(ms), len(ms), m), dtype=complex)  # (L, b, m', m, e)
+        for cols, d, r, d_b in spins:
+            g[:, :, r, r] += np.einsum("bij,Lije->Lbije", d_b, p[:, cols].reshape(len(p), d, d, m))
+        f = np.tensordot(e_alpha, np.tensordot(g, e_gamma, axes=(3, 1)), axes=(1, 2))  # (a, L, b, e, c)
+        return f.transpose(1, 0, 2, 4, 3).reshape(*lead, math.prod(shape), m)
+
+    return analysis, synthesis
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ array (K = sum of d^2) whose rows follow the columns of the group's
 
 is a finite sum over the window, so band-limited functions round-trip to
 quadrature precision and the p = 2 spectral norm matches the quadrature
-L2 norm (Plancherel). The transform and synthesis are one matmul each
-against the node matrix, and the spectral norms one weighted reduction.
+L2 norm (Plancherel). The transform and synthesis at the nodes are the
+group's own pair of node transforms (an FFT on the circle and Z_n, a
+separable Euler-grid transform on SU(2), the node matrix otherwise), and
+the spectral norms one weighted reduction.
 """
 
 from __future__ import annotations
@@ -226,15 +228,16 @@ def synthesize(coeffs: FourierCoefficients, group: GroupSpec, elements=None) -> 
     """Evaluate the reconstruction series; returns (n, m) values, (B, n, m)
     for a batch.
 
-    Evaluates at the quadrature nodes by default, at ``elements``
-    otherwise (only the irreps whose blocks are nonzero).
+    Evaluates at the quadrature nodes by default, through the group's node
+    synthesis, at ``elements`` otherwise (only the irreps whose blocks are
+    nonzero).
     """
     window = group.window
     if coeffs.window != window:
         raise ValueError("coefficient window does not match the group")
     weighted = window.entry_dims[:, None] * coeffs.packed
     if elements is None:
-        return group.node_matrix @ weighted
+        return group.synthesis(weighted)
     live = [l for l in window.labels if coeffs.packed[..., window.columns(l), :].any()]
     live = live or [window.trivial]
     rows = np.r_[tuple(window.columns(l) for l in live)]
@@ -248,10 +251,9 @@ def node_samples(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:
 
 
 def forward_transform(f: VectorFunction, group: GroupSpec) -> FourierCoefficients:
-    """Coefficients of ``f`` via quadrature against conj(u_ij), as one matmul."""
-    samples = f.sample(group)
-    packed = group.node_matrix.T @ np.conj(group.quadrature.weights[:, None] * samples)
-    np.conjugate(packed, out=packed)
+    """Coefficients of ``f`` via quadrature against conj(u_ij), through the
+    group's node analysis."""
+    packed = group.analysis(f.sample(group))
     return FourierCoefficients(group.window, f.m, p_E=f.p_E, packed=packed)
 
 

@@ -354,12 +354,13 @@ def test_node_samples_are_kept_read_only_and_never_stale(any_group):
     coeffs = gs.FourierCoefficients(any_group.window, 3, packed=mine)
     samples = node_samples(coeffs, any_group)
     assert not samples.flags.writeable
-    fresh = any_group.node_matrix @ (any_group.window.entry_dims[:, None] * mine)
-    assert np.array_equal(samples, fresh)
-    assert np.array_equal(samples, gs.synthesize(coeffs, any_group))
+    fresh = _synthesize_by_label(coeffs, any_group)
+    assert np.abs(samples - fresh).max() <= 1e-12 * (1.0 + float(np.abs(fresh).max()))
+    direct = gs.synthesize(coeffs, any_group)
+    assert np.array_equal(samples, direct)
     mine[...] = 0.0  # the caller's array is not the coefficients' own
     again = node_samples(coeffs, any_group)
-    assert again is samples and np.array_equal(again, fresh)
+    assert again is samples and np.array_equal(again, direct)
     assert gs.synthesize(coeffs, any_group).flags.writeable  # synthesize returns a new array
 
 
@@ -672,15 +673,15 @@ def test_dump_json_rejects_non_finite():
 def _forward_by_label(samples, group):
     w = group.quadrature.weights
     return {
-        label: np.einsum("k,kji,km->ijm", w, group.node_stack(label).conj(), samples)
+        label: np.einsum("k,kji,...km->...ijm", w, group.node_stack(label).conj(), samples, optimize=True)
         for label in group.window.labels
     }
 
 
 def _synthesize_by_label(coeffs, group):
-    out = np.zeros((group.node_count, coeffs.m), dtype=complex)
+    out = np.zeros((*coeffs.packed.shape[:-2], group.node_count, coeffs.m), dtype=complex)
     for label, d in zip(group.window.labels, group.window.dims):
-        out += d * np.einsum("ijm,kji->km", coeffs.block(label), group.node_stack(label))
+        out += d * np.einsum("...ijm,kji->...km", coeffs.block(label), group.node_stack(label), optimize=True)
     return out
 
 
@@ -691,9 +692,29 @@ def _s_p_by_label(coeffs, p, level=lambda label: 1.0):
     ) ** (1.0 / p)
 
 
-@pytest.mark.parametrize("name", LAYOUT_KINDS)
+#: Groups beyond the layout fixtures whose node transforms are checked against
+#: the per-label loops: FFT edge cases and the separable SU(2) path.
+ORACLE_SPECS = (
+    {"kind": "circle", "band": 0},
+    {"kind": "circle", "band": 1},
+    {"kind": "circle", "band": 64},
+    {"kind": "cyclic", "n": 1},
+    {"kind": "cyclic", "n": 2},
+    {"kind": "su2", "band": 0},
+    {"kind": "su2", "band": 6},
+    {"kind": "su2", "band": 8},
+    {"kind": "su2", "band": 0.5, "half_integers": True},
+    {"kind": "su2", "band": 2.5, "half_integers": True},
+)
+
+
+def _spec_id(spec):
+    return "-".join(map(str, spec.values())) if isinstance(spec, dict) else spec
+
+
+@pytest.mark.parametrize("name", [*LAYOUT_KINDS, *ORACLE_SPECS], ids=_spec_id)
 def test_packed_paths_match_per_label_loops(name, request):
-    group = request.getfixturevalue(name)
+    group = request.getfixturevalue(name) if isinstance(name, str) else gs.make_group(name)
     coeffs = gs.random_band_limited(12, group, m=3, p_E=3.0)
     samples = _synthesize_by_label(coeffs, group)
     scale = 1.0 + float(np.abs(samples).max())
@@ -701,6 +722,16 @@ def test_packed_paths_match_per_label_loops(name, request):
     packed = gs.forward_transform(gs.VectorFunction.from_samples(samples), group)
     for label, block in _forward_by_label(samples, group).items():
         assert np.abs(packed.block(label) - block).max() <= 1e-12 * scale
+    # a (B, N, m) batch, through both node transforms of the group
+    singles = [gs.random_band_limited(seed, group, m=3) for seed in (1, 2)]
+    batch = gs.FourierCoefficients(group.window, 3, packed=np.stack([c.packed for c in singles]))
+    samples = _synthesize_by_label(batch, group)
+    scale = 1.0 + float(np.abs(samples).max())
+    assert np.abs(gs.synthesize(batch, group) - samples).max() <= 1e-12 * scale
+    packed = group.analysis(samples)
+    assert packed.shape == (2, group.window.size, 3)
+    for label, block in _forward_by_label(samples, group).items():
+        assert np.abs(group.window.block_view(packed, label) - block).max() <= 1e-12 * scale
     weights = gs.canonical_weights(group)
     for p in (1.0, 1.5, 2.0, 4.0):
         ref = _s_p_by_label(coeffs, p)
@@ -708,3 +739,16 @@ def test_packed_paths_match_per_label_loops(name, request):
     for s in (0.5, 2.0):
         ref = _s_p_by_label(coeffs, 2.0, lambda label: (1.0 + weights.value(label) ** 2) ** s)
         assert abs(gs.h_s_norm(coeffs, weights, s) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("spec", [{"kind": "circle", "band": 4096}, {"kind": "su2", "band": 12}], ids=_spec_id)
+def test_large_groups_round_trip_at_1e_12_without_a_node_matrix(spec):
+    # dense, these would need node matrices of 2.1 GB and 2.9 GB
+    group = gs.make_group(spec)
+    coeffs = gs.random_band_limited(1, group, m=2)
+    samples = gs.synthesize(coeffs, group)
+    back = gs.forward_transform(gs.VectorFunction.from_samples(samples), group)
+    assert coeffs.max_difference(back) <= 1e-12 * (1.0 + coeffs.max_abs())
+    resampled = gs.synthesize(back, group)
+    assert np.abs(resampled - samples).max() <= 1e-12 * (1.0 + float(np.abs(samples).max()))
+    assert "node_matrix" not in vars(group)
