@@ -673,7 +673,9 @@ def test_dump_json_rejects_non_finite():
 def _forward_by_label(samples, group):
     w = group.quadrature.weights
     return {
-        label: np.einsum("k,kji,...km->...ijm", w, group.node_stack(label).conj(), samples, optimize=True)
+        label: np.einsum(
+            "k,kji,...km->...ijm", w, group.node_stack(label).conj(), samples, optimize=True
+        )
         for label in group.window.labels
     }
 
@@ -681,7 +683,8 @@ def _forward_by_label(samples, group):
 def _synthesize_by_label(coeffs, group):
     out = np.zeros((*coeffs.packed.shape[:-2], group.node_count, coeffs.m), dtype=complex)
     for label, d in zip(group.window.labels, group.window.dims):
-        out += d * np.einsum("...ijm,kji->...km", coeffs.block(label), group.node_stack(label), optimize=True)
+        stack = group.node_stack(label)
+        out += d * np.einsum("...ijm,kji->...km", coeffs.block(label), stack, optimize=True)
     return out
 
 
@@ -741,7 +744,9 @@ def test_packed_paths_match_per_label_loops(name, request):
         assert abs(gs.h_s_norm(coeffs, weights, s) - ref) <= 1e-12 * ref
 
 
-@pytest.mark.parametrize("spec", [{"kind": "circle", "band": 4096}, {"kind": "su2", "band": 12}], ids=_spec_id)
+@pytest.mark.parametrize(
+    "spec", [{"kind": "circle", "band": 4096}, {"kind": "su2", "band": 12}], ids=_spec_id
+)
 def test_large_groups_round_trip_at_1e_12_without_a_node_matrix(spec):
     # dense, these would need node matrices of 2.1 GB and 2.9 GB
     group = gs.make_group(spec)
