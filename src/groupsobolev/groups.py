@@ -249,13 +249,12 @@ class QuadratureRule:
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """A compact group: its window, a Haar quadrature rule, one evaluator and
-    one pair of node transforms.
+    """A compact group: its window, a Haar quadrature rule and one evaluator.
 
     ``_matrices(label, elements, out)`` gives one window irrep's matrices at
-    a batch of elements, shape (n, d, d), in ``out`` unless that is None.
-    ``_transforms`` is the (analysis, synthesis) pair of the group's kind; the
-    default is the node matrix, built from the evaluator on first use.
+    a batch of elements, shape (n, d, d), in ``out`` unless that is None. The
+    node transforms ``analysis`` and ``synthesis`` take samples (..., nodes, m) to
+    packed rows (..., K, m), quad(conj(u_c) * f), and rows P back to sum_c u_c * P[c].
     """
 
     kind: str
@@ -267,7 +266,8 @@ class GroupSpec:
     _matrices: Callable[[Any, np.ndarray], np.ndarray]
     _multiply: Callable[[Any, Any], Any]
     _sampler: Callable[[np.random.Generator, int], np.ndarray]
-    _transforms: tuple[Callable, Callable] | None = None
+    analysis: Callable[[np.ndarray], np.ndarray]
+    synthesis: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         _check_node_matrix_fits(self.name, self.node_count, self.window.size)
@@ -275,19 +275,9 @@ class GroupSpec:
     @cached_property
     def node_matrix(self) -> np.ndarray:
         """All window coefficients at the nodes, (nodes, K) in packed order, read-only."""
-        matrix = self.packed_matrices(self.quadrature.nodes)
+        matrix = self._packed(self.quadrature.nodes, self.window.labels, self._matrices)
         matrix.flags.writeable = False
         return matrix
-
-    def analysis(self, samples) -> np.ndarray:
-        """quad(conj(u_c) * f) per packed column c: samples (..., nodes, m) to rows (..., K, m)."""
-        if self._transforms:
-            return self._transforms[0](samples)
-        return np.conj(self.node_matrix.T @ np.conj(self.quadrature.weights[:, None] * samples))
-
-    def synthesis(self, packed) -> np.ndarray:
-        """sum_c u_c * P[c] at every node: packed rows P (..., K, m) to values (..., nodes, m)."""
-        return self._transforms[1](packed) if self._transforms else self.node_matrix @ packed
 
     def irrep_matrices(self, label, elements, out=None) -> np.ndarray:
         """Matrices of the window irrep ``label`` at a batch of elements,
@@ -306,13 +296,16 @@ class GroupSpec:
         packed column order, shape (n, sum d^2); column-major, so that each
         label's d*d columns are one (n, d, d) view that its evaluator fills."""
         labels = self.window.labels if labels is None else labels
+        return self._packed(elements, labels, self.irrep_matrices)
+
+    def _packed(self, elements, labels, evaluate) -> np.ndarray:
         n = np.size(elements) // np.size(self.identity)
         out = np.empty((n, sum(self.dim_of(l) ** 2 for l in labels)), dtype=complex, order="F")
         col = 0
         for label in labels:
             d = self.dim_of(label)
             view = out[:, col : col + d * d].reshape(n, d, d)
-            if (mats := self.irrep_matrices(label, elements, view)) is not view:
+            if (mats := evaluate(label, elements, view)) is not view:
                 view[...] = mats
             col += d * d
         return out
@@ -362,7 +355,7 @@ def _finite_group(
     irrep_tables: dict,
     band: float | int,
     trivial_label,
-    transforms: tuple[Callable, Callable] | None = None,
+    transforms: dict,
 ) -> GroupSpec:
     order = mult_table.shape[0]
     nodes = np.arange(order)
@@ -406,22 +399,32 @@ def _finite_group(
         _matrices=matrices,
         _multiply=multiply,
         _sampler=sampler,
-        _transforms=transforms,
+        **transforms,
     )
 
 
-def _fft_pair(freqs, n: int) -> tuple[Callable, Callable]:
-    """Node transforms of the characters x -> exp(2 pi i k x / n) at n equally
-    weighted nodes (Z_n, or the circle at 2 pi x / n): one FFT along the node
-    axis, frequency k at index k mod n."""
+def _dense_transforms(irrep_tables: dict) -> dict:
+    """Node transforms of a finite group as products with its node matrix."""
+    tables = [t.reshape(len(t), -1) for t in irrep_tables.values()]
+    u = np.asfortranarray(np.concatenate(tables, axis=1))  # as packed_matrices lays it out
+    w = np.full((len(u), 1), 1.0 / len(u))
+    return dict(analysis=lambda f: np.conj(u.T @ np.conj(w * f)), synthesis=lambda p: u @ p)
+
+
+def _fft_transforms(freqs, n: int) -> dict:
+    """Node transforms of the characters x -> exp(2 pi i k x / n) at n equally weighted
+    nodes (Z_n, or the circle at 2 pi x / n): one FFT, frequency k at index k mod n."""
     rows = np.mod(freqs, n)
 
-    def synthesis(packed):
-        full = np.zeros((*packed.shape[:-2], n, packed.shape[-1]), dtype=complex)
-        full[..., rows, :] = packed
-        return np.fft.ifft(full, axis=-2, norm="forward")
+    def analysis(samples):
+        return np.fft.fft(samples, axis=-2, norm="forward")[..., rows, :]
 
-    return lambda samples: np.fft.fft(samples, axis=-2, norm="forward")[..., rows, :], synthesis
+    def synthesis(packed):
+        full = np.zeros((*packed.shape[:-2], packed.shape[-1], n), dtype=complex)
+        full[..., rows] = np.swapaxes(packed, -1, -2)
+        return np.ascontiguousarray(np.swapaxes(np.fft.ifft(full, norm="forward"), -1, -2))
+
+    return dict(analysis=analysis, synthesis=synthesis)
 
 
 def _make_cyclic(n: int) -> GroupSpec:
@@ -433,7 +436,8 @@ def _make_cyclic(n: int) -> GroupSpec:
     for k in range(n):
         chars = np.exp(2j * math.pi * k * x / n)
         irrep_tables[k] = chars.reshape(n, 1, 1)
-    return _finite_group("cyclic", f"cyclic({n})", table, irrep_tables, n - 1, 0, _fft_pair(x, n))
+    transforms = _fft_transforms(x, n)
+    return _finite_group("cyclic", f"cyclic({n})", table, irrep_tables, n - 1, 0, transforms)
 
 
 def _perm_sign(p: tuple) -> int:
@@ -469,7 +473,7 @@ def _make_s3() -> GroupSpec:
             pmat[p[j], j] = 1.0
         standard[i] = basis.T @ pmat @ basis
     tables = {"trivial": trivial, "sign": sign, "standard": standard}
-    return _finite_group("s3", "s3", table, tables, band=2, trivial_label="trivial")
+    return _finite_group("s3", "s3", table, tables, 2, "trivial", _dense_transforms(tables))
 
 
 def _make_circle(band: int) -> GroupSpec:
@@ -506,7 +510,7 @@ def _make_circle(band: int) -> GroupSpec:
         _matrices=matrices,
         _multiply=lambda x, y: (float(x) + float(y)) % TWO_PI,
         _sampler=lambda rng, count: rng.uniform(0.0, TWO_PI, size=count),
-        _transforms=_fft_pair(window.labels, npts),
+        **_fft_transforms(window.labels, npts),
     )
 
 
@@ -569,44 +573,46 @@ def _make_su2(band: float, half_integers: bool = False) -> GroupSpec:
         _matrices=wigner_d_matrix,
         _multiply=multiply,
         _sampler=sampler,
-        _transforms=_su2_pair(window, step, alphas, betas, wbeta, gammas),
+        **_su2_transforms(window, step, alphas, betas, wbeta, gammas),
     )
 
 
-def _su2_pair(window, step, alphas, betas, wbeta, gammas) -> tuple[Callable, Callable]:
-    """Node transforms separable on the Euler grid (Kostelec & Rockmore, "FFTs on
-    the rotation group", J. Fourier Anal. Appl. 14, 2008): D(a, b, c)[m', m] is
-    exp(-i m' a) d(b)[m', m] exp(-i m c), so alpha and gamma are products with
-    exponentials over the window's distinct m, each spin taking every (1/step)-th
-    m, and beta is one einsum per spin against the d-matrices at the Gauss nodes."""
+def _su2_transforms(window, step, alphas, betas, wbeta, gammas) -> dict:
+    """Node transforms separable on the Euler grid (Kostelec & Rockmore, 2008):
+    D(a, b, c)[m', m] is exp(-i m' a) d(b)[m', m] exp(-i m c), so alpha and gamma
+    are products with exponentials over the window's distinct m (gamma's kron the
+    identity on the vector axis, which spares a layout copy), beta one einsum per spin."""
     ms = window.band - step * np.arange(round(2 * window.band / step) + 1)
     e_alpha, e_gamma = np.exp(-1j * np.outer(alphas, ms)), np.exp(-1j * np.outer(gammas, ms))
     w_beta = wbeta / (len(alphas) * len(gammas))  # the quadrature weight of a node
-    shape, spins = (len(alphas), len(betas), len(gammas)), []
+    n_a, n_b, n_c, n_m, spins = len(alphas), len(betas), len(gammas), len(ms), []
     for ell, d in zip(window.labels, window.dims):
         start = round((window.band - ell) / step)
-        m_rows = slice(start, len(ms) - start, round(1 / step))
+        m_rows = slice(start, n_m - start, round(1 / step))
         spins.append((window.columns(ell), d, m_rows, _little_d_matrix(ell, betas)))
 
     def analysis(samples):
         *lead, _, m = samples.shape
-        f = samples.reshape(-1, *shape, m)  # (L, a, b, c, e), e the vector axis
-        h = np.tensordot(e_alpha.conj(), np.tensordot(f, e_gamma.conj(), axes=(3, 0)), axes=(0, 1))
-        h = h.transpose(1, 2, 0, 4, 3)  # (L, b, m', m, e)
-        blocks = [np.einsum("b,bij,Lbije->Lije", w_beta, d_b, h[:, :, r, r]).reshape(len(h), d * d, m)
-                  for _, d, r, d_b in spins]
+        g = np.matmul(e_alpha.conj().T, samples.reshape(-1, n_a, n_b * n_c * m))  # (L, m', b, c, e)
+        g = g.reshape(-1, n_c * m) @ np.kron(e_gamma.conj(), np.eye(m))
+        g = g.reshape(-1, n_m, n_b, n_m, m)  # (L, m', b, m, e)
+        blocks = [
+            np.einsum("b,bij,Libje->Lije", w_beta, d_b, g[:, r, :, r]).reshape(len(g), d * d, m)
+            for _, d, r, d_b in spins
+        ]
         return np.concatenate(blocks, axis=1).reshape(*lead, window.size, m)
 
     def synthesis(packed):
         *lead, _, m = packed.shape
         p = packed.reshape(-1, window.size, m)
-        g = np.zeros((len(p), len(betas), len(ms), len(ms), m), dtype=complex)  # (L, b, m', m, e)
+        g = np.zeros((len(p), n_m, n_b, n_m, m), dtype=complex)  # (L, m', b, m, e)
         for cols, d, r, d_b in spins:
-            g[:, :, r, r] += np.einsum("bij,Lije->Lbije", d_b, p[:, cols].reshape(len(p), d, d, m))
-        f = np.tensordot(e_alpha, np.tensordot(g, e_gamma, axes=(3, 1)), axes=(1, 2))  # (a, L, b, e, c)
-        return f.transpose(1, 0, 2, 4, 3).reshape(*lead, math.prod(shape), m)
+            g[:, r, :, r] += np.einsum("bij,Lije->Libje", d_b, p[:, cols].reshape(len(p), d, d, m))
+        g = g.reshape(-1, n_m * m) @ np.kron(e_gamma.T, np.eye(m))  # (L, m', b, c, e)
+        f = np.matmul(e_alpha, g.reshape(len(p), n_m, n_b * n_c * m))  # (L, a, b, c, e)
+        return f.reshape(*lead, n_a * n_b * n_c, m)
 
-    return analysis, synthesis
+    return dict(analysis=analysis, synthesis=synthesis)
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +704,7 @@ def _make_custom(source) -> GroupSpec:
         tables,
         band=len(tables) - 1,
         trivial_label=trivial_label,
+        transforms=_dense_transforms(tables),
     )
     report = orthogonality_selftest(group)
     if not report.passed:

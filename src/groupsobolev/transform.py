@@ -14,10 +14,8 @@ array (K = sum of d^2) whose rows follow the columns of the group's
 
 is a finite sum over the window, so band-limited functions round-trip to
 quadrature precision and the p = 2 spectral norm matches the quadrature
-L2 norm (Plancherel). The transform and synthesis at the nodes are the
-group's own pair of node transforms (an FFT on the circle and Z_n, a
-separable Euler-grid transform on SU(2), the node matrix otherwise), and
-the spectral norms one weighted reduction.
+L2 norm (Plancherel). The transform and synthesis are the group's node
+transforms (see groups.py), and the spectral norms one weighted reduction.
 """
 
 from __future__ import annotations
@@ -228,9 +226,8 @@ def synthesize(coeffs: FourierCoefficients, group: GroupSpec, elements=None) -> 
     """Evaluate the reconstruction series; returns (n, m) values, (B, n, m)
     for a batch.
 
-    Evaluates at the quadrature nodes by default, through the group's node
-    synthesis, at ``elements`` otherwise (only the irreps whose blocks are
-    nonzero).
+    Evaluates at the quadrature nodes by default (the group's node synthesis),
+    at ``elements`` otherwise (only the irreps whose blocks are nonzero).
     """
     window = group.window
     if coeffs.window != window:
@@ -251,8 +248,7 @@ def node_samples(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:
 
 
 def forward_transform(f: VectorFunction, group: GroupSpec) -> FourierCoefficients:
-    """Coefficients of ``f`` via quadrature against conj(u_ij), through the
-    group's node analysis."""
+    """Coefficients of ``f`` via quadrature against conj(u_ij), by node analysis."""
     packed = group.analysis(f.sample(group))
     return FourierCoefficients(group.window, f.m, p_E=f.p_E, packed=packed)
 
