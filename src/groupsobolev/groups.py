@@ -53,10 +53,8 @@ __all__ = [
 #: Largest acceptable deviation from exact Schur orthogonality.
 ORTHOGONALITY_TOL = 1e-9
 
-#: Largest SU(2) spin accepted. Accuracy does not set it: the d-matrices are
-#: unitary to about 1e-14 at and well past it. The self-test's memory does: it
-#: builds the node matrix, about 199 GB for an SU(2) window of band 25. The
-#: transforms build none, so a self-test that builds none would let it rise.
+#: Largest SU(2) spin accepted. The self-test's node matrix sets it (about 199 GB
+#: at band 25), not accuracy or the transforms, which build no node matrix.
 SU2_MAX_SPIN = 25.0
 
 TWO_PI = 2.0 * math.pi
