@@ -2,7 +2,8 @@
 
     python3 scripts/compare_reports.py OLD_REPORT NEW_REPORT
 
-Records are paired in report order (reports are sorted deterministically).
+Records are paired by position: records are in report order, deterministic
+across reruns.
 A pair matches when it has the same keys, name, group, seed and context,
 the same pass flag, and |delta lhs| and |delta rhs| each within the old
 record's ``tol``. Context values are compared after decoding the strict-JSON

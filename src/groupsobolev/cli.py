@@ -39,10 +39,13 @@ from .transform import (
     save_coefficients,
     window_from_json,
 )
-from .verify import DEFAULT_CONFIG, ROW_KEYS, RunConfig, resolve_weights, run_suite
+from .verify import DEFAULT_CONFIG, RunConfig, resolve_weights, run_suite
 
 ENV_CONFIG = "GROUPSOBOLEV_CONFIG"
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+
+#: Context keys that the tightest-record line of ``verify`` prints.
+ROW_KEYS = ("batch", "index", "block", "pair")
 
 
 def parse_group_arg(text: str) -> dict:

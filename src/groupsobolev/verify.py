@@ -23,6 +23,7 @@ import io
 import json
 import math
 import numbers
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -77,10 +78,6 @@ CONTINUITY_TOL = 1e-10
 
 CSV_COLUMNS = ("name", "group", "seed", "lhs", "rhs", "slack", "tol", "pass")
 
-
-#: Context keys that order records after name, group and seed, before the
-#: repr of their sorted context.
-ROW_KEYS = ("batch", "index", "block", "pair")
 _JSON = json.JSONEncoder(allow_nan=False).encode
 
 
@@ -148,24 +145,18 @@ class _Chunk:
         return InequalityRecord(self.name, self.group, self.seeds[i], lhs, rhs, rhs - lhs, tol,
                                 rhs - lhs >= -tol, self.context(i), self.hypothesis_sensitive)
 
-    def texts(self, sort: bool) -> list:
-        """Each record's context as text: with ``sort``, exactly its
-        ``repr(sorted(context.items()))``; else its JSON object and the end of
-        its JSON line. The shared items are encoded once."""
-        if sort:
-            keys, item, encode, head, end = sorted(self.keys), repr, repr, "[", "]"
-        else:
-            keys, item, encode, head = self.keys, lambda kv: _JSON(dict([kv]))[1:-1], _JSON, "{"
-            end = '}, "hypothesis_sensitive": true}' if self.hypothesis_sensitive else "}}"
+    def texts(self) -> list:
+        """Each record's JSON context and the end of its JSON line; shared items encoded once."""
+        end = '}, "hypothesis_sensitive": true}' if self.hypothesis_sensitive else "}}"
         parts, values = [], []
-        for k in keys:
+        for k in self.keys:
             if k in self.columns:
-                before, _, after = item((k, 0)).rpartition("0")
+                before, _, after = _JSON({k: 0})[1:-1].rpartition("0")
                 parts.append(before.replace("%", "%%") + "%s" + after)
-                values.append(_texts(self.columns[k], encode))
+                values.append(_texts(self.columns[k], _JSON))
             else:
-                parts.append(item((k, self.shared[k])).replace("%", "%%"))
-        template = head + ", ".join(parts) + end
+                parts.append(_JSON({k: self.shared[k]})[1:-1].replace("%", "%%"))
+        template = "{" + ", ".join(parts) + end
         return [template % row for row in (zip(*values) if values else [()] * len(self.seeds))]
 
 
@@ -242,23 +233,9 @@ class RecordTable(Sequence):
         return RecordTable(chunks, self.rows)
 
     def ordered(self) -> RecordTable:
-        """The records sorted by name, group, seed, the ROW_KEYS values (-1 if
-        absent; the block as text, "" if absent), then the repr of the sorted
-        context; equal records keep their order."""
-
-        def ranks(key, default):
-            values = []
-            for c in self.chunks:
-                n = len(c.seeds)
-                values += c.columns[key] if key in c.columns else [c.shared.get(key, default)] * n
-            return _ranks(list(map(str, values)) if key == "block" else values)
-
-        keys = [_ranks([c.name for c in self.chunks])[self.chunk_of],
-                _ranks([c.group for c in self.chunks])[self.chunk_of],
-                _ranks([s for c in self.chunks for s in c.seeds]),
-                ranks("batch", -1), ranks("index", -1), ranks("block", ""), ranks("pair", -1),
-                _ranks([t for c in self.chunks for t in c.texts(sort=True)])]
-        return RecordTable(self.chunks, self.rows[np.lexsort(np.stack(keys)[::-1, self.rows])])
+        """The records grouped by (name, group) by a stable sort, each group in table order."""
+        key = self.per_chunk(_ranks([(c.name, c.group) for c in self.chunks]))
+        return self.take(np.argsort(key, kind="stable"))
 
     @cached_property
     def float_texts(self) -> list:
@@ -282,7 +259,7 @@ class RecordTable(Sequence):
         head = lambda name, group: f'{{"name": {_JSON(name)}, "group": {_JSON(group)}, "seed": '
         heads = self._heads(head)
         seeds = [s for c in self.chunks for s in _texts(c.seeds, _JSON)]
-        contexts = [x for c in self.chunks for x in c.texts(sort=False)]
+        contexts = [x for c in self.chunks for x in c.texts()]
         lhs, rhs, slack, tol, passed = self.float_texts
         for j in self.rows.tolist():
             yield (
@@ -623,12 +600,16 @@ class RunConfig:
                 raise ValueError(f"config field {name!r} needs a list, got {v!r}")
         for name, least in (("s_values", 0), ("p_values", 1)):
             for v in getattr(self, name):
-                if not (_is_number(v) and v >= least):
-                    raise ValueError(f"config field {name!r} needs numbers >= {least}, got {v!r}")
+                if not (_is_number(v) and least <= v <= sys.float_info.max):
+                    raise ValueError(
+                        f"config field {name!r} needs finite numbers >= {least}, got {v!r}"
+                    )
         for pair in self.st_pairs:
             ok = isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))
-            if not (ok and pair[1] > pair[0] > 0):
-                raise ValueError(f"config field 'st_pairs' entries need t > s > 0, got {pair!r}")
+            if not (ok and sys.float_info.max >= pair[1] > pair[0] > 0):
+                raise ValueError(
+                    f"config field 'st_pairs' entries need finite t > s > 0, got {pair!r}"
+                )
         bad = [f for f in self.formats if f not in ("json", "csv")]
         if bad:
             raise ValueError(f"unknown output formats {bad}; use 'json' and/or 'csv'")

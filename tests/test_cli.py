@@ -316,12 +316,20 @@ def test_verify_invalid_config_exit_code(tmp_path):
         ("st_pairs", [5]),
         ("s_values", 1.0),
         ("formats", "json"),
+        # json writes and reads Infinity and NaN; a float holds no 10**400
+        ("st_pairs", [[1.0, math.inf]]),
+        ("st_pairs", [[math.nan, 2.0]]),
+        ("s_values", [0.0, math.inf]),
+        ("s_values", [10**400]),
+        ("p_values", [math.inf]),
+        ("p_values", [math.nan]),
     ],
 )
 def test_verify_refuses_wrongly_typed_config_fields(tmp_path, capsys, field, value):
     cfgpath = write_config(tmp_path, **{field: value})
     assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_refuses_a_non_integer_circle_band(tmp_path, capsys):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from groupsobolev import transform
 from groupsobolev.transform import dump_json
 from groupsobolev.verify import (
     CSV_COLUMNS,
-    InequalityRecord,
     RecordTable,
     RunConfig,
     _derive_seed,
@@ -50,19 +50,8 @@ def _one_chunk_per_record(records) -> RecordTable:
     )
 
 
-def _sort_key(record: InequalityRecord):
-    """The report order, record by record: the oracle for RecordTable.ordered."""
-    ctx = record.context
-    return (
-        record.name,
-        record.group,
-        record.seed,
-        ctx.get("batch", -1),
-        ctx.get("index", -1),
-        str(ctx.get("block", "")),
-        ctx.get("pair", -1),
-        repr(sorted(ctx.items(), key=lambda kv: kv[0])),
-    )
+#: The report order: records grouped by name, then group, by a stable sort.
+REPORT_ORDER = attrgetter("name", "group")
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +706,8 @@ def test_a_batch_refuses_contexts_with_different_key_sets(z4):
 
 def _suite_one_function_at_a_time(config):
     """The records of run_suite, built by calling the public checks on one
-    function at a time, as the suite did before it batched its functions."""
+    function at a time in the suite's loop order (parameter, then function)
+    and grouped by name, then group, by a stable sort."""
     cfg = RunConfig.from_dict(dict(config))
     records = []
     rng_vec = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101)))
@@ -745,31 +735,44 @@ def _suite_one_function_at_a_time(config):
         for li, label in enumerate(group.window.labels):
             lseed = _derive_seed(cfg.seed, 11, gi, li)
             records += gs.check_continuity_modulus(group, label, budget, seed=lseed)
-        for b in range(cfg.batch_size):
-            fseed = _derive_seed(cfg.seed, gi, b)
-            coeffs = gs.random_band_limited(fseed, group, cfg.m, p_E=cfg.p_E)
-            kw = {"seed": fseed, "context": {"batch": b}}
-            for s, t in monotone_pairs:
+        fseeds = [_derive_seed(cfg.seed, gi, b) for b in range(cfg.batch_size)]
+        functions = [
+            (gs.random_band_limited(fseed, group, cfg.m, p_E=cfg.p_E), fseed, b)
+            for b, fseed in enumerate(fseeds)
+        ]
+        for s, t in monotone_pairs:
+            for coeffs, fseed, b in functions:
                 records += gs.check_monotone_embedding(
-                    coeffs, weights, s, t, group=group.name, **kw
+                    coeffs, weights, s, t, group=group.name, seed=fseed, context={"batch": b}
                 )
-            for s in cfg.s_values:
-                records += gs.check_l2_embedding(coeffs, weights, s, group, **kw)
-                verdict = gs.embedding_constant_C(weights, s, group.window).verdict
-                sup_kw = {"seed": fseed, "context": {"batch": b, "constant_verdict": verdict}}
-                probe = (cfg.seed, 7, gi)
-                extra = cfg.sup_extra_samples
+        for s in cfg.s_values:
+            verdict = gs.embedding_constant_C(weights, s, group.window).verdict
+            probe = (cfg.seed, 7, gi)
+            extra = cfg.sup_extra_samples
+            for coeffs, fseed, b in functions:
+                records += gs.check_l2_embedding(
+                    coeffs, weights, s, group, seed=fseed, context={"batch": b}
+                )
                 records += gs.check_sup_embedding(
-                    coeffs, weights, s, group, extra, probe, **sup_kw
+                    coeffs, weights, s, group, extra, probe, seed=fseed,
+                    context={"batch": b, "constant_verdict": verdict},
                 )
-            for alpha in alphas:
-                records += gs.check_hausdorff_young(coeffs, group, alpha, **kw)
-            for s, t in cfg.st_pairs:
-                records += gs.check_lq_embedding(coeffs, weights, s, t, group, **kw)
-            if b % cfg.block_check_stride == 0:
-                for p, q in pq_pairs:
-                    records += gs.check_block_comparison(coeffs, p, q, group=group.name, **kw)
-    return sorted(records, key=_sort_key)
+        for alpha in alphas:
+            for coeffs, fseed, b in functions:
+                records += gs.check_hausdorff_young(
+                    coeffs, group, alpha, seed=fseed, context={"batch": b}
+                )
+        for s, t in cfg.st_pairs:
+            for coeffs, fseed, b in functions:
+                records += gs.check_lq_embedding(
+                    coeffs, weights, s, t, group, seed=fseed, context={"batch": b}
+                )
+        for p, q in pq_pairs:
+            for coeffs, fseed, b in functions[:: cfg.block_check_stride]:
+                records += gs.check_block_comparison(
+                    coeffs, p, q, group=group.name, seed=fseed, context={"batch": b}
+                )
+    return sorted(records, key=REPORT_ORDER)
 
 
 def test_run_suite_matches_checks_called_one_function_at_a_time():
@@ -783,13 +786,12 @@ def test_run_suite_matches_checks_called_one_function_at_a_time():
 
 
 def test_table_order_matches_the_sort_key_oracle(z4):
-    """Records of the suite, tampered and not, and of public checks whose
-    contexts have other key sets or values that tie with the suite's (the
-    same name, group, seed and batch), shuffled: ordered() sorts them as
-    sorted(..., key=_sort_key) does, across chunks as within one. Batched
-    vector records that tie up to their p, q and n, and contexts with "%" in
-    keys and values, included; the JSON lines of them all are
-    json.JSONEncoder's."""
+    """Records of the suite, tampered and not, and of public checks with
+    other context key sets, as built and shuffled: ordered() groups them by
+    name, then group, and keeps each group's records in the table's order,
+    across chunks as within one; on the suite's table that order is the
+    checks' own (parameter, then batch). Contexts with "%" in keys and
+    values included; the JSON lines of them all are json.JSONEncoder's."""
     report = gs.run_suite({**SMALL_CONFIG, "vector_checks": 20})
     tampered = gs.run_suite({**SMALL_CONFIG, "vector_checks": 20, "tamper": True})
     weights = gs.canonical_weights(z4)
@@ -798,7 +800,6 @@ def test_table_order_matches_the_sort_key_oracle(z4):
     batch = gs.FourierCoefficients(z4.window, 2, packed=np.stack([c.packed for c in singles]))
     contexts = [{"batch": b} for b in range(3)]
     sup = lambda coeffs, s, **kw: gs.check_sup_embedding(coeffs, weights, s, z4, 20, **kw)
-    # records that tie on name, group, seed and index: the p, q and n texts order them
     vec = lambda p, q, sizes: gs.check_vector_norm_comparison(
         [np.arange(1.0, n + 1) for n in sizes], p, q, seed=seeds[0], context={"index": 1}
     )
@@ -816,6 +817,7 @@ def test_table_order_matches_the_sort_key_oracle(z4):
             sup(one, 2.0, seed=fseed, context=ctx)
             for one, fseed, ctx in zip(singles, seeds, mixed_keys)
         ),
+        sup(singles[1], 1.0, seed=seeds[1], context={"batch": 1.0}),
         gs.check_hausdorff_young(batch, z4, 1.5, seed=seeds[0], context={"batch": 0}),
         gs.check_block_comparison(batch, 1.0, 2.0, group=z4.name, seed=seeds, context=contexts),
         gs.check_continuity_modulus(z4, 1, 3, seed=seeds[2], context={"batch": 2}),
@@ -823,22 +825,24 @@ def test_table_order_matches_the_sort_key_oracle(z4):
         vec([1.5, 1.25], [2.5, math.inf], [9, 10]),
         sup(batch, 1.0, seed=seeds, context=percent),
     ]
-    # a batch of 1.0 ties with batch 1 but has another repr: ordered by the full reprs
-    odd = sup(singles[1], 1.0, seed=seeds[1], context={"batch": 1.0})
-    for extra in ([], [odd]):
-        table = RecordTable.concat(tables + extra)
-        shuffled = table.take(np.random.default_rng(0).permutation(len(table)))
-        assert list(shuffled.ordered()) == sorted(shuffled, key=_sort_key)
+    table = RecordTable.concat(tables)
+    assert list(table.ordered()) == sorted([r for t in tables for r in t], key=REPORT_ORDER)
+    shuffled = table.take(np.random.default_rng(0).permutation(len(table)))
+    assert list(shuffled.ordered()) == sorted(shuffled, key=REPORT_ORDER)
     rows = list(shuffled)
     random.Random(1).shuffle(rows)
-    assert list(_one_chunk_per_record(rows).ordered()) == sorted(rows, key=_sort_key)
+    assert list(_one_chunk_per_record(rows).ordered()) == sorted(rows, key=REPORT_ORDER)
     report_of_all = gs.VerificationReport(shuffled.ordered(), {})
     lines = report_of_all.to_json_text().splitlines()
     start = lines.index('  "records": [')
     got = [line.strip().rstrip(",") for line in lines[start + 1 : start + 1 + len(shuffled)]]
     assert got == [json.JSONEncoder().encode(r.to_dict()) for r in report_of_all.records]
     for run in (report, tampered):
-        assert list(run.records) == sorted(run.records, key=_sort_key)
+        assert list(run.records) == sorted(run.records, key=REPORT_ORDER)
+        sup_s3 = [(r.context["s"], r.context["batch"]) for r in run.records
+                  if r.name == "sup_embedding" and r.group == "s3"]
+        batches = range(SMALL_CONFIG["batch_size"])
+        assert sup_s3 == [(s, b) for s in RunConfig().s_values for b in batches]
 
 
 @pytest.mark.parametrize("check", ["monotone", "l2", "sup", "hausdorff_young", "lq", "block"])
