@@ -1,9 +1,9 @@
 """Fourier analysis of vector-valued functions on compact groups.
 
 Provides concrete compact groups with truncated duals and exact Haar
-quadrature, the forward/inverse Fourier transform for functions valued
-in C^m, weighted spectral Sobolev norms, and a verification harness for
-the associated embedding inequalities.
+quadrature, the Fourier transform and synthesis of functions valued in
+C^m, weighted spectral Sobolev norms, and a verification harness for the
+associated embedding inequalities.
 """
 
 __version__ = "0.1.0"
@@ -27,13 +27,12 @@ from .transform import (
     coefficients_to_json,
     e_norm,
     forward_transform,
-    inverse_transform,
     load_coefficients,
+    node_samples,
     random_band_limited,
     s_p_norm,
     save_coefficients,
     synthesize,
-    zero_coefficients,
 )
 from .sobolev import (
     ConstantEstimate,
@@ -45,8 +44,9 @@ from .sobolev import (
     exponents,
     h_s_norm,
     l_p_norm,
+    lebesgue_norm,
     lq_bound_constant,
-    sup_norm,
+    probed_sup,
     su2_weights,
     weights_from_table,
     zero_weights,

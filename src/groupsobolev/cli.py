@@ -20,20 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .groups import make_group
-from .sobolev import (
-    embedding_constant_C,
-    h_s_norm,
-    l_p_norm,
-    lq_bound_constant,
-    sup_norm,
-)
+from .sobolev import embedding_constant_C, h_s_norm, lebesgue_norm, lq_bound_constant, probed_sup
 from .transform import (
-    VectorFunction,
+    FourierCoefficients,
     atomic_write_text,
     coefficients_from_json,
     dump_json,
-    inverse_transform,
     load_coefficients,
+    node_samples,
     random_band_limited,
     s_p_norm,
     save_coefficients,
@@ -121,7 +115,8 @@ def cmd_spectra(args) -> int:
     if args.source == "random":
         coeffs = random_band_limited(cfg.seed, group, cfg.m, p_E=cfg.p_E)
     elif args.source == "constant":
-        coeffs = VectorFunction.constant(group, np.ones(cfg.m), p_E=cfg.p_E).coefficients
+        trivial = {group.window.trivial: np.ones((1, 1, cfg.m))}
+        coeffs = FourierCoefficients(group.window, cfg.m, trivial, cfg.p_E)
     else:
         coeffs = load_coefficients(args.source, group)
     out = Path(cfg.out_dir) / f"spectra_{_slug(group.name)}.json"
@@ -153,7 +148,6 @@ def cmd_norms(args) -> int:
             "config field 'weights' is a per-group list, which cannot be matched to "
             "a coefficient file; pass the weight table with --weights PATH"
         )
-    f = inverse_transform(coeffs, group)
     wmeta = {"kind": window.kind, "band": window.band}
 
     def row(name, value, **params):
@@ -162,9 +156,10 @@ def cmd_norms(args) -> int:
     rows = [row("s_p_norm", s_p_norm(coeffs, p), p=p) for p in cfg.p_values]
     for s in cfg.s_values:
         rows.append(row("h_s_norm", h_s_norm(coeffs, weights, s), s=s, weights=weights.name))
-    rows.append(row("l2_norm", l_p_norm(f, group, 2.0), p=2.0))
+    l2 = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, 2.0)
+    rows.append(row("l2_norm", l2, p=2.0))
     extra, seed = cfg.sup_extra_samples, cfg.seed
-    sup = sup_norm(f, group, extra_samples=extra, seed=seed)
+    sup = probed_sup(coeffs, group, extra, seed)
     rows.append(row("sup_norm", sup, extra_samples=extra, seed=seed))
     _emit(cfg, rows, f"norms_{_slug(group.name)}.json")
     return EXIT_OK

@@ -21,7 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .groups import DualWindow, GroupSpec
-from .transform import FourierCoefficients, VectorFunction, e_norm, synthesize
+from .transform import FourierCoefficients, VectorFunction, e_norm, node_samples, synthesize
 from .transform import _per_function, _pth_root, weighted_spectral_norm
 
 __all__ = [
@@ -34,8 +34,9 @@ __all__ = [
     "exponents",
     "h_s_norm",
     "l_p_norm",
+    "lebesgue_norm",
     "lq_bound_constant",
-    "sup_norm",
+    "probed_sup",
     "su2_weights",
     "weights_from_table",
     "zero_weights",
@@ -168,36 +169,21 @@ def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
     return lebesgue_norm(f.sample(group), group, f.p_E, p)
 
 
-def probed_sup(samples, p_E: float, coeffs=None, group=None, extra_samples=0, seed=0):
-    """Max of |f|_E over the node samples and, for spectral ``coeffs``, over
-    ``extra_samples`` Haar-random elements drawn from ``seed`` (an int or a
-    tuple of ints); one value per function of a batch. The max off the
-    nodes is computed once per (group, seed, extra_samples, p_E) and kept
-    on ``coeffs``.
+def probed_sup(coeffs: FourierCoefficients, group: GroupSpec, extra_samples: int = 0, seed=0):
+    """Max of |f|_E over the node samples and ``extra_samples`` Haar-random
+    elements drawn from ``seed`` (an int or a tuple of ints): a lower bound
+    on the sup, one value per function of a batch. The max off the nodes is
+    computed once per (group, seed, extra_samples) and kept on ``coeffs``.
     """
-    best = e_norm(samples, p_E).max(axis=-1)
-    if coeffs is not None and extra_samples > 0:
+    best = e_norm(node_samples(coeffs, group), coeffs.p_E).max(axis=-1)
+    if extra_samples > 0:
 
         def probe():
             els = group.random_elements(np.random.default_rng(seed), extra_samples)
-            return e_norm(synthesize(coeffs, group, elements=els), p_E).max(axis=-1)
+            return e_norm(synthesize(coeffs, group, elements=els), coeffs.p_E).max(axis=-1)
 
-        key = ("sup_probe", group, seed, extra_samples, p_E)
-        best = np.maximum(best, coeffs.memo(key, probe))
+        best = np.maximum(best, coeffs.memo(("sup_probe", group, seed, extra_samples), probe))
     return _per_function(best)
-
-
-def sup_norm(
-    f: VectorFunction,
-    group: GroupSpec,
-    extra_samples: int = 1000,
-    seed: int = 0,
-) -> float:
-    """Max of |f|_E over the nodes plus pseudorandom extra elements.
-
-    A lower bound on the true sup; sampled functions use the nodes only.
-    """
-    return probed_sup(f.sample(group), f.p_E, f.coefficients, group, extra_samples, seed)
 
 
 # ---------------------------------------------------------------------------

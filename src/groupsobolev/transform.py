@@ -40,7 +40,6 @@ __all__ = [
     "coefficients_to_json",
     "e_norm",
     "forward_transform",
-    "inverse_transform",
     "label_key",
     "load_coefficients",
     "node_samples",
@@ -49,7 +48,6 @@ __all__ = [
     "save_coefficients",
     "synthesize",
     "weighted_spectral_norm",
-    "zero_coefficients",
 ]
 
 
@@ -87,8 +85,8 @@ class FourierCoefficients:
                  p_E: float = 2.0, *, packed: np.ndarray | None = None):
         if m < 1:
             raise ValueError("target dimension m must be >= 1")
-        if p_E < 1:
-            raise ValueError("p_E must be >= 1")
+        if not p_E >= 1:
+            raise ValueError(f"p_E must be >= 1, got {p_E!r}")
         if packed is None:
             packed = np.zeros((window.size, m), dtype=complex)
             for label, block in (blocks or {}).items():
@@ -152,74 +150,42 @@ class FourierCoefficients:
         return diff.max_abs()
 
 
-def zero_coefficients(group: GroupSpec, m: int, p_E: float = 2.0) -> FourierCoefficients:
-    return FourierCoefficients(group.window, m, p_E=p_E)
-
-
 @dataclass(frozen=True, eq=False)
 class VectorFunction:
-    """E-valued function on a group: node samples or a spectral form.
+    """E-valued function on a group by its samples at the quadrature nodes,
+    an (nodes, m) array; its spectral form is ``forward_transform``."""
 
-    Sampled functions are arrays aligned with the quadrature nodes;
-    spectral functions wrap coefficients and can be evaluated anywhere.
-    """
-
-    m: int
+    values: np.ndarray
     p_E: float = 2.0
-    values: np.ndarray | None = None
-    coefficients: FourierCoefficients | None = None
 
     def __post_init__(self):
-        if (self.values is None) == (self.coefficients is None):
-            raise ValueError("provide exactly one of samples or coefficients")
-        if self.values is not None:
-            arr = np.asarray(self.values, dtype=complex)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            if arr.ndim != 2 or arr.shape[1] != self.m:
-                raise ValueError(f"samples must have shape (nodes, {self.m})")
-            if not np.isfinite(arr).all():
-                raise ValueError("function samples must be finite")
-            object.__setattr__(self, "values", np.ascontiguousarray(arr))
-        else:
-            if self.coefficients.m != self.m:
-                raise ValueError("coefficient target dimension disagrees with m")
+        arr = np.asarray(self.values, dtype=complex)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        if arr.ndim != 2:
+            raise ValueError("samples must have shape (nodes, m)")
+        if not np.isfinite(arr).all():
+            raise ValueError("function samples must be finite")
+        if not self.p_E >= 1:
+            raise ValueError(f"p_E must be >= 1, got {self.p_E!r}")
+        object.__setattr__(self, "values", np.ascontiguousarray(arr))
+
+    @property
+    def m(self) -> int:
+        return self.values.shape[1]
 
     @classmethod
     def from_samples(cls, values, p_E: float = 2.0) -> "VectorFunction":
-        arr = np.asarray(values, dtype=complex)
-        m = 1 if arr.ndim == 1 else arr.shape[1]
-        return cls(m=m, p_E=p_E, values=arr)
-
-    @classmethod
-    def from_coefficients(cls, coeffs: FourierCoefficients, p_E: float | None = None) -> "VectorFunction":
-        return cls(m=coeffs.m, p_E=coeffs.p_E if p_E is None else p_E, coefficients=coeffs)
-
-    @classmethod
-    def constant(cls, group: GroupSpec, value, p_E: float = 2.0) -> "VectorFunction":
-        """Constant function, represented spectrally by its trivial block."""
-        v = np.atleast_1d(np.asarray(value, dtype=complex))
-        coeffs = FourierCoefficients(
-            group.window, v.size, {group.window.trivial: v.reshape(1, 1, -1)}, p_E
-        )
-        return cls.from_coefficients(coeffs)
+        return cls(values, p_E)
 
     def sample(self, group: GroupSpec) -> np.ndarray:
         """Values at the quadrature nodes, shape (nodes, m)."""
-        if self.values is not None:
-            if self.values.shape[0] != group.node_count:
-                raise ValueError(
-                    f"sampled function has {self.values.shape[0]} values but the "
-                    f"rule has {group.node_count} nodes"
-                )
-            return self.values
-        return synthesize(self.coefficients, group)
-
-    def evaluate(self, group: GroupSpec, elements) -> np.ndarray:
-        """Values at arbitrary elements; requires the spectral form."""
-        if self.coefficients is None:
-            raise ValueError("only spectral functions can be evaluated off the nodes")
-        return synthesize(self.coefficients, group, elements=elements)
+        if self.values.shape[0] != group.node_count:
+            raise ValueError(
+                f"sampled function has {self.values.shape[0]} values but the "
+                f"rule has {group.node_count} nodes"
+            )
+        return self.values
 
 
 def synthesize(coeffs: FourierCoefficients, group: GroupSpec, elements=None) -> np.ndarray:
@@ -251,13 +217,6 @@ def forward_transform(f: VectorFunction, group: GroupSpec) -> FourierCoefficient
     """Coefficients of ``f`` via quadrature against conj(u_ij), by node analysis."""
     packed = group.analysis(f.sample(group))
     return FourierCoefficients(group.window, f.m, p_E=f.p_E, packed=packed)
-
-
-def inverse_transform(coeffs: FourierCoefficients, group: GroupSpec) -> VectorFunction:
-    """Spectral function evaluating the finite reconstruction series."""
-    if coeffs.window != group.window:
-        raise ValueError("coefficient window does not match the group")
-    return VectorFunction.from_coefficients(coeffs)
 
 
 def _per_function(values) -> float | np.ndarray:
@@ -356,8 +315,12 @@ def coefficients_from_json(data: dict, group: GroupSpec) -> FourierCoefficients:
     window = window_from_json(data["window"])
     if window != group.window:
         raise ValueError("coefficient file window does not match the group")
-    p_raw = data.get("p_E", 2.0)
-    p_E = math.inf if p_raw == "inf" else float(p_raw)
+    m, p_E = data["m"], data.get("p_E", 2.0)
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError(f"coefficient file field 'm' needs an integer, got {m!r}")
+    if p_E != "inf" and (isinstance(p_E, bool) or not isinstance(p_E, (int, float))):
+        raise ValueError(f"coefficient file field 'p_E' needs a number or 'inf', got {p_E!r}")
+    p_E = math.inf if p_E == "inf" else float(p_E)
     by_key = {label_key(l): l for l in group.window.labels}
     blocks = {}
     for key, nested in data["blocks"].items():
@@ -365,7 +328,7 @@ def coefficients_from_json(data: dict, group: GroupSpec) -> FourierCoefficients:
             raise ValueError(f"coefficient file has unknown block key {key!r}")
         raw = np.asarray(nested, dtype=float)
         blocks[by_key[key]] = raw[..., 0] + 1j * raw[..., 1]
-    return FourierCoefficients(group.window, int(data["m"]), blocks, p_E)
+    return FourierCoefficients(group.window, m, blocks, p_E)
 
 
 def dump_json(data: dict) -> str:

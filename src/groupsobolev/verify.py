@@ -442,8 +442,7 @@ def check_sup_embedding(
     verdict on the series behind C over the whole dual as ``constant_verdict``.
     """
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
-    samples = node_samples(coeffs, group)
-    lhs = probed_sup(samples, coeffs.p_E, coeffs, group, extra_samples, probe_seed)
+    lhs = probed_sup(coeffs, group, extra_samples, probe_seed)
     estimate = embedding_constant_C(weights, s, group.window)
     rhs = estimate.value * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)

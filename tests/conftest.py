@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import groupsobolev as gs
@@ -51,6 +52,18 @@ def su2_2():
 @pytest.fixture(scope="session")
 def su2_4():
     return gs.make_group("su2", band=4)
+
+
+@pytest.fixture(scope="session")
+def constant():
+    """``constant(group, value)``: the coefficients of the function equal to
+    the vector ``value`` everywhere, one trivial block."""
+
+    def build(group, value):
+        v = np.atleast_1d(np.asarray(value, dtype=complex))
+        return gs.FourierCoefficients(group.window, v.size, {group.window.trivial: v.reshape(1, 1, -1)})
+
+    return build
 
 
 GROUP_FIXTURES = ("z4", "z12", "s3", "circle2", "circle16", "su2_2", "su2_1h")

@@ -127,7 +127,6 @@ def test_norms_match_library_exactly(tmp_path):
     group = gs.make_group("su2", band=1)
     coeffs = gs.load_coefficients(coeff_path, group)
     weights = gs.canonical_weights(group)
-    f = gs.inverse_transform(coeffs, group)
     by_name = {}
     for row in rows:
         by_name.setdefault(row["name"], []).append(row)
@@ -135,21 +134,37 @@ def test_norms_match_library_exactly(tmp_path):
         assert row["value"] == gs.s_p_norm(coeffs, row["params"]["p"])
     for row in by_name["h_s_norm"]:
         assert row["value"] == gs.h_s_norm(coeffs, weights, row["params"]["s"])
+    f = gs.VectorFunction.from_samples(gs.synthesize(coeffs, group))
     assert by_name["l2_norm"][0]["value"] == gs.l_p_norm(f, group, 2.0)
     sup_row = by_name["sup_norm"][0]
-    assert sup_row["value"] == gs.sup_norm(
-        f, group, extra_samples=sup_row["params"]["extra_samples"], seed=sup_row["params"]["seed"]
-    )
+    extra, seed = sup_row["params"]["extra_samples"], sup_row["params"]["seed"]
+    assert sup_row["value"] == gs.probed_sup(coeffs, group, extra, seed)
 
 
 def test_norms_of_zero_file_are_zero(tmp_path):
     group = gs.make_group("cyclic", n=4)
     path = tmp_path / "zero.json"
-    gs.save_coefficients(path, gs.zero_coefficients(group, m=2))
+    gs.save_coefficients(path, gs.FourierCoefficients(group.window, 2))
     out = tmp_path / "out"
     assert main(["norms", "--coefficients", str(path), "--out", str(out), "--quiet"]) == 0
     rows = json.loads((out / "norms_cyclic_4.json").read_text())
     assert rows and all(row["value"] == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("p_E, message", [
+    ("nan", "field 'p_E' needs a number or 'inf', got 'nan'"),
+    (math.nan, "p_E must be >= 1, got nan"),
+    ([2], "field 'p_E' needs a number or 'inf', got [2]"),
+])
+def test_norms_refuses_a_bad_target_exponent(tmp_path, capsys, p_E, message):
+    group = gs.make_group("cyclic", n=4)
+    data = gs.coefficients_to_json(gs.random_band_limited(0, group, m=2))
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({**data, "p_E": p_E}))
+    out = tmp_path / "out"
+    assert main(["norms", "--coefficients", str(path), "--out", str(out), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_norms_with_weight_table(tmp_path):

@@ -90,9 +90,9 @@ def test_h_s_norm_homogeneous(scale, s, seed):
 # Lebesgue and sup norms
 
 
-def test_l_p_norm_constant(any_group):
+def test_l_p_norm_constant(any_group, constant):
     v = np.array([1.0, -2.0j, 0.5])
-    f = gs.VectorFunction.constant(any_group, v)
+    f = gs.VectorFunction.from_samples(gs.node_samples(constant(any_group, v), any_group))
     for p in (1.0, 2.0, 3.5):
         assert abs(gs.l_p_norm(f, any_group, p) - gs.e_norm(v, 2.0)) <= 1e-12
 
@@ -106,52 +106,53 @@ def test_l_p_norm_unimodular_character(circle16):
 def test_l_p_norm_matches_plancherel(su2_2):
     for seed in range(5):
         coeffs = gs.random_band_limited(seed, su2_2, m=3)
-        f = gs.inverse_transform(coeffs, su2_2)
-        l2 = gs.l_p_norm(f, su2_2, 2.0)
+        l2 = gs.lebesgue_norm(gs.node_samples(coeffs, su2_2), su2_2, coeffs.p_E, 2.0)
         assert abs(l2 - gs.s_p_norm(coeffs, 2.0)) <= 1e-9 * (1.0 + l2)
 
 
 def test_l_p_norm_rejects_bad_p(z4):
-    f = gs.VectorFunction.constant(z4, np.array([1.0]))
+    f = gs.VectorFunction.from_samples(np.ones(4))
     with pytest.raises(ValueError):
         gs.l_p_norm(f, z4, 0.5)
     with pytest.raises(ValueError):
         gs.l_p_norm(f, z4, math.inf)
 
 
-def test_sup_norm_constant(z4):
-    v = np.array([3.0, 4.0])
-    f = gs.VectorFunction.constant(z4, v)
-    assert gs.sup_norm(f, z4) == 5.0
+@pytest.mark.parametrize("p_E", [0.5, 0.0, math.nan])
+def test_sampled_function_rejects_quasi_norm_target(z4, p_E):
+    with pytest.raises(ValueError, match="p_E"):
+        gs.VectorFunction.from_samples(np.ones((4, 2)), p_E=p_E)
+
+
+def test_sup_norm_constant(z4, constant):
+    assert gs.probed_sup(constant(z4, np.array([3.0, 4.0])), z4, extra_samples=1000) == 5.0
 
 
 def test_sup_norm_exact_on_finite_group(z12):
     rng = np.random.default_rng(4)
     samples = rng.standard_normal((12, 1)) + 1j * rng.standard_normal((12, 1))
-    f = gs.VectorFunction.from_samples(samples)
-    assert gs.sup_norm(f, z12) == np.abs(samples).max()
+    coeffs = gs.forward_transform(gs.VectorFunction.from_samples(samples), z12)
+    got = gs.probed_sup(coeffs, z12, extra_samples=1000)
+    assert abs(got - np.abs(samples).max()) <= 1e-12 * np.abs(samples).max()
 
 
 def test_sup_norm_circle_crest(circle2):
     # f(x) = 1 + e^{ix} peaks at 2; the node grid contains the peak.
     blocks = {0: np.ones((1, 1, 1), dtype=complex), 1: np.ones((1, 1, 1), dtype=complex)}
-    f = gs.inverse_transform(gs.FourierCoefficients(circle2.window, 1, blocks), circle2)
-    got = gs.sup_norm(f, circle2)
+    got = gs.probed_sup(gs.FourierCoefficients(circle2.window, 1, blocks), circle2, extra_samples=1000)
     assert 2.0 - 1e-3 <= got <= 2.0 + 1e-12
 
 
 def test_sup_norm_without_extra_samples_uses_nodes_only(su2_2):
     coeffs = gs.random_band_limited(6, su2_2, m=2)
-    f = gs.inverse_transform(coeffs, su2_2)
-    nodes_only = gs.sup_norm(f, su2_2, extra_samples=0)
-    assert nodes_only == float(gs.e_norm(f.sample(su2_2), 2.0).max())
+    nodes_only = gs.probed_sup(coeffs, su2_2)
+    assert nodes_only == float(gs.e_norm(gs.synthesize(coeffs, su2_2), 2.0).max())
 
 
 def test_sup_norm_is_lower_bound(su2_2):
     coeffs = gs.random_band_limited(8, su2_2, m=2)
-    f = gs.inverse_transform(coeffs, su2_2)
-    sparse = gs.sup_norm(f, su2_2, extra_samples=10)
-    dense = gs.sup_norm(f, su2_2, extra_samples=3000)
+    sparse = gs.probed_sup(coeffs, su2_2, extra_samples=10)
+    dense = gs.probed_sup(coeffs, su2_2, extra_samples=3000)
     assert sparse <= dense + 1e-12
 
 

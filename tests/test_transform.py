@@ -119,17 +119,15 @@ def test_forward_su2_matrix_coefficient(su2_1h):
 
 
 def test_inverse_of_zero_is_zero(z4):
-    f = gs.inverse_transform(gs.zero_coefficients(z4, m=2), z4)
-    assert np.abs(f.sample(z4)).max() == 0.0
+    assert np.abs(gs.synthesize(gs.FourierCoefficients(z4.window, 2), z4)).max() == 0.0
 
 
 def test_inverse_single_block_is_character(z4):
     v = np.array([3.0, -1.0j])
     coeffs = gs.FourierCoefficients(z4.window, 2, {1: v.reshape(1, 1, 2)})
-    f = gs.inverse_transform(coeffs, z4)
     x = np.arange(4)
     expected = np.exp(2j * math.pi * x / 4)[:, None] * v[None, :]
-    assert np.abs(f.sample(z4) - expected).max() <= 1e-14
+    assert np.abs(gs.synthesize(coeffs, z4) - expected).max() <= 1e-14
 
 
 def test_round_trip_band_limited(any_group):
@@ -177,7 +175,7 @@ def test_synthesize_window_mismatch(z4, z12):
     with pytest.raises(ValueError):
         gs.synthesize(coeffs, z12)
     with pytest.raises(ValueError):
-        gs.inverse_transform(coeffs, z12)
+        gs.synthesize(coeffs, z12, elements=[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +371,25 @@ def test_node_samples_are_kept_per_group(z12):
 
 def test_probe_is_kept_per_group_seed_count_and_target_norm(su2_2):
     coeffs = gs.random_band_limited(7, su2_2, m=3)
-    samples = np.zeros((su2_2.node_count, 3))  # so that the probe alone sets the max
+    in_l1 = gs.FourierCoefficients(su2_2.window, 3, p_E=1.0, packed=coeffs.packed)
+    # node samples of zero, so that the probe alone sets the max
+    nodes = su2_2.node_count
+    quiet = dataclasses.replace(su2_2, synthesis=lambda w: np.zeros((*w.shape[:-2], nodes, w.shape[-1])))
     # the same window, other probe elements
-    other = dataclasses.replace(su2_2, _sampler=lambda rng, n: su2_2.random_elements(rng, 2 * n)[n:])
+    other = dataclasses.replace(quiet, _sampler=lambda rng, n: su2_2.random_elements(rng, 2 * n)[n:])
     values = set()
-    for group, seed, count, p_E in [
-        (su2_2, 1, 50, 2.0),
-        (su2_2, 2, 50, 2.0),
-        (su2_2, 1, 60, 2.0),
-        (su2_2, 1, 50, 1.0),
-        (other, 1, 50, 2.0),
-        (su2_2, (1, 2), 50, 2.0),
+    for kept, group, seed, count in [
+        (coeffs, quiet, 1, 50),
+        (coeffs, quiet, 2, 50),
+        (coeffs, quiet, 1, 60),
+        (in_l1, quiet, 1, 50),
+        (coeffs, other, 1, 50),
+        (coeffs, quiet, (1, 2), 50),
     ]:
-        unkept = gs.FourierCoefficients(su2_2.window, 3, packed=coeffs.packed)
-        expected = probed_sup(samples, p_E, unkept, group, count, seed)
-        assert probed_sup(samples, p_E, coeffs, group, count, seed) == expected
-        assert probed_sup(samples, p_E, coeffs, group, count, seed) == expected
+        unkept = gs.FourierCoefficients(su2_2.window, 3, p_E=kept.p_E, packed=coeffs.packed)
+        expected = probed_sup(unkept, group, count, seed)
+        assert probed_sup(kept, group, count, seed) == expected
+        assert probed_sup(kept, group, count, seed) == expected
         values.add(expected)
     assert len(values) == 6
 
@@ -399,7 +400,7 @@ def test_probe_is_kept_per_group_seed_count_and_target_norm(su2_2):
 
 def test_forward_of_spectral_function_samples_first(su2_1h):
     coeffs = gs.random_band_limited(21, su2_1h, m=2)
-    f = gs.VectorFunction.from_coefficients(coeffs)
+    f = gs.VectorFunction.from_samples(node_samples(coeffs, su2_1h))
     back = gs.forward_transform(f, su2_1h)
     assert coeffs.max_difference(back) <= 1e-12 * (1.0 + coeffs.max_abs())
 
@@ -419,28 +420,17 @@ def test_sampled_length_validation(z4):
         f.sample(z4)
 
 
-def test_evaluate_requires_spectral(z4):
-    f = gs.VectorFunction.from_samples(np.zeros((4, 1)))
-    with pytest.raises(ValueError):
-        f.evaluate(z4, [0])
-
-
-def test_constant_vector_function(circle2):
+def test_constant_vector_function(circle2, constant):
     v = np.array([1.0, -2.0j])
-    f = gs.VectorFunction.constant(circle2, v)
-    assert np.abs(f.sample(circle2) - v).max() <= 1e-15
-    vals = f.evaluate(circle2, [0.1, 2.5])
+    coeffs = constant(circle2, v)
+    assert np.abs(gs.synthesize(coeffs, circle2) - v).max() <= 1e-15
+    vals = gs.synthesize(coeffs, circle2, elements=[0.1, 2.5])
     assert np.abs(vals - v).max() <= 1e-15
 
 
 def test_one_dimensional_samples_promoted():
     f = gs.VectorFunction.from_samples(np.ones(4))
     assert f.m == 1 and f.values.shape == (4, 1)
-
-
-def test_exactly_one_representation():
-    with pytest.raises(ValueError):
-        gs.VectorFunction(m=1)
 
 
 def test_e_norm_values():
@@ -466,10 +456,29 @@ def test_serialization_round_trip_bit_exact(any_group):
     assert dump_json(coefficients_to_json(back)) == text
 
 
-def test_serialization_drops_zero_blocks(z4):
-    f = gs.VectorFunction.constant(z4, np.array([1.0, 2.0]))
-    data = coefficients_to_json(f.coefficients)
+def test_serialization_drops_zero_blocks(z4, constant):
+    data = coefficients_to_json(constant(z4, np.array([1.0, 2.0])))
     assert list(data["blocks"]) == ["0"]
+
+
+@pytest.mark.parametrize("p_E", [math.nan, 0.5])
+def test_coefficients_refuse_a_target_exponent_below_one(z4, p_E):
+    with pytest.raises(ValueError, match="p_E must be >= 1"):
+        gs.FourierCoefficients(z4.window, 1, p_E=p_E)
+
+
+@pytest.mark.parametrize("p_E", [math.nan, 0.5, "nan", "abc", True, [2]])
+def test_coefficient_file_refuses_a_bad_target_exponent(z4, p_E):
+    data = coefficients_to_json(gs.random_band_limited(0, z4, m=1))
+    with pytest.raises(ValueError, match="p_E"):
+        coefficients_from_json({**data, "p_E": p_E}, z4)
+
+
+@pytest.mark.parametrize("m", [2.7, 2.0, True, "2"])
+def test_coefficient_file_refuses_a_non_integer_m(z4, m):
+    data = coefficients_to_json(gs.random_band_limited(0, z4, m=2))
+    with pytest.raises(ValueError, match="'m' needs an integer"):
+        coefficients_from_json({**data, "m": m}, z4)
 
 
 def test_serialization_window_mismatch(z4, z12):
@@ -619,7 +628,7 @@ def test_h0_norm_is_bit_equal_to_s2_norm(name, request):
             assert gs.h_s_norm(coeffs, weights, 0.0) == gs.s_p_norm(coeffs, 2.0)
 
 
-def test_off_node_constant_evaluates_trivial_irrep_only(su2_2, monkeypatch):
+def test_off_node_constant_evaluates_trivial_irrep_only(su2_2, constant, monkeypatch):
     seen = []
     original = gs.GroupSpec.irrep_matrices
 
@@ -628,8 +637,8 @@ def test_off_node_constant_evaluates_trivial_irrep_only(su2_2, monkeypatch):
         return original(self, label, elements, out)
 
     monkeypatch.setattr(gs.GroupSpec, "irrep_matrices", recording)
-    f = gs.VectorFunction.constant(su2_2, np.array([1.0, 2.0j]))
-    vals = f.evaluate(su2_2, su2_2.random_elements(np.random.default_rng(0), 5))
+    coeffs = constant(su2_2, np.array([1.0, 2.0j]))
+    vals = gs.synthesize(coeffs, su2_2, elements=su2_2.random_elements(np.random.default_rng(0), 5))
     assert seen == [su2_2.window.trivial]
     assert np.abs(vals - np.array([1.0, 2.0j])).max() <= 1e-15
 

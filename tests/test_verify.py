@@ -239,9 +239,9 @@ def test_l2_embedding_batches(any_group):
             assert record.passed
 
 
-def test_sup_embedding_constant_function(z4):
-    f = gs.VectorFunction.constant(z4, np.array([2.0, 1.0]))
-    (record,) = gs.check_sup_embedding(f.coefficients, gs.zero_weights(z4.window), 1.0, z4)
+def test_sup_embedding_constant_function(z4, constant):
+    coeffs = constant(z4, np.array([2.0, 1.0]))
+    (record,) = gs.check_sup_embedding(coeffs, gs.zero_weights(z4.window), 1.0, z4)
     assert record.context["constant"] >= 1.0
     assert record.passed
 
@@ -273,9 +273,8 @@ def test_hausdorff_young_single_character_equality(circle2):
     assert record.passed
 
 
-def test_hausdorff_young_constant_equality(su2_2):
-    f = gs.VectorFunction.constant(su2_2, np.array([1.0, 1.0j]))
-    (record,) = gs.check_hausdorff_young(f.coefficients, su2_2, 1.5)
+def test_hausdorff_young_constant_equality(su2_2, constant):
+    (record,) = gs.check_hausdorff_young(constant(su2_2, np.array([1.0, 1.0j])), su2_2, 1.5)
     assert record.passed and abs(record.slack) <= record.tol
 
 
@@ -299,11 +298,8 @@ def test_hausdorff_young_flags_exotic_targets(z4):
     assert record.hypothesis_sensitive
 
 
-def test_lq_embedding_constant_function(z4):
-    f = gs.VectorFunction.constant(z4, np.array([1.0]))
-    records = gs.check_lq_embedding(
-        f.coefficients, gs.zero_weights(z4.window), 1.0, 2.0, z4
-    )
+def test_lq_embedding_constant_function(z4, constant):
+    records = gs.check_lq_embedding(constant(z4, np.array([1.0])), gs.zero_weights(z4.window), 1.0, 2.0, z4)
     assert [r.name for r in records] == ["lq_embedding", "lq_embedding_chain"]
     assert all(r.passed for r in records)
 
