@@ -13,7 +13,8 @@ integrate exactly, which makes the Schur orthogonality relations
     quad( u_{ij}^sigma * conj(u_{kl}^tau) ) = delta * delta * delta / d_sigma
 
 hold at quadrature precision. ``orthogonality_selftest`` checks this
-directly rather than trusting the sizing argument.
+directly rather than trusting the sizing argument, from the tables the node
+transforms hold: no group keeps its (nodes, K) node matrix.
 
 Conventions: inner products are linear in the first argument, the irrep
 basis is the standard coordinate basis, so the matrix coefficient
@@ -28,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -53,9 +53,9 @@ __all__ = [
 #: Largest acceptable deviation from exact Schur orthogonality.
 ORTHOGONALITY_TOL = 1e-9
 
-#: Largest SU(2) spin accepted. The self-test's node matrix sets it (about 199 GB
-#: at band 25), not accuracy or the transforms, which build no node matrix.
-SU2_MAX_SPIN = 25.0
+#: Largest SU(2) spin accepted: the largest band whose round trip (1e-12) and Schur
+#: self-test (1e-9) are tested. Its Euler grid has 1.1 million nodes.
+SU2_MAX_SPIN = 32.0
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -87,8 +87,8 @@ def _check_spin(ell: float) -> None:
         raise ValueError(f"spin {ell:g} is not a nonnegative multiple of 1/2")
     if ell > SU2_MAX_SPIN:
         raise ValueError(
-            f"spin {ell:g} is above SU2_MAX_SPIN = {SU2_MAX_SPIN:g}; an SU(2) window of "
-            f"band {SU2_MAX_SPIN:g} already needs a node matrix of about 199 GB"
+            f"spin {ell:g} is above SU2_MAX_SPIN = {SU2_MAX_SPIN:g}, the largest band whose "
+            f"transforms and orthogonality self-test are tested"
         )
 
 
@@ -253,6 +253,8 @@ class GroupSpec:
     a batch of elements, shape (n, d, d), in ``out`` unless that is None. The
     node transforms ``analysis`` and ``synthesis`` take samples (..., nodes, m) to
     packed rows (..., K, m), quad(conj(u_c) * f), and rows P back to sum_c u_c * P[c].
+    ``schur_deviation(group)`` bounds max |quad(conj(u_c) * u_c') - delta_cc' / d_c| over
+    all K^2 pairs from above, up to rounding, from the tables the node transforms hold.
     """
 
     kind: str
@@ -266,16 +268,7 @@ class GroupSpec:
     _sampler: Callable[[np.random.Generator, int], np.ndarray]
     analysis: Callable[[np.ndarray], np.ndarray]
     synthesis: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        _check_node_matrix_fits(self.name, self.node_count, self.window.size)
-
-    @cached_property
-    def node_matrix(self) -> np.ndarray:
-        """All window coefficients at the nodes, (nodes, K) in packed order, read-only."""
-        matrix = self._packed(self.quadrature.nodes, self.window.labels, self._matrices)
-        matrix.flags.writeable = False
-        return matrix
+    schur_deviation: Callable[[GroupSpec], float]
 
     def irrep_matrices(self, label, elements, out=None) -> np.ndarray:
         """Matrices of the window irrep ``label`` at a batch of elements,
@@ -284,26 +277,18 @@ class GroupSpec:
         self.window.index(label)
         return self._matrices(label, elements, out)
 
-    def node_stack(self, label) -> np.ndarray:
-        """Irrep matrices at all quadrature nodes; shape (n, d, d), a view."""
-        d = self.dim_of(label)
-        return self.node_matrix[:, self.window.columns(label)].reshape(-1, d, d)
-
     def packed_matrices(self, elements, labels=None) -> np.ndarray:
         """Coefficients of ``labels`` (default: the window) at the elements in
         packed column order, shape (n, sum d^2); column-major, so that each
         label's d*d columns are one (n, d, d) view that its evaluator fills."""
         labels = self.window.labels if labels is None else labels
-        return self._packed(elements, labels, self.irrep_matrices)
-
-    def _packed(self, elements, labels, evaluate) -> np.ndarray:
         n = np.size(elements) // np.size(self.identity)
         out = np.empty((n, sum(self.dim_of(l) ** 2 for l in labels)), dtype=complex, order="F")
         col = 0
         for label in labels:
             d = self.dim_of(label)
             view = out[:, col : col + d * d].reshape(n, d, d)
-            if (mats := evaluate(label, elements, view)) is not view:
+            if (mats := self.irrep_matrices(label, elements, view)) is not view:
                 view[...] = mats
             col += d * d
         return out
@@ -328,18 +313,6 @@ class GroupSpec:
 
     def __repr__(self) -> str:  # keep dataclass noise out of test output
         return f"GroupSpec({self.name})"
-
-
-def _check_node_matrix_fits(name: str, n: int, k: int) -> None:
-    """Refuse a node matrix of n nodes by k coefficients, n * k * 16 bytes,
-    larger than physical memory."""
-    needed = n * k * 16
-    available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if needed > available:
-        raise ValueError(
-            f"{name}: the node matrix of N = {n} nodes by K = {k} coefficients "
-            f"needs {needed} bytes, more than the {available} bytes of physical memory"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +340,18 @@ def _finite_group(
     if identity is None:
         raise ValueError(f"{name}: multiplication table has no identity element")
 
-    def matrices(label, elements, out):
-        idx = np.atleast_1d(np.asarray(elements, dtype=int))
+    def indices(elements) -> np.ndarray:
+        idx = np.atleast_1d(np.asarray(elements))
+        if idx.dtype.kind not in "iu":
+            if idx.dtype.kind != "f" or not np.isfinite(idx).all() or (idx % 1).any():
+                raise ValueError(f"{name}: element indices must be integers, got {elements!r}")
+            idx = idx.astype(int)
         if idx.min(initial=0) < 0 or idx.max(initial=0) >= order:
             raise ValueError(f"{name}: element index out of range 0..{order - 1}")
-        return np.take(irrep_tables[label], idx, axis=0, out=out)
+        return idx
+
+    def matrices(label, elements, out):
+        return np.take(irrep_tables[label], indices(elements), axis=0, out=out)
 
     window = DualWindow(
         kind=kind,
@@ -382,7 +362,7 @@ def _finite_group(
     )
 
     def multiply(x, y):
-        return int(mult_table[int(x), int(y)])
+        return int(mult_table[indices(x), indices(y)].item())
 
     def sampler(rng, count):
         return rng.integers(0, order, size=count)
@@ -402,16 +382,27 @@ def _finite_group(
 
 
 def _dense_transforms(irrep_tables: dict) -> dict:
-    """Node transforms of a finite group as products with its node matrix."""
+    """Node transforms of a finite group as products with its irrep tables, (order, K),
+    and its Schur deviation from their Gram u^H W u."""
     tables = [t.reshape(len(t), -1) for t in irrep_tables.values()]
     u = np.asfortranarray(np.concatenate(tables, axis=1))  # as packed_matrices lays it out
     w = np.full((len(u), 1), 1.0 / len(u))
-    return dict(analysis=lambda f: np.conj(u.T @ np.conj(w * f)), synthesis=lambda p: u @ p)
+
+    def schur_deviation(group):
+        gram = u.conj().T @ (w * u)
+        return float(np.abs(gram - np.diag(1.0 / group.window.entry_dims)).max())
+
+    return dict(
+        analysis=lambda f: np.conj(u.T @ np.conj(w * f)),
+        synthesis=lambda p: u @ p,
+        schur_deviation=schur_deviation,
+    )
 
 
 def _fft_transforms(freqs, n: int) -> dict:
     """Node transforms of the characters x -> exp(2 pi i k x / n) at n equally weighted
     nodes (Z_n, or the circle at 2 pi x / n): one FFT, frequency k at index k mod n."""
+    freqs = np.asarray(freqs)
     rows = np.mod(freqs, n)
 
     def analysis(samples):
@@ -422,7 +413,15 @@ def _fft_transforms(freqs, n: int) -> dict:
         full[..., rows] = np.swapaxes(packed, -1, -2)
         return np.ascontiguousarray(np.swapaxes(np.fft.ifft(full, norm="forward"), -1, -2))
 
-    return dict(analysis=analysis, synthesis=synthesis)
+    def schur_deviation(group):
+        # The Gram quad(conj(u_j) u_k) depends on k - j alone, so the columns of the lowest
+        # and the highest frequency hold every entry: the analysis of those two characters.
+        ends = (freqs.min(), freqs.max())
+        chars = [group._matrices(k, group.quadrature.nodes, None).reshape(-1, 1) for k in ends]
+        gram = analysis(np.concatenate(chars, axis=1))
+        return float(np.abs(gram - np.equal.outer(freqs, ends)).max())
+
+    return dict(analysis=analysis, synthesis=synthesis, schur_deviation=schur_deviation)
 
 
 def _make_cyclic(n: int) -> GroupSpec:
@@ -430,28 +429,16 @@ def _make_cyclic(n: int) -> GroupSpec:
         raise ValueError("cyclic group order must be >= 1")
     x = np.arange(n)
     table = (x[:, None] + x[None, :]) % n
-    irrep_tables = {}
-    for k in range(n):
-        chars = np.exp(2j * math.pi * k * x / n)
-        irrep_tables[k] = chars.reshape(n, 1, 1)
+    irrep_tables = {k: np.exp(2j * math.pi * k * x / n).reshape(n, 1, 1) for k in range(n)}
     transforms = _fft_transforms(x, n)
     return _finite_group("cyclic", f"cyclic({n})", table, irrep_tables, n - 1, 0, transforms)
-
-
-def _perm_sign(p: tuple) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return -1 if inv % 2 else 1
 
 
 def _make_s3() -> GroupSpec:
     perms = list(permutations(range(3)))
     idx = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    table = np.zeros((order, order), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            comp = tuple(p[q[k]] for k in range(3))
-            table[i, j] = idx[comp]
+    table = np.array([[idx[tuple(p[k] for k in q)] for q in perms] for p in perms])
+    pmats = np.eye(3)[:, perms].swapaxes(0, 1)  # column j of the matrix of p is e_{p[j]}
 
     # 2-dim irrep: permutation action restricted to the sum-zero plane,
     # expressed in an orthonormal basis of that plane.
@@ -462,29 +449,37 @@ def _make_s3() -> GroupSpec:
             [0.0, -2.0 / math.sqrt(6)],
         ]
     )
-    trivial = np.ones((order, 1, 1), dtype=complex)
-    sign = np.array([_perm_sign(p) for p in perms], dtype=complex).reshape(order, 1, 1)
-    standard = np.zeros((order, 2, 2), dtype=complex)
-    for i, p in enumerate(perms):
-        pmat = np.zeros((3, 3))
-        for j in range(3):
-            pmat[p[j], j] = 1.0
-        standard[i] = basis.T @ pmat @ basis
-    tables = {"trivial": trivial, "sign": sign, "standard": standard}
+    tables = {
+        "trivial": np.ones((6, 1, 1), dtype=complex),
+        "sign": np.linalg.det(pmats).reshape(6, 1, 1).astype(complex),
+        "standard": (basis.T @ pmats @ basis).astype(complex),
+    }
     return _finite_group("s3", "s3", table, tables, 2, "trivial", _dense_transforms(tables))
+
+
+def _circle_node_count(band: int) -> int:
+    """Equally spaced nodes exact for trigonometric degree <= 4 * band."""
+    return 4 * band + 1
+
+
+def _su2_axes(band: float, half_integers: bool) -> tuple[int, int, int, float]:
+    """(n_alpha, n_beta, n_gamma, gamma period) of the Euler grid that integrates the
+    product of any two window coefficients exactly; half-integer spins need gamma
+    over 4 pi."""
+    n_gamma = math.ceil((8 if half_integers else 4) * band + 2)
+    gamma_period = FOUR_PI if half_integers else TWO_PI
+    return math.ceil(4 * band + 2), math.ceil(2 * band + 1), n_gamma, gamma_period
 
 
 def _make_circle(band: int) -> GroupSpec:
     if band < 0:
         raise ValueError("circle band limit must be >= 0")
     band = int(band)
-    npts = 4 * band + 1  # exact for trig degree <= 4*band
+    npts = _circle_node_count(band)
     nodes = TWO_PI * np.arange(npts) / npts
     weights = np.full(npts, 1.0 / npts)
 
-    labels = [0]
-    for b in range(1, band + 1):
-        labels.extend([-b, b])
+    labels = [0, *(sign * b for b in range(1, band + 1) for sign in (-1, 1))]
 
     def matrices(freq, elements, out):
         x = np.atleast_1d(np.asarray(elements, dtype=float))
@@ -531,12 +526,7 @@ def _make_su2(band: float, half_integers: bool = False) -> GroupSpec:
     )
     name = f"su2({band:g},half)" if half_integers else f"su2({band:g})"
 
-    n_alpha = math.ceil(4 * band + 2)
-    n_beta = math.ceil(2 * band + 1)
-    gamma_period = FOUR_PI if half_integers else TWO_PI
-    n_gamma = math.ceil((8 if half_integers else 4) * band + 2)
-    _check_node_matrix_fits(name, n_alpha * n_beta * n_gamma, window.size)
-
+    n_alpha, n_beta, n_gamma, gamma_period = _su2_axes(band, half_integers)
     alphas = TWO_PI * np.arange(n_alpha) / n_alpha
     t, wt = np.polynomial.legendre.leggauss(n_beta)
     betas = np.arccos(t)
@@ -610,7 +600,35 @@ def _su2_transforms(window, step, alphas, betas, wbeta, gammas) -> dict:
         f = np.matmul(e_alpha, g.reshape(len(p), n_m, n_b * n_c * m))  # (L, a, b, c, e)
         return f.reshape(*lead, n_a * n_b * n_c, m)
 
-    return dict(analysis=analysis, synthesis=synthesis)
+    stride, sqrt_w = round(1 / step), np.sqrt(w_beta)  # a spin's m', m: ms rows, one class
+
+    def schur_deviation(group):
+        # The Gram of c = (l, m', m) and c' = (l', n', n) is A[m', n'] B[c, c'] C[m, n]: A and C
+        # of the alpha and gamma exponentials, B of the d-tables over beta. Entries with
+        # (m', m) = (n', n) are computed, one Gram over the spins holding (m', m); any other is
+        # at most |A[m', n']| |C[m, n]| max_c B[c, c] (Cauchy-Schwarz), per pair of classes.
+        a, c = (np.abs(e.conj().T @ e) for e in (e_alpha, e_gamma))
+        a_off, c_off = a - np.diag(a.diagonal()), c - np.diag(c.diagonal())
+        worst, b_diag, ac = [], [], []
+        for p in range(stride):
+            for blk in (np.s_[p::stride, q::stride] for q in range(stride)):
+                ac += [a_off[blk].max(initial=0) * c[blk].max(initial=0)]
+                ac += [a[blk].max(initial=0) * c_off[blk].max(initial=0)]
+            held = [(r.start // stride, d, d_b) for _, d, r, d_b in spins if r.start % stride == p]
+            n, k = len(range(p, n_m, stride)), np.arange(len(held))
+            t, inv_d = np.zeros((n, n, len(held), n_b)), np.zeros((n, n, len(held)))
+            for s, (i, d, d_b) in enumerate(held):
+                t[i : i + d, i : i + d, s] = d_b.transpose(1, 2, 0)
+                inv_d[i : i + d, i : i + d, s] = 1.0 / d
+            t *= sqrt_w
+            gram = t @ t.swapaxes(-1, -2)  # (m', m, l, l'): B at each (m', m)
+            b_diag.append(gram[..., k, k].max(initial=0))
+            gram *= np.multiply.outer(a.diagonal(), c.diagonal())[p::stride, p::stride, None, None]
+            gram[..., k, k] -= inv_d
+            worst.append(np.abs(gram).max(initial=0))
+        return float(np.max([np.max(worst), np.max(ac) * np.max(b_diag)]))
+
+    return dict(analysis=analysis, synthesis=synthesis, schur_deviation=schur_deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -814,30 +832,12 @@ class OrthogonalityReport:
     pairs_checked: int
 
 
-def orthogonality_selftest(
-    group: GroupSpec,
-    tol: float = ORTHOGONALITY_TOL,
-    max_pairs: int | None = None,
-    seed: int = 0,
-) -> OrthogonalityReport:
+def orthogonality_selftest(group: GroupSpec, tol: float = ORTHOGONALITY_TOL) -> OrthogonalityReport:
     """Quadrature check of Schur orthogonality over the whole window.
 
-    Computes all pairings quad(u * conj(u')) and compares them with the
-    exact values delta/d. ``max_pairs`` optionally subsamples coefficient
-    pairs for very large windows.
+    Compares all K^2 pairings quad(u * conj(u')) with the exact values delta/d
+    through ``group.schur_deviation``, which works from the node transforms'
+    tables and, up to rounding, never reports less than the dense Gram would.
     """
-    u, expected = group.node_matrix, np.diag(1.0 / group.window.entry_dims)
-    k = u.shape[1]
-    if max_pairs is not None and k * k > max_pairs:
-        keep = max(2, math.isqrt(max_pairs))
-        idx = np.sort(np.random.default_rng(seed).choice(k, size=min(k, keep), replace=False))
-        u = u[:, idx]
-        expected = expected[np.ix_(idx, idx)]
-    gram = u.conj().T @ (group.quadrature.weights[:, None] * u)
-    deviation = float(np.abs(gram - expected).max())
-    return OrthogonalityReport(
-        max_deviation=deviation,
-        tolerance=tol,
-        passed=deviation <= tol,
-        pairs_checked=u.shape[1] ** 2,
-    )
+    deviation = group.schur_deviation(group)
+    return OrthogonalityReport(deviation, tol, deviation <= tol, group.window.size**2)

@@ -7,8 +7,8 @@ quadrature nodes is the family of blocks
     C_sigma[i][j] = quad( conj(u_ij(x)) * f(x) ),   0-based i, j,
 
 one (d, d, m) array per window irrep, all stored in one packed (K, m)
-array (K = sum of d^2) whose rows follow the columns of the group's
-(nodes, K) node matrix; the reconstruction series
+array (K = sum of d^2) whose rows follow the packed columns of
+``GroupSpec.packed_matrices``; the reconstruction series
 
     f(x) = sum_sigma d_sigma sum_ij C_sigma[i][j] * u_ij(x)
 
@@ -72,7 +72,7 @@ class FourierCoefficients:
     batch of B functions packed into one (B, K, m) array.
 
     ``packed`` holds K = sum of d^2 rows in the column order of the group's
-    node matrix. ``blocks[label]`` and ``block(label)`` are (d, d, m) views
+    ``packed_matrices``. ``blocks[label]`` and ``block(label)`` are (d, d, m) views
     of it, (B, d, d, m) for a batch: entry [i, j] is the E-vector paired
     with the matrix coefficient u_{i+1, j+1}. Labels missing from
     ``blocks`` at construction are zero.

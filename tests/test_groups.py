@@ -1,6 +1,5 @@
 import json
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupsobolev as gs
+from groupsobolev import groups
 from groupsobolev.groups import ORTHOGONALITY_TOL, SU2_MAX_SPIN, _su2_euler_from_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -83,24 +83,11 @@ def test_group_from_window(any_group):
     assert rebuilt.window == any_group.window
 
 
-def test_make_group_refuses_node_matrix_beyond_physical_memory(monkeypatch):
-    def no_evaluation(self, label, elements, out=None):
-        raise AssertionError("an irrep was evaluated before the memory check")
-
-    monkeypatch.setattr(gs.GroupSpec, "irrep_matrices", no_evaluation)
-    start = time.perf_counter()
-    # 800,001 nodes by 400,001 coefficients: about 5 TB of node matrix
-    with pytest.raises(ValueError, match=r"N = 800001 .*K = 400001 .*needs 5120019200016 bytes"):
-        gs.make_group("circle", band=200_000)
-    assert time.perf_counter() - start < 1.0
-
-
 @pytest.mark.parametrize(
     "band, refusal",
     [
-        (40.0, r"spin 40 is above SU2_MAX_SPIN = 25"),
-        # 530,604 nodes by 23,426 coefficients: about 200 GB of node matrix
-        (SU2_MAX_SPIN, r"N = 530604 .*K = 23426 .*needs 198878868864 bytes"),
+        (40.0, r"spin 40 is above SU2_MAX_SPIN = 32"),
+        (SU2_MAX_SPIN + 1, r"spin 33 is above SU2_MAX_SPIN = 32"),
     ],
 )
 def test_refused_su2_build_allocates_no_quadrature_grid(band, refusal):
@@ -360,7 +347,7 @@ def test_wigner_matrices_fill_a_column_major_output(su2_2):
     assert np.shares_memory(view, out)
     assert gs.wigner_d_matrix(2.0, nodes, out=view) is view
     assert np.array_equal(view, gs.wigner_d_matrix(2.0, nodes))
-    assert np.array_equal(out, su2_2.node_matrix[:, su2_2.window.columns(2.0)])
+    assert np.array_equal(out, su2_2.packed_matrices(nodes)[:, su2_2.window.columns(2.0)])
 
 
 EULER_TRIPLES = st.tuples(
@@ -380,7 +367,7 @@ def test_wigner_matrices_are_a_unitary_representation(su2_1h, two_ell, x, y):
 
 
 def test_wigner_refuses_spin_above_the_limit():
-    with pytest.raises(ValueError, match=r"spin 25.5 is above SU2_MAX_SPIN = 25"):
+    with pytest.raises(ValueError, match=r"spin 32.5 is above SU2_MAX_SPIN = 32"):
         gs.wigner_d_matrix(SU2_MAX_SPIN + 0.5, [(0.3, 1.1, 2.0)])
 
 
@@ -434,11 +421,69 @@ def test_selftest_su2(su2_2, su2_1h):
         assert rep.passed and rep.max_deviation <= 1e-9
 
 
-def test_selftest_subsampling(circle16):
-    full = gs.orthogonality_selftest(circle16)
-    sub = gs.orthogonality_selftest(circle16, max_pairs=100)
-    assert sub.pairs_checked <= 100 < full.pairs_checked
-    assert sub.passed
+def _dense_deviation(group):
+    """max |u^H W u - I/d| of the node matrix u, the window's coefficients at every node."""
+    u = group.packed_matrices(group.quadrature.nodes)
+    gram = u.conj().T @ (group.quadrature.weights[:, None] * u)
+    return float(np.abs(gram - np.diag(1.0 / group.window.entry_dims)).max())
+
+
+#: The dense Gram's own rounding: on the correct grids below it reads up to 1.8e-15
+#: (su2(1)), where the self-test's smaller sums read 4.4e-16.
+DENSE_ROUNDING = 1e-14
+
+ORACLE_GROUPS = (
+    *({"kind": "su2", "band": band} for band in range(5)),
+    *({"kind": "su2", "band": band / 2, "half_integers": True} for band in range(1, 6)),
+    {"kind": "circle", "band": 16},
+    {"kind": "cyclic", "n": 12},
+)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS, ids=lambda spec: gs.make_group(spec).name)
+def test_selftest_never_under_reports_the_dense_gram(spec):
+    group = gs.make_group(spec)
+    report, dense = gs.orthogonality_selftest(group), _dense_deviation(group)
+    assert report.pairs_checked == group.window.size**2
+    assert report.max_deviation >= dense - DENSE_ROUNDING
+    assert max(report.max_deviation, dense) <= 1e-13
+
+
+def _su2_axes_with(change):
+    axes = groups._su2_axes
+    return lambda band, half: change(*axes(band, half))
+
+
+@pytest.mark.parametrize(
+    "spec, builder, replacement",
+    [
+        # beta one Gauss node short: the Gram's beta integrands are polynomials of degree
+        # l + l' <= 2B in cos(beta), so it needs B + 1 of the 2B + 1 nodes the grid has
+        (
+            {"kind": "su2", "band": 6},
+            "_su2_axes",
+            _su2_axes_with(lambda a, b, c, p: (a, (b - 1) // 2, c, p)),
+        ),
+        # half-integer spins with gamma over 2 pi
+        (
+            {"kind": "su2", "band": 2.5, "half_integers": True},
+            "_su2_axes",
+            _su2_axes_with(lambda a, b, c, p: (a, b, c, TWO_PI)),
+        ),
+        # alpha or gamma grids of 12 nodes at band 6
+        ({"kind": "su2", "band": 6}, "_su2_axes", _su2_axes_with(lambda a, b, c, p: (12, b, c, p))),
+        ({"kind": "su2", "band": 6}, "_su2_axes", _su2_axes_with(lambda a, b, c, p: (a, b, 12, p))),
+        # a circle grid of 2B nodes
+        ({"kind": "circle", "band": 16}, "_circle_node_count", lambda band: 2 * band),
+    ],
+    ids=["beta-short", "half-gamma-2pi", "alpha-12", "gamma-12", "circle-2B"],
+)
+def test_selftest_fails_on_a_grid_too_small(monkeypatch, spec, builder, replacement):
+    monkeypatch.setattr(groups, builder, replacement)
+    group = gs.make_group(spec)
+    report = gs.orthogonality_selftest(group)
+    assert not report.passed and report.max_deviation > 1e-3
+    assert report.max_deviation >= _dense_deviation(group) - DENSE_ROUNDING
 
 
 def test_entry_difference_bounded_by_operator_norm(su2_2):
@@ -457,17 +502,19 @@ def test_entry_difference_bounded_by_operator_norm(su2_2):
 
 
 def test_node_matrix_shape_and_read_only(any_group):
-    u = any_group.node_matrix
+    # the node matrix is packed_matrices at the nodes, built on request: no group keeps one
+    u = any_group.packed_matrices(any_group.quadrature.nodes)
     assert u.shape == (any_group.node_count, sum(d * d for d in any_group.window.dims))
-    assert not u.flags.writeable
+    assert not hasattr(any_group, "node_matrix") and not hasattr(any_group, "node_stack")
+    assert not any_group.window.entry_dims.flags.writeable
     assert any_group.window.offsets[-1] == any_group.window.size == u.shape[1]
 
 
 def test_node_stack_is_view_of_node_matrix(any_group):
-    u = any_group.node_matrix
     nodes = any_group.quadrature.nodes
+    u = any_group.packed_matrices(nodes)
     for label, d in zip(any_group.window.labels, any_group.window.dims):
-        stack = any_group.node_stack(label)
+        stack = u[:, any_group.window.columns(label)].reshape(-1, d, d)
         assert stack.shape == (any_group.node_count, d, d)
         assert np.shares_memory(stack, u)
         assert np.array_equal(stack, any_group.irrep_matrices(label, nodes))
@@ -494,7 +541,25 @@ def test_packed_matrices_copy_in_what_an_evaluator_returns(any_group, monkeypatc
 
     monkeypatch.setattr(gs.GroupSpec, "irrep_matrices", ignores_out)
     assert np.array_equal(any_group.packed_matrices(els), expected)
-    assert np.array_equal(gs.make_group(any_group.window).node_matrix, any_group.node_matrix)
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, math.inf, "1"])
+def test_finite_groups_refuse_non_integral_elements(s3, z12, bad):
+    for group, label in ((s3, "standard"), (z12, 5)):
+        with pytest.raises(ValueError, match="element indices must be integers"):
+            group.irrep_matrices(label, [0, bad])
+        with pytest.raises(ValueError, match="element indices must be integers"):
+            group.multiply(bad, 0)
+        with pytest.raises(ValueError, match="element indices must be integers"):
+            group.multiply(1, bad)
+
+
+def test_finite_groups_take_integral_floats_and_refuse_foreign_indices(s3):
+    assert np.array_equal(s3.irrep_matrices("standard", [1.0, 2.0]), s3.irrep_matrices("standard", [1, 2]))
+    assert s3.multiply(2.0, np.int64(3)) == s3.multiply(2, 3)
+    for x, y in ((-1, 0), (0, 6)):
+        with pytest.raises(ValueError, match="out of range"):
+            s3.multiply(x, y)
 
 
 def test_window_index_rejects_foreign_labels(su2_2):

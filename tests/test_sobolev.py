@@ -98,7 +98,7 @@ def test_l_p_norm_constant(any_group, constant):
 
 
 def test_l_p_norm_unimodular_character(circle16):
-    u = circle16.node_stack(1)[:, 0, 0]
+    u = circle16.irrep_matrices(1, circle16.quadrature.nodes)[:, 0, 0]
     f = gs.VectorFunction.from_samples(u)
     assert abs(gs.l_p_norm(f, circle16, 2.0) - 1.0) <= 1e-12
 

@@ -102,7 +102,7 @@ def test_forward_su2_matrix_coefficient(su2_1h):
     # f = u_{1,1} of the spin-1/2 block times v; its only nonzero
     # coefficient is that entry, scaled by 1/d = 1/2.
     v = np.array([2.0, 1.0j, -1.0])
-    u11 = su2_1h.node_stack(0.5)[:, 0, 0]
+    u11 = su2_1h.irrep_matrices(0.5, su2_1h.quadrature.nodes)[:, 0, 0]
     samples = u11[:, None] * v[None, :]
     coeffs = gs.forward_transform(gs.VectorFunction.from_samples(samples), su2_1h)
     block = coeffs.block(0.5)
@@ -530,7 +530,8 @@ def _custom_s3():
             "label": label,
             "dim": d,
             "matrices": [
-                [[[z.real, z.imag] for z in row] for row in mat] for mat in s3.node_stack(label)
+                [[[z.real, z.imag] for z in row] for row in mat]
+                for mat in s3.irrep_matrices(label, s3.quadrature.nodes)
             ],
         }
         for label, d in zip(s3.window.labels, s3.window.dims)
@@ -680,10 +681,10 @@ def test_dump_json_rejects_non_finite():
 
 
 def _forward_by_label(samples, group):
-    w = group.quadrature.weights
+    w, nodes = group.quadrature.weights, group.quadrature.nodes
     return {
         label: np.einsum(
-            "k,kji,...km->...ijm", w, group.node_stack(label).conj(), samples, optimize=True
+            "k,kji,...km->...ijm", w, group.irrep_matrices(label, nodes).conj(), samples, optimize=True
         )
         for label in group.window.labels
     }
@@ -692,7 +693,7 @@ def _forward_by_label(samples, group):
 def _synthesize_by_label(coeffs, group):
     out = np.zeros((*coeffs.packed.shape[:-2], group.node_count, coeffs.m), dtype=complex)
     for label, d in zip(group.window.labels, group.window.dims):
-        stack = group.node_stack(label)
+        stack = group.irrep_matrices(label, group.quadrature.nodes)
         out += d * np.einsum("...ijm,kji->...km", coeffs.block(label), stack, optimize=True)
     return out
 
@@ -754,10 +755,17 @@ def test_packed_paths_match_per_label_loops(name, request):
 
 
 @pytest.mark.parametrize(
-    "spec", [{"kind": "circle", "band": 4096}, {"kind": "su2", "band": 12}], ids=_spec_id
+    "spec",
+    [
+        {"kind": "circle", "band": 4096},
+        {"kind": "su2", "band": 12},
+        {"kind": "su2", "band": 16},
+        {"kind": "su2", "band": 32},
+    ],
+    ids=_spec_id,
 )
 def test_large_groups_round_trip_at_1e_12_without_a_node_matrix(spec):
-    # dense, these would need node matrices of 2.1 GB and 2.9 GB
+    # dense, these would need node matrices of 2.1 GB, 2.9 GB, 15 GB and 842 GB
     group = gs.make_group(spec)
     coeffs = gs.random_band_limited(1, group, m=2)
     samples = gs.synthesize(coeffs, group)
@@ -765,4 +773,6 @@ def test_large_groups_round_trip_at_1e_12_without_a_node_matrix(spec):
     assert coeffs.max_difference(back) <= 1e-12 * (1.0 + coeffs.max_abs())
     resampled = gs.synthesize(back, group)
     assert np.abs(resampled - samples).max() <= 1e-12 * (1.0 + float(np.abs(samples).max()))
-    assert "node_matrix" not in vars(group)
+    report = gs.orthogonality_selftest(group)
+    assert report.passed and report.max_deviation <= ORTHOGONALITY_TOL
+    assert not hasattr(group, "node_matrix")
