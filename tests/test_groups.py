@@ -455,7 +455,7 @@ def _su2_axes_with(change):
 
 
 @pytest.mark.parametrize(
-    "spec, builder, replacement",
+    "spec, sizing, replacement",
     [
         # beta one Gauss node short: the Gram's beta integrands are polynomials of degree
         # l + l' <= 2B in cos(beta), so it needs B + 1 of the 2B + 1 nodes the grid has
@@ -478,8 +478,8 @@ def _su2_axes_with(change):
     ],
     ids=["beta-short", "half-gamma-2pi", "alpha-12", "gamma-12", "circle-2B"],
 )
-def test_selftest_fails_on_a_grid_too_small(monkeypatch, spec, builder, replacement):
-    monkeypatch.setattr(groups, builder, replacement)
+def test_selftest_fails_on_a_grid_too_small(monkeypatch, spec, sizing, replacement):
+    monkeypatch.setattr(groups, sizing, replacement)
     group = gs.make_group(spec)
     report = gs.orthogonality_selftest(group)
     assert not report.passed and report.max_deviation > 1e-3
@@ -555,7 +555,8 @@ def test_finite_groups_refuse_non_integral_elements(s3, z12, bad):
 
 
 def test_finite_groups_take_integral_floats_and_refuse_foreign_indices(s3):
-    assert np.array_equal(s3.irrep_matrices("standard", [1.0, 2.0]), s3.irrep_matrices("standard", [1, 2]))
+    whole = s3.irrep_matrices("standard", [1.0, 2.0])
+    assert np.array_equal(whole, s3.irrep_matrices("standard", [1, 2]))
     assert s3.multiply(2.0, np.int64(3)) == s3.multiply(2, 3)
     for x, y in ((-1, 0), (0, 6)):
         with pytest.raises(ValueError, match="out of range"):
