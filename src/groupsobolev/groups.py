@@ -254,7 +254,9 @@ class GroupSpec:
     node transforms ``analysis`` and ``synthesis`` take samples (..., nodes, m) to
     packed rows (..., K, m), quad(conj(u_c) * f), and rows P back to sum_c u_c * P[c].
     ``schur_deviation(group)`` bounds max |quad(conj(u_c) * u_c') - delta_cc' / d_c| over
-    all K^2 pairs from above, up to rounding, from the tables the node transforms hold.
+    all K^2 pairs of the tables the node transforms hold from above, up to rounding;
+    on SU(2), whose tables are not its evaluator, it also reports the evaluator's
+    largest distance from them at three grid nodes.
     """
 
     kind: str
@@ -429,16 +431,28 @@ def _make_cyclic(n: int) -> GroupSpec:
         raise ValueError("cyclic group order must be >= 1")
     x = np.arange(n)
     table = (x[:, None] + x[None, :]) % n
-    irrep_tables = {k: np.exp(2j * math.pi * k * x / n).reshape(n, 1, 1) for k in range(n)}
+    irrep_tables = {}
+    for k in range(n):
+        chars = np.exp(2j * math.pi * k * x / n)
+        irrep_tables[k] = chars.reshape(n, 1, 1)
     transforms = _fft_transforms(x, n)
     return _finite_group("cyclic", f"cyclic({n})", table, irrep_tables, n - 1, 0, transforms)
+
+
+def _perm_sign(p: tuple) -> int:
+    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+    return -1 if inv % 2 else 1
 
 
 def _make_s3() -> GroupSpec:
     perms = list(permutations(range(3)))
     idx = {p: i for i, p in enumerate(perms)}
-    table = np.array([[idx[tuple(p[k] for k in q)] for q in perms] for p in perms])
-    pmats = np.eye(3)[:, perms].swapaxes(0, 1)  # column j of the matrix of p is e_{p[j]}
+    order = len(perms)
+    table = np.zeros((order, order), dtype=int)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            comp = tuple(p[q[k]] for k in range(3))
+            table[i, j] = idx[comp]
 
     # 2-dim irrep: permutation action restricted to the sum-zero plane,
     # expressed in an orthonormal basis of that plane.
@@ -449,11 +463,15 @@ def _make_s3() -> GroupSpec:
             [0.0, -2.0 / math.sqrt(6)],
         ]
     )
-    tables = {
-        "trivial": np.ones((6, 1, 1), dtype=complex),
-        "sign": np.linalg.det(pmats).reshape(6, 1, 1).astype(complex),
-        "standard": (basis.T @ pmats @ basis).astype(complex),
-    }
+    trivial = np.ones((order, 1, 1), dtype=complex)
+    sign = np.array([_perm_sign(p) for p in perms], dtype=complex).reshape(order, 1, 1)
+    standard = np.zeros((order, 2, 2), dtype=complex)
+    for i, p in enumerate(perms):
+        pmat = np.zeros((3, 3))
+        for j in range(3):
+            pmat[p[j], j] = 1.0
+        standard[i] = basis.T @ pmat @ basis
+    tables = {"trivial": trivial, "sign": sign, "standard": standard}
     return _finite_group("s3", "s3", table, tables, 2, "trivial", _dense_transforms(tables))
 
 
@@ -479,7 +497,9 @@ def _make_circle(band: int) -> GroupSpec:
     nodes = TWO_PI * np.arange(npts) / npts
     weights = np.full(npts, 1.0 / npts)
 
-    labels = [0, *(sign * b for b in range(1, band + 1) for sign in (-1, 1))]
+    labels = [0]
+    for b in range(1, band + 1):
+        labels.extend([-b, b])
 
     def matrices(freq, elements, out):
         x = np.atleast_1d(np.asarray(elements, dtype=float))
@@ -600,6 +620,19 @@ def _su2_transforms(window, step, alphas, betas, wbeta, gammas) -> dict:
         f = np.matmul(e_alpha, g.reshape(len(p), n_m, n_b * n_c * m))  # (L, a, b, c, e)
         return f.reshape(*lead, n_a * n_b * n_c, m)
 
+    drift = {}  # evaluator -> evaluator_drift(group), computed once per evaluator
+
+    def evaluator_drift(group):
+        # The tables bound the Gram, and the evaluator is tied to them at three grid nodes,
+        # (a, b, c) a quarter, a half and three quarters along each axis: O(K) each.
+        a, b, c = (np.arange(1, 4) * n // 4 for n in (n_a, n_b, n_c))
+        eulers = np.stack([alphas[a], betas[b], gammas[c]], axis=-1)
+        distances = []
+        for ell, (_, _, r, d_b) in zip(window.labels, spins):
+            tables = e_alpha[a, r, None] * d_b[b] * e_gamma[c, None, r]
+            distances.append(np.abs(group._matrices(ell, eulers, None) - tables).max())
+        return max(distances)
+
     stride, sqrt_w = round(1 / step), np.sqrt(w_beta)  # a spin's m', m: ms rows, one class
 
     def schur_deviation(group):
@@ -626,7 +659,9 @@ def _su2_transforms(window, step, alphas, betas, wbeta, gammas) -> dict:
             gram *= np.multiply.outer(a.diagonal(), c.diagonal())[p::stride, p::stride, None, None]
             gram[..., k, k] -= inv_d
             worst.append(np.abs(gram).max(initial=0))
-        return float(np.max([np.max(worst), np.max(ac) * np.max(b_diag)]))
+        if group._matrices not in drift:
+            drift[group._matrices] = evaluator_drift(group)
+        return float(np.max([np.max(worst), np.max(ac) * np.max(b_diag), drift[group._matrices]]))
 
     return dict(analysis=analysis, synthesis=synthesis, schur_deviation=schur_deviation)
 
@@ -837,7 +872,8 @@ def orthogonality_selftest(group: GroupSpec, tol: float = ORTHOGONALITY_TOL) -> 
 
     Compares all K^2 pairings quad(u * conj(u')) with the exact values delta/d
     through ``group.schur_deviation``, which works from the node transforms'
-    tables and, up to rounding, never reports less than the dense Gram would.
+    tables and, up to rounding, never reports less than the dense Gram of those
+    tables would; on SU(2) it also ties the evaluator to them at three nodes.
     """
     deviation = group.schur_deviation(group)
     return OrthogonalityReport(deviation, tol, deviation <= tol, group.window.size**2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -81,6 +82,10 @@ def test_make_group_degenerate_bands():
 def test_group_from_window(any_group):
     rebuilt = gs.make_group(any_group.window)
     assert rebuilt.window == any_group.window
+    nodes, weights = any_group.quadrature.nodes, any_group.quadrature.weights
+    assert np.array_equal(rebuilt.quadrature.nodes, nodes)
+    assert np.array_equal(rebuilt.quadrature.weights, weights)
+    assert np.array_equal(rebuilt.packed_matrices(nodes), any_group.packed_matrices(nodes))
 
 
 @pytest.mark.parametrize(
@@ -486,6 +491,30 @@ def test_selftest_fails_on_a_grid_too_small(monkeypatch, spec, sizing, replaceme
     assert report.max_deviation >= _dense_deviation(group) - DENSE_ROUNDING
 
 
+def _copied(ell, eulers, out=None):
+    return groups.wigner_d_matrix(ell, eulers)
+
+
+def _halved(ell, eulers, out=None):
+    return 0.5 * groups.wigner_d_matrix(ell, eulers)
+
+
+def _top_spin_gamma_flipped(ell, eulers, out=None):
+    flipped = np.asarray(eulers, dtype=float) * np.array([1.0, 1.0, -1.0 if ell == 2 else 1.0])
+    return groups.wigner_d_matrix(ell, flipped)
+
+
+@pytest.mark.parametrize("evaluator", [_halved, _top_spin_gamma_flipped], ids=["halved", "gamma"])
+def test_selftest_fails_on_an_evaluator_apart_from_the_tables(su2_2, evaluator):
+    # SU(2)'s Gram comes from the transforms' tables; the evaluator is tied to them at nodes
+    drifted = dataclasses.replace(su2_2, _matrices=evaluator)
+    report = gs.orthogonality_selftest(drifted)
+    assert not report.passed and report.max_deviation > 1e-3
+    same = dataclasses.replace(su2_2, _matrices=_copied)
+    assert gs.orthogonality_selftest(same).max_deviation <= 1e-13
+    assert gs.orthogonality_selftest(su2_2).max_deviation <= 1e-13
+
+
 def test_entry_difference_bounded_by_operator_norm(su2_2):
     rng = np.random.default_rng(37)
     for label in su2_2.window.labels:
@@ -498,16 +527,18 @@ def test_entry_difference_bounded_by_operator_norm(su2_2):
 
 
 # ---------------------------------------------------------------------------
-# packed node matrix
+# packed coefficient matrices; at the quadrature nodes, the node matrix
 
 
 def test_node_matrix_shape_and_read_only(any_group):
-    # the node matrix is packed_matrices at the nodes, built on request: no group keeps one
-    u = any_group.packed_matrices(any_group.quadrature.nodes)
-    assert u.shape == (any_group.node_count, sum(d * d for d in any_group.window.dims))
-    assert not hasattr(any_group, "node_matrix") and not hasattr(any_group, "node_stack")
-    assert not any_group.window.entry_dims.flags.writeable
-    assert any_group.window.offsets[-1] == any_group.window.size == u.shape[1]
+    # no group holds a node matrix: each call builds the caller's own copy
+    nodes = any_group.quadrature.nodes
+    u = any_group.packed_matrices(nodes)
+    assert u.shape == (any_group.node_count, any_group.window.size)
+    assert any_group.window.offsets[-1] == sum(d * d for d in any_group.window.dims)
+    before = u.copy()
+    u[...] = 0.0
+    assert np.array_equal(any_group.packed_matrices(nodes), before)
 
 
 def test_node_stack_is_view_of_node_matrix(any_group):
