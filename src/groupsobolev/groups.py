@@ -7,8 +7,10 @@ description (multiplication table plus unitary irrep matrices).
 Every group bundles a truncated unitary dual (the "window"), one
 vectorized irrep evaluator, and a quadrature rule for the normalized Haar
 measure; ``make_group`` is the one way to build it.
-The rule is sized so that products of any two window matrix coefficients
-integrate exactly, which makes the Schur orthogonality relations
+The rule is sized so that products of any four window matrix coefficients
+integrate exactly, so the L^4 norm of a band-limited function is exact (the
+Lq check's alpha' = 4 at (s, t) = (1, 2), Hausdorff-Young's at alpha = 4/3).
+Products of two already make the Schur orthogonality relations
 
     quad( u_{ij}^sigma * conj(u_{kl}^tau) ) = delta * delta * delta / d_sigma
 
@@ -476,13 +478,14 @@ def _make_s3() -> GroupSpec:
 
 
 def _circle_node_count(band: int) -> int:
-    """Equally spaced nodes exact for trigonometric degree <= 4 * band."""
+    """Equally spaced nodes exact for trigonometric degree <= 4 * band: products of
+    any four window characters."""
     return 4 * band + 1
 
 
 def _su2_axes(band: float, half_integers: bool) -> tuple[int, int, int, float]:
     """(n_alpha, n_beta, n_gamma, gamma period) of the Euler grid that integrates the
-    product of any two window coefficients exactly; half-integer spins need gamma
+    product of any four window coefficients exactly; half-integer spins need gamma
     over 4 pi."""
     n_gamma = math.ceil((8 if half_integers else 4) * band + 2)
     gamma_period = FOUR_PI if half_integers else TWO_PI

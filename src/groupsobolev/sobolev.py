@@ -147,25 +147,25 @@ def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> 
 
     Reduces bit-for-bit to the p = 2 spectral norm at s = 0.
     """
-    if s < 0:
-        raise ValueError("Sobolev order s must be >= 0")
+    if not s >= 0:
+        raise ValueError(f"Sobolev order s must be >= 0, got {s}")
     return weighted_spectral_norm(coeffs, weights.sobolev_entries(coeffs.window, s), 2.0)
 
 
 def lebesgue_norm(samples, group: GroupSpec, p_E: float, p: float) -> float | np.ndarray:
-    """Quadrature Lebesgue norm (sum_k w_k |f(x_k)|_E^p)^(1/p) of node
-    samples (n, m); one value per function of a batch (B, n, m)."""
+    """Quadrature Lebesgue norm (sum_k w_k |f(x_k)|_E^p)^(1/p), finite p, of
+    node samples (n, m); one value per function of a batch (B, n, m).
+
+    Exact only up to quadrature error when |f|^p is not band-limited.
+    """
+    if not (p >= 1 and math.isfinite(p)):
+        raise ValueError(f"Lebesgue norm requires finite p >= 1, got {p}")
     vals = e_norm(samples, p_E)
     return _pth_root((group.quadrature.weights * vals**p).sum(axis=-1), p)
 
 
 def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
-    """Quadrature Lebesgue norm (sum_k w_k |f(x_k)|_E^p)^(1/p), finite p.
-
-    Exact only up to quadrature error when |f|^p is not band-limited.
-    """
-    if not (p >= 1 and math.isfinite(p)):
-        raise ValueError("Lebesgue norm requires finite p >= 1")
+    """``lebesgue_norm`` of ``f``'s node samples."""
     return lebesgue_norm(f.sample(group), group, f.p_E, p)
 
 
@@ -302,8 +302,8 @@ class ConstantEstimate:
 def embedding_constant_C(weights: WeightSequence, s: float, window: DualWindow) -> ConstantEstimate:
     """sqrt(sum over the window of d^3 (1 + w^2)^(-s)), with the verdict on
     the series over the whole dual and sqrt(window sum + tail bound)."""
-    if s < 0:
-        raise ValueError("Sobolev order s must be >= 0")
+    if not s >= 0:
+        raise ValueError(f"Sobolev order s must be >= 0, got {s}")
     total = _series_sum(weights, s, zip(window.labels, window.dims))
     if window.kind in FINITE_KINDS:
         tail = 0.0

@@ -242,8 +242,8 @@ def s_p_norm(coeffs: FourierCoefficients, p: float) -> float | np.ndarray:
 
     ``p = inf`` is the unweighted max of the entry norms, for diagnostics.
     """
-    if p < 1:
-        raise ValueError("spectral norm requires p >= 1")
+    if not p >= 1:
+        raise ValueError(f"spectral norm requires p >= 1, got {p}")
     if math.isinf(p):
         return _per_function(e_norm(coeffs.packed, coeffs.p_E).max(axis=-1))
     return weighted_spectral_norm(coeffs, coeffs.window.entry_dims, p)

@@ -9,7 +9,11 @@ samples, probe values and constants once per call. The vector check takes a
 list of vectors, or one vector, in the same way. ``run_suite`` draws each
 configured group's batch of seeded random band-limited functions, runs every
 check on it once per parameter, and aggregates a deterministic report from
-the checks' tables.
+the checks' tables; every record counts toward its verdict.
+
+For E = l^p_m, the L2, Hausdorff-Young and Lq checks go through l^2_m, so
+their rhs carries K = m^|1/p_E - 1/2| from comparing the two norms on both
+sides (K = 1.0 at p_E = 2); the others hold for any Banach E as they stand.
 
 Tolerance classes: 1e-12 (algebraic identities), 1e-9 (quantities the
 quadrature computes exactly), 1e-6 (Lebesgue norms of non-band-limited
@@ -94,13 +98,11 @@ class InequalityRecord:
     tol: float
     passed: bool
     context: dict = field(default_factory=dict)
-    hypothesis_sensitive: bool = False
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "group": self.group, "seed": self.seed, "lhs": self.lhs,
-               "rhs": self.rhs, "slack": self.slack, "tol": self.tol, "pass": self.passed,
-               "context": self.context}
-        return {**out, "hypothesis_sensitive": True} if self.hypothesis_sensitive else out
+        return {"name": self.name, "group": self.group, "seed": self.seed, "lhs": self.lhs,
+                "rhs": self.rhs, "slack": self.slack, "tol": self.tol, "pass": self.passed,
+                "context": self.context}
 
 
 def _texts(values, encode) -> list:
@@ -130,7 +132,6 @@ class _Chunk:
 
     name: str
     group: str
-    hypothesis_sensitive: bool
     seeds: list
     floats: np.ndarray
     keys: tuple
@@ -143,11 +144,10 @@ class _Chunk:
     def record(self, i: int) -> InequalityRecord:
         lhs, rhs, tol = self.floats[:, i].tolist()
         return InequalityRecord(self.name, self.group, self.seeds[i], lhs, rhs, rhs - lhs, tol,
-                                rhs - lhs >= -tol, self.context(i), self.hypothesis_sensitive)
+                                rhs - lhs >= -tol, self.context(i))
 
     def texts(self) -> list:
         """Each record's JSON context and the end of its JSON line; shared items encoded once."""
-        end = '}, "hypothesis_sensitive": true}' if self.hypothesis_sensitive else "}}"
         parts, values = [], []
         for k in self.keys:
             if k in self.columns:
@@ -156,7 +156,7 @@ class _Chunk:
                 values.append(_texts(self.columns[k], _JSON))
             else:
                 parts.append(_JSON({k: self.shared[k]})[1:-1].replace("%", "%%"))
-        template = "{" + ", ".join(parts) + end
+        template = "{" + ", ".join(parts) + "}}"
         return [template % row for row in (zip(*values) if values else [()] * len(self.seeds))]
 
 
@@ -211,9 +211,6 @@ class RecordTable(Sequence):
 
     slack = property(lambda self: self.floats[2, self.rows])
     passed = property(lambda self: self.slack >= -self.floats[3, self.rows])
-    hypothesis_sensitive = property(
-        lambda self: self.per_chunk(np.array([c.hypothesis_sensitive for c in self.chunks], bool))
-    )
 
     def name_codes(self) -> tuple[list, np.ndarray]:
         """The check names in ascending order, and each record's index into them."""
@@ -278,7 +275,7 @@ class RecordTable(Sequence):
 
 def _table(
     name: str, lhs, rhs, tol, seeds: list, contexts: list, extra: dict | None = None,
-    rows: dict | None = None, *, group: str = "-", hypothesis_sensitive: bool = False
+    rows: dict | None = None, *, group: str = "-"
 ) -> RecordTable:
     """The records of one check call, one per (seed, context) pair, each with
     the context ``{**context, **extra, **row}``, its row's values taken from
@@ -297,7 +294,7 @@ def _table(
     columns = {k: v for k, v in own.items() if k not in shared}
     columns |= {k: list(v) for k, v in rows.items()}
     keys = tuple(dict.fromkeys([*first, *extra, *rows]))
-    chunk = _Chunk(name, group, hypothesis_sensitive, list(seeds), floats, keys, shared, columns)
+    chunk = _Chunk(name, group, list(seeds), floats, keys, shared, columns)
     return RecordTable([chunk])
 
 
@@ -315,6 +312,11 @@ def _fan_out(shape: tuple, **values) -> list:
 def _exponent(p: float):
     """Exponent as a report value; reports are strict JSON, so inf is "inf"."""
     return "inf" if math.isinf(p) else p
+
+
+def _hilbert_factor(coeffs: FourierCoefficients) -> float:
+    """K = m^|1/p_E - 1/2| (1/inf = 0): an l^2_m inequality's factor for E = l^p_m."""
+    return coeffs.m ** abs(1.0 / coeffs.p_E - 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +414,10 @@ def check_l2_embedding(
     seed: int = -1,
     context: dict | None = None,
 ) -> RecordTable:
-    """Quadrature L2 norm of the synthesized function <= |f|_(H^s)."""
-    if coeffs.p_E != 2.0:
-        raise ValueError("the L2 embedding check rests on Plancherel and needs p_E = 2")
+    """Quadrature L2 norm of the synthesized function <= K |f|_(H^s)."""
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
-    lhs = lebesgue_norm(node_samples(coeffs, group), group, 2.0, 2.0)
-    rhs = h_s_norm(coeffs, weights, s)
+    lhs = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, 2.0)
+    rhs = _hilbert_factor(coeffs) * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     return _table("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
 
@@ -458,17 +458,16 @@ def check_hausdorff_young(
     seed: int = -1,
     context: dict | None = None,
 ) -> RecordTable:
-    """|f|_(L^a') <= |spectrum|_(S_a) for 1 < a < 2, a' the conjugate."""
+    """|f|_(L^a') <= K |spectrum|_(S_a) for 1 < a < 2, a' the conjugate."""
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"need 1 < alpha < 2, got {alpha}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     alpha_prime = alpha / (alpha - 1.0)
     lhs = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, alpha_prime)
-    rhs = s_p_norm(coeffs, alpha)
+    rhs = _hilbert_factor(coeffs) * s_p_norm(coeffs, alpha)
     tol = LEBESGUE_TOL * (1.0 + rhs)
     extra = {"alpha": alpha, "alpha_prime": alpha_prime}
-    kw = {"group": group.name, "hypothesis_sensitive": coeffs.p_E != 2.0}
-    return _table("hausdorff_young", lhs, rhs, tol, seeds, contexts, extra, **kw)
+    return _table("hausdorff_young", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
 
 
 def check_lq_embedding(
@@ -481,30 +480,29 @@ def check_lq_embedding(
     seed: int = -1,
     context: dict | None = None,
 ) -> RecordTable:
-    """Lebesgue embedding |f|_(L^a') <= K |f|_(H^s), plus the spectral
-    chain |spectrum|_(S_a) <= K |f|_(H^s) that the proof routes through;
-    two records per function, function after function for a batch. Each
-    record carries the verdict on the series sum d^3 (1 + w^2)^(-t) behind
-    K over the whole dual as ``constant_verdict``."""
+    """Lebesgue embedding |f|_(L^a') <= K B |f|_(H^s), plus the spectral
+    chain |spectrum|_(S_a) <= B |f|_(H^s) that the proof routes through, by
+    Hoelder on the entry norms for any E; two records per function, function
+    after function for a batch. Each record carries its constant, K B or B,
+    and the verdict on the series sum d^3 (1 + w^2)^(-t) behind B over the
+    whole dual as ``constant_verdict``."""
     params = exponents(s, t)
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     bound = lq_bound_constant(weights, t, s, group.window)
     verdict = embedding_constant_C(weights, t, group.window).verdict
-    rhs = bound * h_s_norm(coeffs, weights, s)
+    norm = h_s_norm(coeffs, weights, s)
     lhs_lp = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, params.alpha_prime)
     lhs_chain = s_p_norm(coeffs, params.alpha)
-    extra = {
-        "s": s,
-        "t": t,
-        "alpha": params.alpha,
-        "alpha_prime": params.alpha_prime,
-        "constant": bound,
-        "constant_verdict": verdict,
-    }
-    args = (seeds, contexts, extra)
-    lq_tol, chain_tol = LEBESGUE_TOL * (1.0 + rhs), QUADRATURE_TOL * (1.0 + rhs)
-    lq = _table("lq_embedding", lhs_lp, rhs, lq_tol, *args, group=group.name)
-    chain = _table("lq_embedding_chain", lhs_chain, rhs, chain_tol, *args, group=group.name)
+    extra = {"s": s, "t": t, "alpha": params.alpha, "alpha_prime": params.alpha_prime,
+             "constant": bound, "constant_verdict": verdict}
+
+    def table(name, lhs, tol, shared):
+        rhs = shared["constant"] * norm
+        return _table(name, lhs, rhs, tol * (1.0 + rhs), seeds, contexts, shared, group=group.name)
+
+    lq_extra = {**extra, "constant": _hilbert_factor(coeffs) * bound}
+    lq = table("lq_embedding", lhs_lp, LEBESGUE_TOL, lq_extra)
+    chain = table("lq_embedding_chain", lhs_chain, QUADRATURE_TOL, extra)
     n = len(seeds)
     return RecordTable.concat([lq, chain]).take(np.arange(2 * n).reshape(2, n).T.ravel())
 
@@ -689,15 +687,12 @@ class VerificationReport:
     records: RecordTable
     metadata: dict
 
-    def _failing(self) -> np.ndarray:
-        return ~(self.records.passed | self.records.hypothesis_sensitive)
-
     @property
     def all_pass(self) -> bool:
-        return not self._failing().any()
+        return bool(self.records.passed.all())
 
     def failures(self) -> RecordTable:
-        return self.records.take(np.flatnonzero(self._failing()))
+        return self.records.take(np.flatnonzero(~self.records.passed))
 
     def min_slack(self) -> dict:
         """Smallest slack per check; NaN when any of its records has NaN slack."""
@@ -720,8 +715,7 @@ class VerificationReport:
         return {
             "all_pass": self.all_pass,
             "record_count": len(self.records),
-            "failure_count": int(self._failing().sum()),
-            "hypothesis_sensitive_count": int(self.records.hypothesis_sensitive.sum()),
+            "failure_count": int((~self.records.passed).sum()),
             "min_slack": self.min_slack(),
             "records_per_check": self.counts(),
         }
@@ -795,8 +789,7 @@ def run_suite(config) -> VerificationReport:
         for s, t in monotone_pairs:
             parts.append(check_monotone_embedding(coeffs, weights, s, t, group=group.name, **batch))
         for s in cfg.s_values:
-            if cfg.p_E == 2.0:
-                parts.append(check_l2_embedding(coeffs, weights, s, group, **batch))
+            parts.append(check_l2_embedding(coeffs, weights, s, group, **batch))
             extra = cfg.sup_extra_samples
             parts.append(check_sup_embedding(coeffs, weights, s, group, extra, probe, **batch))
         for alpha in alphas:

@@ -491,6 +491,42 @@ def test_selftest_fails_on_a_grid_too_small(monkeypatch, spec, sizing, replaceme
     assert report.max_deviation >= _dense_deviation(group) - DENSE_ROUNDING
 
 
+#: (coarse, fine): each coarse window inside the fine one.
+FOUR_FOLD_CASES = [
+    ({"kind": "su2", "band": 2}, {"kind": "su2", "band": 4}),
+    ({"kind": "su2", "band": 1.5, "half_integers": True}, {"kind": "su2", "band": 3, "half_integers": True}),
+    ({"kind": "circle", "band": 16}, {"kind": "circle", "band": 32}),
+]
+
+
+def _l4_gap(coarse_spec, fine_spec) -> float:
+    """Largest relative gap between the L^4 norms of three draws on the coarse
+    grid and on the fine one, with the draws padded into the fine window."""
+    coarse, fine = gs.make_group(coarse_spec), gs.make_group(fine_spec)
+    gaps = []
+    for seed in range(3):
+        c = gs.random_band_limited(seed, coarse, m=2)
+        padded = gs.FourierCoefficients(fine.window, 2, {l: c.block(l) for l in coarse.window.labels})
+        a, b = (gs.lebesgue_norm(gs.node_samples(x, g), g, 2.0, 4.0) for x, g in ((c, coarse), (padded, fine)))
+        gaps.append(abs(a - b) / b)
+    return max(gaps)
+
+
+@pytest.mark.parametrize("coarse, fine", FOUR_FOLD_CASES, ids=["su2-2", "su2-1.5-half", "circle-16"])
+def test_grids_integrate_products_of_four_window_coefficients(coarse, fine):
+    # |f|_E^4 at p_E = 2 is a sum of products of four window coefficients
+    assert _l4_gap(coarse, fine) <= 1e-13
+
+
+@pytest.mark.parametrize("coarse, fine", FOUR_FOLD_CASES, ids=["su2-2", "su2-1.5-half", "circle-16"])
+def test_two_fold_grids_pass_schur_but_miss_the_l4_norm(monkeypatch, coarse, fine):
+    two_fold = _su2_axes_with(lambda a, b, c, p: (a // 2, (b + 1) // 2, c // 2, p))
+    monkeypatch.setattr(groups, "_su2_axes", two_fold)
+    monkeypatch.setattr(groups, "_circle_node_count", lambda band: 2 * band + 1)
+    assert gs.orthogonality_selftest(gs.make_group(coarse)).max_deviation <= 1e-13
+    assert _l4_gap(coarse, fine) > 1e-4
+
+
 def _copied(ell, eulers, out=None):
     return groups.wigner_d_matrix(ell, eulers)
 
@@ -530,36 +566,23 @@ def test_entry_difference_bounded_by_operator_norm(su2_2):
 # packed coefficient matrices; at the quadrature nodes, the node matrix
 
 
-def test_node_matrix_shape_and_read_only(any_group):
-    # no group holds a node matrix: each call builds the caller's own copy
-    nodes = any_group.quadrature.nodes
-    u = any_group.packed_matrices(nodes)
-    assert u.shape == (any_group.node_count, any_group.window.size)
-    assert any_group.window.offsets[-1] == sum(d * d for d in any_group.window.dims)
-    before = u.copy()
-    u[...] = 0.0
-    assert np.array_equal(any_group.packed_matrices(nodes), before)
-
-
-def test_node_stack_is_view_of_node_matrix(any_group):
-    nodes = any_group.quadrature.nodes
-    u = any_group.packed_matrices(nodes)
-    for label, d in zip(any_group.window.labels, any_group.window.dims):
-        stack = u[:, any_group.window.columns(label)].reshape(-1, d, d)
-        assert stack.shape == (any_group.node_count, d, d)
-        assert np.shares_memory(stack, u)
-        assert np.array_equal(stack, any_group.irrep_matrices(label, nodes))
-
-
 def test_packed_matrices_follow_window_columns(any_group):
-    els = any_group.random_elements(np.random.default_rng(3), 7)
-    packed = any_group.packed_matrices(els)
-    for label, d in zip(any_group.window.labels, any_group.window.dims):
-        cols = packed[:, any_group.window.columns(label)]
-        assert np.array_equal(cols, any_group.irrep_matrices(label, els).reshape(7, d * d))
-    last = any_group.window.labels[-1]
-    subset = any_group.packed_matrices(els, [last])
-    assert np.array_equal(subset, packed[:, any_group.window.columns(last)])
+    # no group holds a node matrix: each call builds the caller's own copy
+    window = any_group.window
+    assert window.offsets[-1] == sum(d * d for d in window.dims)
+    random = any_group.random_elements(np.random.default_rng(3), 7)
+    for els, n in ((random, 7), (any_group.quadrature.nodes, any_group.node_count)):
+        packed = any_group.packed_matrices(els)
+        assert packed.shape == (n, window.size)
+        for label, d in zip(window.labels, window.dims):
+            stack = packed[:, window.columns(label)].reshape(-1, d, d)
+            assert stack.shape == (n, d, d) and np.shares_memory(stack, packed)
+            assert np.array_equal(stack, any_group.irrep_matrices(label, els))
+        last = window.labels[-1]
+        assert np.array_equal(any_group.packed_matrices(els, [last]), packed[:, window.columns(last)])
+        before = packed.copy()
+        packed[...] = 0.0
+        assert np.array_equal(any_group.packed_matrices(els), before)
 
 
 def test_packed_matrices_copy_in_what_an_evaluator_returns(any_group, monkeypatch):

@@ -118,6 +118,25 @@ def test_l_p_norm_rejects_bad_p(z4):
         gs.l_p_norm(f, z4, math.inf)
 
 
+@pytest.mark.parametrize(
+    "norm, bad",
+    [("lebesgue_norm", math.inf), ("lebesgue_norm", -1.0), ("lebesgue_norm", 0.0),
+     ("lebesgue_norm", math.nan), ("s_p_norm", math.nan), ("h_s_norm", math.nan),
+     ("embedding_constant_C", math.nan)],
+)
+def test_exponent_guards_refuse_bad_values(norm, bad):
+    group = gs.make_group("circle", band=4)
+    coeffs, weights = gs.random_band_limited(1, group, m=2), gs.canonical_weights(group)
+    call = {
+        "lebesgue_norm": lambda: gs.lebesgue_norm(gs.node_samples(coeffs, group), group, 2.0, bad),
+        "s_p_norm": lambda: gs.s_p_norm(coeffs, bad),
+        "h_s_norm": lambda: gs.h_s_norm(coeffs, weights, bad),
+        "embedding_constant_C": lambda: gs.embedding_constant_C(weights, bad, group.window),
+    }[norm]
+    with pytest.raises(ValueError, match=f"got {bad}"):
+        call()
+
+
 @pytest.mark.parametrize("p_E", [0.5, 0.0, math.nan])
 def test_sampled_function_rejects_quasi_norm_target(z4, p_E):
     with pytest.raises(ValueError, match="p_E"):

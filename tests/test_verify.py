@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupsobolev as gs
-from groupsobolev import transform
+from groupsobolev import transform, verify
 from groupsobolev.transform import dump_json
 from groupsobolev.verify import (
     CSV_COLUMNS,
@@ -44,9 +44,7 @@ SMALL_CONFIG = {
 def _one_chunk_per_record(records) -> RecordTable:
     """``records`` as a table that holds each of them in a chunk of its own."""
     return RecordTable.concat(
-        _table(r.name, r.lhs, r.rhs, r.tol, [r.seed], [r.context], group=r.group,
-               hypothesis_sensitive=r.hypothesis_sensitive)
-        for r in records
+        _table(r.name, r.lhs, r.rhs, r.tol, [r.seed], [r.context], group=r.group) for r in records
     )
 
 
@@ -224,12 +222,6 @@ def test_l2_embedding_zero_order_is_equality(su2_2):
     assert record.passed and abs(record.slack) <= record.tol
 
 
-def test_l2_embedding_requires_hilbert_target(su2_2):
-    coeffs = gs.random_band_limited(2, su2_2, m=3, p_E=3.0)
-    with pytest.raises(ValueError):
-        gs.check_l2_embedding(coeffs, gs.canonical_weights(su2_2), 1.0, su2_2)
-
-
 def test_l2_embedding_batches(any_group):
     weights = gs.canonical_weights(any_group)
     for seed in range(20):
@@ -289,13 +281,7 @@ def test_hausdorff_young_batches(any_group):
     for seed in range(20):
         coeffs = gs.random_band_limited(seed, any_group, m=3)
         (record,) = gs.check_hausdorff_young(coeffs, any_group, 4.0 / 3.0)
-        assert record.passed and not record.hypothesis_sensitive
-
-
-def test_hausdorff_young_flags_exotic_targets(z4):
-    coeffs = gs.random_band_limited(0, z4, m=2, p_E=4.0)
-    (record,) = gs.check_hausdorff_young(coeffs, z4, 4.0 / 3.0)
-    assert record.hypothesis_sensitive
+        assert record.passed
 
 
 def test_lq_embedding_constant_function(z4, constant):
@@ -496,6 +482,7 @@ def test_report_csv_shape():
 def test_report_summary_fields():
     report = gs.run_suite({**SMALL_CONFIG, "batch_size": 1, "vector_checks": 2})
     summary = report.summary()
+    assert list(summary) == ["all_pass", "record_count", "failure_count", "min_slack", "records_per_check"]
     assert summary["all_pass"] is True
     assert summary["record_count"] == len(report.records)
     assert set(summary["min_slack"]) == set(summary["records_per_check"])
@@ -595,20 +582,76 @@ def test_resolve_weights_variants(su2_2):
         resolve_weights([{"7.0": 1.0}], 0, su2_2)
 
 
-def test_suite_with_exotic_p_E_marks_hypothesis_sensitive():
-    cfg = {
-        **SMALL_CONFIG,
-        "groups": [{"kind": "cyclic", "n": 4}],
-        "p_E": 4.0,
-        "batch_size": 2,
-        "vector_checks": 0,
-        "continuity_pairs": 0,
-    }
-    report = gs.run_suite(cfg)
-    hy = [r for r in report.records if r.name == "hausdorff_young"]
-    assert hy and all(r.hypothesis_sensitive for r in hy)
-    # failures among hypothesis-sensitive records do not fail the suite
-    assert report.all_pass
+# ---------------------------------------------------------------------------
+# target norms E = l^p_m: the checks through l^2_m carry K = m^|1/p_E - 1/2|
+
+
+def _hilbert_counterexample(name, z2, z12):
+    """Coefficients at p_E = 1 on which the constant-1 Hausdorff-Young bound
+    fails: on Z_12 with m = 12, f = sum_k chi_k e_k (lhs 12, constant-1 rhs
+    12^(2/3) = 5.24 at alpha = 3/2); on Z_2 with m = 2, f = ((1, 1), (1, -1))
+    (lhs 2, constant-1 rhs 2^(2/3) = 1.587)."""
+    if name == "cyclic(12)":
+        blocks = {label: np.eye(12)[k].reshape(1, 1, 12) for k, label in enumerate(z12.window.labels)}
+        return z12, gs.FourierCoefficients(z12.window, 12, blocks, p_E=1.0)
+    f = gs.VectorFunction.from_samples(np.array([[1.0, 1.0], [1.0, -1.0]]), p_E=1.0)
+    return z2, gs.forward_transform(f, z2)
+
+
+@pytest.mark.parametrize(
+    "name, lhs, plain_rhs",
+    [("cyclic(12)", 12.0, 12 ** (2 / 3)), ("cyclic(2)", 2.0, 2 ** (2 / 3))],
+    ids=["cyclic(12)", "cyclic(2)"],
+)
+def test_hausdorff_young_off_l2_needs_the_hilbert_factor(name, lhs, plain_rhs, z2, z12, monkeypatch):
+    group, coeffs = _hilbert_counterexample(name, z2, z12)
+    check = lambda: gs.check_hausdorff_young(coeffs, group, 1.5)
+    (record,) = check()
+    assert abs(record.lhs - lhs) <= 1e-12 * lhs
+    assert abs(record.rhs - math.sqrt(coeffs.m) * plain_rhs) <= 1e-12 * record.rhs
+    assert record.passed
+    (tampered,) = check().tampered()
+    assert not tampered.passed
+    monkeypatch.setattr(verify, "_hilbert_factor", lambda coeffs: 1.0)
+    (plain,) = check()
+    assert abs(plain.rhs - plain_rhs) <= 1e-12 * plain_rhs and not plain.passed
+
+
+@pytest.mark.parametrize("name", ["cyclic(12)", "cyclic(2)"])
+def test_l2_embedding_attains_the_hilbert_factor(name, z2, z12, monkeypatch):
+    # |f(x)|_1 = m everywhere and each coefficient is a unit vector, so
+    # lhs = m = sqrt(m) * |f|_(H^0): equality with K = sqrt(m)
+    group, coeffs = _hilbert_counterexample(name, z2, z12)
+    check = lambda: gs.check_l2_embedding(coeffs, gs.zero_weights(group.window), 0.0, group)
+    (record,) = check()
+    assert record.passed and abs(record.lhs - coeffs.m) <= 1e-12 * coeffs.m
+    assert abs(record.slack) <= record.tol
+    (tampered,) = check().tampered()
+    assert not tampered.passed
+    monkeypatch.setattr(verify, "_hilbert_factor", lambda coeffs: 1.0)
+    (plain,) = check()
+    assert not plain.passed
+
+
+def test_lq_embedding_constant_carries_the_hilbert_factor(su2_2):
+    coeffs = gs.random_band_limited(4, su2_2, m=3, p_E=1.0)
+    weights = gs.canonical_weights(su2_2)
+    lq, chain = gs.check_lq_embedding(coeffs, weights, 1.0, 3.0, su2_2)
+    factor = 3 ** 0.5
+    assert lq.context["constant"] == factor * chain.context["constant"]
+    assert chain.context["constant"] == gs.lq_bound_constant(weights, 3.0, 1.0, su2_2.window)
+    norm = gs.h_s_norm(coeffs, weights, 1.0)
+    assert lq.rhs == lq.context["constant"] * norm and chain.rhs == chain.context["constant"] * norm
+
+
+@pytest.mark.parametrize("p_E", [1.0, 3.0, "inf"])
+def test_suite_passes_for_every_target_norm(p_E):
+    report = gs.run_suite({**SMALL_CONFIG, "p_E": p_E})
+    counts = report.counts()
+    groups, batch = len(SMALL_CONFIG["groups"]), SMALL_CONFIG["batch_size"]
+    assert counts["l2_embedding"] == groups * len(RunConfig().s_values) * batch
+    assert counts["hausdorff_young"] > 0 and report.all_pass
+    assert not gs.run_suite({**SMALL_CONFIG, "p_E": p_E, "tamper": True}).all_pass
 
 
 def test_block_comparison_matches_per_block_loop(su2_2):
@@ -630,14 +673,7 @@ def test_block_comparison_matches_per_block_loop(su2_2):
 def _assert_same_records(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert (g.name, g.group, g.seed, g.context, g.passed, g.hypothesis_sensitive) == (
-            w.name,
-            w.group,
-            w.seed,
-            w.context,
-            w.passed,
-            w.hypothesis_sensitive,
-        )
+        assert (g.name, g.group, g.seed, g.context, g.passed) == (w.name, w.group, w.seed, w.context, w.passed)
         assert abs(g.lhs - w.lhs) <= 1e-12 * abs(w.lhs)
         assert abs(g.rhs - w.rhs) <= 1e-12 * abs(w.rhs)
 
