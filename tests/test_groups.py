@@ -566,23 +566,36 @@ def test_entry_difference_bounded_by_operator_norm(su2_2):
 # packed coefficient matrices; at the quadrature nodes, the node matrix
 
 
-def test_packed_matrices_follow_window_columns(any_group):
+def test_node_matrix_shape_and_read_only(any_group):
     # no group holds a node matrix: each call builds the caller's own copy
-    window = any_group.window
-    assert window.offsets[-1] == sum(d * d for d in window.dims)
-    random = any_group.random_elements(np.random.default_rng(3), 7)
-    for els, n in ((random, 7), (any_group.quadrature.nodes, any_group.node_count)):
-        packed = any_group.packed_matrices(els)
-        assert packed.shape == (n, window.size)
-        for label, d in zip(window.labels, window.dims):
-            stack = packed[:, window.columns(label)].reshape(-1, d, d)
-            assert stack.shape == (n, d, d) and np.shares_memory(stack, packed)
-            assert np.array_equal(stack, any_group.irrep_matrices(label, els))
-        last = window.labels[-1]
-        assert np.array_equal(any_group.packed_matrices(els, [last]), packed[:, window.columns(last)])
-        before = packed.copy()
-        packed[...] = 0.0
-        assert np.array_equal(any_group.packed_matrices(els), before)
+    nodes = any_group.quadrature.nodes
+    u = any_group.packed_matrices(nodes)
+    assert u.shape == (any_group.node_count, any_group.window.size)
+    assert any_group.window.offsets[-1] == sum(d * d for d in any_group.window.dims)
+    before = u.copy()
+    u[...] = 0.0
+    assert np.array_equal(any_group.packed_matrices(nodes), before)
+
+
+def test_node_stack_is_view_of_node_matrix(any_group):
+    nodes = any_group.quadrature.nodes
+    u = any_group.packed_matrices(nodes)
+    for label, d in zip(any_group.window.labels, any_group.window.dims):
+        stack = u[:, any_group.window.columns(label)].reshape(-1, d, d)
+        assert stack.shape == (any_group.node_count, d, d)
+        assert np.shares_memory(stack, u)
+        assert np.array_equal(stack, any_group.irrep_matrices(label, nodes))
+
+
+def test_packed_matrices_follow_window_columns(any_group):
+    els = any_group.random_elements(np.random.default_rng(3), 7)
+    packed = any_group.packed_matrices(els)
+    for label, d in zip(any_group.window.labels, any_group.window.dims):
+        cols = packed[:, any_group.window.columns(label)]
+        assert np.array_equal(cols, any_group.irrep_matrices(label, els).reshape(7, d * d))
+    last = any_group.window.labels[-1]
+    subset = any_group.packed_matrices(els, [last])
+    assert np.array_equal(subset, packed[:, any_group.window.columns(last)])
 
 
 def test_packed_matrices_copy_in_what_an_evaluator_returns(any_group, monkeypatch):
