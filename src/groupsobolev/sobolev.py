@@ -21,8 +21,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .groups import DualWindow, GroupSpec
-from .transform import FourierCoefficients, VectorFunction, e_norm, node_samples, synthesize
-from .transform import _per_function, _pth_root, weighted_spectral_norm
+from .transform import FourierCoefficients, VectorFunction, e_norm, synthesize
+from .transform import _node_norms, _per_function, _pth_root, weighted_spectral_norm
 
 __all__ = [
     "ConstantEstimate",
@@ -158,10 +158,16 @@ def lebesgue_norm(samples, group: GroupSpec, p_E: float, p: float) -> float | np
 
     Exact only up to quadrature error when |f|^p is not band-limited.
     """
+    if not p_E >= 1:
+        raise ValueError(f"target exponent p_E must be >= 1, got {p_E!r}")
+    return _lebesgue(e_norm(samples, p_E), group, p)
+
+
+def _lebesgue(norms: np.ndarray, group: GroupSpec, p: float) -> float | np.ndarray:
+    """``lebesgue_norm`` from the E-norms |f(x_k)|_E at the nodes, (n,) or (B, n)."""
     if not (p >= 1 and math.isfinite(p)):
         raise ValueError(f"Lebesgue norm requires finite p >= 1, got {p}")
-    vals = e_norm(samples, p_E)
-    return _pth_root((group.quadrature.weights * vals**p).sum(axis=-1), p)
+    return _pth_root((group.quadrature.weights * norms**p).sum(axis=-1), p)
 
 
 def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
@@ -169,18 +175,26 @@ def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
     return lebesgue_norm(f.sample(group), group, f.p_E, p)
 
 
+#: Haar elements per synthesis of the sup probe: bounds its (B, elements, m) temporaries
+_PROBE_SLICE = 256
+
+
 def probed_sup(coeffs: FourierCoefficients, group: GroupSpec, extra_samples: int = 0, seed=0):
     """Max of |f|_E over the node samples and ``extra_samples`` Haar-random
-    elements drawn from ``seed`` (an int or a tuple of ints): a lower bound
-    on the sup, one value per function of a batch. The max off the nodes is
-    computed once per (group, seed, extra_samples) and kept on ``coeffs``.
+    elements drawn from ``seed`` (an int or a tuple of ints), one value per
+    function of a batch. It is a lower bound on the sup, so it can pass an
+    inequality that the true sup violates; only a failure is certain. The
+    max off the nodes is computed once per (group, seed, extra_samples) and
+    kept on ``coeffs``, synthesized ``_PROBE_SLICE`` elements at a time.
     """
-    best = e_norm(node_samples(coeffs, group), coeffs.p_E).max(axis=-1)
+    best = _node_norms(coeffs, group).max(axis=-1)
     if extra_samples > 0:
 
         def probe():
             els = group.random_elements(np.random.default_rng(seed), extra_samples)
-            return e_norm(synthesize(coeffs, group, elements=els), coeffs.p_E).max(axis=-1)
+            parts = np.split(els, range(_PROBE_SLICE, extra_samples, _PROBE_SLICE))
+            sups = [e_norm(synthesize(coeffs, group, x), coeffs.p_E).max(axis=-1) for x in parts]
+            return np.max(sups, axis=0)
 
         best = np.maximum(best, coeffs.memo(("sup_probe", group, seed, extra_samples), probe))
     return _per_function(best)

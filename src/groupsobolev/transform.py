@@ -27,7 +27,7 @@ import tempfile
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class FourierCoefficients:
     ``blocks`` at construction are zero.
 
     ``packed`` is a read-only copy of the array passed in, so what is derived
-    from it, such as the node samples, is computed once and kept (``memo``).
+    from it, such as the node samples and the E-norms, is computed once and kept (``memo``).
     """
 
     def __init__(self, window: DualWindow, m: int, blocks: dict | None = None,
@@ -213,6 +213,16 @@ def node_samples(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:
     return coeffs.memo(("samples", group), lambda: synthesize(coeffs, group))
 
 
+def _node_norms(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:
+    """|f(x_k)|_E at the nodes, (n,) or (B, n), kept on ``coeffs`` per group; read-only."""
+    return coeffs.memo(("node_norms", group), lambda: e_norm(node_samples(coeffs, group), coeffs.p_E))
+
+
+def _entry_norms(coeffs: FourierCoefficients) -> np.ndarray:
+    """|P[c]|_E per packed row, (K,) or (B, K), kept on ``coeffs``; read-only."""
+    return coeffs.memo("entry_norms", lambda: e_norm(coeffs.packed, coeffs.p_E))
+
+
 def forward_transform(f: VectorFunction, group: GroupSpec) -> FourierCoefficients:
     """Coefficients of ``f`` via quadrature against conj(u_ij), by node analysis."""
     packed = group.analysis(f.sample(group))
@@ -227,13 +237,14 @@ def _per_function(values) -> float | np.ndarray:
 def _pth_root(total, p: float) -> float | np.ndarray:
     """total ** (1/p) per function through the scalar power: numpy's array
     power can differ from it in the last bit, and a batch must not."""
-    return _per_function(np.vectorize(lambda t: t ** (1.0 / p), otypes=[float])(total))
+    roots = [t ** (1.0 / p) for t in np.ravel(total).tolist()]
+    return _per_function(np.reshape(roots, np.shape(total)))
 
 
 def weighted_spectral_norm(coeffs: FourierCoefficients, entry_weights, p: float):
     """(sum_c entry_weights[c] * |P[c]|_E^p)^(1/p) over the packed rows P;
     one value per function of a batch."""
-    return _pth_root((entry_weights * e_norm(coeffs.packed, coeffs.p_E) ** p).sum(axis=-1), p)
+    return _pth_root((entry_weights * _entry_norms(coeffs) ** p).sum(axis=-1), p)
 
 
 def s_p_norm(coeffs: FourierCoefficients, p: float) -> float | np.ndarray:
@@ -245,18 +256,19 @@ def s_p_norm(coeffs: FourierCoefficients, p: float) -> float | np.ndarray:
     if not p >= 1:
         raise ValueError(f"spectral norm requires p >= 1, got {p}")
     if math.isinf(p):
-        return _per_function(e_norm(coeffs.packed, coeffs.p_E).max(axis=-1))
+        return _per_function(_entry_norms(coeffs).max(axis=-1))
     return weighted_spectral_norm(coeffs, coeffs.window.entry_dims, p)
 
 
 def random_band_limited(
-    seed: int,
+    seed: int | Sequence[int],
     group: GroupSpec,
     m: int,
     amplitude: str | Callable[[Any, int], float] = "gaussian",
     p_E: float = 2.0,
 ) -> FourierCoefficients:
-    """Seeded random coefficients, one complex-Gaussian draw per entry.
+    """Seeded random coefficients, one complex-Gaussian draw per entry; for a
+    sequence of B seeds, a batch (B, K, m) of the draws of each seed.
 
     ``amplitude`` is "gaussian" (unit scale), "zero", or a callable
     (label, dim) -> scale applied per block. Deterministic in ``seed``: the
@@ -264,14 +276,17 @@ def random_band_limited(
     (d, d, m) in row-major order, its real parts first, then its imaginary ones.
     """
     window = group.window
-    if amplitude == "zero":
-        return FourierCoefficients(window, m, p_E=p_E)
-    scales = [1.0 if amplitude == "gaussian" else float(amplitude(l, d))
+    seeds = list(seed) if np.ndim(seed) else [seed]
+    draws = np.zeros((len(seeds), 2 * window.size, m))
+    for row, s in zip(draws, [] if amplitude == "zero" else seeds):
+        np.random.default_rng(s).standard_normal(out=row)
+    scales = [1.0 if amplitude in ("gaussian", "zero") else float(amplitude(l, d))
               for l, d in zip(window.labels, window.dims)]
-    draws = np.random.default_rng(seed).standard_normal((2 * window.size, m))
     real = window.row_major_position + window.entry_values(window.offsets[:-1]).astype(int)
-    draw = draws[real] + 1j * draws[real + window.entry_dims.astype(int) ** 2]
+    draw = draws[:, real] + 1j * draws[:, real + window.entry_dims.astype(int) ** 2]
     packed = window.entry_values(scales)[:, None] * draw
+    # C order: a batch's reductions then sum as each function's own do
+    packed = np.ascontiguousarray(packed if np.ndim(seed) else packed[0])
     return FourierCoefficients(window, m, p_E=p_E, packed=packed)
 
 

@@ -4,12 +4,14 @@ Each check computes one inequality instance per function and records lhs,
 rhs, slack = rhs - lhs, and a pass flag (slack >= -tol). A check takes a
 batch, packed (B, K, m), with one seed and one context per function, or one
 function, packed (K, m), as a batch of one. It returns the records of all
-functions in one RecordTable, function after function, and computes its
-samples, probe values and constants once per call. The vector check takes a
-list of vectors, or one vector, in the same way. ``run_suite`` draws each
-configured group's batch of seeded random band-limited functions, runs every
-check on it once per parameter, and aggregates a deterministic report from
-the checks' tables; every record counts toward its verdict.
+functions in one RecordTable, function after function; the node samples,
+E-norms and probe maxima it reads are kept on the batch's coefficients, so
+each is computed once per batch. The vector check takes a list of vectors,
+or one vector, in the same way, and computes its norms per vector length.
+``run_suite`` draws each configured group's batch of seeded random
+band-limited functions in one call, runs every check on it once per
+parameter, and aggregates a deterministic report from the checks' tables;
+every record counts toward its verdict.
 
 For E = l^p_m, the L2, Hausdorff-Young and Lq checks go through l^2_m, so
 their rhs carries K = m^|1/p_E - 1/2| from comparing the two norms on both
@@ -39,11 +41,11 @@ from . import __version__
 from .groups import GroupSpec, make_group
 from .sobolev import (
     WeightSequence,
+    _lebesgue,
     canonical_weights,
     embedding_constant_C,
     exponents,
     h_s_norm,
-    lebesgue_norm,
     lq_bound_constant,
     probed_sup,
     zero_weights,
@@ -51,9 +53,9 @@ from .sobolev import (
 )
 from .transform import (
     FourierCoefficients,
-    e_norm,
+    _entry_norms,
+    _node_norms,
     label_key,
-    node_samples,
     random_band_limited,
     s_p_norm,
 )
@@ -314,6 +316,20 @@ def _exponent(p: float):
     return "inf" if math.isinf(p) else p
 
 
+def _vector_norms(vecs: list, ps: list) -> np.ndarray:
+    """``float(e_norm(vec, p))`` per vector and exponent, from one (count, n)
+    array per length n, each root through the scalar power."""
+    out, sizes, ps = np.empty(len(vecs)), np.array([v.size for v in vecs]), np.array(ps, float)
+    for n in set(sizes.tolist()):
+        at = np.flatnonzero(sizes == n)
+        a, p, top, two = np.abs(np.array([vecs[i] for i in at])), ps[at], np.isinf(ps[at]), ps[at] == 2
+        out[at[top]], out[at[two]] = a[top].max(axis=-1), np.sqrt(np.square(a[two]).sum(axis=-1))
+        power = ~(top | two)
+        totals = (a[power] ** p[power, None]).sum(axis=-1).tolist()
+        out[at[power]] = [t ** (1.0 / q) for t, q in zip(totals, p[power].tolist())]
+    return out
+
+
 def _hilbert_factor(coeffs: FourierCoefficients) -> float:
     """K = m^|1/p_E - 1/2| (1/inf = 0): an l^2_m inequality's factor for E = l^p_m."""
     return coeffs.m ** abs(1.0 / coeffs.p_E - 0.5)
@@ -340,8 +356,7 @@ def check_vector_norm_comparison(
     for p, q in zip(ps, qs):
         if not (1 <= p <= q):
             raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
-    norm_p = np.array([float(e_norm(vec, p)) for vec, p in zip(vecs, ps)])
-    norm_q = np.array([float(e_norm(vec, q)) for vec, q in zip(vecs, qs)])
+    norm_p, norm_q = _vector_norms(vecs, ps), _vector_norms(vecs, qs)
     factor = np.array([vec.size ** (1.0 / p - 1.0 / q) for vec, p, q in zip(vecs, ps, qs)])
     tol = ALGEBRAIC_TOL * (1.0 + norm_p)
     rows = {"p": ps, "q": list(map(_exponent, qs)), "n": [vec.size for vec in vecs]}
@@ -367,7 +382,7 @@ def check_block_comparison(
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     starts = coeffs.window.offsets[:-1]
-    entry_norms = e_norm(coeffs.packed, coeffs.p_E).reshape(len(seeds), coeffs.window.size)
+    entry_norms = _entry_norms(coeffs).reshape(len(seeds), coeffs.window.size)
     lhs = np.add.reduceat(entry_norms**p, starts, axis=-1).ravel() ** (1.0 / p)
     if math.isinf(q):
         norm_q = np.maximum.reduceat(entry_norms, starts, axis=-1)
@@ -416,7 +431,7 @@ def check_l2_embedding(
 ) -> RecordTable:
     """Quadrature L2 norm of the synthesized function <= K |f|_(H^s)."""
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
-    lhs = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, 2.0)
+    lhs = _lebesgue(_node_norms(coeffs, group), group, 2.0)
     rhs = _hilbert_factor(coeffs) * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     return _table("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
@@ -463,7 +478,7 @@ def check_hausdorff_young(
         raise ValueError(f"need 1 < alpha < 2, got {alpha}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     alpha_prime = alpha / (alpha - 1.0)
-    lhs = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, alpha_prime)
+    lhs = _lebesgue(_node_norms(coeffs, group), group, alpha_prime)
     rhs = _hilbert_factor(coeffs) * s_p_norm(coeffs, alpha)
     tol = LEBESGUE_TOL * (1.0 + rhs)
     extra = {"alpha": alpha, "alpha_prime": alpha_prime}
@@ -491,7 +506,7 @@ def check_lq_embedding(
     bound = lq_bound_constant(weights, t, s, group.window)
     verdict = embedding_constant_C(weights, t, group.window).verdict
     norm = h_s_norm(coeffs, weights, s)
-    lhs_lp = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, params.alpha_prime)
+    lhs_lp = _lebesgue(_node_norms(coeffs, group), group, params.alpha_prime)
     lhs_chain = s_p_norm(coeffs, params.alpha)
     extra = {"s": s, "t": t, "alpha": params.alpha, "alpha_prime": params.alpha_prime,
              "constant": bound, "constant_verdict": verdict}
@@ -782,8 +797,7 @@ def run_suite(config) -> VerificationReport:
 
         seeds = [_derive_seed(cfg.seed, gi, b) for b in range(cfg.batch_size)]
         contexts = [{"batch": b} for b in range(cfg.batch_size)]
-        draws = [random_band_limited(fseed, group, cfg.m, p_E=cfg.p_E).packed for fseed in seeds]
-        coeffs = FourierCoefficients(group.window, cfg.m, p_E=cfg.p_E, packed=np.stack(draws))
+        coeffs = random_band_limited(seeds, group, cfg.m, p_E=cfg.p_E)
         batch = {"seed": seeds, "context": contexts}
 
         for s, t in monotone_pairs:
@@ -798,9 +812,7 @@ def run_suite(config) -> VerificationReport:
             parts.append(check_lq_embedding(coeffs, weights, s, t, group, **batch))
         if cfg.block_check_stride:
             step = slice(None, None, cfg.block_check_stride)
-            strided = FourierCoefficients(
-                group.window, cfg.m, p_E=cfg.p_E, packed=coeffs.packed[step]
-            )
+            strided = FourierCoefficients(group.window, cfg.m, p_E=cfg.p_E, packed=coeffs.packed[step])
             for p, q in pq_pairs:
                 parts.append(
                     check_block_comparison(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,14 @@ def test_exponent_guards_refuse_bad_values(norm, bad):
     }[norm]
     with pytest.raises(ValueError, match=f"got {bad}"):
         call()
+
+
+@pytest.mark.parametrize("p_E", [0.5, 0.0, -1.0, math.nan])
+def test_lebesgue_norm_refuses_a_target_exponent_below_one(p_E):
+    group = gs.make_group("circle", band=4)
+    samples = gs.node_samples(gs.random_band_limited(1, group, m=3), group)
+    with pytest.raises(ValueError, match=re.escape(f"p_E must be >= 1, got {p_E!r}")):
+        gs.lebesgue_norm(samples, group, p_E, 2.0)
 
 
 @pytest.mark.parametrize("p_E", [0.5, 0.0, math.nan])

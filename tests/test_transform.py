@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 import groupsobolev as gs
 from groupsobolev.groups import ORTHOGONALITY_TOL
 from groupsobolev.transform import (
+    _entry_norms,
+    _node_norms,
     atomic_write_text,
     coefficients_from_json,
     coefficients_to_json,
     dump_json,
+    e_norm,
     node_samples,
 )
 from groupsobolev.sobolev import probed_sup
@@ -333,6 +336,26 @@ def test_random_band_limited_reads_each_block_row_major_real_then_imaginary(su2_
         start += 2 * d * d * m
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "cyclic", "n": 12},
+        {"kind": "circle", "band": 16},
+        {"kind": "su2", "band": 2},
+        {"kind": "su2", "band": 1.5, "half_integers": True},
+    ],
+)
+@pytest.mark.parametrize("amplitude", sorted(AMPLITUDES))
+def test_random_band_limited_batch_stacks_the_single_draws_bit_for_bit(spec, amplitude):
+    group, seeds = gs.make_group(spec), [2024, 0, 2**63 + 5, 2024]
+    draw = functools.partial(gs.random_band_limited, group=group, m=3,
+                             amplitude=AMPLITUDES[amplitude], p_E=1.0)
+    batch = draw(seeds)
+    assert batch.packed.flags.c_contiguous and batch.p_E == 1.0
+    assert batch.packed.tobytes() == np.stack([draw(seed).packed for seed in seeds]).tobytes()
+    assert draw(np.array(seeds[:1])).packed.shape == (1, group.window.size, 3)
+
+
 # ---------------------------------------------------------------------------
 # kept node samples and probes
 
@@ -360,6 +383,17 @@ def test_node_samples_are_kept_read_only_and_never_stale(any_group):
     again = node_samples(coeffs, any_group)
     assert again is samples and np.array_equal(again, direct)
     assert gs.synthesize(coeffs, any_group).flags.writeable  # synthesize returns a new array
+
+
+def test_entry_and_node_norms_are_kept_read_only(any_group):
+    coeffs = gs.random_band_limited([1, 2, 3], any_group, m=3, p_E=3.0)
+    entries, nodes = _entry_norms(coeffs), _node_norms(coeffs, any_group)
+    computed = (e_norm(coeffs.packed, 3.0), e_norm(node_samples(coeffs, any_group), 3.0))
+    for kept, direct in zip((entries, nodes), computed):
+        assert np.array_equal(kept, direct) and not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1.0
+    assert _entry_norms(coeffs) is entries and _node_norms(coeffs, any_group) is nodes
 
 
 def test_node_samples_are_kept_per_group(z12):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupsobolev as gs
-from groupsobolev import transform, verify
+from groupsobolev import sobolev, transform, verify
 from groupsobolev.transform import dump_json
 from groupsobolev.verify import (
     CSV_COLUMNS,
@@ -125,6 +125,16 @@ def test_a_batched_vector_call_gives_the_records_of_single_calls():
     assert [r.context["n"] for r in batch][::2] == [1, 5, 16, 3, 1]
     # a list of numbers is one vector, not a batch
     assert [r.context["n"] for r in gs.check_vector_norm_comparison([3.0, 4.0], 1.0, 2.0)] == [2, 2]
+
+
+def test_batched_vector_norms_equal_e_norm_bit_for_bit():
+    rng = np.random.default_rng(16)
+    vecs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in range(1, 17) for _ in range(5)]
+    exponents = (1.0, 1.7, 2.0, 3.5, math.inf)
+    mixed = [exponents[i % 5] for i in range(len(vecs))]  # every exponent at every length
+    for ps in [[p] * len(vecs) for p in exponents] + [mixed]:
+        expected = [float(gs.e_norm(vec, p)) for vec, p in zip(vecs, ps)]
+        assert verify._vector_norms(vecs, ps).tolist() == expected
 
 
 def test_an_empty_vector_list_is_an_empty_batch():
@@ -411,8 +421,9 @@ def test_run_suite_deterministic():
 
 
 def test_default_run_synthesizes_once_per_group(monkeypatch):
-    """Every check of a group shares one synthesis at the nodes and one at
-    the probe elements; the node matrix build is the only other evaluation."""
+    """Every check of a group shares one synthesis at the nodes and one
+    probe, synthesized in slices of ``_PROBE_SLICE`` elements; no other
+    evaluation happens off the nodes."""
     off_nodes, at_nodes = [], []
     evaluate, synthesize = gs.GroupSpec.packed_matrices, transform.synthesize
 
@@ -430,7 +441,9 @@ def test_default_run_synthesizes_once_per_group(monkeypatch):
     monkeypatch.setattr(transform, "synthesize", counting_synthesis)
     report = gs.run_suite({**gs.DEFAULT_CONFIG, "batch_size": 4, "vector_checks": 0})
     names = ["cyclic(12)", "s3", "circle(16)", "su2(2)"]
-    assert off_nodes == names and at_nodes == names
+    slices = -(-gs.DEFAULT_CONFIG["sup_extra_samples"] // sobolev._PROBE_SLICE)
+    assert slices == 4
+    assert off_nodes == [name for name in names for _ in range(slices)] and at_nodes == names
     assert report.counts()["sup_embedding"] == 4 * 4 * len(gs.DEFAULT_CONFIG["s_values"])
 
 
