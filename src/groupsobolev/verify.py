@@ -450,11 +450,13 @@ def check_sup_embedding(
 ) -> RecordTable:
     """Sampled sup of |f|_E <= C * |f|_(H^s) with the window constant C.
 
-    The lhs is a lower bound on the true sup, so underestimation can only
-    weaken the test, never fake a pass of a violated inequality. The sup
-    is probed at ``extra_samples`` elements drawn from ``probe_seed``, the
-    same elements for every function of a batch. Each record carries the
-    verdict on the series behind C over the whole dual as ``constant_verdict``.
+    On a finite group the lhs is the exact sup, the max over every element.
+    Elsewhere the sup is probed at the nodes and at ``extra_samples``
+    elements drawn from ``probe_seed``, the same elements for every function
+    of a batch, and the lhs is a lower bound on the true sup: it can fake a
+    pass of a violated inequality, and only a failure is certain. Each
+    record carries the verdict on the series behind C over the whole dual
+    as ``constant_verdict``.
     """
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     lhs = probed_sup(coeffs, group, extra_samples, probe_seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -162,6 +163,15 @@ def test_sup_norm_exact_on_finite_group(z12):
     coeffs = gs.forward_transform(gs.VectorFunction.from_samples(samples), z12)
     got = gs.probed_sup(coeffs, z12, extra_samples=1000)
     assert abs(got - np.abs(samples).max()) <= 1e-12 * np.abs(samples).max()
+
+
+@pytest.mark.parametrize("name", ["z12", "s3"])
+def test_finite_group_sup_is_the_exact_node_max_and_draws_nothing(name, request):
+    group = request.getfixturevalue(name)
+    never = dataclasses.replace(group, _sampler=lambda rng, n: pytest.fail("probe elements drawn"))
+    coeffs = gs.random_band_limited([1, 2, 3], never, m=2)
+    exact = gs.e_norm(gs.synthesize(coeffs, never), 2.0).max(axis=-1)
+    assert np.array_equal(gs.probed_sup(coeffs, never, extra_samples=1000, seed=5), exact)
 
 
 def test_sup_norm_circle_crest(circle2):
