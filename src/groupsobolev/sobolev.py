@@ -180,15 +180,12 @@ _PROBE_SLICE = 256
 
 
 def probed_sup(coeffs: FourierCoefficients, group: GroupSpec, extra_samples: int = 0, seed=0):
-    """Max of |f|_E over the node samples and ``extra_samples`` Haar-random
-    elements drawn from ``seed`` (an int or a tuple of ints), one value per
-    function of a batch. On a finite group the nodes are every element, so
-    this is the exact sup and no element is drawn. Elsewhere it is a lower
-    bound on the sup, which can pass an inequality that the true sup
-    violates; only its failures are certain. The max off the nodes is
-    computed once per (group, seed, extra_samples) and kept on ``coeffs``,
-    synthesized ``_PROBE_SLICE`` elements at a time.
-    """
+    """Max of |f|_E over the nodes and ``extra_samples`` Haar-random elements
+    drawn from ``seed`` (an int or a tuple of ints), one value per function of
+    a batch: the exact sup on a finite group, whose nodes are every element
+    (nothing is drawn), elsewhere a lower bound, which can pass a violated
+    inequality. The max off the nodes is kept on ``coeffs`` per (group, seed,
+    extra_samples), synthesized ``_PROBE_SLICE`` elements at a time."""
     best = _node_norms(coeffs, group).max(axis=-1)
     if extra_samples > 0 and group.order is None:
 

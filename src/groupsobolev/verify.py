@@ -4,12 +4,11 @@ Each check computes one inequality instance per function and records lhs,
 rhs, slack = rhs - lhs, and a pass flag (slack >= -tol). A check takes a
 batch, packed (B, K, m), with one seed and one context per function, or one
 function, packed (K, m), as a batch of one. It returns the records of all
-functions in one RecordTable, function after function; the node samples,
-E-norms and probe maxima it reads are kept on the batch's coefficients, so
-each is computed once per batch. The vector check takes a list of vectors,
-or one vector, in the same way, and computes its norms per vector length.
-``run_suite`` draws each configured group's batch of seeded random
-band-limited functions in one call, runs every check on it once per
+functions in one RecordTable, function after function, and reads the node
+samples, E-norms and probe maxima that the batch's coefficients keep, each
+computed once per batch. The vector check takes a list of vectors, or one
+vector, in the same way. ``run_suite`` draws each configured group's batch
+of seeded random band-limited functions, runs every check on it once per
 parameter, and aggregates a deterministic report from the checks' tables;
 every record counts toward its verdict.
 
@@ -450,13 +449,12 @@ def check_sup_embedding(
 ) -> RecordTable:
     """Sampled sup of |f|_E <= C * |f|_(H^s) with the window constant C.
 
-    On a finite group the lhs is the exact sup, the max over every element.
-    Elsewhere the sup is probed at the nodes and at ``extra_samples``
-    elements drawn from ``probe_seed``, the same elements for every function
-    of a batch, and the lhs is a lower bound on the true sup: it can fake a
-    pass of a violated inequality, and only a failure is certain. Each
-    record carries the verdict on the series behind C over the whole dual
-    as ``constant_verdict``.
+    The lhs is ``probed_sup``, exact on a finite group. Elsewhere it is a
+    lower bound from the nodes and ``extra_samples`` elements drawn from
+    ``probe_seed``, the same for every function of a batch: it can fake a
+    pass of a violated inequality, and only a failure is certain. Each record
+    carries the verdict on the series behind C over the whole dual as
+    ``constant_verdict``.
     """
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     lhs = probed_sup(coeffs, group, extra_samples, probe_seed)
