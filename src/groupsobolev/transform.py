@@ -278,8 +278,9 @@ def random_band_limited(
     window = group.window
     seeds = list(seed) if np.ndim(seed) else [seed]
     draws = np.zeros((len(seeds), 2 * window.size, m))
-    for row, s in zip(draws, [] if amplitude == "zero" else seeds):
-        np.random.default_rng(s).standard_normal(out=row)
+    if amplitude != "zero":
+        for row, s in zip(draws, seeds):
+            np.random.default_rng(s).standard_normal(out=row)
     scales = [1.0 if amplitude in ("gaussian", "zero") else float(amplitude(l, d))
               for l, d in zip(window.labels, window.dims)]
     real = window.row_major_position + window.entry_values(window.offsets[:-1]).astype(int)

@@ -317,13 +317,16 @@ def _exponent(p: float):
 
 def _vector_norms(vecs: list, ps: list) -> np.ndarray:
     """``float(e_norm(vec, p))`` per vector and exponent, from one (count, n)
-    array per length n, each root through the scalar power."""
+    array per length n: e_norm's max at p = inf and square root at p = 2,
+    otherwise each root through the scalar power."""
     out, sizes, ps = np.empty(len(vecs)), np.array([v.size for v in vecs]), np.array(ps, float)
     for n in set(sizes.tolist()):
         at = np.flatnonzero(sizes == n)
-        a, p, top, two = np.abs(np.array([vecs[i] for i in at])), ps[at], np.isinf(ps[at]), ps[at] == 2
-        out[at[top]], out[at[two]] = a[top].max(axis=-1), np.sqrt(np.square(a[two]).sum(axis=-1))
+        a, p = np.abs(np.array([vecs[i] for i in at])), ps[at]
+        top, two = np.isinf(p), p == 2.0
         power = ~(top | two)
+        out[at[top]] = a[top].max(axis=-1)
+        out[at[two]] = np.sqrt(np.square(a[two]).sum(axis=-1))
         totals = (a[power] ** p[power, None]).sum(axis=-1).tolist()
         out[at[power]] = [t ** (1.0 / q) for t, q in zip(totals, p[power].tolist())]
     return out
@@ -812,7 +815,9 @@ def run_suite(config) -> VerificationReport:
             parts.append(check_lq_embedding(coeffs, weights, s, t, group, **batch))
         if cfg.block_check_stride:
             step = slice(None, None, cfg.block_check_stride)
-            strided = FourierCoefficients(group.window, cfg.m, p_E=cfg.p_E, packed=coeffs.packed[step])
+            strided = FourierCoefficients(
+                group.window, cfg.m, p_E=cfg.p_E, packed=coeffs.packed[step]
+            )
             for p, q in pq_pairs:
                 parts.append(
                     check_block_comparison(
