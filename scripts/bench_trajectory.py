@@ -82,7 +82,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     data = json.loads(args.out.read_text()) if args.out.exists() else {"entries": []}
-    entries = [e for e in data["entries"] if e["label"] != args.label] + [entry]
+    entries = [e for e in data.get("entries", []) if e["label"] != args.label] + [entry]
     args.out.write_text(json.dumps({**data, "entries": entries}, indent=2) + "\n")
     return 0
 
