@@ -1,12 +1,11 @@
 """Run the benchmark on two source trees in alternated pairs and record every run.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
-        [--pairs 10] [--first-seed 201] [--workload W ...]
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
 
-For each workload (by default every one that the change's ``BENCHMARK.json``
-declares) and each pair i, runs the benchmark command of that file with
-``--workload W --seed S --seconds T --trace 0`` in both trees, S being
-first_seed + i and T the file's ``run_seconds``: the parent first when i is
+For each workload that the change's ``BENCHMARK.json`` declares and each
+pair i (ten, at seeds 201 to 210), runs the benchmark command of that file
+with ``--workload W --seed S --seconds T --trace 0`` in both trees, S being
+``SEEDS[i]`` and T the file's ``run_seconds``: the parent first when i is
 even, the change first when i is odd, one process at a time.
 
 The output file's ``paired_runs`` key is replaced (its other keys are kept).
@@ -26,6 +25,8 @@ import sys
 from pathlib import Path
 
 from bench_trajectory import commit_of, run_once
+
+SEEDS = range(201, 211)  # pair i runs at SEEDS[i]
 
 
 def summary(runs: list, metrics: list) -> dict:
@@ -51,19 +52,15 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="source tree of the parent")
     parser.add_argument("--change", required=True, type=Path, help="source tree of the change")
     parser.add_argument("--out", required=True, type=Path, help="BENCH_*.json file to update")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=201)
-    parser.add_argument("--workload", action="append", help="workload to run (repeatable)")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    workloads = [w["name"] for w in declared["workloads"]]
     runs, env = [], None
     try:
         for workload in workloads:
-            for pair in range(args.pairs):
-                seed = args.first_seed + pair
+            for pair, seed in enumerate(SEEDS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for label in order:
                     env, metrics = run_once(trees[label], declared["command"], workload, seed, seconds)
@@ -78,7 +75,7 @@ def main(argv=None) -> int:
         "parent": commit_of(trees["parent"]),
         "change": commit_of(trees["change"]),
         "order": "pair i runs the parent first when i is even and the change first when i is odd; "
-                 f"seeds {args.first_seed} to {args.first_seed + args.pairs - 1}; one process at a time",
+                 f"seeds {SEEDS[0]} to {SEEDS[-1]}; one process at a time",
         "env": env,
         "summary": {w: summary([r for r in runs if r["workload"] == w], declared["end_to_end"])
                     for w in workloads},

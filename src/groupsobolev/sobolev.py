@@ -175,17 +175,14 @@ def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
     return lebesgue_norm(f.sample(group), group, f.p_E, p)
 
 
-#: Haar elements per synthesis of the sup probe: bounds its (B, elements, m) temporaries
-_PROBE_SLICE = 256
+_PROBE_SLICE = 256  # Haar elements per synthesis of the sup probe
 
 
 def probed_sup(coeffs: FourierCoefficients, group: GroupSpec, extra_samples: int = 0, seed=0):
-    """Max of |f|_E over the nodes and ``extra_samples`` Haar-random elements
-    drawn from ``seed`` (an int or a tuple of ints), one value per function of
-    a batch: the exact sup on a finite group, whose nodes are every element
-    (nothing is drawn), elsewhere a lower bound, which can pass a violated
-    inequality. The max off the nodes is kept on ``coeffs`` per (group, seed,
-    extra_samples), synthesized ``_PROBE_SLICE`` elements at a time."""
+    """Max of |f|_E over the nodes and ``extra_samples`` Haar elements drawn
+    from ``seed`` (an int or a tuple of ints), one value per function of a
+    batch, kept on ``coeffs``: exact on a finite group, whose nodes are every
+    element; elsewhere a lower bound, which can pass a violated inequality."""
     best = _node_norms(coeffs, group).max(axis=-1)
     if extra_samples > 0 and group.order is None:
 

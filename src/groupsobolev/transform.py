@@ -267,12 +267,12 @@ def random_band_limited(
     amplitude: str | Callable[[Any, int], float] = "gaussian",
     p_E: float = 2.0,
 ) -> FourierCoefficients:
-    """Seeded random coefficients, one complex-Gaussian draw per entry; for a
-    sequence of B seeds, a batch (B, K, m) of the draws of each seed.
+    """Seeded random coefficients, one complex-Gaussian draw per entry.
 
-    ``amplitude`` is "gaussian" (unit scale), "zero", or a callable
-    (label, dim) -> scale applied per block. Deterministic in ``seed``: the
-    2 K m normals are drawn at once and read label by label, each block
+    ``seed`` is one seed, or a sequence of B ints, always read as the batch
+    (B, K, m) of their single draws. ``amplitude`` is "gaussian" (unit scale),
+    "zero", or a callable (label, dim) -> scale applied per block. Per seed,
+    the 2 K m normals are drawn at once and read label by label, each block
     (d, d, m) in row-major order, its real parts first, then its imaginary ones.
     """
     window = group.window

@@ -5,12 +5,11 @@ rhs, slack = rhs - lhs, and a pass flag (slack >= -tol). A check takes a
 batch, packed (B, K, m), with one seed and one context per function, or one
 function, packed (K, m), as a batch of one. It returns the records of all
 functions in one RecordTable, function after function, and reads the node
-samples, E-norms and probe maxima that the batch's coefficients keep, each
-computed once per batch. The vector check takes a list of vectors, or one
-vector, in the same way. ``run_suite`` draws each configured group's batch
-of seeded random band-limited functions, runs every check on it once per
-parameter, and aggregates a deterministic report from the checks' tables;
-every record counts toward its verdict.
+samples and E-norms that the batch's coefficients keep. The vector check
+takes a list of vectors, or one vector, in the same way. ``run_suite`` draws
+each configured group's batch of seeded random band-limited functions, runs
+every check on it once per parameter, and aggregates a deterministic report
+from the checks' tables; every record counts toward its verdict.
 
 For E = l^p_m, the L2, Hausdorff-Young and Lq checks go through l^2_m, so
 their rhs carries K = m^|1/p_E - 1/2| from comparing the two norms on both
@@ -316,15 +315,12 @@ def _exponent(p: float):
 
 
 def _vector_norms(vecs: list, ps: list) -> np.ndarray:
-    """``float(e_norm(vec, p))`` per vector and exponent, from one (count, n)
-    array per length n: e_norm's max at p = inf and square root at p = 2,
-    otherwise each root through the scalar power."""
+    """``float(e_norm(vec, p))`` per vector, from one (count, n) array per length n."""
     out, sizes, ps = np.empty(len(vecs)), np.array([v.size for v in vecs]), np.array(ps, float)
     for n in set(sizes.tolist()):
         at = np.flatnonzero(sizes == n)
         a, p = np.abs(np.array([vecs[i] for i in at])), ps[at]
-        top, two = np.isinf(p), p == 2.0
-        power = ~(top | two)
+        top, two, power = np.isinf(p), p == 2.0, np.isfinite(p) & (p != 2.0)
         out[at[top]] = a[top].max(axis=-1)
         out[at[two]] = np.sqrt(np.square(a[two]).sum(axis=-1))
         totals = (a[power] ** p[power, None]).sum(axis=-1).tolist()
