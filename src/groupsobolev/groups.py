@@ -94,14 +94,12 @@ def _check_spin(ell: float) -> None:
         )
 
 
-def wigner_d_matrix(ell: float, eulers: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unitary rotation matrices D^ell at Euler triples, shape (n, d, d),
-    written into ``out`` when given.
+def wigner_d_matrix(ell: float, eulers: np.ndarray) -> np.ndarray:
+    """Unitary rotation matrices D^ell at Euler triples, shape (n, d, d).
 
     D(alpha, beta, gamma) = exp(-i m' alpha) d^ell(beta) exp(-i m gamma)
     with row/column order m = ell, ell-1, ..., -ell; refused for a spin
     that is negative, not a multiple of 1/2, or above ``SU2_MAX_SPIN``.
-    d^ell is evaluated once per distinct beta (a quadrature grid has few).
     """
     _check_spin(ell)
     e = np.atleast_2d(np.asarray(eulers, dtype=float))
@@ -109,11 +107,8 @@ def wigner_d_matrix(ell: float, eulers: np.ndarray, out: np.ndarray | None = Non
         raise ValueError("SU(2) elements are Euler triples (alpha, beta, gamma)")
     alpha, beta, gamma = e[:, 0], e[:, 1], e[:, 2]
     m = ell - np.arange(int(round(2 * ell)) + 1)
-    betas, where = np.unique(beta, return_inverse=True)
-    d = _little_d_matrix(ell, betas)[where]
-    out = np.multiply(np.exp(-1j * np.outer(alpha, m))[:, :, None], d, out=out)
-    out *= np.exp(-1j * np.outer(gamma, m))[:, None, :]
-    return out
+    d = np.exp(-1j * np.outer(alpha, m))[:, :, None] * _little_d_matrix(ell, beta)
+    return d * np.exp(-1j * np.outer(gamma, m))[:, None, :]
 
 
 def su2_element_matrix(x) -> np.ndarray:
@@ -251,8 +246,8 @@ class QuadratureRule:
 class GroupSpec:
     """A compact group: its window, a Haar quadrature rule and one evaluator.
 
-    ``_matrices(label, elements, out)`` gives one window irrep's matrices at
-    a batch of elements, shape (n, d, d), in ``out`` unless that is None. The
+    ``_matrices(label, elements)`` returns one window irrep's matrices at a batch of
+    elements, a new (n, d, d) array; ``packed_matrices`` puts the window's side by side. The
     node transforms ``analysis`` and ``synthesis`` take samples (..., nodes, m) to
     packed rows (..., K, m), quad(conj(u_c) * f), and rows P back to sum_c u_c * P[c].
     ``schur_deviation(group)`` bounds max |quad(conj(u_c) * u_c') - delta_cc' / d_c| over
@@ -274,28 +269,19 @@ class GroupSpec:
     synthesis: Callable[[np.ndarray], np.ndarray]
     schur_deviation: Callable[[GroupSpec], float]
 
-    def irrep_matrices(self, label, elements, out=None) -> np.ndarray:
+    def irrep_matrices(self, label, elements) -> np.ndarray:
         """Matrices of the window irrep ``label`` at a batch of elements,
-        shape (n, d, d), written into the complex array ``out`` when given;
-        KeyError for a label outside the window."""
+        shape (n, d, d); KeyError for a label outside the window."""
         self.window.index(label)
-        return self._matrices(label, elements, out)
+        return self._matrices(label, elements)
 
-    def packed_matrices(self, elements, labels=None) -> np.ndarray:
-        """Coefficients of ``labels`` (default: the window) at the elements in
-        packed column order, shape (n, sum d^2); column-major, so that each
-        label's d*d columns are one (n, d, d) view that its evaluator fills."""
-        labels = self.window.labels if labels is None else labels
+    def packed_matrices(self, elements) -> np.ndarray:
+        """Coefficients of the window at the elements in packed column order,
+        shape (n, K): column a*d + b of a label is its matrix entry (a, b)."""
         n = np.size(elements) // np.size(self.identity)
-        out = np.empty((n, sum(self.dim_of(l) ** 2 for l in labels)), dtype=complex, order="F")
-        col = 0
-        for label in labels:
-            d = self.dim_of(label)
-            view = out[:, col : col + d * d].reshape(n, d, d)
-            if (mats := self.irrep_matrices(label, elements, view)) is not view:
-                view[...] = mats
-            col += d * d
-        return out
+        return np.concatenate(
+            [self.irrep_matrices(l, elements).reshape(n, d * d)
+             for l, d in zip(self.window.labels, self.window.dims)], axis=1)
 
     def multiply(self, x, y):
         return self._multiply(x, y)
@@ -354,9 +340,6 @@ def _finite_group(
             raise ValueError(f"{name}: element index out of range 0..{order - 1}")
         return idx
 
-    def matrices(label, elements, out):
-        return np.take(irrep_tables[label], indices(elements), axis=0, out=out)
-
     window = DualWindow(
         kind=kind,
         band=band,
@@ -378,7 +361,7 @@ def _finite_group(
         quadrature=QuadratureRule(nodes, weights),
         identity=identity,
         order=order,
-        _matrices=matrices,
+        _matrices=lambda label, elements: irrep_tables[label][indices(elements)],
         _multiply=multiply,
         _sampler=sampler,
         **transforms,
@@ -389,7 +372,7 @@ def _dense_transforms(irrep_tables: dict) -> dict:
     """Node transforms of a finite group as products with its irrep tables, (order, K),
     and its Schur deviation from their Gram u^H W u."""
     tables = [t.reshape(len(t), -1) for t in irrep_tables.values()]
-    u = np.asfortranarray(np.concatenate(tables, axis=1))  # as packed_matrices lays it out
+    u = np.concatenate(tables, axis=1)
     w = np.full((len(u), 1), 1.0 / len(u))
 
     def schur_deviation(group):
@@ -421,7 +404,7 @@ def _fft_transforms(freqs, n: int) -> dict:
         # The Gram quad(conj(u_j) u_k) depends on k - j alone, so the columns of the lowest
         # and the highest frequency hold every entry: the analysis of those two characters.
         ends = (freqs.min(), freqs.max())
-        chars = [group._matrices(k, group.quadrature.nodes, None).reshape(-1, 1) for k in ends]
+        chars = [group._matrices(k, group.quadrature.nodes).reshape(-1, 1) for k in ends]
         gram = analysis(np.concatenate(chars, axis=1))
         return float(np.abs(gram - np.equal.outer(freqs, ends)).max())
 
@@ -504,10 +487,6 @@ def _make_circle(band: int) -> GroupSpec:
     for b in range(1, band + 1):
         labels.extend([-b, b])
 
-    def matrices(freq, elements, out):
-        x = np.atleast_1d(np.asarray(elements, dtype=float))
-        return np.exp(1j * freq * x.reshape(-1, 1, 1), out=out)
-
     window = DualWindow(
         kind="circle",
         band=band,
@@ -523,7 +502,7 @@ def _make_circle(band: int) -> GroupSpec:
         quadrature=QuadratureRule(nodes, weights),
         identity=0.0,
         order=None,
-        _matrices=matrices,
+        _matrices=lambda freq, x: np.exp(1j * freq * np.asarray(x, dtype=float).reshape(-1, 1, 1)),
         _multiply=lambda x, y: (float(x) + float(y)) % TWO_PI,
         _sampler=lambda rng, count: rng.uniform(0.0, TWO_PI, size=count),
         **_fft_transforms(window.labels, npts),
@@ -633,7 +612,7 @@ def _su2_transforms(window, step, alphas, betas, wbeta, gammas) -> dict:
         distances = []
         for ell, (_, _, r, d_b) in zip(window.labels, spins):
             tables = e_alpha[a, r, None] * d_b[b] * e_gamma[c, None, r]
-            distances.append(np.abs(group._matrices(ell, eulers, None) - tables).max())
+            distances.append(np.abs(group._matrices(ell, eulers) - tables).max())
         return max(distances)
 
     stride, sqrt_w = round(1 / step), np.sqrt(w_beta)  # a spin's m', m: ms rows, one class

@@ -145,18 +145,24 @@ def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> 
     """Order-s Sobolev norm: entrywise d (1 + w^2)^s weighting of the square;
     one value per function of a batch.
 
-    Reduces bit-for-bit to the p = 2 spectral norm at s = 0.
+    Reduces bit-for-bit to the p = 2 spectral norm at s = 0. A norm that
+    overflows a float, as the weights do at large s, is a ValueError.
     """
     if not s >= 0:
         raise ValueError(f"Sobolev order s must be >= 0, got {s}")
-    return weighted_spectral_norm(coeffs, weights.sobolev_entries(coeffs.window, s), 2.0)
+    norm = weighted_spectral_norm(coeffs, weights.sobolev_entries(coeffs.window, s), 2.0)
+    if not np.isfinite(norm).all():
+        raise ValueError(f"the order s={s:g} Sobolev norm overflows on the {coeffs.window.kind} "
+                         f"window of band {coeffs.window.band}")
+    return norm
 
 
 def lebesgue_norm(samples, group: GroupSpec, p_E: float, p: float) -> float | np.ndarray:
     """Quadrature Lebesgue norm (sum_k w_k |f(x_k)|_E^p)^(1/p), finite p, of
     node samples (n, m); one value per function of a batch (B, n, m).
 
-    Exact only up to quadrature error when |f|^p is not band-limited.
+    Exact only up to quadrature error when |f|^p is not band-limited; a
+    ValueError when the sum of |f|^p overflows a float.
     """
     if not p_E >= 1:
         raise ValueError(f"target exponent p_E must be >= 1, got {p_E!r}")
@@ -167,7 +173,10 @@ def _lebesgue(norms: np.ndarray, group: GroupSpec, p: float) -> float | np.ndarr
     """``lebesgue_norm`` from the E-norms |f(x_k)|_E at the nodes, (n,) or (B, n)."""
     if not (p >= 1 and math.isfinite(p)):
         raise ValueError(f"Lebesgue norm requires finite p >= 1, got {p}")
-    return _pth_root((group.quadrature.weights * norms**p).sum(axis=-1), p)
+    total = (group.quadrature.weights * norms**p).sum(axis=-1)
+    if not np.isfinite(total).all():
+        raise ValueError(f"the L^p norm at p={p:g} overflows on {group.name}: |f|^p is not finite")
+    return _pth_root(total, p)
 
 
 def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
@@ -214,8 +223,8 @@ class SobolevParams:
 
 def exponents(s: float, t: float) -> SobolevParams:
     """Exponents alpha = 2t/(s+t) and alpha' = 2t/(t-s) for t > s > 0."""
-    if not t > s > 0:
-        raise ValueError(f"need t > s > 0, got s={s}, t={t}")
+    if not (t > s > 0 and math.isfinite(t)):
+        raise ValueError(f"need a finite t > s > 0, got s={s}, t={t}")
     alpha = 2.0 * t / (s + t)
     alpha_prime = 2.0 * t / (t - s)
     if abs(1.0 / alpha + 1.0 / alpha_prime - 1.0) > 1e-12:

@@ -193,18 +193,14 @@ def synthesize(coeffs: FourierCoefficients, group: GroupSpec, elements=None) -> 
     for a batch.
 
     Evaluates at the quadrature nodes by default (the group's node synthesis),
-    at ``elements`` otherwise (only the irreps whose blocks are nonzero).
+    at ``elements`` otherwise (their packed matrices times the weighted rows).
     """
-    window = group.window
-    if coeffs.window != window:
+    if coeffs.window != group.window:
         raise ValueError("coefficient window does not match the group")
-    weighted = window.entry_dims[:, None] * coeffs.packed
+    weighted = group.window.entry_dims[:, None] * coeffs.packed
     if elements is None:
         return group.synthesis(weighted)
-    live = [l for l in window.labels if coeffs.packed[..., window.columns(l), :].any()]
-    live = live or [window.trivial]
-    rows = np.r_[tuple(window.columns(l) for l in live)]
-    return group.packed_matrices(elements, live) @ weighted[..., rows, :]
+    return group.packed_matrices(elements) @ weighted
 
 
 def node_samples(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:

@@ -347,6 +347,21 @@ def test_verify_refuses_wrongly_typed_config_fields(tmp_path, capsys, field, val
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"s_values": [400.0]}, "s=400"), ({"st_pairs": [[1.0, 1.01]]}, "p=202")],
+    ids=["sobolev-weight", "lebesgue-power"],
+)
+def test_verify_refuses_an_overflowing_norm(tmp_path, capsys, overrides, message):
+    # an inf lhs would fake a failure and an inf rhs a pass; neither is written
+    cfgpath = tmp_path / "config.json"
+    cfgpath.write_text(json.dumps({**overrides, "batch_size": 2}))  # on the default groups
+    assert main(["verify", "--config", str(cfgpath), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_refuses_a_non_integer_circle_band(tmp_path, capsys):
     cfgpath = write_config(tmp_path, groups=[{"kind": "circle", "band": 2.7}], batch_size=1)
     assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 2

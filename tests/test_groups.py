@@ -344,17 +344,6 @@ def test_wigner_matrices_share_the_d_matrix_of_a_repeated_beta():
         assert np.abs(together - alone).max() <= 1e-14
 
 
-def test_wigner_matrices_fill_a_column_major_output(su2_2):
-    nodes = su2_2.quadrature.nodes
-    n = len(nodes)
-    out = np.empty((n, 25), dtype=complex, order="F")
-    view = out.reshape(n, 5, 5)  # a view, since out is column-major
-    assert np.shares_memory(view, out)
-    assert gs.wigner_d_matrix(2.0, nodes, out=view) is view
-    assert np.array_equal(view, gs.wigner_d_matrix(2.0, nodes))
-    assert np.array_equal(out, su2_2.packed_matrices(nodes)[:, su2_2.window.columns(2.0)])
-
-
 EULER_TRIPLES = st.tuples(
     st.floats(0.0, TWO_PI, exclude_max=True),
     st.floats(0.0, math.pi),
@@ -527,15 +516,15 @@ def test_two_fold_grids_pass_schur_but_miss_the_l4_norm(monkeypatch, coarse, fin
     assert _l4_gap(coarse, fine) > 1e-4
 
 
-def _copied(ell, eulers, out=None):
+def _copied(ell, eulers):
     return groups.wigner_d_matrix(ell, eulers)
 
 
-def _halved(ell, eulers, out=None):
+def _halved(ell, eulers):
     return 0.5 * groups.wigner_d_matrix(ell, eulers)
 
 
-def _top_spin_gamma_flipped(ell, eulers, out=None):
+def _top_spin_gamma_flipped(ell, eulers):
     flipped = np.asarray(eulers, dtype=float) * np.array([1.0, 1.0, -1.0 if ell == 2 else 1.0])
     return groups.wigner_d_matrix(ell, flipped)
 
@@ -588,26 +577,13 @@ def test_node_stack_is_view_of_node_matrix(any_group):
 
 
 def test_packed_matrices_follow_window_columns(any_group):
-    els = any_group.random_elements(np.random.default_rng(3), 7)
-    packed = any_group.packed_matrices(els)
-    for label, d in zip(any_group.window.labels, any_group.window.dims):
-        cols = packed[:, any_group.window.columns(label)]
-        assert np.array_equal(cols, any_group.irrep_matrices(label, els).reshape(7, d * d))
-    last = any_group.window.labels[-1]
-    subset = any_group.packed_matrices(els, [last])
-    assert np.array_equal(subset, packed[:, any_group.window.columns(last)])
-
-
-def test_packed_matrices_copy_in_what_an_evaluator_returns(any_group, monkeypatch):
-    els = any_group.random_elements(np.random.default_rng(3), 7)
-    expected = any_group.packed_matrices(els)
-    original = gs.GroupSpec.irrep_matrices
-
-    def ignores_out(self, label, elements, out=None):
-        return original(self, label, elements) + 0.0  # a fresh array, never ``out``
-
-    monkeypatch.setattr(gs.GroupSpec, "irrep_matrices", ignores_out)
-    assert np.array_equal(any_group.packed_matrices(els), expected)
+    # column a*d + b of a label is its matrix entry (a, b), at random elements and at the nodes
+    nodes = any_group.quadrature.nodes
+    for els in (any_group.random_elements(np.random.default_rng(3), 7), nodes):
+        packed = any_group.packed_matrices(els)
+        for label, d in zip(any_group.window.labels, any_group.window.dims):
+            cols = packed[:, any_group.window.columns(label)]
+            assert np.array_equal(cols, any_group.irrep_matrices(label, els).reshape(len(els), d * d))
 
 
 @pytest.mark.parametrize("bad", [1.7, -0.5, math.nan, math.inf, "1"])

@@ -63,6 +63,15 @@ def test_h_s_norm_errors(z4):
         gs.h_s_norm(coeffs, partial, 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_h_s_norm_refuses_an_overflowing_weight(circle16):
+    # (1 + 16^2)^130 is past the largest float: the norm would read inf, and pass any check
+    coeffs = gs.random_band_limited(0, circle16, m=2)
+    assert math.isfinite(gs.h_s_norm(coeffs, gs.canonical_weights(circle16), 120.0))
+    with pytest.raises(ValueError, match="s=130 .* circle window of band 16"):
+        gs.h_s_norm(coeffs, gs.canonical_weights(circle16), 130.0)
+
+
 def test_h_s_norm_monotone_in_s(su2_2):
     weights = gs.canonical_weights(su2_2)
     for seed in range(5):
@@ -109,6 +118,15 @@ def test_l_p_norm_matches_plancherel(su2_2):
         coeffs = gs.random_band_limited(seed, su2_2, m=3)
         l2 = gs.lebesgue_norm(gs.node_samples(coeffs, su2_2), su2_2, coeffs.p_E, 2.0)
         assert abs(l2 - gs.s_p_norm(coeffs, 2.0)) <= 1e-9 * (1.0 + l2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_lebesgue_norm_refuses_an_overflowing_power_sum(su2_2, constant):
+    # |f| = 52.7 everywhere: its L^202 norm is 52.7, but 52.7^202 is past the largest float
+    samples = gs.node_samples(constant(su2_2, [52.7]), su2_2)
+    assert abs(gs.lebesgue_norm(samples, su2_2, 2.0, 150.0) - 52.7) <= 1e-12 * 52.7
+    with pytest.raises(ValueError, match=r"p=202 overflows on su2\(2\)"):
+        gs.lebesgue_norm(samples, su2_2, 2.0, 202.0)
 
 
 def test_l_p_norm_rejects_bad_p(z4):
@@ -284,6 +302,8 @@ def test_exponents_rejects_bad_pairs():
         gs.exponents(2.0, 2.0)
     with pytest.raises(ValueError):
         gs.exponents(0.0, 2.0)
+    with pytest.raises(ValueError, match="t=inf"):
+        gs.exponents(1.0, math.inf)
 
 
 # ---------------------------------------------------------------------------

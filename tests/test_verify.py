@@ -428,10 +428,10 @@ def test_default_run_synthesizes_once_per_group(monkeypatch):
     off_nodes, at_nodes = [], []
     evaluate, synthesize = gs.GroupSpec.packed_matrices, transform.synthesize
 
-    def counting_evaluation(self, elements, labels=None):
+    def counting_evaluation(self, elements):
         if elements is not self.quadrature.nodes:
             off_nodes.append(self.name)
-        return evaluate(self, elements, labels)
+        return evaluate(self, elements)
 
     def counting_synthesis(coeffs, group, elements=None):
         if elements is None:
