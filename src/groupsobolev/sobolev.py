@@ -81,7 +81,8 @@ class WeightSequence:
             if missing:
                 raise KeyError(f"no weight defined for window labels {missing}")
             w = np.array([self.value(l) for l in window.labels])
-            vec = window.entry_dims * window.entry_values((1.0 + w * w) ** s)
+            with np.errstate(over="ignore"):  # h_s_norm refuses the inf
+                vec = window.entry_dims * window.entry_values((1.0 + w * w) ** s)
             vec.flags.writeable = False
             self._sobolev_entries[(window, s)] = vec
         return vec
@@ -173,7 +174,8 @@ def _lebesgue(norms: np.ndarray, group: GroupSpec, p: float) -> float | np.ndarr
     """``lebesgue_norm`` from the E-norms |f(x_k)|_E at the nodes, (n,) or (B, n)."""
     if not (p >= 1 and math.isfinite(p)):
         raise ValueError(f"Lebesgue norm requires finite p >= 1, got {p}")
-    total = (group.quadrature.weights * norms**p).sum(axis=-1)
+    with np.errstate(over="ignore"):  # refused below
+        total = (group.quadrature.weights * norms**p).sum(axis=-1)
     if not np.isfinite(total).all():
         raise ValueError(f"the L^p norm at p={p:g} overflows on {group.name}: |f|^p is not finite")
     return _pth_root(total, p)
@@ -337,8 +339,8 @@ def embedding_constant_C(weights: WeightSequence, s: float, window: DualWindow) 
 def lq_bound_constant(
     weights: WeightSequence, t: float, s: float, window: DualWindow
 ) -> float:
-    """(sum over the window of d^3 (1 + w^2)^(-t))^(s/(2t)) for t > s > 0."""
-    if not t > s > 0:
-        raise ValueError(f"need t > s > 0, got s={s}, t={t}")
+    """(sum over the window of d^3 (1 + w^2)^(-t))^(s/(2t)) for a finite t > s > 0."""
+    if not (t > s > 0 and math.isfinite(t)):
+        raise ValueError(f"need a finite t > s > 0, got s={s}, t={t}")
     total = _series_sum(weights, t, zip(window.labels, window.dims))
     return total ** (s / (2.0 * t))

@@ -106,8 +106,11 @@ class InequalityRecord:
 
 
 def _texts(values, encode) -> list:
-    """Each value as text: ints through ``int.__repr__``, others through ``encode``."""
-    return list(map(int.__repr__ if set(map(type, values)) <= {int} else encode, values))
+    """Each value's text: its ``__repr__`` for an int or a finite float, else ``encode(value)``."""
+    if set(map(type, values)) <= {int}:
+        return list(map(int.__repr__, values))
+    return [float.__repr__(v) if type(v) is float and math.isfinite(v) else encode(v)
+            for v in values]
 
 
 def _csv_fields(*values) -> str:
@@ -146,18 +149,18 @@ class _Chunk:
         return InequalityRecord(self.name, self.group, self.seeds[i], lhs, rhs, rhs - lhs, tol,
                                 rhs - lhs >= -tol, self.context(i))
 
-    def texts(self) -> list:
-        """Each record's JSON context and the end of its JSON line; shared items encoded once."""
+    def texts(self, i: int, j: int) -> list:
+        """Records i to j - 1's JSON contexts, each ending its line; shared items encoded once."""
         parts, values = [], []
         for k in self.keys:
             if k in self.columns:
                 before, _, after = _JSON({k: 0})[1:-1].rpartition("0")
                 parts.append(before.replace("%", "%%") + "%s" + after)
-                values.append(_texts(self.columns[k], _JSON))
+                values.append(_texts(self.columns[k][i:j], _JSON))
             else:
                 parts.append(_JSON({k: self.shared[k]})[1:-1].replace("%", "%%"))
         template = "{" + ", ".join(parts) + "}}"
-        return [template % row for row in (zip(*values) if values else [()] * len(self.seeds))]
+        return [template % row for row in zip(*values)] if values else [template % ()] * (j - i)
 
 
 class RecordTable(Sequence):
@@ -244,33 +247,34 @@ class RecordTable(Sequence):
         passed = np.array(["false", "true"], dtype=object)[(self.floats[2] >= -self.floats[3]) * 1]
         return reprs[inverse].reshape(4, -1).tolist() + [passed.tolist()]
 
-    def _heads(self, head) -> list:
-        """Each record's ``head(name, group)``, made once per chunk."""
-        return [h for c in self.chunks for h in [head(c.name, c.group)] * len(c.seeds)]
+    def _runs(self) -> Iterator[tuple]:
+        """The runs of ``rows``, cut at each chunk's start and where rows do not step
+        by one, as (chunk, i, j, texts): its records i to j - 1 and their float texts."""
+        cut = np.isin(self.rows, self.starts) | (np.diff(self.rows, prepend=-1) != 1)
+        firsts = np.flatnonzero(cut)
+        at, sizes = self.rows[firsts], np.diff([*firsts.tolist(), len(self.rows)])
+        for g, c, n in zip(at.tolist(), self.chunk_of[at].tolist(), sizes.tolist()):
+            i = g - int(self.starts[c])
+            yield self.chunks[c], i, i + n, [t[g : g + n] for t in self.float_texts]
 
-    def json_lines(self) -> Iterator[str]:
-        """Each record, made as it is asked for, as ``json.JSONEncoder(allow_nan=False)``
-        writes its ``to_dict()``."""
+    def json_runs(self) -> Iterator[str]:
+        """Each run's records as ``json.JSONEncoder(allow_nan=False)`` writes
+        their ``to_dict()``, one run at a time, its lines joined by ",\\n    "."""
         if not np.isfinite(self.floats[:, self.rows]).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        head = lambda name, group: f'{{"name": {_JSON(name)}, "group": {_JSON(group)}, "seed": '
-        heads = self._heads(head)
-        seeds = [s for c in self.chunks for s in _texts(c.seeds, _JSON)]
-        contexts = [x for c in self.chunks for x in c.texts()]
-        lhs, rhs, slack, tol, passed = self.float_texts
-        for j in self.rows.tolist():
-            yield (
-                f'{heads[j]}{seeds[j]}, "lhs": {lhs[j]}, "rhs": {rhs[j]}, "slack": {slack[j]}, '
-                f'"tol": {tol[j]}, "pass": {passed[j]}, "context": {contexts[j]}'
-            )
+        for c, i, j, (lhs, rhs, slack, tol, passed) in self._runs():
+            head = f'{{"name": {_JSON(c.name)}, "group": {_JSON(c.group)}, "seed": '
+            lines = zip(_texts(c.seeds[i:j], _JSON), lhs, rhs, slack, tol, passed, c.texts(i, j))
+            yield ",\n    ".join([f'{head}{s}, "lhs": {a}, "rhs": {b}, "slack": {d}, "tol": {t}, '
+                                  f'"pass": {p}, "context": {x}' for s, a, b, d, t, p, x in lines])
 
-    def csv_lines(self) -> list:
-        """Each record as ``csv.writer`` writes its CSV_COLUMNS fields."""
-        heads = self._heads(lambda name, group: _csv_fields(name, group, ""))
-        seeds = [s for c in self.chunks for s in _texts(c.seeds, _csv_fields)]
-        fields = zip(heads, seeds, *self.float_texts)
-        lines = [f"{h}{s},{a},{b},{d},{t},{p}" for h, s, a, b, d, t, p in fields]
-        return [lines[j] for j in self.rows.tolist()]
+    def csv_runs(self) -> Iterator[str]:
+        """Each run's records as ``csv.writer`` writes their CSV_COLUMNS
+        fields, one run at a time, its lines joined by "\\n"."""
+        for c, i, j, texts in self._runs():
+            head = _csv_fields(c.name, c.group, "")
+            lines = zip(_texts(c.seeds[i:j], _csv_fields), *texts)
+            yield "\n".join([f"{head}{s},{a},{b},{d},{t},{p}" for s, a, b, d, t, p in lines])
 
 
 def _table(
@@ -283,8 +287,8 @@ def _table(
     extra, rows = extra or {}, rows or {}
     floats = np.empty((3, len(seeds)))
     floats[0], floats[1], floats[2] = lhs, rhs, tol
-    contexts = [ctx or {} for ctx in contexts]
-    key_sets = dict.fromkeys(tuple(ctx) for ctx in {id(ctx): ctx for ctx in contexts}.values())
+    contexts = [ctx or {} for ctx in contexts] if None in contexts else contexts
+    key_sets = dict.fromkeys(map(tuple, contexts))
     if len(key_sets) > 1:
         raise ValueError(f"the contexts of one check call need one key set, got {list(key_sets)}")
     first = contexts[0] if contexts else {}
@@ -326,6 +330,18 @@ def _vector_norms(vecs: list, ps: list) -> np.ndarray:
         totals = (a[power] ** p[power, None]).sum(axis=-1).tolist()
         out[at[power]] = [t ** (1.0 / q) for t, q in zip(totals, p[power].tolist())]
     return out
+
+
+def _h_s(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> np.ndarray:
+    """``h_s_norm``, computed once per (weights, s) and kept on ``coeffs``; keyed by
+    the weights' fields, since a WeightSequence is unhashable and an id can be reused."""
+    key = ("h_s_norm", weights.name, weights.formula, tuple(weights.table.items()), s)
+    return coeffs.memo(key, lambda: h_s_norm(coeffs, weights, s))
+
+
+def _lp(coeffs: FourierCoefficients, group: GroupSpec, p: float) -> np.ndarray:
+    """The L^p norm on ``group``'s nodes, computed once per (group, p) and kept on ``coeffs``."""
+    return coeffs.memo(("lp", group, p), lambda: _lebesgue(_node_norms(coeffs, group), group, p))
 
 
 def _hilbert_factor(coeffs: FourierCoefficients) -> float:
@@ -411,8 +427,8 @@ def check_monotone_embedding(
     if not t > s >= 0:
         raise ValueError(f"need t > s >= 0, got s={s}, t={t}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
-    lhs = h_s_norm(coeffs, weights, s)
-    rhs = h_s_norm(coeffs, weights, t)
+    lhs = _h_s(coeffs, weights, s)
+    rhs = _h_s(coeffs, weights, t)
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
     extra = {"s": s, "t": t}
     return _table("monotone_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group)
@@ -429,8 +445,8 @@ def check_l2_embedding(
 ) -> RecordTable:
     """Quadrature L2 norm of the synthesized function <= K |f|_(H^s)."""
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
-    lhs = _lebesgue(_node_norms(coeffs, group), group, 2.0)
-    rhs = _hilbert_factor(coeffs) * h_s_norm(coeffs, weights, s)
+    lhs = _lp(coeffs, group, 2.0)
+    rhs = _hilbert_factor(coeffs) * _h_s(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     return _table("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
 
@@ -458,7 +474,7 @@ def check_sup_embedding(
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     lhs = probed_sup(coeffs, group, extra_samples, probe_seed)
     estimate = embedding_constant_C(weights, s, group.window)
-    rhs = estimate.value * h_s_norm(coeffs, weights, s)
+    rhs = estimate.value * _h_s(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     extra = {"constant_verdict": estimate.verdict, "s": s, "constant": estimate.value}
     return _table("sup_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
@@ -477,7 +493,7 @@ def check_hausdorff_young(
         raise ValueError(f"need 1 < alpha < 2, got {alpha}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     alpha_prime = alpha / (alpha - 1.0)
-    lhs = _lebesgue(_node_norms(coeffs, group), group, alpha_prime)
+    lhs = _lp(coeffs, group, alpha_prime)
     rhs = _hilbert_factor(coeffs) * s_p_norm(coeffs, alpha)
     tol = LEBESGUE_TOL * (1.0 + rhs)
     extra = {"alpha": alpha, "alpha_prime": alpha_prime}
@@ -504,8 +520,8 @@ def check_lq_embedding(
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     bound = lq_bound_constant(weights, t, s, group.window)
     verdict = embedding_constant_C(weights, t, group.window).verdict
-    norm = h_s_norm(coeffs, weights, s)
-    lhs_lp = _lebesgue(_node_norms(coeffs, group), group, params.alpha_prime)
+    norm = _h_s(coeffs, weights, s)
+    lhs_lp = _lp(coeffs, group, params.alpha_prime)
     lhs_chain = s_p_norm(coeffs, params.alpha)
     extra = {"s": s, "t": t, "alpha": params.alpha, "alpha_prime": params.alpha_prime,
              "constant": bound, "constant_verdict": verdict}
@@ -647,17 +663,10 @@ class RunConfig:
     OUTPUT_FIELDS = ("out_dir", "formats", "quiet")
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name in self.OUTPUT_FIELDS:
-                continue
-            value = getattr(self, f.name)
-            if f.name == "p_E" and isinstance(value, float) and math.isinf(value):
-                value = "inf"
-            if f.name == "st_pairs":
-                value = [list(p) for p in value]
-            out[f.name] = value
-        return out
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["p_E"] = "inf" if isinstance(self.p_E, float) and math.isinf(self.p_E) else self.p_E
+        out["st_pairs"] = [list(pair) for pair in self.st_pairs]
+        return {k: v for k, v in out.items() if k not in self.OUTPUT_FIELDS}
 
 
 #: The bundled default (acceptance) configuration as a plain dict.
@@ -744,13 +753,13 @@ class VerificationReport:
     def json_parts(self) -> Iterator[str]:
         """The text of ``to_json_text`` in pieces, made as they are asked for:
         metadata and summary indented by two, then one record per line as
-        ``json.JSONEncoder`` writes it."""
+        ``json.JSONEncoder`` writes it, one piece per run of records."""
         data = {"metadata": self.metadata, "summary": self.summary()}
-        lines = self.records.json_lines()
+        runs = self.records.json_runs()
         # [:-2] drops the closing "\n}"
         yield json.dumps(data, indent=2, allow_nan=False)[:-2] + ',\n  "records": [\n    '
-        yield next(lines, "")
-        yield from (",\n    " + line for line in lines)
+        yield next(runs, "")
+        yield from (",\n    " + run for run in runs)
         yield "\n  ]\n}\n"
 
     def to_json_text(self) -> str:
@@ -758,7 +767,7 @@ class VerificationReport:
         return "".join(self.json_parts())
 
     def to_csv_text(self) -> str:
-        return "\n".join([",".join(CSV_COLUMNS)] + self.records.csv_lines()) + "\n"
+        return "\n".join([",".join(CSV_COLUMNS), *self.records.csv_runs()]) + "\n"
 
 
 def run_suite(config) -> VerificationReport:
@@ -811,15 +820,11 @@ def run_suite(config) -> VerificationReport:
             parts.append(check_lq_embedding(coeffs, weights, s, t, group, **batch))
         if cfg.block_check_stride:
             step = slice(None, None, cfg.block_check_stride)
-            strided = FourierCoefficients(
-                group.window, cfg.m, p_E=cfg.p_E, packed=coeffs.packed[step]
-            )
+            packed = coeffs.packed[step]
+            strided = FourierCoefficients(group.window, cfg.m, p_E=cfg.p_E, packed=packed)
+            strided_batch = {"group": group.name, "seed": seeds[step], "context": contexts[step]}
             for p, q in pq_pairs:
-                parts.append(
-                    check_block_comparison(
-                        strided, p, q, group=group.name, seed=seeds[step], context=contexts[step]
-                    )
-                )
+                parts.append(check_block_comparison(strided, p, q, **strided_batch))
 
     records = RecordTable.concat(parts)
     if cfg.tamper:

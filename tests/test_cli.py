@@ -347,7 +347,7 @@ def test_verify_refuses_wrongly_typed_config_fields(tmp_path, capsys, field, val
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "overrides, message",
     [({"s_values": [400.0]}, "s=400"), ({"st_pairs": [[1.0, 1.01]]}, "p=202")],
@@ -358,7 +358,8 @@ def test_verify_refuses_an_overflowing_norm(tmp_path, capsys, overrides, message
     cfgpath = tmp_path / "config.json"
     cfgpath.write_text(json.dumps({**overrides, "batch_size": 2}))  # on the default groups
     assert main(["verify", "--config", str(cfgpath), "--out", str(tmp_path / "o"), "--quiet"]) == 2
-    assert message in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()  # no numpy RuntimeWarning before it
+    assert line.startswith("error: ") and message in line
     assert not (tmp_path / "o").exists()
 
 

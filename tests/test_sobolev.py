@@ -63,7 +63,7 @@ def test_h_s_norm_errors(z4):
         gs.h_s_norm(coeffs, partial, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_h_s_norm_refuses_an_overflowing_weight(circle16):
     # (1 + 16^2)^130 is past the largest float: the norm would read inf, and pass any check
     coeffs = gs.random_band_limited(0, circle16, m=2)
@@ -120,7 +120,7 @@ def test_l_p_norm_matches_plancherel(su2_2):
         assert abs(l2 - gs.s_p_norm(coeffs, 2.0)) <= 1e-9 * (1.0 + l2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lebesgue_norm_refuses_an_overflowing_power_sum(su2_2, constant):
     # |f| = 52.7 everywhere: its L^202 norm is 52.7, but 52.7^202 is past the largest float
     samples = gs.node_samples(constant(su2_2, [52.7]), su2_2)
@@ -273,6 +273,16 @@ def test_lq_bound_rejects_bad_orders(z2):
         gs.lq_bound_constant(weights, 1.0, 1.0, z2.window)
     with pytest.raises(ValueError):
         gs.lq_bound_constant(weights, 2.0, 0.0, z2.window)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_lq_bound_refuses_a_non_finite_t_as_exponents_does(su2_2, t):
+    # at t = inf the window sum keeps only the trivial label, raised to s/(2t) = 0
+    with pytest.raises(ValueError, match="need a finite t > s > 0") as refused:
+        gs.lq_bound_constant(gs.canonical_weights(su2_2), t, 1.0, su2_2.window)
+    with pytest.raises(ValueError) as exponents_refused:
+        gs.exponents(1.0, t)
+    assert str(refused.value) == str(exponents_refused.value)
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,35 @@ def test_default_run_synthesizes_once_per_group(monkeypatch):
     assert report.counts()["sup_embedding"] == 4 * 4 * len(gs.DEFAULT_CONFIG["s_values"])
 
 
+def test_default_shaped_run_computes_each_norm_once(monkeypatch):
+    """The checks of a group share each Sobolev norm per s and each
+    Lebesgue lhs per exponent: h_s_norm runs once per (group, s), 20 times
+    and not 84, and the L^p norm once per (group, p), 20 times and not 40."""
+    h_s, lebesgue = [], []
+    h_s_norm, lebesgue_norm = verify.h_s_norm, verify._lebesgue
+
+    def counting_h_s_norm(coeffs, weights, s):
+        h_s.append((coeffs.window, s))
+        return h_s_norm(coeffs, weights, s)
+
+    def counting_lebesgue(norms, group, p):
+        lebesgue.append((group.name, p))
+        return lebesgue_norm(norms, group, p)
+
+    monkeypatch.setattr(verify, "h_s_norm", counting_h_s_norm)
+    monkeypatch.setattr(verify, "_lebesgue", counting_lebesgue)
+    cfg = RunConfig()
+    report = gs.run_suite({**gs.DEFAULT_CONFIG, "batch_size": 20, "vector_checks": 0})
+    groups = [gs.make_group(dict(spec)) for spec in cfg.groups]
+    orders = {*cfg.s_values, *(x for pair in cfg.st_pairs for x in pair)}
+    assert set(h_s) == {(g.window, s) for g in groups for s in orders} and len(h_s) == 20
+    # Hausdorff-Young's a / (a - 1) and Lq's 2t / (t - s) differ in the last bit at (1, 2)
+    params = [gs.exponents(s, t) for s, t in cfg.st_pairs]
+    ps = {2.0, *(e.alpha / (e.alpha - 1.0) for e in params), *(e.alpha_prime for e in params)}
+    assert sorted(lebesgue) == sorted({(g.name, p) for g in groups for p in ps}) and len(ps) == 5
+    assert report.counts()["lq_embedding"] == 20 * len(groups) * len(cfg.st_pairs)
+
+
 def test_report_text_has_one_record_per_line():
     report = gs.run_suite({**SMALL_CONFIG, "batch_size": 1, "vector_checks": 60})
     report.metadata["generated_at"] = "2026-01-01T00:00:00+00:00"
@@ -913,6 +942,63 @@ def test_one_function_replays_its_batch_records_bit_for_bit(spec, check):
         replayed = run(coeffs, seed=b, context={"batch": b})
         batched = table[b * per : (b + 1) * per]
         assert [(r.lhs, r.rhs) for r in replayed] == [(r.lhs, r.rhs) for r in batched]
+
+
+def _rendered(table) -> tuple[list, str]:
+    """The JSON record lines and the CSV text of a report of ``table``."""
+    report = gs.VerificationReport(table, {})
+    lines = report.to_json_text().splitlines()
+    start = lines.index('  "records": [')
+    assert lines[start + 1 + len(table) :] == ["  ]", "}"]
+    return [line.strip().rstrip(",") for line in lines[start + 1 : -2]], report.to_csv_text()
+
+
+def _csv_oracle(records) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in records:
+        floats = [repr(v) for v in (r.lhs, r.rhs, r.slack, r.tol)]
+        writer.writerow([r.name, r.group, r.seed, *floats, str(r.passed).lower()])
+    return buf.getvalue()
+
+
+def test_reports_render_rows_in_any_order_as_the_per_record_oracle(z4):
+    """Both renderers write a table run by run, a run being consecutive
+    records of one chunk; in any row order, and with runs of one record,
+    every record reads as json.JSONEncoder and csv.writer write it alone."""
+    weights = gs.canonical_weights(z4)
+    batch = gs.random_band_limited([3, 4, 5], z4, 2)
+    values = [(0.1, 1, 2.5), (-0.0, 2.0, "inf"), (1e300, 3, 5e-324)]
+    contexts = [{"x": x, "mixed": m, "flag": x < 0, "q": q} for x, m, q in values]
+    table = RecordTable.concat([
+        gs.run_suite({**SMALL_CONFIG, "vector_checks": 10}).records,
+        gs.check_sup_embedding(batch, weights, 1.0, z4, 20, seed=[3, 4, 5], context=contexts),
+        gs.check_block_comparison(batch, 1.0, 2.0, group=z4.name, seed=7, context={"r": 0.25}),
+    ])
+    rng = np.random.default_rng(0)
+    orders = {
+        "as built": table,
+        "permuted": table.take(rng.permutation(len(table))),
+        "sliced": table[5:-7],
+        "repeated": table.take([3, 3, 2, 1, 1, len(table) - 1]),
+        "one chunk per record": _one_chunk_per_record(table.take(rng.permutation(len(table)))),
+    }
+    for order, rows in orders.items():
+        json_lines, csv_text = _rendered(rows)
+        assert json_lines == [json.JSONEncoder().encode(r.to_dict()) for r in rows], order
+        assert csv_text == _csv_oracle(rows), order
+    for empty in (RecordTable(), table.take(np.arange(0))):
+        report = gs.VerificationReport(empty, {})
+        assert json.loads(report.to_json_text()) == report.to_json_dict()
+        assert report.to_csv_text() == _csv_oracle([])
+    # a NaN or inf among a column's finite floats is still refused
+    for bad in (math.nan, math.inf):
+        refused = _table("x", 0.5, 1.0, 1e-12, [1, 2, 3], [{"a": 1.5}, {"a": bad}, {"a": 2.5}])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            gs.VerificationReport(refused, {}).to_json_text()
+        assert _rendered(refused.take([0, 2]))[0][1].endswith('"context": {"a": 2.5}}')
+        assert gs.VerificationReport(refused, {}).to_csv_text() == _csv_oracle(refused)
 
 
 def test_reports_escape_a_group_name_as_csv_and_json_do():
