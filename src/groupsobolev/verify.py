@@ -106,7 +106,7 @@ class InequalityRecord:
 
 
 def _texts(values, encode) -> list:
-    """Each value's text: its ``__repr__`` for an int or a finite float, else ``encode(value)``."""
+    """Each value's text: ``__repr__`` for an exact int or a finite float, else ``encode``."""
     if set(map(type, values)) <= {int}:
         return list(map(int.__repr__, values))
     return [float.__repr__(v) if type(v) is float and math.isfinite(v) else encode(v)
