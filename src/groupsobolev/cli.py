@@ -200,19 +200,20 @@ def cmd_verify(args) -> int:
     if "csv" in cfg.formats:
         atomic_write_text(outdir / "verification_report.csv", report.to_csv_text())
     if not cfg.quiet:
-        counts, slacks, tightest = report.counts(), report.min_slack(), report.tightest()
-        fail_names = set(report.failures().name_codes()[0])
-        for name in sorted(counts):
-            status = "FAIL" if name in fail_names else "pass"
+        counts, tightest = report.counts(), report.tightest()
+        names, codes = report.records.name_codes()
+        failed = ~report.records.passed
+        for code, name in enumerate(names):
+            status = "FAIL" if failed[codes == code].any() else "pass"
             r = tightest[name]
             where = " ".join(f"{k}={r.context[k]}" for k in ROW_KEYS if k in r.context)
             print(
-                f"{status} {name}: {counts[name]} records, min slack {slacks[name]:.3e}, "
+                f"{status} {name}: {counts[name]} records, min slack {r.slack:.3e}, "
                 f"tightest group={r.group} seed={r.seed} {where}".rstrip()
             )
         print(
             f"{'PASS' if report.all_pass else 'FAIL'}: "
-            f"{len(report.records)} records, {len(report.failures())} failures"
+            f"{len(report.records)} records, {int(failed.sum())} failures"
         )
     return EXIT_OK if report.all_pass else EXIT_FAIL
 

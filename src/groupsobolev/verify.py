@@ -4,7 +4,8 @@ Each check computes one inequality instance per function and records lhs,
 rhs, slack = rhs - lhs, and a pass flag (slack >= -tol). A check takes a
 batch, packed (B, K, m), with one seed and one context per function, or one
 function, packed (K, m), as a batch of one. It returns the records of all
-functions in one RecordTable, function after function, and reads the node
+functions in one RecordTable, function after function (a check of two
+names returns one name's records, then the other's), and reads the node
 samples and E-norms that the batch's coefficients keep. The vector check
 takes a list of vectors, or one vector, in the same way. ``run_suite`` draws
 each configured group's batch of seeded random band-limited functions, runs
@@ -27,6 +28,7 @@ import io
 import json
 import math
 import numbers
+import operator
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -120,12 +122,6 @@ def _csv_fields(*values) -> str:
     return buf.getvalue()[:-1]
 
 
-def _ranks(values) -> np.ndarray:
-    """Each value's place among the distinct values in ascending order."""
-    place = {v: i for i, v in enumerate(sorted(set(values)))}
-    return np.fromiter(map(place.__getitem__, values), dtype=np.intp, count=len(values))
-
-
 @dataclass(frozen=True)
 class _Chunk:
     """Records of one check call that share name, group and context keys:
@@ -149,79 +145,62 @@ class _Chunk:
         return InequalityRecord(self.name, self.group, self.seeds[i], lhs, rhs, rhs - lhs, tol,
                                 rhs - lhs >= -tol, self.context(i))
 
-    def texts(self, i: int, j: int) -> list:
-        """Records i to j - 1's JSON contexts, each ending its line; shared items encoded once."""
+    def texts(self) -> list:
+        """The records' JSON contexts, each ending its line; shared items encoded once."""
         parts, values = [], []
         for k in self.keys:
             if k in self.columns:
                 before, _, after = _JSON({k: 0})[1:-1].rpartition("0")
                 parts.append(before.replace("%", "%%") + "%s" + after)
-                values.append(_texts(self.columns[k][i:j], _JSON))
+                values.append(_texts(self.columns[k], _JSON))
             else:
                 parts.append(_JSON({k: self.shared[k]})[1:-1].replace("%", "%%"))
         template = "{" + ", ".join(parts) + "}}"
-        return [template % row for row in zip(*values)] if values else [template % ()] * (j - i)
+        return [template % row for row in (zip(*values) if values else [()] * len(self.seeds))]
 
 
 class RecordTable(Sequence):
-    """Records held column by column: ``chunks`` as the checks built them, and
-    ``rows``, the table's records as positions in the chunks' concatenation
-    (by default that concatenation as it is). Indexing and iteration build
-    each ``InequalityRecord`` when it is asked for."""
+    """Records held column by column in ``chunks`` (none empty): the table's
+    records are the chunks' records, one chunk after another. Indexing and
+    iteration build each ``InequalityRecord`` when it is asked for."""
 
-    def __init__(self, chunks=(), rows=None):
+    def __init__(self, chunks=()):
         self.chunks = list(chunks)
-        self.size = sum(len(c.seeds) for c in self.chunks)
-        self.rows = np.arange(self.size) if rows is None else rows
 
     @classmethod
     def concat(cls, tables) -> RecordTable:
-        tables = list(tables)
-        offsets = np.cumsum([0] + [t.size for t in tables])
-        rows = [np.arange(0)] + [t.rows + o for t, o in zip(tables, offsets)]
-        return cls([c for t in tables for c in t.chunks], np.concatenate(rows))
+        return cls([c for t in tables for c in t.chunks])
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return int(self.starts[-1])
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(np.arange(len(self))[i])
-        j = self.rows[i]
-        c = int(self.chunk_of[j])
-        return self.chunks[c].record(int(j - self.starts[c]))
+    def __getitem__(self, i: int) -> InequalityRecord:
+        i = range(len(self))[operator.index(i)]
+        c = int(np.searchsorted(self.starts, i, side="right")) - 1
+        return self.chunks[c].record(i - int(self.starts[c]))
 
-    def take(self, positions) -> RecordTable:
-        return RecordTable(self.chunks, self.rows[positions])
+    def __iter__(self) -> Iterator[InequalityRecord]:
+        for c in self.chunks:
+            yield from map(c.record, range(len(c.seeds)))
 
     @cached_property
     def starts(self) -> np.ndarray:
         return np.cumsum([0] + [len(c.seeds) for c in self.chunks])
 
     @cached_property
-    def chunk_of(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.chunks)), np.diff(self.starts))
-
-    def per_chunk(self, values) -> np.ndarray:
-        """Each record's entry of ``values``, which holds one per chunk."""
-        return np.asarray(values)[self.chunk_of][self.rows]
-
-    @cached_property
     def floats(self) -> np.ndarray:
-        """lhs, rhs, slack and tol of all the chunks' records, shape (4, size)."""
+        """lhs, rhs, slack and tol of the records, shape (4, len(self))."""
         lhs, rhs, tol = np.concatenate([np.empty((3, 0))] + [c.floats for c in self.chunks], axis=1)
         return np.stack([lhs, rhs, rhs - lhs, tol])
 
-    slack = property(lambda self: self.floats[2, self.rows])
-    passed = property(lambda self: self.slack >= -self.floats[3, self.rows])
+    slack = property(lambda self: self.floats[2])
+    passed = property(lambda self: self.floats[2] >= -self.floats[3])
 
     def name_codes(self) -> tuple[list, np.ndarray]:
         """The check names in ascending order, and each record's index into them."""
         names = sorted({c.name for c in self.chunks})
-        codes, per_record = np.unique(
-            self.per_chunk(_ranks([c.name for c in self.chunks])), return_inverse=True
-        )
-        return [names[k] for k in codes.tolist()], per_record
+        codes = np.array([names.index(c.name) for c in self.chunks], dtype=np.intp)
+        return names, np.repeat(codes, np.diff(self.starts))
 
     def tampered(self) -> RecordTable:
         """Every rhs halved and ``"tampered": True`` in every context."""
@@ -230,12 +209,11 @@ class RecordTable(Sequence):
                           shared={**c.shared, "tampered": True},
                           columns={k: v for k, v in c.columns.items() if k != "tampered"})
                   for c in self.chunks]
-        return RecordTable(chunks, self.rows)
+        return RecordTable(chunks)
 
     def ordered(self) -> RecordTable:
-        """The records grouped by (name, group) by a stable sort, each group in table order."""
-        key = self.per_chunk(_ranks([(c.name, c.group) for c in self.chunks]))
-        return self.take(np.argsort(key, kind="stable"))
+        """The chunks grouped by (name, group) by a stable sort, each group in table order."""
+        return RecordTable(sorted(self.chunks, key=operator.attrgetter("name", "group")))
 
     @cached_property
     def float_texts(self) -> list:
@@ -244,47 +222,49 @@ class RecordTable(Sequence):
         "true" or "false": the texts of both report formats."""
         bits, inverse = np.unique(self.floats.view(np.int64), return_inverse=True)
         reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-        passed = np.array(["false", "true"], dtype=object)[(self.floats[2] >= -self.floats[3]) * 1]
+        passed = np.array(["false", "true"], dtype=object)[self.passed * 1]
         return reprs[inverse].reshape(4, -1).tolist() + [passed.tolist()]
 
     def _runs(self) -> Iterator[tuple]:
-        """The runs of ``rows``, cut at each chunk's start and where rows do not step
-        by one, as (chunk, i, j, texts): its records i to j - 1 and their float texts."""
-        cut = np.isin(self.rows, self.starts) | (np.diff(self.rows, prepend=-1) != 1)
-        firsts = np.flatnonzero(cut)
-        at, sizes = self.rows[firsts], np.diff([*firsts.tolist(), len(self.rows)])
-        for g, c, n in zip(at.tolist(), self.chunk_of[at].tolist(), sizes.tolist()):
-            i = g - int(self.starts[c])
-            yield self.chunks[c], i, i + n, [t[g : g + n] for t in self.float_texts]
+        """Each chunk with its records' float texts."""
+        bounds = self.starts.tolist()
+        for c, i, j in zip(self.chunks, bounds, bounds[1:]):
+            yield c, [t[i:j] for t in self.float_texts]
 
     def json_runs(self) -> Iterator[str]:
-        """Each run's records as ``json.JSONEncoder(allow_nan=False)`` writes
-        their ``to_dict()``, one run at a time, its lines joined by ",\\n    "."""
-        if not np.isfinite(self.floats[:, self.rows]).all():
+        """Each chunk's records as ``json.JSONEncoder(allow_nan=False)`` writes
+        their ``to_dict()``, one chunk at a time, its lines joined by ",\\n    "."""
+        if not np.isfinite(self.floats).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        for c, i, j, (lhs, rhs, slack, tol, passed) in self._runs():
+        for c, (lhs, rhs, slack, tol, passed) in self._runs():
             head = f'{{"name": {_JSON(c.name)}, "group": {_JSON(c.group)}, "seed": '
-            lines = zip(_texts(c.seeds[i:j], _JSON), lhs, rhs, slack, tol, passed, c.texts(i, j))
+            lines = zip(_texts(c.seeds, _JSON), lhs, rhs, slack, tol, passed, c.texts())
             yield ",\n    ".join([f'{head}{s}, "lhs": {a}, "rhs": {b}, "slack": {d}, "tol": {t}, '
                                   f'"pass": {p}, "context": {x}' for s, a, b, d, t, p, x in lines])
 
     def csv_runs(self) -> Iterator[str]:
-        """Each run's records as ``csv.writer`` writes their CSV_COLUMNS
-        fields, one run at a time, its lines joined by "\\n"."""
-        for c, i, j, texts in self._runs():
+        """Each chunk's records as ``csv.writer`` writes their CSV_COLUMNS
+        fields, one chunk at a time, its lines joined by "\\n"."""
+        for c, texts in self._runs():
             head = _csv_fields(c.name, c.group, "")
-            lines = zip(_texts(c.seeds[i:j], _csv_fields), *texts)
+            lines = zip(_texts(c.seeds, _csv_fields), *texts)
             yield "\n".join([f"{head}{s},{a},{b},{d},{t},{p}" for s, a, b, d, t, p in lines])
 
 
 def _table(
     name: str, lhs, rhs, tol, seeds: list, contexts: list, extra: dict | None = None,
-    rows: dict | None = None, *, group: str = "-"
+    columns: dict | None = None, *, group: str = "-"
 ) -> RecordTable:
-    """The records of one check call, one per (seed, context) pair, each with
-    the context ``{**context, **extra, **row}``, its row's values taken from
-    ``rows``; lhs, rhs and tol hold one value per pair or one for all."""
-    extra, rows = extra or {}, rows or {}
+    """The records of one check call, one per (seed, context) pair, the i-th
+    with its seed as a Python int and the context ``{**context, **extra}``
+    plus each key k of ``columns`` mapped to ``columns[k][i]``; lhs, rhs and
+    tol hold one value per pair or one for all."""
+    extra, columns = extra or {}, columns or {}
+    try:
+        seeds = list(map(operator.index, seeds))
+    except TypeError:
+        bad = next(s for s in seeds if not isinstance(s, numbers.Integral))
+        raise ValueError(f"a record's seed needs an integer, got {bad!r}") from None
     floats = np.empty((3, len(seeds)))
     floats[0], floats[1], floats[2] = lhs, rhs, tol
     contexts = [ctx or {} for ctx in contexts] if None in contexts else contexts
@@ -292,14 +272,14 @@ def _table(
     if len(key_sets) > 1:
         raise ValueError(f"the contexts of one check call need one key set, got {list(key_sets)}")
     first = contexts[0] if contexts else {}
-    own = {k: [ctx[k] for ctx in contexts] for k in first if k not in extra and k not in rows}
+    own = {k: [ctx[k] for ctx in contexts] for k in first if k not in extra and k not in columns}
     shared = {k: v[0] for k, v in own.items() if all(x is v[0] for x in v)}
-    shared |= {k: v for k, v in extra.items() if k not in rows}
-    columns = {k: v for k, v in own.items() if k not in shared}
-    columns |= {k: list(v) for k, v in rows.items()}
-    keys = tuple(dict.fromkeys([*first, *extra, *rows]))
-    chunk = _Chunk(name, group, list(seeds), floats, keys, shared, columns)
-    return RecordTable([chunk])
+    shared |= {k: v for k, v in extra.items() if k not in columns}
+    varying = {k: v for k, v in own.items() if k not in shared}
+    varying |= {k: list(v) for k, v in columns.items()}
+    keys = tuple(dict.fromkeys([*first, *extra, *columns]))
+    chunk = _Chunk(name, group, seeds, floats, keys, shared, varying)
+    return RecordTable([chunk] if seeds else [])
 
 
 def _fan_out(shape: tuple, **values) -> list:
@@ -360,8 +340,9 @@ def check_vector_norm_comparison(
 
     ``x`` is one vector, or a batch: a list of vectors of any lengths, with
     one p, q, seed and context per vector (a single value is shared); an
-    empty list is an empty batch. Two records per vector, vector after
-    vector."""
+    empty list is an empty batch. Two records per vector: all the
+    decreasing records, then all the dimension-bound ones, each vector
+    after vector."""
     batch = isinstance(x, list) and (not x or any(np.ndim(v) for v in x))
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in (x if batch else [x])]
     if any(vec.size == 0 for vec in vecs):
@@ -373,12 +354,11 @@ def check_vector_norm_comparison(
     norm_p, norm_q = _vector_norms(vecs, ps), _vector_norms(vecs, qs)
     factor = np.array([vec.size ** (1.0 / p - 1.0 / q) for vec, p, q in zip(vecs, ps, qs)])
     tol = ALGEBRAIC_TOL * (1.0 + norm_p)
-    rows = {"p": ps, "q": list(map(_exponent, qs)), "n": [vec.size for vec in vecs]}
-    args = (seeds, contexts, None, rows)
+    columns = {"p": ps, "q": list(map(_exponent, qs)), "n": [vec.size for vec in vecs]}
+    args = (seeds, contexts, None, columns)
     dec = _table("vector_norm_decreasing", norm_q, norm_p, tol, *args, group=group)
     bound = _table("vector_norm_dimension_bound", norm_p, factor * norm_q, tol, *args, group=group)
-    n = len(vecs)
-    return RecordTable.concat([dec, bound]).take(np.arange(2 * n).reshape(2, n).T.ravel())
+    return RecordTable.concat([dec, bound])
 
 
 def check_block_comparison(
@@ -407,10 +387,10 @@ def check_block_comparison(
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
     blocks = [label_key(label) for label in coeffs.window.labels]
     pq = {"p": p, "q": _exponent(q)}
-    rows = {"block": blocks * len(seeds)}
+    columns = {"block": blocks * len(seeds)}
     seeds = [fseed for fseed in seeds for _ in blocks]
     contexts = [ctx for ctx in contexts for _ in blocks]
-    return _table("block_norm_comparison", lhs, rhs, tol, seeds, contexts, pq, rows, group=group)
+    return _table("block_norm_comparison", lhs, rhs, tol, seeds, contexts, pq, columns, group=group)
 
 
 def check_monotone_embedding(
@@ -512,8 +492,9 @@ def check_lq_embedding(
 ) -> RecordTable:
     """Lebesgue embedding |f|_(L^a') <= K B |f|_(H^s), plus the spectral
     chain |spectrum|_(S_a) <= B |f|_(H^s) that the proof routes through, by
-    Hoelder on the entry norms for any E; two records per function, function
-    after function for a batch. Each record carries its constant, K B or B,
+    Hoelder on the entry norms for any E; two records per function: all the
+    lq_embedding records, then all the chain's, each function after function
+    for a batch. Each record carries its constant, K B or B,
     and the verdict on the series sum d^3 (1 + w^2)^(-t) behind B over the
     whole dual as ``constant_verdict``."""
     params = exponents(s, t)
@@ -533,8 +514,7 @@ def check_lq_embedding(
     lq_extra = {**extra, "constant": _hilbert_factor(coeffs) * bound}
     lq = table("lq_embedding", lhs_lp, LEBESGUE_TOL, lq_extra)
     chain = table("lq_embedding_chain", lhs_chain, QUADRATURE_TOL, extra)
-    n = len(seeds)
-    return RecordTable.concat([lq, chain]).take(np.arange(2 * n).reshape(2, n).T.ravel())
+    return RecordTable.concat([lq, chain])
 
 
 def check_continuity_modulus(
@@ -553,9 +533,9 @@ def check_continuity_modulus(
     entry_max = np.abs(diff).max(axis=(1, 2))
     op_norm = np.linalg.svd(diff, compute_uv=False)[:, 0]
     args = ([seed] * pair_budget, [context] * pair_budget, {"block": label_key(label)})
-    rows = {"pair": range(pair_budget)}
+    columns = {"pair": range(pair_budget)}
     return _table(
-        "continuity_modulus", entry_max, op_norm, CONTINUITY_TOL, *args, rows, group=group.name
+        "continuity_modulus", entry_max, op_norm, CONTINUITY_TOL, *args, columns, group=group.name
     )
 
 
@@ -714,8 +694,8 @@ class VerificationReport:
     def all_pass(self) -> bool:
         return bool(self.records.passed.all())
 
-    def failures(self) -> RecordTable:
-        return self.records.take(np.flatnonzero(~self.records.passed))
+    def failures(self) -> list:
+        return [self.records[i] for i in np.flatnonzero(~self.records.passed).tolist()]
 
     def min_slack(self) -> dict:
         """Smallest slack per check; NaN when any of its records has NaN slack."""
@@ -730,8 +710,8 @@ class VerificationReport:
         names, codes = self.records.name_codes()
         slack, out = self.records.slack, {}
         for k, name in enumerate(names):
-            rows = np.flatnonzero(codes == k)
-            out[name] = self.records[int(rows[np.argmin(slack[rows])])]
+            at = np.flatnonzero(codes == k)
+            out[name] = self.records[int(at[np.argmin(slack[at])])]
         return out
 
     def summary(self) -> dict:

@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
 import groupsobolev as gs
-from groupsobolev.cli import main, parse_group_arg
+from groupsobolev import verify
+from groupsobolev.cli import ENV_CONFIG, main, parse_group_arg
 
 SMALL_CONFIG = {
     "groups": [{"kind": "cyclic", "n": 4}, {"kind": "su2", "band": 1}],
@@ -303,6 +305,25 @@ def test_verify_names_the_tightest_record_of_each_check(tmp_path, capsys):
         assert where and line.startswith("FAIL ")
         named = [f"tightest group={tightest['group']}", f"seed={tightest['seed']}", *where]
         assert line.endswith(" ".join(named))
+
+
+def test_a_default_tamper_run_builds_at_most_two_records_per_check(tmp_path, monkeypatch, capsys):
+    """Counts, failures and tightest records are read from the table's
+    columns: the report's summary and the console's tightest-record lines
+    build one InequalityRecord per check each, however many records fail."""
+    built, record = Counter(), verify.InequalityRecord
+
+    def counted(name, *args):
+        built[name] += 1
+        return record(name, *args)
+
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    monkeypatch.setattr(verify, "InequalityRecord", counted)
+    assert main(["verify", "--tamper", "--out", str(tmp_path)]) == 1
+    summary = json.loads((tmp_path / "verification_report.json").read_text())["summary"]
+    assert summary["failure_count"] > 10000
+    assert built.keys() == summary["records_per_check"].keys() and max(built.values()) == 2
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f"{summary['failure_count']} failures")
 
 
 def test_verify_format_selection(tmp_path):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 from operator import attrgetter
 from pathlib import Path
 
@@ -50,6 +51,9 @@ def _one_chunk_per_record(records) -> RecordTable:
 
 #: The report order: records grouped by name, then group, by a stable sort.
 REPORT_ORDER = attrgetter("name", "group")
+
+#: A two-name check's order: all records of one name, then the other's.
+BY_NAME = attrgetter("name")
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +113,15 @@ def test_a_batched_vector_call_gives_the_records_of_single_calls():
         (1.5, qs, {"seed": 7, "context": {"k": "shared"}}),  # shared p, seed and context
         (ps, math.inf, {}),
     ]
+    names = ["vector_norm_decreasing"] * 5 + ["vector_norm_dimension_bound"] * 5
     for p, q, kw in cases:
         batch = gs.check_vector_norm_comparison(vectors, p, q, **kw)
+        assert [r.name for r in batch] == names
         singles = []
         for i, x in enumerate(vectors):
             one = {k: nth(v, i) for k, v in kw.items()}
             singles += gs.check_vector_norm_comparison(x, nth(p, i), nth(q, i), **one)
+        singles.sort(key=BY_NAME)
         assert [r.name for r in batch] == [r.name for r in singles]
         assert [(r.lhs, r.rhs, r.tol, r.seed) for r in batch] == [
             (r.lhs, r.rhs, r.tol, r.seed) for r in singles
@@ -122,7 +129,7 @@ def test_a_batched_vector_call_gives_the_records_of_single_calls():
         assert [list(r.context.items()) for r in batch] == [
             list(r.context.items()) for r in singles
         ]
-    assert [r.context["n"] for r in batch][::2] == [1, 5, 16, 3, 1]
+    assert [r.context["n"] for r in batch] == [1, 5, 16, 3, 1] * 2
     # a list of numbers is one vector, not a batch
     assert [r.context["n"] for r in gs.check_vector_norm_comparison([3.0, 4.0], 1.0, 2.0)] == [2, 2]
 
@@ -748,7 +755,7 @@ def test_batch_gives_the_records_of_single_calls(any_group, check):
     want = []
     for coeffs, fseed, ctx in zip(singles, seeds, contexts):
         want += run(coeffs, seed=fseed, context=ctx)
-    _assert_same_records(run(batch, seed=seeds, context=contexts), want)
+    _assert_same_records(run(batch, seed=seeds, context=contexts), sorted(want, key=BY_NAME))
 
 
 def test_batch_needs_one_seed_and_context_per_function(z4):
@@ -863,11 +870,12 @@ def test_run_suite_matches_checks_called_one_function_at_a_time():
 
 def test_table_order_matches_the_sort_key_oracle(z4):
     """Records of the suite, tampered and not, and of public checks with
-    other context key sets, as built and shuffled: ordered() groups them by
-    name, then group, and keeps each group's records in the table's order,
-    across chunks as within one; on the suite's table that order is the
-    checks' own (parameter, then batch). Contexts with "%" in keys and
-    values included; the JSON lines of them all are json.JSONEncoder's."""
+    other context key sets, as built and shuffled into one chunk per record:
+    ordered() groups them by name, then group, and keeps each group's
+    records in the table's order, across chunks as within one; on the
+    suite's table that order is the checks' own (parameter, then batch).
+    Contexts with "%" in keys and values included; the JSON lines of them
+    all are json.JSONEncoder's."""
     report = gs.run_suite({**SMALL_CONFIG, "vector_checks": 20})
     tampered = gs.run_suite({**SMALL_CONFIG, "vector_checks": 20, "tamper": True})
     weights = gs.canonical_weights(z4)
@@ -903,15 +911,13 @@ def test_table_order_matches_the_sort_key_oracle(z4):
     ]
     table = RecordTable.concat(tables)
     assert list(table.ordered()) == sorted([r for t in tables for r in t], key=REPORT_ORDER)
-    shuffled = table.take(np.random.default_rng(0).permutation(len(table)))
-    assert list(shuffled.ordered()) == sorted(shuffled, key=REPORT_ORDER)
-    rows = list(shuffled)
+    rows = list(table)
     random.Random(1).shuffle(rows)
     assert list(_one_chunk_per_record(rows).ordered()) == sorted(rows, key=REPORT_ORDER)
-    report_of_all = gs.VerificationReport(shuffled.ordered(), {})
+    report_of_all = gs.VerificationReport(table.ordered(), {})
     lines = report_of_all.to_json_text().splitlines()
     start = lines.index('  "records": [')
-    got = [line.strip().rstrip(",") for line in lines[start + 1 : start + 1 + len(shuffled)]]
+    got = [line.strip().rstrip(",") for line in lines[start + 1 : start + 1 + len(table)]]
     assert got == [json.JSONEncoder().encode(r.to_dict()) for r in report_of_all.records]
     for run in (report, tampered):
         assert list(run.records) == sorted(run.records, key=REPORT_ORDER)
@@ -919,6 +925,43 @@ def test_table_order_matches_the_sort_key_oracle(z4):
                   if r.name == "sup_embedding" and r.group == "s3"]
         batches = range(SMALL_CONFIG["batch_size"])
         assert sup_s3 == [(s, b) for s in RunConfig().s_values for b in batches]
+
+
+def test_indexing_finds_the_record_that_iteration_gives(z4):
+    """table[i] is list(table)[i] for every i from -len to len - 1, so at
+    every chunk boundary, with an empty batch among the parts (its table
+    holds no chunk); one past either end is an IndexError."""
+    weights = gs.canonical_weights(z4)
+    batch = gs.random_band_limited([3, 4], z4, 2)
+    empty = gs.FourierCoefficients(z4.window, 2, packed=np.zeros((0, z4.window.size, 2)))
+    lq = lambda coeffs, seeds: gs.check_lq_embedding(coeffs, weights, 1.0, 2.0, z4, seed=seeds)
+    parts = [
+        gs.check_hausdorff_young(batch, z4, 1.5, seed=[3, 4]),
+        lq(empty, []),
+        lq(batch, [3, 4]),
+        gs.check_vector_norm_comparison([np.ones(1)], 1.0, 2.0),
+    ]
+    assert parts[1].chunks == []
+    table = RecordTable.concat(parts)
+    records, n = list(table), len(table)
+    assert (n, len(table.chunks)) == (8, 5) and len(records) == n
+    assert [table[i] for i in range(-n, n)] == records * 2
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            table[i]
+    with pytest.raises(IndexError):
+        RecordTable()[0]
+
+
+def test_numpy_integer_seeds_are_written_as_python_ints():
+    table = gs.check_vector_norm_comparison([np.ones(2)] * 2, 1.0, 2.0, seed=np.arange(2))
+    assert [(type(r.seed), r.seed) for r in table] == [(int, 0), (int, 1)] * 2
+    report = gs.VerificationReport(table, {})
+    assert [r["seed"] for r in json.loads(report.to_json_text())["records"]] == [0, 1, 0, 1]
+    assert report.to_csv_text().splitlines()[1].split(",")[2] == "0"
+    for bad in (1.5, "7", None, np.float64(2.0)):
+        with pytest.raises(ValueError, match=f"seed needs an integer, got {re.escape(repr(bad))}$"):
+            gs.check_vector_norm_comparison(np.ones(2), 1.0, 2.0, seed=bad)
 
 
 @pytest.mark.parametrize("check", ["monotone", "l2", "sup", "hausdorff_young", "lq", "block"])
@@ -937,10 +980,9 @@ def test_one_function_replays_its_batch_records_bit_for_bit(spec, check):
     singles = [gs.random_band_limited(fseed, group, m=3) for fseed in range(20)]
     batch = gs.FourierCoefficients(group.window, 3, packed=np.stack([c.packed for c in singles]))
     table = run(batch, seed=list(range(20)), context=[{"batch": b} for b in range(20)])
-    per = len(table) // 20
     for b, coeffs in enumerate(singles):
         replayed = run(coeffs, seed=b, context={"batch": b})
-        batched = table[b * per : (b + 1) * per]
+        batched = [r for r in table if r.context["batch"] == b]
         assert [(r.lhs, r.rhs) for r in replayed] == [(r.lhs, r.rhs) for r in batched]
 
 
@@ -964,9 +1006,9 @@ def _csv_oracle(records) -> str:
 
 
 def test_reports_render_rows_in_any_order_as_the_per_record_oracle(z4):
-    """Both renderers write a table run by run, a run being consecutive
-    records of one chunk; in any row order, and with runs of one record,
-    every record reads as json.JSONEncoder and csv.writer write it alone."""
+    """Both renderers write a table chunk by chunk; as built, and with the
+    records shuffled into one chunk each, every record reads as
+    json.JSONEncoder and csv.writer write it alone."""
     weights = gs.canonical_weights(z4)
     batch = gs.random_band_limited([3, 4, 5], z4, 2)
     values = [(0.1, 1, 2.5), (-0.0, 2.0, "inf"), (1e300, 3, 5e-324)]
@@ -976,19 +1018,14 @@ def test_reports_render_rows_in_any_order_as_the_per_record_oracle(z4):
         gs.check_sup_embedding(batch, weights, 1.0, z4, 20, seed=[3, 4, 5], context=contexts),
         gs.check_block_comparison(batch, 1.0, 2.0, group=z4.name, seed=7, context={"r": 0.25}),
     ])
-    rng = np.random.default_rng(0)
-    orders = {
-        "as built": table,
-        "permuted": table.take(rng.permutation(len(table))),
-        "sliced": table[5:-7],
-        "repeated": table.take([3, 3, 2, 1, 1, len(table) - 1]),
-        "one chunk per record": _one_chunk_per_record(table.take(rng.permutation(len(table)))),
-    }
+    shuffled = list(table)
+    random.Random(0).shuffle(shuffled)
+    orders = {"as built": table, "one chunk per record": _one_chunk_per_record(shuffled)}
     for order, rows in orders.items():
         json_lines, csv_text = _rendered(rows)
         assert json_lines == [json.JSONEncoder().encode(r.to_dict()) for r in rows], order
         assert csv_text == _csv_oracle(rows), order
-    for empty in (RecordTable(), table.take(np.arange(0))):
+    for empty in (RecordTable(), gs.check_vector_norm_comparison([], 1.0, 2.0)):
         report = gs.VerificationReport(empty, {})
         assert json.loads(report.to_json_text()) == report.to_json_dict()
         assert report.to_csv_text() == _csv_oracle([])
@@ -997,7 +1034,8 @@ def test_reports_render_rows_in_any_order_as_the_per_record_oracle(z4):
         refused = _table("x", 0.5, 1.0, 1e-12, [1, 2, 3], [{"a": 1.5}, {"a": bad}, {"a": 2.5}])
         with pytest.raises(ValueError, match="JSON compliant"):
             gs.VerificationReport(refused, {}).to_json_text()
-        assert _rendered(refused.take([0, 2]))[0][1].endswith('"context": {"a": 2.5}}')
+        kept = [_table("x", 0.5, 1.0, 1e-12, [s], [{"a": a}]) for s, a in ((1, 1.5), (3, 2.5))]
+        assert _rendered(RecordTable.concat(kept))[0][1].endswith('"context": {"a": 2.5}}')
         assert gs.VerificationReport(refused, {}).to_csv_text() == _csv_oracle(refused)
 
 
