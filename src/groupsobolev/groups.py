@@ -250,6 +250,8 @@ class GroupSpec:
     elements, a new (n, d, d) array; ``packed_matrices`` puts the window's side by side. The
     node transforms ``analysis`` and ``synthesis`` take samples (..., nodes, m) to
     packed rows (..., K, m), quad(conj(u_c) * f), and rows P back to sum_c u_c * P[c].
+    ``multiply(x, y)`` is the product of two elements, and ``random_elements(rng, count)``
+    a Haar-distributed sample of ``count`` elements, one per row.
     ``schur_deviation(group)`` bounds max |quad(conj(u_c) * u_c') - delta_cc' / d_c| over
     all K^2 pairs of the tables the node transforms hold from above, up to rounding;
     on SU(2), whose tables are not its evaluator, it also reports the evaluator's
@@ -263,8 +265,8 @@ class GroupSpec:
     identity: Any
     order: int | None
     _matrices: Callable[[Any, np.ndarray], np.ndarray]
-    _multiply: Callable[[Any, Any], Any]
-    _sampler: Callable[[np.random.Generator, int], np.ndarray]
+    multiply: Callable[[Any, Any], Any]
+    random_elements: Callable[[np.random.Generator, int], np.ndarray]
     analysis: Callable[[np.ndarray], np.ndarray]
     synthesis: Callable[[np.ndarray], np.ndarray]
     schur_deviation: Callable[[GroupSpec], float]
@@ -282,13 +284,6 @@ class GroupSpec:
         return np.concatenate(
             [self.irrep_matrices(l, elements).reshape(n, d * d)
              for l, d in zip(self.window.labels, self.window.dims)], axis=1)
-
-    def multiply(self, x, y):
-        return self._multiply(x, y)
-
-    def random_elements(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Haar-distributed sample of ``count`` elements, one per row."""
-        return self._sampler(rng, count)
 
     def random_element(self, rng: np.random.Generator):
         el = self.random_elements(rng, 1)[0]
@@ -351,9 +346,6 @@ def _finite_group(
     def multiply(x, y):
         return int(mult_table[indices(x), indices(y)].item())
 
-    def sampler(rng, count):
-        return rng.integers(0, order, size=count)
-
     return GroupSpec(
         kind=kind,
         name=name,
@@ -362,8 +354,8 @@ def _finite_group(
         identity=identity,
         order=order,
         _matrices=lambda label, elements: irrep_tables[label][indices(elements)],
-        _multiply=multiply,
-        _sampler=sampler,
+        multiply=multiply,
+        random_elements=lambda rng, count: rng.integers(0, order, size=count),
         **transforms,
     )
 
@@ -503,8 +495,8 @@ def _make_circle(band: int) -> GroupSpec:
         identity=0.0,
         order=None,
         _matrices=lambda freq, x: np.exp(1j * freq * np.asarray(x, dtype=float).reshape(-1, 1, 1)),
-        _multiply=lambda x, y: (float(x) + float(y)) % TWO_PI,
-        _sampler=lambda rng, count: rng.uniform(0.0, TWO_PI, size=count),
+        multiply=lambda x, y: (float(x) + float(y)) % TWO_PI,
+        random_elements=lambda rng, count: rng.uniform(0.0, TWO_PI, size=count),
         **_fft_transforms(window.labels, npts),
     )
 
@@ -547,7 +539,7 @@ def _make_su2(band: float, half_integers: bool = False) -> GroupSpec:
     def multiply(x, y):
         return _su2_euler_from_matrix(su2_element_matrix(x) @ su2_element_matrix(y))
 
-    def sampler(rng, count):
+    def random_elements(rng, count):
         alpha = rng.uniform(0.0, TWO_PI, size=count)
         beta = np.arccos(rng.uniform(-1.0, 1.0, size=count))
         gamma = rng.uniform(0.0, FOUR_PI, size=count)
@@ -561,8 +553,8 @@ def _make_su2(band: float, half_integers: bool = False) -> GroupSpec:
         identity=(0.0, 0.0, 0.0),
         order=None,
         _matrices=wigner_d_matrix,
-        _multiply=multiply,
-        _sampler=sampler,
+        multiply=multiply,
+        random_elements=random_elements,
         **_su2_transforms(window, step, alphas, betas, wbeta, gammas),
     )
 

@@ -43,20 +43,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSequence:
-    """Nonnegative weight per irrep label, with an optional closed form.
+    """Nonnegative weight per irrep label, from ``table``, else from ``formula``.
 
-    The closed form (``formula``) gives weights past the window. When it is
-    one of the built-in formulas, the series behind the sup-norm constant
-    is decided over the whole dual; table-only sequences are restricted to
-    their window.
+    A built-in sequence is its formula alone, so it covers every window and
+    the series behind the sup-norm constant is decided over the whole dual;
+    a table-only sequence is restricted to its window. Sequences hash by
+    identity, the key under which ``h_s_norm`` keeps its value per s.
     """
 
     name: str
     table: dict
     formula: Callable[[Any], float] | None = None
-    _sobolev_entries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _sobolev_entries: dict = field(default_factory=dict, init=False, repr=False)
 
     def value(self, label) -> float:
         if label in self.table:
@@ -64,9 +64,6 @@ class WeightSequence:
         if self.formula is not None:
             return float(self.formula(label))
         raise KeyError(f"no weight defined for irrep label {label!r}")
-
-    def covers(self, window: DualWindow) -> bool:
-        return not self.missing(window)
 
     def missing(self, window: DualWindow) -> list:
         if self.formula is not None:
@@ -88,10 +85,6 @@ class WeightSequence:
         return vec
 
 
-def _table_for(window: DualWindow, formula) -> dict:
-    return {label: float(formula(label)) for label in window.labels}
-
-
 def _zero(label) -> float:
     return 0.0
 
@@ -104,16 +97,16 @@ def _sqrt_laplacian(ell) -> float:
     return math.sqrt(ell * (ell + 1.0))
 
 
-def zero_weights(window: DualWindow) -> WeightSequence:
-    return WeightSequence("zero", _table_for(window, _zero), _zero)
+def zero_weights() -> WeightSequence:
+    return WeightSequence("zero", {}, _zero)
 
 
-def circle_weights(window: DualWindow) -> WeightSequence:
-    return WeightSequence("abs-frequency", _table_for(window, _abs_frequency), _abs_frequency)
+def circle_weights() -> WeightSequence:
+    return WeightSequence("abs-frequency", {}, _abs_frequency)
 
 
-def su2_weights(window: DualWindow) -> WeightSequence:
-    return WeightSequence("sqrt-laplacian", _table_for(window, _sqrt_laplacian), _sqrt_laplacian)
+def su2_weights() -> WeightSequence:
+    return WeightSequence("sqrt-laplacian", {}, _sqrt_laplacian)
 
 
 def weights_from_table(table: dict, window: DualWindow | None = None) -> WeightSequence:
@@ -124,18 +117,14 @@ def weights_from_table(table: dict, window: DualWindow | None = None) -> WeightS
             raise ValueError(f"weight for {label!r} must be finite and >= 0, got {value}")
         clean[label] = value
     ws = WeightSequence("table", clean)
-    if window is not None and not ws.covers(window):
-        raise ValueError(f"weight table is missing labels: {ws.missing(window)}")
+    if window is not None and (missing := ws.missing(window)):
+        raise ValueError(f"weight table is missing labels: {missing}")
     return ws
 
 
 def canonical_weights(group: GroupSpec) -> WeightSequence:
     """Default weights per group kind; zero on finite groups."""
-    if group.kind == "circle":
-        return circle_weights(group.window)
-    if group.kind == "su2":
-        return su2_weights(group.window)
-    return zero_weights(group.window)
+    return {"circle": circle_weights, "su2": su2_weights}.get(group.kind, zero_weights)()
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +133,20 @@ def canonical_weights(group: GroupSpec) -> WeightSequence:
 
 def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> float | np.ndarray:
     """Order-s Sobolev norm: entrywise d (1 + w^2)^s weighting of the square;
-    one value per function of a batch.
+    one value per function of a batch, as a read-only array computed once
+    per (weights, s) and kept on ``coeffs``.
 
     Reduces bit-for-bit to the p = 2 spectral norm at s = 0. A norm that
     overflows a float, as the weights do at large s, is a ValueError.
     """
     if not s >= 0:
         raise ValueError(f"Sobolev order s must be >= 0, got {s}")
-    norm = weighted_spectral_norm(coeffs, weights.sobolev_entries(coeffs.window, s), 2.0)
+    norm = coeffs.memo(("h_s_norm", weights, s), lambda: weighted_spectral_norm(
+        coeffs, weights.sobolev_entries(coeffs.window, s), 2.0))
     if not np.isfinite(norm).all():
         raise ValueError(f"the order s={s:g} Sobolev norm overflows on the {coeffs.window.kind} "
                          f"window of band {coeffs.window.band}")
-    return norm
+    return _per_function(norm)
 
 
 def lebesgue_norm(samples, group: GroupSpec, p_E: float, p: float) -> float | np.ndarray:
@@ -340,7 +331,6 @@ def lq_bound_constant(
     weights: WeightSequence, t: float, s: float, window: DualWindow
 ) -> float:
     """(sum over the window of d^3 (1 + w^2)^(-t))^(s/(2t)) for a finite t > s > 0."""
-    if not (t > s > 0 and math.isfinite(t)):
-        raise ValueError(f"need a finite t > s > 0, got s={s}, t={t}")
+    exponents(s, t)  # refuses any other pair
     total = _series_sum(weights, t, zip(window.labels, window.dims))
     return total ** (s / (2.0 * t))

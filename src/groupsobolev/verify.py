@@ -216,29 +216,32 @@ class RecordTable(Sequence):
         return RecordTable(sorted(self.chunks, key=operator.attrgetter("name", "group")))
 
     @cached_property
-    def float_texts(self) -> list:
-        """lhs, rhs, slack and tol of all the chunks' records as
-        ``float.__repr__`` writes them, each distinct value once, and pass as
-        "true" or "false": the texts of both report formats."""
+    def texts(self) -> list:
+        """seed, lhs, rhs, slack and tol of all the chunks' records as
+        ``int.__repr__`` and ``float.__repr__`` write them, each distinct value
+        once, and pass as "true" or "false": the texts of both report formats."""
         bits, inverse = np.unique(self.floats.view(np.int64), return_inverse=True)
         reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
         passed = np.array(["false", "true"], dtype=object)[self.passed * 1]
-        return reprs[inverse].reshape(4, -1).tolist() + [passed.tolist()]
+        seeds = [s for c in self.chunks for s in c.seeds]
+        texted = {s: int.__repr__(s) for s in set(seeds)}
+        seeds = [texted[s] for s in seeds]
+        return [seeds, *reprs[inverse].reshape(4, -1).tolist(), passed.tolist()]
 
     def _runs(self) -> Iterator[tuple]:
-        """Each chunk with its records' float texts."""
+        """Each chunk with its records' texts."""
         bounds = self.starts.tolist()
         for c, i, j in zip(self.chunks, bounds, bounds[1:]):
-            yield c, [t[i:j] for t in self.float_texts]
+            yield c, [t[i:j] for t in self.texts]
 
     def json_runs(self) -> Iterator[str]:
         """Each chunk's records as ``json.JSONEncoder(allow_nan=False)`` writes
         their ``to_dict()``, one chunk at a time, its lines joined by ",\\n    "."""
         if not np.isfinite(self.floats).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        for c, (lhs, rhs, slack, tol, passed) in self._runs():
+        for c, texts in self._runs():
             head = f'{{"name": {_JSON(c.name)}, "group": {_JSON(c.group)}, "seed": '
-            lines = zip(_texts(c.seeds, _JSON), lhs, rhs, slack, tol, passed, c.texts())
+            lines = zip(*texts, c.texts())
             yield ",\n    ".join([f'{head}{s}, "lhs": {a}, "rhs": {b}, "slack": {d}, "tol": {t}, '
                                   f'"pass": {p}, "context": {x}' for s, a, b, d, t, p, x in lines])
 
@@ -247,7 +250,7 @@ class RecordTable(Sequence):
         fields, one chunk at a time, its lines joined by "\\n"."""
         for c, texts in self._runs():
             head = _csv_fields(c.name, c.group, "")
-            lines = zip(_texts(c.seeds, _csv_fields), *texts)
+            lines = zip(*texts)
             yield "\n".join([f"{head}{s},{a},{b},{d},{t},{p}" for s, a, b, d, t, p in lines])
 
 
@@ -259,12 +262,7 @@ def _table(
     with its seed as a Python int and the context ``{**context, **extra}``
     plus each key k of ``columns`` mapped to ``columns[k][i]``; lhs, rhs and
     tol hold one value per pair or one for all."""
-    extra, columns = extra or {}, columns or {}
-    try:
-        seeds = list(map(operator.index, seeds))
-    except TypeError:
-        bad = next(s for s in seeds if not isinstance(s, numbers.Integral))
-        raise ValueError(f"a record's seed needs an integer, got {bad!r}") from None
+    extra, columns, seeds = extra or {}, columns or {}, _int_seeds(seeds)
     floats = np.empty((3, len(seeds)))
     floats[0], floats[1], floats[2] = lhs, rhs, tol
     contexts = [ctx or {} for ctx in contexts] if None in contexts else contexts
@@ -272,14 +270,21 @@ def _table(
     if len(key_sets) > 1:
         raise ValueError(f"the contexts of one check call need one key set, got {list(key_sets)}")
     first = contexts[0] if contexts else {}
-    own = {k: [ctx[k] for ctx in contexts] for k in first if k not in extra and k not in columns}
-    shared = {k: v[0] for k, v in own.items() if all(x is v[0] for x in v)}
-    shared |= {k: v for k, v in extra.items() if k not in columns}
-    varying = {k: v for k, v in own.items() if k not in shared}
+    shared = {k: v for k, v in extra.items() if k not in columns}
+    varying = {k: [ctx[k] for ctx in contexts] for k in first if k not in shared}
     varying |= {k: list(v) for k, v in columns.items()}
     keys = tuple(dict.fromkeys([*first, *extra, *columns]))
     chunk = _Chunk(name, group, seeds, floats, keys, shared, varying)
     return RecordTable([chunk] if seeds else [])
+
+
+def _int_seeds(seeds) -> list:
+    """``seeds`` as Python ints; a ValueError names the first that is not an integer."""
+    try:
+        return list(map(operator.index, seeds))
+    except TypeError:
+        bad = next(s for s in seeds if not isinstance(s, numbers.Integral))
+        raise ValueError(f"a record's seed needs an integer, got {bad!r}") from None
 
 
 def _fan_out(shape: tuple, **values) -> list:
@@ -310,13 +315,6 @@ def _vector_norms(vecs: list, ps: list) -> np.ndarray:
         totals = (a[power] ** p[power, None]).sum(axis=-1).tolist()
         out[at[power]] = [t ** (1.0 / q) for t, q in zip(totals, p[power].tolist())]
     return out
-
-
-def _h_s(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> np.ndarray:
-    """``h_s_norm``, computed once per (weights, s) and kept on ``coeffs``; keyed by
-    the weights' fields, since a WeightSequence is unhashable and an id can be reused."""
-    key = ("h_s_norm", weights.name, weights.formula, tuple(weights.table.items()), s)
-    return coeffs.memo(key, lambda: h_s_norm(coeffs, weights, s))
 
 
 def _lp(coeffs: FourierCoefficients, group: GroupSpec, p: float) -> np.ndarray:
@@ -407,8 +405,8 @@ def check_monotone_embedding(
     if not t > s >= 0:
         raise ValueError(f"need t > s >= 0, got s={s}, t={t}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
-    lhs = _h_s(coeffs, weights, s)
-    rhs = _h_s(coeffs, weights, t)
+    lhs = h_s_norm(coeffs, weights, s)
+    rhs = h_s_norm(coeffs, weights, t)
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
     extra = {"s": s, "t": t}
     return _table("monotone_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group)
@@ -426,7 +424,7 @@ def check_l2_embedding(
     """Quadrature L2 norm of the synthesized function <= K |f|_(H^s)."""
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     lhs = _lp(coeffs, group, 2.0)
-    rhs = _hilbert_factor(coeffs) * _h_s(coeffs, weights, s)
+    rhs = _hilbert_factor(coeffs) * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     return _table("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
 
@@ -454,7 +452,7 @@ def check_sup_embedding(
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     lhs = probed_sup(coeffs, group, extra_samples, probe_seed)
     estimate = embedding_constant_C(weights, s, group.window)
-    rhs = estimate.value * _h_s(coeffs, weights, s)
+    rhs = estimate.value * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     extra = {"constant_verdict": estimate.verdict, "s": s, "constant": estimate.value}
     return _table("sup_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
@@ -501,7 +499,7 @@ def check_lq_embedding(
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     bound = lq_bound_constant(weights, t, s, group.window)
     verdict = embedding_constant_C(weights, t, group.window).verdict
-    norm = _h_s(coeffs, weights, s)
+    norm = h_s_norm(coeffs, weights, s)
     lhs_lp = _lp(coeffs, group, params.alpha_prime)
     lhs_chain = s_p_norm(coeffs, params.alpha)
     extra = {"s": s, "t": t, "alpha": params.alpha, "alpha_prime": params.alpha_prime,
@@ -526,7 +524,7 @@ def check_continuity_modulus(
     context: dict | None = None,
 ) -> RecordTable:
     """|u_ij(x) - u_ij(a)| <= |irrep(x) - irrep(a)|_op for random pairs."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_int_seeds([seed])[0])
     xs = group.random_elements(rng, pair_budget)
     ys = group.random_elements(rng, pair_budget)
     diff = group.irrep_matrices(label, xs) - group.irrep_matrices(label, ys)
@@ -663,7 +661,7 @@ def resolve_weights(spec, index: int, group: GroupSpec) -> WeightSequence:
     if spec == "canonical":
         return canonical_weights(group)
     if spec == "zero":
-        return zero_weights(group.window)
+        return zero_weights()
     if isinstance(spec, dict):
         by_key = {label_key(l): l for l in group.window.labels}
         table = {}

@@ -176,7 +176,7 @@ def test_criterion_6_constant_formulas():
     got_c = gs.embedding_constant_C(w_z2, 1.0, z2.window).value
 
     su2 = gs.make_group("su2", band=1)
-    w_su2 = gs.su2_weights(su2.window)
+    w_su2 = gs.su2_weights()
     oracle_su2 = math.sqrt(series([(1, 0.0), (3, math.sqrt(2.0))], 2.0))
     got_su2 = gs.embedding_constant_C(w_su2, 2.0, su2.window).value
 

@@ -35,7 +35,7 @@ FROZEN_C_SU2 = 2.0
 def test_h_s_norm_trivial_block_is_flat_in_s(z4):
     v = np.array([1.0, 2.0j])
     coeffs = gs.FourierCoefficients(z4.window, 2, {0: v.reshape(1, 1, 2)})
-    weights = gs.zero_weights(z4.window)
+    weights = gs.zero_weights()
     for s in (0.0, 0.7, 2.0, 5.0):
         assert abs(gs.h_s_norm(coeffs, weights, s) - math.sqrt(5.0)) <= 1e-12
 
@@ -57,10 +57,49 @@ def test_h_s_norm_at_zero_equals_spectral_norm(any_group):
 def test_h_s_norm_errors(z4):
     coeffs = gs.random_band_limited(0, z4, m=1)
     with pytest.raises(ValueError):
-        gs.h_s_norm(coeffs, gs.zero_weights(z4.window), -1.0)
+        gs.h_s_norm(coeffs, gs.zero_weights(), -1.0)
     partial = gs.WeightSequence("partial", {0: 0.0, 1: 0.0})
     with pytest.raises(KeyError, match="2"):
         gs.h_s_norm(coeffs, partial, 1.0)
+
+
+def test_h_s_norm_is_kept_per_weights_and_order(su2_2, monkeypatch):
+    batch = gs.random_band_limited([1, 2, 3], su2_2, m=2)
+    weights, other = gs.canonical_weights(su2_2), gs.canonical_weights(su2_2)
+    first = gs.h_s_norm(batch, weights, 1.5)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    monkeypatch.setattr(sobolev, "weighted_spectral_norm", lambda *a: pytest.fail("recomputed"))
+    assert gs.h_s_norm(batch, weights, 1.5) is first
+    one = gs.FourierCoefficients(su2_2.window, 2, packed=batch.packed[0])
+    with pytest.raises(pytest.fail.Exception):  # another weights object, another key
+        gs.h_s_norm(batch, other, 1.5)
+    with pytest.raises(pytest.fail.Exception):  # another order
+        gs.h_s_norm(batch, weights, 2.0)
+    with pytest.raises(pytest.fail.Exception):  # other coefficients
+        gs.h_s_norm(one, weights, 1.5)
+
+
+CIRCLES = [{"kind": "circle", "band": 4}, {"kind": "circle", "band": 16}]
+SU2S = [{"kind": "su2", "band": 2}, {"kind": "su2", "band": 1.5, "half_integers": True}]
+
+
+@pytest.mark.parametrize("make, formula, specs", [
+    (gs.circle_weights, lambda n: float(abs(n)), CIRCLES),
+    (gs.su2_weights, lambda l: math.sqrt(l * (l + 1.0)), SU2S),
+])
+def test_one_builtin_weights_object_serves_every_window(make, formula, specs):
+    # the same object on two windows, each entry d (1 + w^2)^s from the label's formula
+    weights = make()
+    for spec in specs:
+        window = gs.make_group(spec).window
+        for s in (0.0, 0.5, 1.0, 3.0):
+            w = np.array([formula(label) for label in window.labels])
+            squares = [d * d for d in window.dims]
+            expected = np.repeat(window.dims, squares) * np.repeat((1.0 + w * w) ** s, squares)
+            got = weights.sobolev_entries(window, s)
+            assert got.shape == (window.size,) and np.array_equal(got, expected)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -89,7 +128,7 @@ def test_h_s_norm_monotone_in_s(su2_2):
 )
 def test_h_s_norm_homogeneous(scale, s, seed):
     group = gs.make_group("cyclic", n=5)
-    weights = gs.zero_weights(group.window)
+    weights = gs.zero_weights()
     coeffs = gs.random_band_limited(seed, group, m=2)
     lhs = gs.h_s_norm(scale * coeffs, weights, s)
     rhs = scale * gs.h_s_norm(coeffs, weights, s)
@@ -179,7 +218,8 @@ def test_sup_norm_exact_on_finite_group(z12):
 @pytest.mark.parametrize("name", ["z12", "s3"])
 def test_finite_group_sup_is_the_exact_node_max_and_draws_nothing(name, request):
     group = request.getfixturevalue(name)
-    never = dataclasses.replace(group, _sampler=lambda rng, n: pytest.fail("probe elements drawn"))
+    never = dataclasses.replace(
+        group, random_elements=lambda rng, n: pytest.fail("probe elements drawn"))
     coeffs = gs.random_band_limited([1, 2, 3], never, m=2)
     exact = gs.e_norm(gs.synthesize(coeffs, never), 2.0).max(axis=-1)
     assert np.array_equal(gs.probed_sup(coeffs, never, extra_samples=1000, seed=5), exact)
@@ -210,7 +250,7 @@ def test_sup_norm_is_lower_bound(su2_2):
 
 
 def test_embedding_constant_z2_zero_weights(z2):
-    est = gs.embedding_constant_C(gs.zero_weights(z2.window), 3.0, z2.window)
+    est = gs.embedding_constant_C(gs.zero_weights(), 3.0, z2.window)
     assert abs(est.value - math.sqrt(2.0)) <= 1e-12
     assert est.verdict == "summable" and est.upper == est.value
 
@@ -224,7 +264,7 @@ def test_embedding_constant_z2_table(z2):
 
 
 def test_embedding_constant_su2(su2_1):
-    weights = gs.su2_weights(su2_1.window)
+    weights = gs.su2_weights()
     oracle = math.sqrt(direct_series_sum([(1, 0.0), (3, math.sqrt(2.0))], 2.0))
     est = gs.embedding_constant_C(weights, 2.0, su2_1.window)
     assert abs(oracle - FROZEN_C_SU2) <= 1e-9
@@ -242,7 +282,7 @@ def test_embedding_constant_nonincreasing_in_s(su2_2):
 
 def test_embedding_constant_rejects_negative_order(z2):
     with pytest.raises(ValueError):
-        gs.embedding_constant_C(gs.zero_weights(z2.window), -0.5, z2.window)
+        gs.embedding_constant_C(gs.zero_weights(), -0.5, z2.window)
 
 
 def test_lq_bound_constant_z2(z2):
@@ -255,7 +295,7 @@ def test_lq_bound_constant_z2(z2):
 
 def test_lq_bound_trivial_window():
     group = gs.make_group("circle", band=0)
-    got = gs.lq_bound_constant(gs.zero_weights(group.window), 2.0, 1.0, group.window)
+    got = gs.lq_bound_constant(gs.zero_weights(), 2.0, 1.0, group.window)
     assert abs(got - 1.0) <= 1e-15
 
 
@@ -268,7 +308,7 @@ def test_lq_bound_matches_embedding_constant_power(su2_2):
 
 
 def test_lq_bound_rejects_bad_orders(z2):
-    weights = gs.zero_weights(z2.window)
+    weights = gs.zero_weights()
     with pytest.raises(ValueError):
         gs.lq_bound_constant(weights, 1.0, 1.0, z2.window)
     with pytest.raises(ValueError):
@@ -352,12 +392,12 @@ def verdict(weights, s, window):
 def test_summability_zero_weights_on_su2_diverges(su2_2, circle16):
     for group in (su2_2, circle16):
         for s in (0.0, 3.0, 50.0):
-            est = gs.embedding_constant_C(gs.zero_weights(group.window), s, group.window)
+            est = gs.embedding_constant_C(gs.zero_weights(), s, group.window)
             assert est.verdict == "diverging" and est.upper == math.inf
 
 
 def test_summability_su2_canonical_decays(su2_2):
-    weights = gs.su2_weights(su2_2.window)
+    weights = gs.su2_weights()
     for s in (3.0, 4.0):
         est = gs.embedding_constant_C(weights, s, su2_2.window)
         assert est.verdict == "summable" and est.value < est.upper < math.inf
@@ -380,14 +420,14 @@ def test_summability_su2_s4_term_decay_rate():
     # 2/20^4 within about ten percent of the tail itself
     window = su2_window(20)
     direct = direct_su2_tail(20.0, 1.0, 4.0)
-    bound = gs.embedding_constant_C(gs.su2_weights(window), 4.0, window)
+    bound = gs.embedding_constant_C(gs.su2_weights(), 4.0, window)
     tail = bound.upper**2 - bound.value**2
     assert direct <= tail <= 1.2 * direct
 
 
 def test_summability_finite_dual(z12, s3, z2):
     for group in (z12, s3, z2):
-        for weights in (gs.zero_weights(group.window), gs.canonical_weights(group)):
+        for weights in (gs.zero_weights(), gs.canonical_weights(group)):
             for s in (0.0, 1.0):
                 est = gs.embedding_constant_C(weights, s, group.window)
                 assert est.verdict == "summable" and est.upper == est.value
@@ -399,11 +439,11 @@ def test_summability_table_weights_stay_in_window(circle16):
     for s in (0.5, 1.0, 5.0):
         est = gs.embedding_constant_C(weights, s, circle16.window)
         assert est.verdict == "undecided" and est.upper == math.inf
-        assert est.value == gs.embedding_constant_C(gs.circle_weights(circle16.window), s, circle16.window).value
+        assert est.value == gs.embedding_constant_C(gs.circle_weights(), s, circle16.window).value
 
 
 def test_summability_circle_canonical_probes(circle16):
-    weights = gs.circle_weights(circle16.window)
+    weights = gs.circle_weights()
     est = gs.embedding_constant_C(weights, 1.0, circle16.window)
     assert est.verdict == "summable"
     # the closed form reaches past band 16: 2 * 16^(1 - 2s) / (2s - 1) = 2/16
@@ -419,7 +459,7 @@ def test_summability_partial_sums_monotone():
     ]
     for ladder in ladders:
         for s in (2.5, 4.0):
-            ests = [gs.embedding_constant_C(make(w), s, w) for w, make in ladder]
+            ests = [gs.embedding_constant_C(make(), s, w) for w, make in ladder]
             for small, big in zip(ests, ests[1:]):
                 assert small.value <= big.value
                 assert big.upper <= small.upper * (1.0 + 1e-12)

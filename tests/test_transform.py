@@ -410,7 +410,8 @@ def test_probe_is_kept_per_group_seed_count_and_target_norm(su2_2):
     nodes = su2_2.node_count
     quiet = dataclasses.replace(su2_2, synthesis=lambda w: np.zeros((*w.shape[:-2], nodes, w.shape[-1])))
     # the same window, other probe elements
-    other = dataclasses.replace(quiet, _sampler=lambda rng, n: su2_2.random_elements(rng, 2 * n)[n:])
+    other = dataclasses.replace(
+        quiet, random_elements=lambda rng, n: su2_2.random_elements(rng, 2 * n)[n:])
     values = set()
     for kept, group, seed, count in [
         (coeffs, quiet, 1, 50),
@@ -666,7 +667,7 @@ def test_h0_norm_is_bit_equal_to_s2_norm(name, request):
     group = request.getfixturevalue(name)
     for p_E in (2.0, 3.0, math.inf):
         coeffs = gs.random_band_limited(8, group, m=3, p_E=p_E)
-        for weights in (gs.canonical_weights(group), gs.zero_weights(group.window)):
+        for weights in (gs.canonical_weights(group), gs.zero_weights()):
             assert gs.h_s_norm(coeffs, weights, 0.0) == gs.s_p_norm(coeffs, 2.0)
 
 

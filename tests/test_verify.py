@@ -204,7 +204,7 @@ def test_block_comparison_random_batches(su2_2):
 
 def test_monotone_embedding_zero_weights_equality(z12):
     coeffs = gs.random_band_limited(1, z12, m=2)
-    (record,) = gs.check_monotone_embedding(coeffs, gs.zero_weights(z12.window), 1.0, 2.0)
+    (record,) = gs.check_monotone_embedding(coeffs, gs.zero_weights(), 1.0, 2.0)
     assert record.passed and abs(record.slack) <= record.tol
 
 
@@ -230,7 +230,7 @@ def test_monotone_embedding_batches(any_group):
 def test_monotone_embedding_rejects_bad_orders(z4):
     coeffs = gs.random_band_limited(0, z4, m=1)
     with pytest.raises(ValueError):
-        gs.check_monotone_embedding(coeffs, gs.zero_weights(z4.window), 2.0, 1.0)
+        gs.check_monotone_embedding(coeffs, gs.zero_weights(), 2.0, 1.0)
 
 
 def test_l2_embedding_zero_order_is_equality(su2_2):
@@ -250,7 +250,7 @@ def test_l2_embedding_batches(any_group):
 
 def test_sup_embedding_constant_function(z4, constant):
     coeffs = constant(z4, np.array([2.0, 1.0]))
-    (record,) = gs.check_sup_embedding(coeffs, gs.zero_weights(z4.window), 1.0, z4)
+    (record,) = gs.check_sup_embedding(coeffs, gs.zero_weights(), 1.0, z4)
     assert record.context["constant"] >= 1.0
     assert record.passed
 
@@ -302,7 +302,7 @@ def test_hausdorff_young_batches(any_group):
 
 
 def test_lq_embedding_constant_function(z4, constant):
-    records = gs.check_lq_embedding(constant(z4, np.array([1.0])), gs.zero_weights(z4.window), 1.0, 2.0, z4)
+    records = gs.check_lq_embedding(constant(z4, np.array([1.0])), gs.zero_weights(), 1.0, 2.0, z4)
     assert [r.name for r in records] == ["lq_embedding", "lq_embedding_chain"]
     assert all(r.passed for r in records)
 
@@ -310,7 +310,7 @@ def test_lq_embedding_constant_function(z4, constant):
 def test_lq_embedding_single_block(z4):
     v = np.array([2.0, 1.0j])
     coeffs = gs.FourierCoefficients(z4.window, 2, {1: v.reshape(1, 1, 2)})
-    records = gs.check_lq_embedding(coeffs, gs.zero_weights(z4.window), 1.0, 2.0, z4)
+    records = gs.check_lq_embedding(coeffs, gs.zero_weights(), 1.0, 2.0, z4)
     assert all(r.passed for r in records)
 
 
@@ -343,6 +343,12 @@ def test_continuity_modulus_records(su2_2):
     records = gs.check_continuity_modulus(su2_2, 1.0, pair_budget=500, seed=3)
     assert len(records) == 500
     assert all(r.passed for r in records)
+
+
+def test_continuity_modulus_refuses_a_seed_that_is_no_integer():
+    for bad in (1.5, "7"):
+        with pytest.raises(ValueError, match=f"seed needs an integer, got {re.escape(repr(bad))}$"):
+            gs.check_continuity_modulus(gs.make_group("cyclic", n=4), 1, pair_budget=3, seed=bad)
 
 
 def test_continuity_modulus_characters_are_tight(circle2):
@@ -458,20 +464,20 @@ def test_default_run_synthesizes_once_per_group(monkeypatch):
 
 def test_default_shaped_run_computes_each_norm_once(monkeypatch):
     """The checks of a group share each Sobolev norm per s and each
-    Lebesgue lhs per exponent: h_s_norm runs once per (group, s), 20 times
-    and not 84, and the L^p norm once per (group, p), 20 times and not 40."""
+    Lebesgue lhs per exponent: the H^s norm is computed once per (group, s),
+    20 times and not 84, and the L^p norm once per (group, p), 20 times and not 40."""
     h_s, lebesgue = [], []
-    h_s_norm, lebesgue_norm = verify.h_s_norm, verify._lebesgue
+    sobolev_entries, lebesgue_norm = gs.WeightSequence.sobolev_entries, verify._lebesgue
 
-    def counting_h_s_norm(coeffs, weights, s):
-        h_s.append((coeffs.window, s))
-        return h_s_norm(coeffs, weights, s)
+    def counting_sobolev_entries(weights, window, s):  # read once per H^s computation
+        h_s.append((window, s))
+        return sobolev_entries(weights, window, s)
 
     def counting_lebesgue(norms, group, p):
         lebesgue.append((group.name, p))
         return lebesgue_norm(norms, group, p)
 
-    monkeypatch.setattr(verify, "h_s_norm", counting_h_s_norm)
+    monkeypatch.setattr(gs.WeightSequence, "sobolev_entries", counting_sobolev_entries)
     monkeypatch.setattr(verify, "_lebesgue", counting_lebesgue)
     cfg = RunConfig()
     report = gs.run_suite({**gs.DEFAULT_CONFIG, "batch_size": 20, "vector_checks": 0})
@@ -673,7 +679,7 @@ def test_l2_embedding_attains_the_hilbert_factor(name, z2, z12, monkeypatch):
     # |f(x)|_1 = m everywhere and each coefficient is a unit vector, so
     # lhs = m = sqrt(m) * |f|_(H^0): equality with K = sqrt(m)
     group, coeffs = _hilbert_counterexample(name, z2, z12)
-    check = lambda: gs.check_l2_embedding(coeffs, gs.zero_weights(group.window), 0.0, group)
+    check = lambda: gs.check_l2_embedding(coeffs, gs.zero_weights(), 0.0, group)
     (record,) = check()
     assert record.passed and abs(record.lhs - coeffs.m) <= 1e-12 * coeffs.m
     assert abs(record.slack) <= record.tol
