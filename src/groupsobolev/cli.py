@@ -2,8 +2,8 @@
 
 Configuration is a single JSON document; flags override config fields,
 which override built-in defaults. The default config path can also come
-from the ``GROUPSOBOLEV_CONFIG`` environment variable. Exit codes:
-0 success, 1 verification failure, 2 usage or config error.
+from the ``GROUPSOBOLEV_CONFIG`` environment variable. Exit codes: 0 success,
+1 verification failure, 2 usage or config error, 3 any other error (with its traceback).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .transform import (
 from .verify import DEFAULT_CONFIG, RunConfig, resolve_weights, run_suite
 
 ENV_CONFIG = "GROUPSOBOLEV_CONFIG"
-EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_ERROR = 0, 1, 2, 3
 
 #: Context keys that the tightest-record line of ``verify`` prints.
 ROW_KEYS = ("batch", "index", "block", "pair")
@@ -279,6 +280,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # not a verdict: exit 1 means that an inequality failed
+        traceback.print_exc()
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

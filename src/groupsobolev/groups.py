@@ -32,7 +32,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 from pathlib import Path
 from typing import Any, Callable
@@ -563,34 +563,49 @@ def _su2_transforms(window, step, alphas, betas, wbeta, gammas) -> dict:
     """Node transforms separable on the Euler grid (Kostelec & Rockmore, 2008):
     D(a, b, c)[m', m] is exp(-i m' a) d(b)[m', m] exp(-i m c), so alpha and gamma
     are products with exponentials over the window's distinct m (gamma's kron the
-    identity on the vector axis, which spares a layout copy), beta one einsum per spin."""
+    identity on the vector axis, built once per m, which spares a layout copy). Beta is
+    one batched product per parity class of m with a real table t[m', m, spin, beta] of
+    d^spin(beta)[m', m], 0 where spin < max(|m'|, |m|): one GEMM per (m', m) on the values
+    as float pairs. ``rows`` puts each packed row in the flat (class, m', m, spin) output."""
     ms = window.band - step * np.arange(round(2 * window.band / step) + 1)
     e_alpha, e_gamma = np.exp(-1j * np.outer(alphas, ms)), np.exp(-1j * np.outer(gammas, ms))
     w_beta = wbeta / (len(alphas) * len(gammas))  # the quadrature weight of a node
-    n_a, n_b, n_c, n_m, spins = len(alphas), len(betas), len(gammas), len(ms), []
-    for ell, d in zip(window.labels, window.dims):
-        start = round((window.band - ell) / step)
-        m_rows = slice(start, n_m - start, round(1 / step))
-        spins.append((window.columns(ell), d, m_rows, _little_d_matrix(ell, betas)))
+    n_a, n_b, n_c, n_m = len(alphas), len(betas), len(gammas), len(ms)
+    stride = round(1 / step)  # a spin's m', m: every stride-th of ms, in one class
+    classes, spins, rows, size = [], [], np.zeros(window.size, dtype=int), 0
+    starts = [round((window.band - ell) / step) for ell in window.labels]
+    for p in range(stride):
+        held = [(ell, d, r) for ell, d, r in zip(window.labels, window.dims, starts) if r % stride == p]
+        t = np.zeros((n := len(range(p, n_m, stride)), n, len(held), n_b))
+        for s, (ell, d, r) in enumerate(held):
+            i, (a, b) = r // stride, np.divmod(np.arange(d * d), d)
+            t[i : i + d, i : i + d, s] = _little_d_matrix(ell, betas).transpose(1, 2, 0)
+            rows[window.columns(ell)] = size + ((i + a) * n + i + b) * len(held) + s
+            spins.append((ell, slice(r, n_m - r, stride), t[i : i + d, i : i + d, s]))
+        classes.append((np.s_[p::stride], t, slice(size, size := size + t[..., 0].size)))
+
+    @cache
+    def gamma_factors(m):  # of analysis and of synthesis
+        return np.kron(e_gamma.conj(), np.eye(m)), np.kron(e_gamma.T, np.eye(m))
 
     def analysis(samples):
         *lead, _, m = samples.shape
         g = np.matmul(e_alpha.conj().T, samples.reshape(-1, n_a, n_b * n_c * m))  # (L, m', b, c, e)
-        g = g.reshape(-1, n_c * m) @ np.kron(e_gamma.conj(), np.eye(m))
-        g = g.reshape(-1, n_m, n_b, n_m, m)  # (L, m', b, m, e)
-        blocks = [
-            np.einsum("b,bij,Libje->Lije", w_beta, d_b, g[:, r, :, r]).reshape(len(g), d * d, m)
-            for _, d, r, d_b in spins
-        ]
-        return np.concatenate(blocks, axis=1).reshape(*lead, window.size, m)
+        g = g.reshape(-1, n_c * m) @ gamma_factors(m)[0]
+        g = (g.reshape(-1, n_m, n_b, n_m, m) * w_beta[:, None, None]).view(float)  # (L, m', b, m, e)
+        out = [np.matmul(t, g.swapaxes(2, 3)[:, c, c]).reshape(len(g), -1, 2 * m) for c, t, _ in classes]
+        return np.concatenate(out, axis=1).view(complex)[:, rows].reshape(*lead, window.size, m)
 
     def synthesis(packed):
         *lead, _, m = packed.shape
         p = packed.reshape(-1, window.size, m)
-        g = np.zeros((len(p), n_m, n_b, n_m, m), dtype=complex)  # (L, m', b, m, e)
-        for cols, d, r, d_b in spins:
-            g[:, r, :, r] += np.einsum("bij,Lije->Libje", d_b, p[:, cols].reshape(len(p), d, d, m))
-        g = g.reshape(-1, n_m * m) @ np.kron(e_gamma.T, np.eye(m))  # (L, m', b, c, e)
+        flat = np.zeros((len(p), size, m), dtype=complex)
+        flat[:, rows] = p
+        g = np.zeros((len(p), n_m, n_b, n_m, 2 * m))  # (L, m', b, m, e) as float pairs
+        for c, t, span in classes:
+            x = flat.view(float)[:, span].reshape(len(p), *t.shape[:3], 2 * m)
+            np.matmul(t.swapaxes(-1, -2), x, out=g.swapaxes(2, 3)[:, c, c])
+        g = g.view(complex).reshape(-1, n_m * m) @ gamma_factors(m)[1]  # (L, m', b, c, e)
         f = np.matmul(e_alpha, g.reshape(len(p), n_m, n_b * n_c * m))  # (L, a, b, c, e)
         return f.reshape(*lead, n_a * n_b * n_c, m)
 
@@ -602,36 +617,29 @@ def _su2_transforms(window, step, alphas, betas, wbeta, gammas) -> dict:
         a, b, c = (np.arange(1, 4) * n // 4 for n in (n_a, n_b, n_c))
         eulers = np.stack([alphas[a], betas[b], gammas[c]], axis=-1)
         distances = []
-        for ell, (_, _, r, d_b) in zip(window.labels, spins):
-            tables = e_alpha[a, r, None] * d_b[b] * e_gamma[c, None, r]
+        for ell, r, d_b in spins:
+            tables = e_alpha[a, r, None] * d_b[..., b].transpose(2, 0, 1) * e_gamma[c, None, r]
             distances.append(np.abs(group._matrices(ell, eulers) - tables).max())
         return max(distances)
-
-    stride, sqrt_w = round(1 / step), np.sqrt(w_beta)  # a spin's m', m: ms rows, one class
 
     def schur_deviation(group):
         # The Gram of c = (l, m', m) and c' = (l', n', n) is A[m', n'] B[c, c'] C[m, n]: A and C
         # of the alpha and gamma exponentials, B of the d-tables over beta. Entries with
         # (m', m) = (n', n) are computed, one Gram over the spins holding (m', m); any other is
         # at most |A[m', n']| |C[m, n]| max_c B[c, c] (Cauchy-Schwarz), per pair of classes.
+        inv_d = np.bincount(rows, 1.0 / window.entry_dims, size)  # 1/d at each held (m', m, spin)
         a, c = (np.abs(e.conj().T @ e) for e in (e_alpha, e_gamma))
         a_off, c_off = a - np.diag(a.diagonal()), c - np.diag(c.diagonal())
         worst, b_diag, ac = [], [], []
-        for p in range(stride):
+        for p, (cls, t, span) in enumerate(classes):
             for blk in (np.s_[p::stride, q::stride] for q in range(stride)):
                 ac += [a_off[blk].max(initial=0) * c[blk].max(initial=0)]
                 ac += [a[blk].max(initial=0) * c_off[blk].max(initial=0)]
-            held = [(r.start // stride, d, d_b) for _, d, r, d_b in spins if r.start % stride == p]
-            n, k = len(range(p, n_m, stride)), np.arange(len(held))
-            t, inv_d = np.zeros((n, n, len(held), n_b)), np.zeros((n, n, len(held)))
-            for s, (i, d, d_b) in enumerate(held):
-                t[i : i + d, i : i + d, s] = d_b.transpose(1, 2, 0)
-                inv_d[i : i + d, i : i + d, s] = 1.0 / d
-            t *= sqrt_w
-            gram = t @ t.swapaxes(-1, -2)  # (m', m, l, l'): B at each (m', m)
+            k = np.arange(t.shape[2])
+            gram = t @ (w_beta * t).swapaxes(-1, -2)  # (m', m, l, l'): B at each (m', m)
             b_diag.append(gram[..., k, k].max(initial=0))
-            gram *= np.multiply.outer(a.diagonal(), c.diagonal())[p::stride, p::stride, None, None]
-            gram[..., k, k] -= inv_d
+            gram *= np.multiply.outer(a.diagonal(), c.diagonal())[cls, cls, None, None]
+            gram[..., k, k] -= inv_d[span].reshape(t.shape[:3])
             worst.append(np.abs(gram).max(initial=0))
         if group._matrices not in drift:
             drift[group._matrices] = evaluator_drift(group)

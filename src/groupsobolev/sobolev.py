@@ -215,15 +215,12 @@ class SobolevParams:
 
 
 def exponents(s: float, t: float) -> SobolevParams:
-    """Exponents alpha = 2t/(s+t) and alpha' = 2t/(t-s) for t > s > 0."""
-    if not (t > s > 0 and math.isfinite(t)):
-        raise ValueError(f"need a finite t > s > 0, got s={s}, t={t}")
-    alpha = 2.0 * t / (s + t)
-    alpha_prime = 2.0 * t / (t - s)
-    if abs(1.0 / alpha + 1.0 / alpha_prime - 1.0) > 1e-12:
-        raise AssertionError("conjugate exponent identity violated")
-    if not (1.0 < alpha < 2.0 < alpha_prime):
-        raise AssertionError("exponents left the expected range")
+    """Exponents alpha = 2t/(s+t) and alpha' = 2t/(t-s) for t > s > 0; a ValueError
+    naming (s, t) refuses a pair whose floats round out of (1, 2) or (2, inf)."""
+    alpha, alpha_prime = (2.0 * t / (s + t), 2.0 * t / (t - s)) if t > s > 0 else (math.nan,) * 2
+    if not 1.0 < alpha < 2.0 < alpha_prime < math.inf:
+        raise ValueError(f"need a finite t > s > 0 with alpha = 2t/(s+t) in (1, 2) and "
+                         f"alpha' = 2t/(t-s) in (2, inf) as floats, got s={s}, t={t}")
     return SobolevParams(s=float(s), t=float(t), alpha=alpha, alpha_prime=alpha_prime)
 
 

@@ -53,13 +53,25 @@ __all__ = [
 
 def e_norm(values, p: float = 2.0, axis: int = -1) -> np.ndarray:
     """l^p norm of complex vectors along ``axis``; ``p`` may be inf."""
-    a = np.abs(np.asarray(values))
+    values = np.moveaxis(np.asarray(values), axis, -1)
+    if p == 2.0:  # sum of re^2 + im^2: one contraction over the float view, no |a| temporary
+        x = np.ascontiguousarray(values, complex if np.iscomplexobj(values) else float).view(float)
+        return np.sqrt(np.einsum("...i,...i->...", x, x))
     if math.isinf(p):
-        return a.max(axis=axis)
-    if p == 2.0:
-        # squared in place: for a batch of samples, a is the largest temporary
-        return np.sqrt(np.square(a, out=a).sum(axis=axis))
-    return (a**p).sum(axis=axis) ** (1.0 / p)
+        return np.abs(values).max(axis=-1)
+    total, scale = _power_sum(np.abs(values), p)
+    return scale * total ** (1.0 / p)
+
+
+def _power_sum(a, p):
+    """(sum (a/M)^p over the last axis of moduli ``a``, M) with M = max a where the plain sum
+    is not finite, or below the smallest normal float while M > 0, else 1, so that a sum that
+    computes keeps its bits; the l^p norm is M sum^(1/p). ``p``: a float, or (..., 1) per vector."""
+    with np.errstate(over="ignore"):
+        total = (a**p).sum(axis=-1)
+    top = a.max(axis=-1, initial=0.0)
+    scale = np.where(~np.isfinite(total) | (total < np.finfo(float).tiny) & (top > 0), top, 1.0)
+    return ((a / scale[..., None]) ** p).sum(axis=-1) if (scale != 1).any() else total, scale
 
 
 def label_key(label) -> str:

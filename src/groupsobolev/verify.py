@@ -55,6 +55,8 @@ from .transform import (
     FourierCoefficients,
     _entry_norms,
     _node_norms,
+    _power_sum,
+    e_norm,
     label_key,
     random_band_limited,
     s_p_norm,
@@ -308,12 +310,12 @@ def _vector_norms(vecs: list, ps: list) -> np.ndarray:
     out, sizes, ps = np.empty(len(vecs)), np.array([v.size for v in vecs]), np.array(ps, float)
     for n in set(sizes.tolist()):
         at = np.flatnonzero(sizes == n)
-        a, p = np.abs(np.array([vecs[i] for i in at])), ps[at]
-        top, two, power = np.isinf(p), p == 2.0, np.isfinite(p) & (p != 2.0)
+        x, p = np.array([vecs[i] for i in at]), ps[at]
+        a, top, two, power = np.abs(x), np.isinf(p), p == 2.0, np.isfinite(p) & (p != 2.0)
         out[at[top]] = a[top].max(axis=-1)
-        out[at[two]] = np.sqrt(np.square(a[two]).sum(axis=-1))
-        totals = (a[power] ** p[power, None]).sum(axis=-1).tolist()
-        out[at[power]] = [t ** (1.0 / q) for t, q in zip(totals, p[power].tolist())]
+        out[at[two]] = e_norm(x[two])
+        totals, scales = (v.tolist() for v in _power_sum(a[power], p[power, None]))
+        out[at[power]] = [m * t ** (1.0 / q) for t, m, q in zip(totals, scales, p[power].tolist())]
     return out
 
 
@@ -610,11 +612,12 @@ class RunConfig:
                         f"config field {name!r} needs finite numbers >= {least}, got {v!r}"
                     )
         for pair in self.st_pairs:
-            ok = isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))
-            if not (ok and sys.float_info.max >= pair[1] > pair[0] > 0):
-                raise ValueError(
-                    f"config field 'st_pairs' entries need finite t > s > 0, got {pair!r}"
-                )
+            try:
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))):
+                    raise ValueError("need two numbers [s, t]")
+                exponents(*pair)
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int past any float
+                raise ValueError(f"config field 'st_pairs' entry {pair!r}: {exc}") from None
         bad = [f for f in self.formats if f not in ("json", "csv")]
         if bad:
             raise ValueError(f"unknown output formats {bad}; use 'json' and/or 'csv'")

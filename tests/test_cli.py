@@ -384,6 +384,26 @@ def test_verify_refuses_an_overflowing_norm(tmp_path, capsys, overrides, message
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("pair", [[1.0, 1e300], [1e-300, 1.0]])
+def test_verify_refuses_st_pairs_whose_exponents_round_out_of_range(tmp_path, capsys, pair):
+    cfgpath = write_config(tmp_path, st_pairs=[pair])
+    assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: config field 'st_pairs'") and f"s={pair[0]}, t={pair[1]}" in line
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_unexpected_error_exits_3_with_its_traceback(tmp_path, capsys, monkeypatch):
+    def crash(cfg):
+        raise RuntimeError("run_suite crashed")
+
+    monkeypatch.setattr("groupsobolev.cli.run_suite", crash)
+    cfgpath = write_config(tmp_path)
+    assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: run_suite crashed" in err
+
+
 def test_verify_refuses_a_non_integer_circle_band(tmp_path, capsys):
     cfgpath = write_config(tmp_path, groups=[{"kind": "circle", "band": 2.7}], batch_size=1)
     assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,13 @@ def test_exponents_rejects_bad_pairs():
         gs.exponents(0.0, 2.0)
     with pytest.raises(ValueError, match="t=inf"):
         gs.exponents(1.0, math.inf)
+
+
+@pytest.mark.parametrize("s, t", [(1.0, 1e300), (1e-300, 1.0), (1.0, 1e308)])
+def test_exponents_refuse_a_pair_whose_floats_leave_the_range(s, t):
+    # alpha rounds to 2, or 2t overflows: refused by name, not by an AssertionError
+    with pytest.raises(ValueError, match=re.escape(f"s={s}, t={t}")):
+        gs.exponents(s, t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupsobolev as gs
-from groupsobolev.groups import ORTHOGONALITY_TOL
+from groupsobolev.groups import ORTHOGONALITY_TOL, _little_d_matrix, _su2_axes
 from groupsobolev.transform import (
     _entry_norms,
     _node_norms,
@@ -477,6 +477,32 @@ def test_e_norm_values():
     assert abs(got - (27.0 + 64.0) ** (1.0 / 3.0)) <= 1e-12
 
 
+def test_e_norm_at_two_is_within_its_rounding_of_an_fsum_reference_and_a_batch_its_rows():
+    rng = np.random.default_rng(21)
+    for m in (1, 3, 12):
+        x = rng.standard_normal((20, 50, m)) + 1j * rng.standard_normal((20, 50, m))
+        x *= 10.0 ** rng.integers(-150, 150, (20, 50, 1))
+        norms = e_norm(x)
+        for i in range(20):
+            assert np.array_equal(norms[i], e_norm(x[i]))
+        # 2m rounded squares summed: (2m - 1) u on the sum, half that after the root,
+        # and a rounding each for the root and the reference; u = 2^-53
+        for vec, got in zip(x.reshape(-1, m).tolist(), norms.ravel()):
+            ref = math.sqrt(math.fsum(v * v for z in vec for v in (z.real, z.imag)))
+            assert abs(got - ref) <= (m + 2) * 2.0**-53 * ref
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_e_norm_scales_a_power_sum_that_underflows_or_overflows():
+    assert abs(gs.e_norm([0.5, 0.5], 1100) - 0.5 * 2.0 ** (1 / 1100)) <= 1e-15
+    assert gs.e_norm([3.0, 1.0], 1100) == 3.0  # (1/3)^1100 is below every float
+    assert gs.e_norm(np.array([[1e-200, 0.0], [0.0, 0.0]]), 3.0).tolist() == [1e-200, 0.0]
+    # a sum that computes keeps the bits of the plain formula
+    v = np.random.default_rng(4).standard_normal(7) + 1j
+    for p in (1.0, 1.5, 3.0, 40.0):
+        assert gs.e_norm(v, p) == (np.abs(v) ** p).sum() ** (1.0 / p)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -785,6 +811,78 @@ def test_packed_paths_match_per_label_loops(name, request):
     for s in (0.5, 2.0):
         ref = _s_p_by_label(coeffs, 2.0, lambda label: (1.0 + weights.value(label) ** 2) ** s)
         assert abs(gs.h_s_norm(coeffs, weights, s) - ref) <= 1e-12 * ref
+
+
+def _per_spin_einsum_transforms(group):
+    """SU(2) node transforms on the group's Euler grid with beta as one einsum per spin
+    against that spin's d-tables: the separable transform before its beta tables, the
+    oracle of the batched products."""
+    window, half = group.window, group.window.half_integers
+    step = 0.5 if half else 1.0
+    n_a, n_b, n_c, period = _su2_axes(window.band, half)
+    alphas, gammas = 2.0 * math.pi * np.arange(n_a) / n_a, period * np.arange(n_c) / n_c
+    t, wt = np.polynomial.legendre.leggauss(n_b)
+    betas, w_beta = np.arccos(t), wt / 2.0 / (n_a * n_c)
+    ms = window.band - step * np.arange(round(2 * window.band / step) + 1)
+    e_alpha, e_gamma = np.exp(-1j * np.outer(alphas, ms)), np.exp(-1j * np.outer(gammas, ms))
+    n_m, spins = len(ms), []
+    for ell, d in zip(window.labels, window.dims):
+        start = round((window.band - ell) / step)
+        m_rows = slice(start, n_m - start, round(1 / step))
+        spins.append((window.columns(ell), d, m_rows, _little_d_matrix(ell, betas)))
+
+    def analysis(samples):
+        *lead, _, m = samples.shape
+        g = np.matmul(e_alpha.conj().T, samples.reshape(-1, n_a, n_b * n_c * m))
+        g = (g.reshape(-1, n_c * m) @ np.kron(e_gamma.conj(), np.eye(m))).reshape(-1, n_m, n_b, n_m, m)
+        blocks = [
+            np.einsum("b,bij,Libje->Lije", w_beta, d_b, g[:, r, :, r]).reshape(len(g), d * d, m)
+            for _, d, r, d_b in spins
+        ]
+        return np.concatenate(blocks, axis=1).reshape(*lead, window.size, m)
+
+    def synthesis(packed):
+        *lead, _, m = packed.shape
+        p = packed.reshape(-1, window.size, m)
+        g = np.zeros((len(p), n_m, n_b, n_m, m), dtype=complex)
+        for cols, d, r, d_b in spins:
+            g[:, r, :, r] += np.einsum("bij,Lije->Libje", d_b, p[:, cols].reshape(len(p), d, d, m))
+        g = g.reshape(-1, n_m * m) @ np.kron(e_gamma.T, np.eye(m))
+        f = np.matmul(e_alpha, g.reshape(len(p), n_m, n_b * n_c * m))
+        return f.reshape(*lead, n_a * n_b * n_c, m)
+
+    return analysis, synthesis
+
+
+SU2_ORACLE_SPECS = (
+    *({"kind": "su2", "band": b} for b in range(7)),
+    *({"kind": "su2", "band": b / 2, "half_integers": True} for b in range(1, 6)),
+    {"kind": "su2", "band": 16},
+)
+
+
+@pytest.mark.parametrize("spec", SU2_ORACLE_SPECS, ids=_spec_id)
+def test_su2_node_transforms_match_the_per_spin_einsum_oracle(spec):
+    group = gs.make_group(spec)
+    analysis, synthesis = _per_spin_einsum_transforms(group)
+    rng = np.random.default_rng(3)
+    for m in (1, 3):
+        packed = gs.random_band_limited(5, group, m).packed
+        samples = rng.standard_normal((group.node_count, m)) + 1j * rng.standard_normal((group.node_count, m))
+        for new, old, x in ((group.synthesis, synthesis, packed), (group.analysis, analysis, samples)):
+            ref = old(x)
+            assert np.abs(new(x) - ref).max() <= 1e-14 * (1.0 + np.abs(ref).max())
+
+
+@pytest.mark.parametrize("spec", [{"kind": "su2", "band": 6}, {"kind": "su2", "band": 2.5, "half_integers": True}], ids=_spec_id)
+def test_su2_node_transforms_of_a_batch_equal_its_single_functions_bit_for_bit(spec):
+    group = gs.make_group(spec)
+    packed = gs.random_band_limited(list(range(20)), group, 3).packed
+    samples = group.synthesis(packed)
+    back = group.analysis(samples)
+    for i in range(20):
+        assert np.array_equal(samples[i], group.synthesis(packed[i]))
+        assert np.array_equal(back[i], group.analysis(samples[i]))
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,16 @@ def test_batched_vector_norms_equal_e_norm_bit_for_bit():
         assert verify._vector_norms(vecs, ps).tolist() == expected
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batched_vector_norms_scale_as_e_norm_does():
+    # power sums that underflow, overflow, vanish or compute, in one batch of length 2
+    vecs = [np.array(v) for v in ([0.5, 0.5], [3.0, 1.0], [0.0, 0.0], [1e-300, 2e-300], [1.0, 2.0])]
+    for p in (1100.0, 3.0, 1e308):
+        expected = [float(gs.e_norm(vec, p)) for vec in vecs]
+        assert verify._vector_norms(vecs, [p] * len(vecs)).tolist() == expected
+    assert verify._vector_norms(vecs[:2], [1100.0] * 2)[1] == 3.0
+
+
 def test_an_empty_vector_list_is_an_empty_batch():
     for q in (2.0, math.inf):
         assert len(gs.check_vector_norm_comparison([], 1.0, q)) == 0
