@@ -592,7 +592,7 @@ def _su2_transforms(window, step, alphas, betas, wbeta, gammas) -> dict:
         *lead, _, m = samples.shape
         g = np.matmul(e_alpha.conj().T, samples.reshape(-1, n_a, n_b * n_c * m))  # (L, m', b, c, e)
         g = g.reshape(-1, n_c * m) @ gamma_factors(m)[0]
-        g = (g.reshape(-1, n_m, n_b, n_m, m) * w_beta[:, None, None]).view(float)  # (L, m', b, m, e)
+        g = (g.reshape(-1, n_m, n_b, n_m, m) * w_beta[:, None, None]).view(float)  # (L, m', b, m, 2e)
         out = [np.matmul(t, g.swapaxes(2, 3)[:, c, c]).reshape(len(g), -1, 2 * m) for c, t, _ in classes]
         return np.concatenate(out, axis=1).view(complex)[:, rows].reshape(*lead, window.size, m)
 
@@ -601,7 +601,7 @@ def _su2_transforms(window, step, alphas, betas, wbeta, gammas) -> dict:
         p = packed.reshape(-1, window.size, m)
         flat = np.zeros((len(p), size, m), dtype=complex)
         flat[:, rows] = p
-        g = np.zeros((len(p), n_m, n_b, n_m, 2 * m))  # (L, m', b, m, e) as float pairs
+        g = np.zeros((len(p), n_m, n_b, n_m, 2 * m))  # (L, m', b, m, 2e): e as float pairs
         for c, t, span in classes:
             x = flat.view(float)[:, span].reshape(len(p), *t.shape[:3], 2 * m)
             np.matmul(t.swapaxes(-1, -2), x, out=g.swapaxes(2, 3)[:, c, c])
