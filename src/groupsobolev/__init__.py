@@ -8,6 +8,8 @@ associated embedding inequalities.
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 from .groups import (
     DualWindow,
     GroupSpec,
@@ -51,21 +53,22 @@ from .sobolev import (
     weights_from_table,
     zero_weights,
 )
-from .verify import (
-    DEFAULT_CONFIG,
-    InequalityRecord,
-    RecordTable,
-    RunConfig,
-    VerificationReport,
-    check_block_comparison,
-    check_continuity_modulus,
-    check_hausdorff_young,
-    check_l2_embedding,
-    check_lq_embedding,
-    check_monotone_embedding,
-    check_sup_embedding,
-    check_vector_norm_comparison,
-    run_suite,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: The verification harness and its names, loaded on first use (PEP 562): no norm needs them
+_HARNESS = """verify DEFAULT_CONFIG InequalityRecord RecordTable RunConfig VerificationReport
+    run_suite check_block_comparison check_continuity_modulus check_hausdorff_young
+    check_l2_embedding check_lq_embedding check_monotone_embedding check_sup_embedding
+    check_vector_norm_comparison""".split()
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_HARNESS))
+
+
+def __getattr__(name):
+    if name not in _HARNESS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    verify = _import_module(".verify", __name__)
+    return verify if name == "verify" else getattr(verify, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

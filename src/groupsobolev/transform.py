@@ -54,24 +54,32 @@ __all__ = [
 def e_norm(values, p: float = 2.0, axis: int = -1) -> np.ndarray:
     """l^p norm of complex vectors along ``axis``; ``p`` may be inf."""
     values = np.moveaxis(np.asarray(values), axis, -1)
+    total = None
     if p == 2.0:  # sum of re^2 + im^2: one contraction over the float view, no |a| temporary
         x = np.ascontiguousarray(values, complex if np.iscomplexobj(values) else float).view(float)
-        return np.sqrt(np.einsum("...i,...i->...", x, x))
+        total = np.einsum("...i,...i->...", x, x)
+        if np.finfo(float).tiny <= total.min(initial=np.inf) and total.max(initial=0.0) < np.inf:
+            return np.sqrt(total)
     if math.isinf(p):
         return np.abs(values).max(axis=-1)
-    total, scale = _power_sum(np.abs(values), p)
-    return scale * total ** (1.0 / p)
+    total, scale = _power_sum(np.abs(values), p, total)
+    with np.errstate(over="ignore"):  # a norm above every float is inf
+        return scale * total ** (1.0 / p)
 
 
-def _power_sum(a, p):
-    """(sum (a/M)^p over the last axis of moduli ``a``, M) with M = max a where the plain sum
-    is not finite, or below the smallest normal float while M > 0, else 1, so that a sum that
-    computes keeps its bits; the l^p norm is M sum^(1/p). ``p``: a float, or (..., 1) per vector."""
-    with np.errstate(over="ignore"):
-        total = (a**p).sum(axis=-1)
+def _power_sum(a, p, total=None):
+    """(sum (a/M)^p over the last axis of moduli ``a``, M): M = max a where 0 < M < inf and the
+    plain sum (``total``, if given) is not finite or below the smallest normal float, else 1, so a
+    sum that computes keeps its bits and an inf or nan entry stays. ``p``: float or (..., 1)."""
+    if total is None:
+        with np.errstate(over="ignore"):
+            total = (a**p).sum(axis=-1)
     top = a.max(axis=-1, initial=0.0)
-    scale = np.where(~np.isfinite(total) | (total < np.finfo(float).tiny) & (top > 0), top, 1.0)
-    return ((a / scale[..., None]) ** p).sum(axis=-1) if (scale != 1).any() else total, scale
+    scaled = (~np.isfinite(total) | (total < np.finfo(float).tiny)) & (0 < top) & (top < np.inf)
+    scale = np.where(scaled, top, 1.0)
+    if scaled.any():
+        total = np.where(scaled, ((a / scale[..., None]) ** p).sum(axis=-1), total)
+    return total, scale
 
 
 def label_key(label) -> str:

@@ -20,6 +20,7 @@ from groupsobolev.transform import (
     dump_json,
     e_norm,
     node_samples,
+    window_from_json,
 )
 from groupsobolev.sobolev import probed_sup
 from groupsobolev.verify import QUADRATURE_TOL
@@ -497,6 +498,17 @@ def test_e_norm_scales_a_power_sum_that_underflows_or_overflows():
     assert abs(gs.e_norm([0.5, 0.5], 1100) - 0.5 * 2.0 ** (1 / 1100)) <= 1e-15
     assert gs.e_norm([3.0, 1.0], 1100) == 3.0  # (1/3)^1100 is below every float
     assert gs.e_norm(np.array([[1e-200, 0.0], [0.0, 0.0]]), 3.0).tolist() == [1e-200, 0.0]
+    # at p = 2 only a total that overflows or underflows is redone, scaled
+    assert gs.e_norm([1e200, 1e200j]) == 1e200 * math.sqrt(2)
+    tiny = np.array([[1e-170, 1e-170], [3.0, 4.0]])
+    assert gs.e_norm(tiny).tolist() == [1e-170 * math.sqrt(2), 5.0]
+    assert gs.e_norm([1.7e308, 1.7e308]) == math.inf  # the norm itself is above every float
+    # an inf entry gives inf and a nan entry nan, row by row, at every p
+    for p in (1.0, 2.0, 3.0):
+        assert gs.e_norm([[math.inf, 1.0], [3.0, 4.0]], p)[0] == math.inf
+        assert math.isnan(gs.e_norm([math.nan, 1.0], p))
+    finite_row = gs.e_norm([[1.0, 1.0], [1.0, 2.0]], 3.0)[1]
+    assert gs.e_norm([[math.inf, 1.0], [1.0, 2.0]], 3.0)[1] == finite_row
     # a sum that computes keeps the bits of the plain formula
     v = np.random.default_rng(4).standard_normal(7) + 1j
     for p in (1.0, 1.5, 3.0, 40.0):
@@ -512,6 +524,7 @@ def test_serialization_round_trip_bit_exact(any_group):
     data = coefficients_to_json(coeffs)
     text = dump_json(data)
     back = coefficients_from_json(json.loads(text), any_group)
+    assert hash(window_from_json(data["window"])) == hash(any_group.window)
     for label in any_group.window.labels:
         assert np.array_equal(coeffs.block(label), back.block(label))
     assert dump_json(coefficients_to_json(back)) == text

@@ -3,8 +3,11 @@ import importlib.util
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from operator import attrgetter
 from pathlib import Path
 
@@ -148,10 +151,13 @@ def test_batched_vector_norms_equal_e_norm_bit_for_bit():
 def test_batched_vector_norms_scale_as_e_norm_does():
     # power sums that underflow, overflow, vanish or compute, in one batch of length 2
     vecs = [np.array(v) for v in ([0.5, 0.5], [3.0, 1.0], [0.0, 0.0], [1e-300, 2e-300], [1.0, 2.0])]
-    for p in (1100.0, 3.0, 1e308):
+    vecs += [np.array(v) for v in ([1e200, 1e200], [1e-170, 1e-170], [math.inf, 1.0])]
+    for p in (1100.0, 3.0, 1e308, 2.0, 1.0):
         expected = [float(gs.e_norm(vec, p)) for vec in vecs]
         assert verify._vector_norms(vecs, [p] * len(vecs)).tolist() == expected
     assert verify._vector_norms(vecs[:2], [1100.0] * 2)[1] == 3.0
+    assert verify._vector_norms(vecs[-3:], [2.0] * 3).tolist() == [
+        1e200 * math.sqrt(2), 1e-170 * math.sqrt(2), math.inf]
 
 
 def test_an_empty_vector_list_is_an_empty_batch():
@@ -390,6 +396,26 @@ def test_verdicts_scale_invariant(su2_2):
 
 # ---------------------------------------------------------------------------
 # suite
+
+
+def test_importing_the_package_leaves_the_harness_unloaded_until_a_name_of_it_is_used():
+    script = """
+import sys
+import groupsobolev as gs
+assert "groupsobolev.verify" not in sys.modules
+assert {"run_suite", "DEFAULT_CONFIG", "check_lq_embedding", "verify"} <= set(dir(gs))
+assert "groupsobolev.verify" not in sys.modules
+from groupsobolev import run_suite
+assert run_suite is sys.modules["groupsobolev.verify"].run_suite
+assert all(getattr(gs, name) is not None for name in gs.__all__)
+assert gs.verify.DEFAULT_CONFIG is gs.DEFAULT_CONFIG
+"""
+    src = str(Path(gs.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        gs.no_such_name
 
 
 def test_run_suite_empty_groups_passes():
