@@ -34,7 +34,7 @@ from .transform import (
     save_coefficients,
     window_from_json,
 )
-from .verify import DEFAULT_CONFIG, RunConfig, resolve_weights, run_suite
+from .config import DEFAULT_CONFIG, RunConfig, resolve_weights
 
 ENV_CONFIG = "GROUPSOBOLEV_CONFIG"
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_ERROR = 0, 1, 2, 3
@@ -189,6 +189,13 @@ def cmd_constants(args) -> int:
             rows.append(row("lq_bound_constant", value, extra, s=s, t=t))
     _emit(cfg, rows, "constants.json")
     return EXIT_OK
+
+
+def run_suite(cfg: RunConfig):
+    """``verify.run_suite``, imported on the first run: no other command loads the harness."""
+    from .verify import run_suite
+
+    return run_suite(cfg)
 
 
 def cmd_verify(args) -> int:

@@ -165,9 +165,6 @@ class DualWindow:
         if len(self.dims) != len(self.labels):
             raise ValueError("labels and dims must be parallel")
 
-    def __hash__(self) -> int:  # what equal windows share, without walking every label
-        return hash((self.kind, self.band, len(self.labels)))
-
     @cached_property
     def _positions(self) -> dict:
         return {label: i for i, label in enumerate(self.labels)}

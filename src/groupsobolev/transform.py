@@ -58,7 +58,10 @@ def e_norm(values, p: float = 2.0, axis: int = -1) -> np.ndarray:
     if p == 2.0:  # sum of re^2 + im^2: one contraction over the float view, no |a| temporary
         x = np.ascontiguousarray(values, complex if np.iscomplexobj(values) else float).view(float)
         total = np.einsum("...i,...i->...", x, x)
-        if np.finfo(float).tiny <= total.min(initial=np.inf) and total.max(initial=0.0) < np.inf:
+        low = (total < np.finfo(float).tiny).ravel()  # scaled, unless all its entries are zero
+        if total.max(initial=0.0) < np.inf and not (
+            low.any() and x.reshape(low.size, -1).compress(low, axis=0).any()
+        ):
             return np.sqrt(total)
     if math.isinf(p):
         return np.abs(values).max(axis=-1)
@@ -76,10 +79,10 @@ def _power_sum(a, p, total=None):
             total = (a**p).sum(axis=-1)
     top = a.max(axis=-1, initial=0.0)
     scaled = (~np.isfinite(total) | (total < np.finfo(float).tiny)) & (0 < top) & (top < np.inf)
-    scale = np.where(scaled, top, 1.0)
-    if scaled.any():
-        total = np.where(scaled, ((a / scale[..., None]) ** p).sum(axis=-1), total)
-    return total, scale
+    if scaled.any():  # only the scaled rows are raised to p again
+        total, p_at = np.array(total, float), p if np.ndim(p) == 0 else p[scaled]
+        total[scaled] = ((a[scaled] / top[scaled, None]) ** p_at).sum(axis=-1)
+    return total, np.where(scaled, top, 1.0)
 
 
 def label_key(label) -> str:

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -509,6 +510,16 @@ def test_e_norm_scales_a_power_sum_that_underflows_or_overflows():
         assert math.isnan(gs.e_norm([math.nan, 1.0], p))
     finite_row = gs.e_norm([[1.0, 1.0], [1.0, 2.0]], 3.0)[1]
     assert gs.e_norm([[math.inf, 1.0], [1.0, 2.0]], 3.0)[1] == finite_row
+    # only the scaled rows are raised to p again, so a row kept as it is overflows nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gs.e_norm([[math.inf, 1e200], [1e-200, 0.0]], 3.0).tolist() == [math.inf, 1e-200]
+        root2 = 1e-170 * math.sqrt(2)
+        assert gs.e_norm([[math.inf, 1e200], [1e-170, 1e-170]]).tolist() == [math.inf, root2]
+        assert gs.e_norm([[0.0, 0.0], [1e-170, 1e-170]]).tolist() == [0.0, root2]
+    with pytest.MonkeyPatch.context() as mp:  # an all-zero vector keeps p = 2 on the einsum
+        mp.setattr("groupsobolev.transform._power_sum", None)
+        assert gs.e_norm(np.array([[0.0, 0.0], [3.0, 4.0j]])).tolist() == [0.0, 5.0]
     # a sum that computes keeps the bits of the plain formula
     v = np.random.default_rng(4).standard_normal(7) + 1j
     for p in (1.0, 1.5, 3.0, 40.0):

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from operator import attrgetter
 from pathlib import Path
 
@@ -152,12 +153,15 @@ def test_batched_vector_norms_scale_as_e_norm_does():
     # power sums that underflow, overflow, vanish or compute, in one batch of length 2
     vecs = [np.array(v) for v in ([0.5, 0.5], [3.0, 1.0], [0.0, 0.0], [1e-300, 2e-300], [1.0, 2.0])]
     vecs += [np.array(v) for v in ([1e200, 1e200], [1e-170, 1e-170], [math.inf, 1.0])]
+    vecs += [np.array([math.inf, 1e200])]
     for p in (1100.0, 3.0, 1e308, 2.0, 1.0):
         expected = [float(gs.e_norm(vec, p)) for vec in vecs]
-        assert verify._vector_norms(vecs, [p] * len(vecs)).tolist() == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify._vector_norms(vecs, [p] * len(vecs)).tolist() == expected
     assert verify._vector_norms(vecs[:2], [1100.0] * 2)[1] == 3.0
-    assert verify._vector_norms(vecs[-3:], [2.0] * 3).tolist() == [
-        1e200 * math.sqrt(2), 1e-170 * math.sqrt(2), math.inf]
+    assert verify._vector_norms(vecs[-4:], [2.0] * 4).tolist() == [
+        1e200 * math.sqrt(2), 1e-170 * math.sqrt(2), math.inf, math.inf]
 
 
 def test_an_empty_vector_list_is_an_empty_batch():
@@ -398,10 +402,12 @@ def test_verdicts_scale_invariant(su2_2):
 # suite
 
 
-def test_importing_the_package_leaves_the_harness_unloaded_until_a_name_of_it_is_used():
+def test_importing_the_package_leaves_the_harness_unloaded_until_a_name_of_it_is_used(tmp_path):
     script = """
 import sys
 import groupsobolev as gs
+from groupsobolev import cli
+assert cli.main(["constants", "--out", sys.argv[1], "--quiet"]) == 0  # as every command but verify
 assert "groupsobolev.verify" not in sys.modules
 assert {"run_suite", "DEFAULT_CONFIG", "check_lq_embedding", "verify"} <= set(dir(gs))
 assert "groupsobolev.verify" not in sys.modules
@@ -411,8 +417,8 @@ assert all(getattr(gs, name) is not None for name in gs.__all__)
 assert gs.verify.DEFAULT_CONFIG is gs.DEFAULT_CONFIG
 """
     src = str(Path(gs.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         gs.no_such_name
