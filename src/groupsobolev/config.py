@@ -96,7 +96,7 @@ class RunConfig:
                 raise ValueError(f"config field 'st_pairs' entry {pair!r}: {exc}") from None
         bad = [f for f in self.formats if f not in ("json", "csv")]
         if bad:
-            raise ValueError(f"unknown output formats {bad}; use 'json' and/or 'csv'")
+            raise ValueError(f"config field 'formats' has unknown formats {bad}; use 'json' and/or 'csv'")
         if self.weights not in ("canonical", "zero"):
             if not isinstance(self.weights, (list, tuple)) or len(self.weights) != len(self.groups):
                 raise ValueError(

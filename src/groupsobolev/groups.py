@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
@@ -237,10 +238,6 @@ class QuadratureRule:
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("quadrature weights must sum to 1")
 
-    @property
-    def node_count(self) -> int:
-        return self.weights.size
-
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
@@ -285,16 +282,9 @@ class GroupSpec:
             [self.irrep_matrices(l, elements).reshape(n, d * d)
              for l, d in zip(self.window.labels, self.window.dims)], axis=1)
 
-    def random_element(self, rng: np.random.Generator):
-        el = self.random_elements(rng, 1)[0]
-        return el if np.ndim(el) else el.item()
-
     @property
     def node_count(self) -> int:
-        return self.quadrature.node_count
-
-    def dim_of(self, label) -> int:
-        return self.window.dim_of(label)
+        return self.quadrature.weights.size
 
     def __repr__(self) -> str:  # keep dataclass noise out of test output
         return f"GroupSpec({self.name})"
@@ -662,12 +652,10 @@ def _make_custom(source) -> GroupSpec:
     Associativity and the homomorphism property are checked on every tuple
     up to order 32 and on 200 seeded tuples above that.
     """
-    if isinstance(source, (str, Path)):
-        data = json.loads(Path(source).read_text())
-    else:
-        data = dict(source)
-
-    order = int(data["order"])
+    data = json.loads(Path(source).read_text()) if isinstance(source, (str, Path)) else source
+    if not isinstance(data, Mapping):
+        raise ValueError(f"custom group: source needs a mapping or its JSON file, got {type(data).__name__}")
+    order = int(_whole("custom", "order", data["order"]))
     if order < 1:
         raise ValueError("custom group: order must be >= 1")
     table = np.asarray(data["mult_table"], dtype=int)
@@ -688,7 +676,7 @@ def _make_custom(source) -> GroupSpec:
     tables: dict[str, np.ndarray] = {}
     for spec in data.get("irreps", []):
         label = str(spec["label"])
-        dim = int(spec["dim"])
+        dim = int(_whole("custom", "dim", spec["dim"]))
         raw = np.asarray(spec["matrices"], dtype=float)
         if raw.shape != (order, dim, dim, 2):
             raise ValueError(
@@ -835,7 +823,7 @@ def matrix_coefficient(group: GroupSpec, label, i: int, j: int, x) -> complex:
     With the standard basis this is the (j, i) entry of the irrep matrix;
     its modulus never exceeds 1.
     """
-    d = group.dim_of(label)
+    d = group.window.dim_of(label)
     if not (1 <= i <= d and 1 <= j <= d):
         raise ValueError(f"coefficient indices must lie in 1..{d}, got ({i}, {j})")
     return complex(irrep_matrix(group, label, x)[j - 1, i - 1])
@@ -849,7 +837,7 @@ class OrthogonalityReport:
     pairs_checked: int
 
 
-def orthogonality_selftest(group: GroupSpec, tol: float = ORTHOGONALITY_TOL) -> OrthogonalityReport:
+def orthogonality_selftest(group: GroupSpec) -> OrthogonalityReport:
     """Quadrature check of Schur orthogonality over the whole window.
 
     Compares all K^2 pairings quad(u * conj(u')) with the exact values delta/d
@@ -857,5 +845,5 @@ def orthogonality_selftest(group: GroupSpec, tol: float = ORTHOGONALITY_TOL) -> 
     tables and, up to rounding, never reports less than the dense Gram of those
     tables would; on SU(2) it also ties the evaluator to them at three nodes.
     """
-    deviation = group.schur_deviation(group)
+    deviation, tol = group.schur_deviation(group), ORTHOGONALITY_TOL
     return OrthogonalityReport(deviation, tol, deviation <= tol, group.window.size**2)

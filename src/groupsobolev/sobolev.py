@@ -15,6 +15,8 @@ integral test; custom weight tables on an unbounded dual stay "undecided".
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -109,15 +111,16 @@ def su2_weights() -> WeightSequence:
     return WeightSequence("sqrt-laplacian", {}, _sqrt_laplacian)
 
 
-def weights_from_table(table: dict, window: DualWindow | None = None) -> WeightSequence:
+def weights_from_table(table: dict, window: DualWindow) -> WeightSequence:
+    """A weight for every label of ``window``, each a finite real number >= 0 (not a bool)."""
     clean = {}
     for label, value in table.items():
-        value = float(value)
-        if not (value >= 0.0 and math.isfinite(value)):
-            raise ValueError(f"weight for {label!r} must be finite and >= 0, got {value}")
-        clean[label] = value
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (number and 0 <= value <= sys.float_info.max):
+            raise ValueError(f"weight for {label!r} must be a finite number >= 0, got {value!r}")
+        clean[label] = float(value)
     ws = WeightSequence("table", clean)
-    if window is not None and (missing := ws.missing(window)):
+    if missing := ws.missing(window):
         raise ValueError(f"weight table is missing labels: {missing}")
     return ws
 
@@ -303,9 +306,6 @@ class ConstantEstimate:
     value: float
     upper: float
     verdict: str
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def embedding_constant_C(weights: WeightSequence, s: float, window: DualWindow) -> ConstantEstimate:

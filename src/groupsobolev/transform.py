@@ -25,9 +25,8 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,9 +50,9 @@ __all__ = [
 ]
 
 
-def e_norm(values, p: float = 2.0, axis: int = -1) -> np.ndarray:
-    """l^p norm of complex vectors along ``axis``; ``p`` may be inf."""
-    values = np.moveaxis(np.asarray(values), axis, -1)
+def e_norm(values, p: float = 2.0) -> np.ndarray:
+    """l^p norm of complex vectors along the last axis; ``p`` may be inf."""
+    values = np.asarray(values)
     total = None
     if p == 2.0:  # sum of re^2 + im^2: one contraction over the float view, no |a| temporary
         x = np.ascontiguousarray(values, complex if np.iscomplexobj(values) else float).view(float)
@@ -95,10 +94,9 @@ class FourierCoefficients:
     batch of B functions packed into one (B, K, m) array.
 
     ``packed`` holds K = sum of d^2 rows in the column order of the group's
-    ``packed_matrices``. ``blocks[label]`` and ``block(label)`` are (d, d, m) views
-    of it, (B, d, d, m) for a batch: entry [i, j] is the E-vector paired
-    with the matrix coefficient u_{i+1, j+1}. Labels missing from
-    ``blocks`` at construction are zero.
+    ``packed_matrices``. ``block(label)`` is a (d, d, m) view of it, (B, d, d, m)
+    for a batch: entry [i, j] is the E-vector paired with the matrix coefficient
+    u_{i+1, j+1}. Labels missing from ``blocks`` at construction are zero.
 
     ``packed`` is a read-only copy of the array passed in, so what is derived
     from it, such as the node samples and the E-norms, is computed once and kept (``memo``).
@@ -137,10 +135,6 @@ class FourierCoefficients:
             value.flags.writeable = False
         return value
 
-    @cached_property
-    def blocks(self) -> dict:
-        return {label: self.block(label) for label in self.window.labels}
-
     def block(self, label) -> np.ndarray:
         return self.window.block_view(self.packed, label)
 
@@ -164,13 +158,6 @@ class FourierCoefficients:
         return FourierCoefficients(self.window, self.m, p_E=self.p_E, packed=scalar * self.packed)
 
     __rmul__ = __mul__
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.packed).max())
-
-    def max_difference(self, other: "FourierCoefficients") -> float:
-        diff = self - other
-        return diff.max_abs()
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,28 +270,22 @@ def random_band_limited(
     seed: int | Sequence[int],
     group: GroupSpec,
     m: int,
-    amplitude: str | Callable[[Any, int], float] = "gaussian",
     p_E: float = 2.0,
 ) -> FourierCoefficients:
-    """Seeded random coefficients, one complex-Gaussian draw per entry.
+    """Seeded random coefficients, one standard complex-Gaussian draw per entry.
 
     ``seed`` is one seed, or a sequence of B ints, always read as the batch
-    (B, K, m) of their single draws. ``amplitude`` is "gaussian" (unit scale),
-    "zero", or a callable (label, dim) -> scale applied per block. Per seed,
-    the 2 K m normals are drawn at once and read label by label, each block
-    (d, d, m) in row-major order, its real parts first, then its imaginary ones.
+    (B, K, m) of their single draws. Per seed, the 2 K m normals are drawn at
+    once and read label by label, each block (d, d, m) in row-major order, its
+    real parts first, then its imaginary ones.
     """
     window = group.window
     seeds = list(seed) if np.ndim(seed) else [seed]
     draws = np.zeros((len(seeds), 2 * window.size, m))
-    if amplitude != "zero":
-        for row, s in zip(draws, seeds):
-            np.random.default_rng(s).standard_normal(out=row)
-    scales = [1.0 if amplitude in ("gaussian", "zero") else float(amplitude(l, d))
-              for l, d in zip(window.labels, window.dims)]
+    for row, s in zip(draws, seeds):
+        np.random.default_rng(s).standard_normal(out=row)
     real = window.row_major_position + window.entry_values(window.offsets[:-1]).astype(int)
-    draw = draws[:, real] + 1j * draws[:, real + window.entry_dims.astype(int) ** 2]
-    packed = window.entry_values(scales)[:, None] * draw
+    packed = draws[:, real] + 1j * draws[:, real + window.entry_dims.astype(int) ** 2]
     # C order: a batch's reductions then sum as each function's own do
     packed = np.ascontiguousarray(packed if np.ndim(seed) else packed[0])
     return FourierCoefficients(window, m, p_E=p_E, packed=packed)
@@ -331,13 +312,8 @@ def coefficients_to_json(coeffs: FourierCoefficients) -> dict:
         raise ValueError("a coefficient file holds one function, not a batch")
     blocks = {}
     for label in coeffs.window.labels:
-        arr = coeffs.block(label)
-        if not arr.any():
-            continue
-        blocks[label_key(label)] = [
-            [[[z.real, z.imag] for z in arr[i, j]] for j in range(arr.shape[1])]
-            for i in range(arr.shape[0])
-        ]
+        if (arr := coeffs.block(label)).any():  # [re, im] per entry
+            blocks[label_key(label)] = arr.view(float).reshape(*arr.shape, 2).tolist()
     return {
         "window": asdict(coeffs.window),
         "m": coeffs.m,

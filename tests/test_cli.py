@@ -359,6 +359,8 @@ def test_verify_invalid_config_exit_code(tmp_path):
         ("s_values", [10**400]),
         ("p_values", [math.inf]),
         ("p_values", [math.nan]),
+        ("formats", ["json", "xml"]),
+        ("groups", {"kind": "s3"}),
     ],
 )
 def test_verify_refuses_wrongly_typed_config_fields(tmp_path, capsys, field, value):
@@ -402,6 +404,41 @@ def test_an_unexpected_error_exits_3_with_its_traceback(tmp_path, capsys, monkey
     assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("Traceback") and "RuntimeError: run_suite crashed" in err
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"weights": [{"0": None}, "canonical"]}, "weight for 0 must be a finite number >= 0, got None"),
+        ({"weights": [dict.fromkeys("0123", True), "canonical"]}, "weight for 0 must be a finite number"),
+        ({"weights": [5, "canonical"]}, "invalid weight selection 5"),
+        ({"groups": [{"kind": "custom", "source": 5}]}, "source needs a mapping or its JSON file"),
+        ({"groups": [{"kind": "custom", "source": {"order": None}}]},
+         "'custom' group parameter 'order' needs an integer, got None"),
+        ({"groups": [{"kind": "custom", "source": {"order": 1, "mult_table": [[0]],
+                                                   "irreps": [{"label": "a", "dim": None}]}}]},
+         "'custom' group parameter 'dim' needs an integer, got None"),
+        ([SMALL_CONFIG], "must hold a JSON object"),
+    ],
+    ids=["null-weight", "bool-weight", "number-as-weights", "source-5", "null-order", "null-dim", "array"],
+)
+def test_verify_refuses_a_malformed_weight_table_group_or_config_file(tmp_path, capsys, document, message):
+    cfgpath = tmp_path / "config.json"
+    cfgpath.write_text(json.dumps({**SMALL_CONFIG, **document} if isinstance(document, dict) else document))
+    assert main(["verify", "--config", str(cfgpath), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()  # no traceback
+    assert line.startswith("error: ") and message in line
+    assert not (tmp_path / "o").exists()
+
+
+def test_norms_refuses_a_weight_table_value_that_is_not_a_number(tmp_path, capsys):
+    assert main(["spectra", "--group", "cyclic:4", "--out", str(tmp_path), "--quiet"]) == 0
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"0": 0.0, "1": "1.5", "2": 0.0, "3": 0.0}))
+    coefficients = str(tmp_path / "spectra_cyclic_4.json")
+    argv = ["norms", "--coefficients", coefficients, "--weights", str(weights), "--out", str(tmp_path)]
+    assert main([*argv, "--quiet"]) == 2
+    assert "weight for 1 must be a finite number >= 0, got '1.5'" in capsys.readouterr().err
 
 
 def test_verify_refuses_a_non_integer_circle_band(tmp_path, capsys):

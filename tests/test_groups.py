@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -150,7 +151,7 @@ def test_trivial_irrep_is_one(any_group):
 def test_identity_matrices(any_group):
     for label in any_group.window.labels:
         mat = gs.irrep_matrix(any_group, label, any_group.identity)
-        assert np.abs(mat - np.eye(any_group.dim_of(label))).max() <= 1e-12
+        assert np.abs(mat - np.eye(any_group.window.dim_of(label))).max() <= 1e-12
 
 
 def test_z4_character_values(z4):
@@ -164,15 +165,15 @@ def test_unitarity_on_random_elements(any_group):
     for label in any_group.window.labels:
         mats = any_group.irrep_matrices(label, els)
         gram = np.einsum("nij,nkj->nik", mats, mats.conj())
-        dev = np.abs(gram - np.eye(any_group.dim_of(label))).max()
+        dev = np.abs(gram - np.eye(any_group.window.dim_of(label))).max()
         assert dev <= 1e-10, (any_group.name, label, dev)
 
 
 def test_homomorphism_on_sampled_pairs(any_group):
     rng = np.random.default_rng(5)
     for _ in range(200):
-        x = any_group.random_element(rng)
-        y = any_group.random_element(rng)
+        x = any_group.random_elements(rng, 1)[0]
+        y = any_group.random_elements(rng, 1)[0]
         xy = any_group.multiply(x, y)
         for label in any_group.window.labels:
             lhs = gs.irrep_matrix(any_group, label, xy)
@@ -205,7 +206,7 @@ def test_s3_standard_characters(s3):
 
 def test_matrix_coefficient_identity_is_delta(su2_2):
     for label in su2_2.window.labels:
-        d = su2_2.dim_of(label)
+        d = su2_2.window.dim_of(label)
         for i in range(1, d + 1):
             for j in range(1, d + 1):
                 u = gs.matrix_coefficient(su2_2, label, i, j, su2_2.identity)
@@ -220,7 +221,7 @@ def test_matrix_coefficient_circle_convention(circle2):
 
 def test_matrix_coefficient_is_ji_entry(su2_2):
     rng = np.random.default_rng(2)
-    x = su2_2.random_element(rng)
+    x = su2_2.random_elements(rng, 1)[0]
     mat = gs.irrep_matrix(su2_2, 1.0, x)
     for i in range(1, 4):
         for j in range(1, 4):
@@ -254,7 +255,7 @@ def test_su2_element_matrix_invariants(su2_2):
 def test_su2_euler_extraction_round_trip(su2_2):
     rng = np.random.default_rng(17)
     for _ in range(500):
-        x = su2_2.random_element(rng)
+        x = su2_2.random_elements(rng, 1)[0]
         u = gs.su2_element_matrix(x)
         e = _su2_euler_from_matrix(u)
         assert np.abs(gs.su2_element_matrix(e) - u).max() <= 1e-12
@@ -271,7 +272,7 @@ def test_su2_euler_extraction_degenerate_cases():
 def test_su2_defining_representation(su2_1h):
     rng = np.random.default_rng(19)
     for _ in range(100):
-        x = su2_1h.random_element(rng)
+        x = su2_1h.random_elements(rng, 1)[0]
         dev = np.abs(gs.irrep_matrix(su2_1h, 0.5, x) - gs.su2_element_matrix(x)).max()
         assert dev <= 1e-12
 
@@ -279,7 +280,7 @@ def test_su2_defining_representation(su2_1h):
 def test_su2_multiply_matches_matrix_product(su2_2):
     rng = np.random.default_rng(23)
     for _ in range(200):
-        x, y = su2_2.random_element(rng), su2_2.random_element(rng)
+        x, y = su2_2.random_elements(rng, 1)[0], su2_2.random_elements(rng, 1)[0]
         lhs = gs.su2_element_matrix(su2_2.multiply(x, y))
         rhs = gs.su2_element_matrix(x) @ gs.su2_element_matrix(y)
         assert np.abs(lhs - rhs).max() <= 1e-12
@@ -369,6 +370,12 @@ def test_wigner_refuses_spin_above_the_limit():
 def test_wigner_refuses_a_spin_that_is_not_a_nonnegative_half_integer(spin):
     with pytest.raises(ValueError, match=f"spin {spin:g} is not a nonnegative multiple of 1/2"):
         gs.wigner_d_matrix(spin, [(0.3, 1.1, 2.0)])
+
+
+@pytest.mark.parametrize("eulers", [[0.1, 0.2], np.zeros((4, 2)), np.zeros((2, 4))])
+def test_wigner_refuses_elements_that_are_not_euler_triples(eulers):
+    with pytest.raises(ValueError, match="Euler triples"):
+        gs.wigner_d_matrix(1.0, eulers)
 
 
 def test_wigner_at_the_spin_limit_is_unitary():
@@ -606,6 +613,33 @@ def test_finite_groups_take_integral_floats_and_refuse_foreign_indices(s3):
             s3.multiply(x, y)
 
 
+@pytest.mark.parametrize(
+    "labels, dims, trivial, message",
+    [
+        ((0, 1, 1), (1, 1, 1), 0, "labels must be distinct"),
+        ((0, 1), (1, 1), 2, "trivial representation must be in the window"),
+        ((0, 1), (1,), 0, "labels and dims must be parallel"),
+    ],
+)
+def test_dual_window_refuses_an_inconsistent_description(labels, dims, trivial, message):
+    with pytest.raises(ValueError, match=message):
+        gs.DualWindow("cyclic", 1, labels, dims, trivial)
+
+
+@pytest.mark.parametrize(
+    "nodes, weights, message",
+    [
+        (np.arange(3), np.full(2, 0.5), "equal length"),
+        (np.arange(2), np.full((2, 1), 0.5), "equal length"),
+        (np.arange(2), np.array([1.5, -0.5]), "nonnegative"),
+        (np.arange(2), np.full(2, 0.4), "sum to 1"),
+    ],
+)
+def test_quadrature_rule_refuses_inconsistent_nodes_and_weights(nodes, weights, message):
+    with pytest.raises(ValueError, match=message):
+        gs.QuadratureRule(nodes, weights)
+
+
 def test_window_index_rejects_foreign_labels(su2_2):
     assert su2_2.window.index(1) == su2_2.window.index(1.0) == 1
     for label in (7.0, "x", [1.0]):
@@ -718,6 +752,36 @@ def test_custom_group_above_order_32_loads():
     g = gs.make_group("custom", source={"order": order, "mult_table": table, "irreps": irreps})
     assert g.window.size == order
     assert gs.orthogonality_selftest(g).passed
+
+
+def _relabel(data, index, label):
+    data["irreps"][index]["label"] = label
+    return data
+
+
+def _redim(data, dim):
+    return {**data, "irreps": [{**data["irreps"][0], "dim": dim}]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: {**data, "order": 0}, "order must be >= 1"),
+        (lambda data: {**data, "mult_table": [[0, 1, 2]] * 2}, "mult_table must be 3x3"),
+        (lambda data: {**data, "mult_table": [[0, 1, 3], [1, 2, 0], [2, 0, 1]]}, "must index elements"),
+        (lambda data: _redim(data, 2), "irrep 'chi1' needs 3 matrices of shape 2x2"),
+        (lambda data: _relabel(data, 1, "chi1"), "duplicate irrep label 'chi1'"),
+        (lambda data: _relabel(data, 0, "trivial"), "label 'trivial' is taken by a non-trivial irrep"),
+        (lambda data: 5, "source needs a mapping or its JSON file, got int"),
+        (lambda data: {**data, "order": "3"}, "'custom' group parameter 'order' needs an integer, got '3'"),
+        (lambda data: _redim(data, 1.5), "'custom' group parameter 'dim' needs an integer, got 1.5"),
+    ],
+    ids=["order-0", "table-shape", "table-entry", "matrix-shape", "duplicate", "trivial-taken",
+         "source", "order", "dim"],
+)
+def test_custom_group_refuses_a_malformed_description(edit, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gs.make_group("custom", source=edit(_z3_custom(include_trivial=False)))
 
 
 def test_custom_group_shape_errors():

@@ -511,10 +511,11 @@ def test_canonical_weights_dispatch(z12, circle16, su2_2, s3):
 
 
 def test_weights_from_table_validation(z4):
-    with pytest.raises(ValueError):
-        gs.weights_from_table({0: -1.0})
-    with pytest.raises(ValueError):
-        gs.weights_from_table({0: math.inf})
+    for bad in (-1.0, math.inf, math.nan, 10**400, None, True, "1.5", [1.0]):
+        message = f"weight for 0 must be a finite number >= 0, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gs.weights_from_table({1: 0.0, 0: bad, 2: 0.0, 3: 0.0}, z4.window)
+    assert gs.weights_from_table({0: 0, 1: np.float64(1.5), 2: 2, 3: 0.0}, z4.window).value(1) == 1.5
     with pytest.raises(ValueError, match="missing"):
         gs.weights_from_table({0: 0.0}, z4.window)
 
