@@ -28,7 +28,6 @@ from .transform import (
     coefficients_from_json,
     dump_json,
     load_coefficients,
-    node_samples,
     random_band_limited,
     s_p_norm,
     save_coefficients,
@@ -131,7 +130,7 @@ def cmd_spectra(args) -> int:
 def cmd_norms(args) -> int:
     cfg = _load_config(args)
     data = json.loads(Path(args.coefficients).read_text())
-    window = window_from_json(data["window"])
+    window = window_from_json(data)
     if window.kind == "custom" and not args.group:
         raise ValueError(
             "a custom group cannot be rebuilt from the coefficient file alone; "
@@ -157,8 +156,7 @@ def cmd_norms(args) -> int:
     rows = [row("s_p_norm", s_p_norm(coeffs, p), p=p) for p in cfg.p_values]
     for s in cfg.s_values:
         rows.append(row("h_s_norm", h_s_norm(coeffs, weights, s), s=s, weights=weights.name))
-    l2 = lebesgue_norm(node_samples(coeffs, group), group, coeffs.p_E, 2.0)
-    rows.append(row("l2_norm", l2, p=2.0))
+    rows.append(row("l2_norm", lebesgue_norm(coeffs, group, 2.0), p=2.0))
     extra, seed = cfg.sup_extra_samples, cfg.seed
     sup = probed_sup(coeffs, group, extra, seed)
     rows.append(row("sup_norm", sup, extra_samples=extra, seed=seed))

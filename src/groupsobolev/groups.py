@@ -658,9 +658,10 @@ def _make_custom(source) -> GroupSpec:
     order = int(_whole("custom", "order", data["order"]))
     if order < 1:
         raise ValueError("custom group: order must be >= 1")
-    table = np.asarray(data["mult_table"], dtype=int)
+    table = np.asarray(data["mult_table"], dtype=object)
     if table.shape != (order, order):
         raise ValueError(f"custom group: mult_table must be {order}x{order}")
+    table = np.array([_whole("custom", "mult_table", x) for x in table.flat], int).reshape(table.shape)
     if table.min() < 0 or table.max() >= order:
         raise ValueError("custom group: mult_table entries must index elements")
     ids = np.arange(order)
@@ -673,8 +674,13 @@ def _make_custom(source) -> GroupSpec:
         t = bad[0]
         raise ValueError(f"custom group: mult_table is not associative at ({i[t]}, {j[t]}, {k[t]})")
 
+    irreps, name = data.get("irreps", []), data.get("name", f"custom({order})")
+    if not (isinstance(irreps, (list, tuple)) and all(isinstance(x, Mapping) for x in irreps)):
+        raise ValueError(f"custom group: irreps needs a list of objects, got {irreps!r}")
+    if not isinstance(name, str):
+        raise ValueError(f"custom group: name needs a string, got {name!r}")
     tables: dict[str, np.ndarray] = {}
-    for spec in data.get("irreps", []):
+    for spec in irreps:
         label = str(spec["label"])
         dim = int(_whole("custom", "dim", spec["dim"]))
         raw = np.asarray(spec["matrices"], dtype=float)
@@ -720,7 +726,7 @@ def _make_custom(source) -> GroupSpec:
 
     group = _finite_group(
         "custom",
-        str(data.get("name", f"custom({order})")),
+        name,
         table,
         tables,
         band=len(tables) - 1,

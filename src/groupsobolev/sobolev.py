@@ -152,32 +152,27 @@ def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> 
     return _per_function(norm)
 
 
-def lebesgue_norm(samples, group: GroupSpec, p_E: float, p: float) -> float | np.ndarray:
-    """Quadrature Lebesgue norm (sum_k w_k |f(x_k)|_E^p)^(1/p), finite p, of
-    node samples (n, m); one value per function of a batch (B, n, m).
-
-    Exact only up to quadrature error when |f|^p is not band-limited; a
-    ValueError when the sum of |f|^p overflows a float.
-    """
-    if not p_E >= 1:
-        raise ValueError(f"target exponent p_E must be >= 1, got {p_E!r}")
-    return _lebesgue(e_norm(samples, p_E), group, p)
+def lebesgue_norm(coeffs: FourierCoefficients, group: GroupSpec, p: float) -> float | np.ndarray:
+    """Quadrature Lebesgue norm (sum_k w_k |f(x_k)|_E^p)^(1/p), finite p, over the nodes; one
+    value per function of a batch, kept on ``coeffs`` per (group, p). Exact only up to quadrature
+    error when |f|^p is not band-limited; a ValueError when the norm overflows a float."""
+    return _per_function(coeffs.memo(("lebesgue_norm", group, p), lambda: _lebesgue(
+        _node_norms(coeffs, group), group, p)))
 
 
 def _lebesgue(norms: np.ndarray, group: GroupSpec, p: float) -> float | np.ndarray:
-    """``lebesgue_norm`` from the E-norms |f(x_k)|_E at the nodes, (n,) or (B, n)."""
+    """The L^p norm from the E-norms |f(x_k)|_E at the nodes, (n,) or (B, n)."""
     if not (p >= 1 and math.isfinite(p)):
         raise ValueError(f"Lebesgue norm requires finite p >= 1, got {p}")
-    with np.errstate(over="ignore"):  # refused below
-        total = (group.quadrature.weights * norms**p).sum(axis=-1)
-    if not np.isfinite(total).all():
-        raise ValueError(f"the L^p norm at p={p:g} overflows on {group.name}: |f|^p is not finite")
-    return _pth_root(total, p)
+    norm = _pth_root(norms, p, group.quadrature.weights)
+    if not np.isfinite(norm).all():
+        raise ValueError(f"the L^p norm at p={p:g} overflows on {group.name}")
+    return norm
 
 
 def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
-    """``lebesgue_norm`` of ``f``'s node samples."""
-    return lebesgue_norm(f.sample(group), group, f.p_E, p)
+    """The L^p norm of ``f``'s node samples, as ``lebesgue_norm`` computes it."""
+    return _lebesgue(e_norm(f.sample(group), f.p_E), group, p)
 
 
 _PROBE_SLICE = 256  # Haar elements per synthesis of the sup probe

@@ -62,25 +62,24 @@ def e_norm(values, p: float = 2.0) -> np.ndarray:
             low.any() and x.reshape(low.size, -1).compress(low, axis=0).any()
         ):
             return np.sqrt(total)
+    a = np.abs(values)
     if math.isinf(p):
-        return np.abs(values).max(axis=-1)
-    total, scale = _power_sum(np.abs(values), p, total)
-    with np.errstate(over="ignore"):  # a norm above every float is inf
+        return a.max(axis=-1)
+    with np.errstate(over="ignore"):  # a sum or a norm above every float is inf
+        total, scale = _power_sum(a, p, (a**p).sum(axis=-1) if total is None else total)
         return scale * total ** (1.0 / p)
 
 
-def _power_sum(a, p, total=None):
-    """(sum (a/M)^p over the last axis of moduli ``a``, M): M = max a where 0 < M < inf and the
-    plain sum (``total``, if given) is not finite or below the smallest normal float, else 1, so a
-    sum that computes keeps its bits and an inf or nan entry stays. ``p``: float or (..., 1)."""
-    if total is None:
-        with np.errstate(over="ignore"):
-            total = (a**p).sum(axis=-1)
+def _power_sum(a, p, total, weights=1.0):
+    """(sum w (a/M)^p over the last axis of moduli ``a``, weights ``w`` along it, M) from the plain
+    sum ``total`` (inf where it overflows): M = max a where 0 < M < inf and ``total`` is not finite
+    or below the smallest normal float, else 1, so a sum that computes keeps its bits and an inf or
+    nan entry stays. ``p``: float or (..., 1)."""
     top = a.max(axis=-1, initial=0.0)
     scaled = (~np.isfinite(total) | (total < np.finfo(float).tiny)) & (0 < top) & (top < np.inf)
     if scaled.any():  # only the scaled rows are raised to p again
         total, p_at = np.array(total, float), p if np.ndim(p) == 0 else p[scaled]
-        total[scaled] = ((a[scaled] / top[scaled, None]) ** p_at).sum(axis=-1)
+        total[scaled] = (weights * (a[scaled] / top[scaled, None]) ** p_at).sum(axis=-1)
     return total, np.where(scaled, top, 1.0)
 
 
@@ -240,17 +239,24 @@ def _per_function(values) -> float | np.ndarray:
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _pth_root(total, p: float) -> float | np.ndarray:
-    """total ** (1/p) per function through the scalar power: numpy's array
-    power can differ from it in the last bit, and a batch must not."""
-    roots = [t ** (1.0 / p) for t in np.ravel(total).tolist()]
-    return _per_function(np.reshape(roots, np.shape(total)))
+def _pth_root(a, p, weights=1.0) -> float | np.ndarray:
+    """(sum w a^p)^(1/p) per row as ``_power_sum`` has it, the sum scaled only if a row needs it,
+    and each root by the scalar power: numpy's array power can differ from it in the last bit,
+    and a batch must not. A float for one row."""
+    with np.errstate(over="ignore"):  # a sum above every float is inf
+        total = (weights * a**p).sum(axis=-1)
+        totals, scales = total.ravel().tolist(), [1.0] * total.size
+        if not all(2.0**-1022 <= t < math.inf for t in totals):  # a sum not normal and finite
+            totals, scales = (v.ravel().tolist() for v in _power_sum(a, p, total, weights))
+    ps = p.ravel().tolist() if isinstance(p, np.ndarray) else [p] * total.size
+    roots = [m * t ** (1.0 / q) for t, m, q in zip(totals, scales, ps)]
+    return roots[0] if total.ndim == 0 else np.reshape(roots, total.shape)
 
 
 def weighted_spectral_norm(coeffs: FourierCoefficients, entry_weights, p: float):
     """(sum_c entry_weights[c] * |P[c]|_E^p)^(1/p) over the packed rows P;
     one value per function of a batch."""
-    return _pth_root((entry_weights * _entry_norms(coeffs) ** p).sum(axis=-1), p)
+    return _pth_root(_entry_norms(coeffs), p, entry_weights)
 
 
 def s_p_norm(coeffs: FourierCoefficients, p: float) -> float | np.ndarray:
@@ -295,14 +301,23 @@ def random_band_limited(
 # serialization
 
 
+def _json_field(data, key: str, kind=dict):
+    """``data[key]``, a ``kind`` (dict or (list, tuple)), else a ValueError naming ``key``."""
+    if not isinstance(value := data.get(key) if isinstance(data, dict) else None, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ValueError(f"coefficient file field {key!r} needs {what}, got {value!r}")
+    return value
+
+
 def window_from_json(data: dict) -> DualWindow:
+    window = _json_field(data, "window")
     return DualWindow(
-        kind=data["kind"],
-        band=data["band"],
-        labels=tuple(data["labels"]),
-        dims=tuple(int(d) for d in data["dims"]),
-        trivial=data["trivial"],
-        half_integers=bool(data.get("half_integers", False)),
+        kind=window["kind"],
+        band=window["band"],
+        labels=tuple(_json_field(window, "labels", (list, tuple))),
+        dims=tuple(int(d) for d in _json_field(window, "dims", (list, tuple))),
+        trivial=window["trivial"],
+        half_integers=bool(window.get("half_integers", False)),
     )
 
 
@@ -323,7 +338,7 @@ def coefficients_to_json(coeffs: FourierCoefficients) -> dict:
 
 
 def coefficients_from_json(data: dict, group: GroupSpec) -> FourierCoefficients:
-    window = window_from_json(data["window"])
+    window = window_from_json(data)
     if window != group.window:
         raise ValueError("coefficient file window does not match the group")
     m, p_E = data["m"], data.get("p_E", 2.0)
@@ -334,7 +349,7 @@ def coefficients_from_json(data: dict, group: GroupSpec) -> FourierCoefficients:
     p_E = math.inf if p_E == "inf" else float(p_E)
     by_key = {label_key(l): l for l in group.window.labels}
     blocks = {}
-    for key, nested in data["blocks"].items():
+    for key, nested in _json_field(data, "blocks").items():
         if key not in by_key:
             raise ValueError(f"coefficient file has unknown block key {key!r}")
         raw = np.asarray(nested, dtype=float)

@@ -40,18 +40,17 @@ from .config import DEFAULT_CONFIG, RunConfig, resolve_weights
 from .groups import GroupSpec, make_group
 from .sobolev import (
     WeightSequence,
-    _lebesgue,
     embedding_constant_C,
     exponents,
     h_s_norm,
+    lebesgue_norm,
     lq_bound_constant,
     probed_sup,
 )
 from .transform import (
     FourierCoefficients,
     _entry_norms,
-    _node_norms,
-    _power_sum,
+    _pth_root,
     e_norm,
     label_key,
     random_band_limited,
@@ -310,14 +309,8 @@ def _vector_norms(vecs: list, ps: list) -> np.ndarray:
         a, top, two, power = np.abs(x), np.isinf(p), p == 2.0, np.isfinite(p) & (p != 2.0)
         out[at[top]] = a[top].max(axis=-1)
         out[at[two]] = e_norm(x[two])
-        totals, scales = (v.tolist() for v in _power_sum(a[power], p[power, None]))
-        out[at[power]] = [m * t ** (1.0 / q) for t, m, q in zip(totals, scales, p[power].tolist())]
+        out[at[power]] = _pth_root(a[power], p[power, None])
     return out
-
-
-def _lp(coeffs: FourierCoefficients, group: GroupSpec, p: float) -> np.ndarray:
-    """The L^p norm on ``group``'s nodes, computed once per (group, p) and kept on ``coeffs``."""
-    return coeffs.memo(("lp", group, p), lambda: _lebesgue(_node_norms(coeffs, group), group, p))
 
 
 def _hilbert_factor(coeffs: FourierCoefficients) -> float:
@@ -421,7 +414,7 @@ def check_l2_embedding(
 ) -> RecordTable:
     """Quadrature L2 norm of the synthesized function <= K |f|_(H^s)."""
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
-    lhs = _lp(coeffs, group, 2.0)
+    lhs = lebesgue_norm(coeffs, group, 2.0)
     rhs = _hilbert_factor(coeffs) * h_s_norm(coeffs, weights, s)
     tol = QUADRATURE_TOL * (1.0 + rhs)
     return _table("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
@@ -469,7 +462,7 @@ def check_hausdorff_young(
         raise ValueError(f"need 1 < alpha < 2, got {alpha}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     alpha_prime = alpha / (alpha - 1.0)
-    lhs = _lp(coeffs, group, alpha_prime)
+    lhs = lebesgue_norm(coeffs, group, alpha_prime)
     rhs = _hilbert_factor(coeffs) * s_p_norm(coeffs, alpha)
     tol = LEBESGUE_TOL * (1.0 + rhs)
     extra = {"alpha": alpha, "alpha_prime": alpha_prime}
@@ -498,7 +491,7 @@ def check_lq_embedding(
     bound = lq_bound_constant(weights, t, s, group.window)
     verdict = embedding_constant_C(weights, t, group.window).verdict
     norm = h_s_norm(coeffs, weights, s)
-    lhs_lp = _lp(coeffs, group, params.alpha_prime)
+    lhs_lp = lebesgue_norm(coeffs, group, params.alpha_prime)
     lhs_chain = s_p_norm(coeffs, params.alpha)
     extra = {"s": s, "t": t, "alpha": params.alpha, "alpha_prime": params.alpha_prime,
              "constant": bound, "constant_verdict": verdict}

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from collections import Counter
@@ -371,11 +372,7 @@ def test_verify_refuses_wrongly_typed_config_fields(tmp_path, capsys, field, val
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "overrides, message",
-    [({"s_values": [400.0]}, "s=400"), ({"st_pairs": [[1.0, 1.01]]}, "p=202")],
-    ids=["sobolev-weight", "lebesgue-power"],
-)
+@pytest.mark.parametrize("overrides, message", [({"s_values": [400.0]}, "s=400")], ids=["sobolev-weight"])
 def test_verify_refuses_an_overflowing_norm(tmp_path, capsys, overrides, message):
     # an inf lhs would fake a failure and an inf rhs a pass; neither is written
     cfgpath = tmp_path / "config.json"
@@ -384,6 +381,20 @@ def test_verify_refuses_an_overflowing_norm(tmp_path, capsys, overrides, message
     (line,) = capsys.readouterr().err.splitlines()  # no numpy RuntimeWarning before it
     assert line.startswith("error: ") and message in line
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_reaches_a_verdict_on_an_l202_norm(tmp_path, capsys):
+    # alpha' = 202 at (s, t) = (1, 1.01): |f|^202 is past the largest float, but the norm is not
+    cfgpath = tmp_path / "config.json"
+    cfgpath.write_text(json.dumps({"st_pairs": [[1.0, 1.01]], "batch_size": 2}))
+    argv = ["verify", "--config", str(cfgpath), "--quiet"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "t"), "--tamper"]) == 1
+    assert capsys.readouterr().err == ""
+    records = list(csv.DictReader((tmp_path / "o" / "verification_report.csv").open()))
+    lq = [float(r["lhs"]) for r in records if r["name"] == "lq_embedding"]
+    assert len(lq) == 2 * 4 and all(0.0 < value < math.inf for value in lq)
 
 
 @pytest.mark.parametrize("pair", [[1.0, 1e300], [1e-300, 1.0]])
@@ -418,9 +429,18 @@ def test_an_unexpected_error_exits_3_with_its_traceback(tmp_path, capsys, monkey
         ({"groups": [{"kind": "custom", "source": {"order": 1, "mult_table": [[0]],
                                                    "irreps": [{"label": "a", "dim": None}]}}]},
          "'custom' group parameter 'dim' needs an integer, got None"),
+        ({"groups": [{"kind": "custom", "source": {"order": 2, "mult_table": [[None, 1], [1, 0]]}}]},
+         "'custom' group parameter 'mult_table' needs an integer, got None"),
+        ({"groups": [{"kind": "custom", "source": {"order": 1, "mult_table": [[0]], "irreps": [5]}}]},
+         "custom group: irreps needs a list of objects, got [5]"),
+        ({"groups": [{"kind": "custom", "source": {"order": 1, "mult_table": [[0]], "irreps": 5}}]},
+         "custom group: irreps needs a list of objects, got 5"),
+        ({"groups": [{"kind": "custom", "source": {"order": 1, "mult_table": [[0]], "name": 7}}]},
+         "custom group: name needs a string, got 7"),
         ([SMALL_CONFIG], "must hold a JSON object"),
     ],
-    ids=["null-weight", "bool-weight", "number-as-weights", "source-5", "null-order", "null-dim", "array"],
+    ids=["null-weight", "bool-weight", "number-as-weights", "source-5", "null-order", "null-dim",
+         "null-table-entry", "irrep-not-an-object", "irreps-not-a-list", "name-not-a-string", "array"],
 )
 def test_verify_refuses_a_malformed_weight_table_group_or_config_file(tmp_path, capsys, document, message):
     cfgpath = tmp_path / "config.json"
@@ -439,6 +459,28 @@ def test_norms_refuses_a_weight_table_value_that_is_not_a_number(tmp_path, capsy
     argv = ["norms", "--coefficients", coefficients, "--weights", str(weights), "--out", str(tmp_path)]
     assert main([*argv, "--quiet"]) == 2
     assert "weight for 1 must be a finite number >= 0, got '1.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: {**data, "window": {**data["window"], "labels": 5}},
+         "coefficient file field 'labels' needs a list, got 5"),
+        (lambda data: {**data, "window": {**data["window"], "dims": None}},
+         "coefficient file field 'dims' needs a list, got None"),
+        (lambda data: {**data, "blocks": [1]}, "coefficient file field 'blocks' needs an object, got [1]"),
+        (lambda data: {**data, "window": 5}, "coefficient file field 'window' needs an object, got 5"),
+        (lambda data: [data], "coefficient file field 'window' needs an object, got None"),
+    ],
+    ids=["labels-5", "dims-null", "blocks-list", "window-5", "array"],
+)
+def test_norms_refuses_a_malformed_coefficient_file(tmp_path, capsys, edit, message):
+    assert main(["spectra", "--group", "cyclic:4", "--out", str(tmp_path), "--quiet"]) == 0
+    path = tmp_path / "spectra_cyclic_4.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert main(["norms", "--coefficients", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()  # no traceback
+    assert line.startswith("error: ") and message in line
 
 
 def test_verify_refuses_a_non_integer_circle_band(tmp_path, capsys):

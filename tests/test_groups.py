@@ -503,7 +503,7 @@ def _l4_gap(coarse_spec, fine_spec) -> float:
     for seed in range(3):
         c = gs.random_band_limited(seed, coarse, m=2)
         padded = gs.FourierCoefficients(fine.window, 2, {l: c.block(l) for l in coarse.window.labels})
-        a, b = (gs.lebesgue_norm(gs.node_samples(x, g), g, 2.0, 4.0) for x, g in ((c, coarse), (padded, fine)))
+        a, b = (gs.lebesgue_norm(x, g, 4.0) for x, g in ((c, coarse), (padded, fine)))
         gaps.append(abs(a - b) / b)
     return max(gaps)
 

@@ -156,17 +156,89 @@ def test_l_p_norm_unimodular_character(circle16):
 def test_l_p_norm_matches_plancherel(su2_2):
     for seed in range(5):
         coeffs = gs.random_band_limited(seed, su2_2, m=3)
-        l2 = gs.lebesgue_norm(gs.node_samples(coeffs, su2_2), su2_2, coeffs.p_E, 2.0)
+        l2 = gs.lebesgue_norm(coeffs, su2_2, 2.0)
         assert abs(l2 - gs.s_p_norm(coeffs, 2.0)) <= 1e-9 * (1.0 + l2)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_lebesgue_norm_refuses_an_overflowing_power_sum(su2_2, constant):
-    # |f| = 52.7 everywhere: its L^202 norm is 52.7, but 52.7^202 is past the largest float
-    samples = gs.node_samples(constant(su2_2, [52.7]), su2_2)
-    assert abs(gs.lebesgue_norm(samples, su2_2, 2.0, 150.0) - 52.7) <= 1e-12 * 52.7
-    with pytest.raises(ValueError, match=r"p=202 overflows on su2\(2\)"):
-        gs.lebesgue_norm(samples, su2_2, 2.0, 202.0)
+def test_lebesgue_norm_scales_a_power_sum_past_the_float_range(su2_2, constant):
+    # |f| = 52.7 everywhere: its L^202 norm is 52.7, though 52.7^202 is past the largest float,
+    # and |f| = 1e-3 gives 1e-3 at p = 300, though 1e-900 is below the smallest
+    for value, p in ((52.7, 150.0), (52.7, 202.0), (1e-3, 300.0)):
+        assert abs(gs.lebesgue_norm(constant(su2_2, [value]), su2_2, p) - value) <= 1e-12 * value
+
+
+def test_lebesgue_norm_refuses_a_norm_that_overflows(circle2):
+    # the samples of 1e308 in blocks 0 and 1 overflow, and so does every L^p norm of them
+    big = np.full((1, 1, 1), 1e308)
+    coeffs = gs.FourierCoefficients(circle2.window, 1, {0: big, 1: big})
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"p=3 overflows on circle\(2\)"):
+        gs.lebesgue_norm(coeffs, circle2, 3.0)
+
+
+def scaled_fsum_norm(moduli, p, weights=None) -> float:
+    """Independent oracle: M (fsum w (a/M)^p)^(1/p) with M = max a, 0 for an all-zero vector."""
+    top = max(moduli)
+    if top == 0.0:
+        return 0.0
+    weights = [1.0] * len(moduli) if weights is None else weights
+    return top * math.fsum(w * (a / top) ** p for a, w in zip(moduli, weights)) ** (1.0 / p)
+
+
+def assert_close(got, want, rel):
+    """|got - want| <= rel * want entrywise; ``rel`` is one bound or one per entry."""
+    rel = np.broadcast_to(rel, np.shape(want)).ravel().tolist()
+    for g, w, r in zip(np.ravel(got).tolist(), np.ravel(want).tolist(), rel):
+        assert abs(g - w) <= r * w, (g, w)
+
+
+#: exponents over [1, 1e308], by value, by decade and at 2
+EXPONENTS = st.one_of(st.just(2.0), st.floats(1.0, 1e308), st.floats(0.0, 308.0).map(lambda e: 10.0**e))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(["z4", "s3", "circle2", "su2_1"]),
+    shape=st.tuples(st.integers(1, 2), st.integers(1, 3)),
+    decades=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    p=EXPONENTS,
+    p_E=EXPONENTS,
+    s=st.floats(0.0, 3.0),
+)
+def test_norms_match_a_scaled_fsum_over_the_float_range(
+    z4, s3, circle2, su2_1, name, shape, decades, zeros, seed, p, p_E, s
+):
+    # moduli spread log-uniformly over the decades, some entries zero: every plain power sum
+    # here may underflow or overflow, and each norm must still match the oracle
+    group, (batch, m) = {"z4": z4, "s3": s3, "circle2": circle2, "su2_1": su2_1}[name], shape
+    rng = np.random.default_rng(seed)
+    size = (batch, group.window.size, m)
+    values = 10.0 ** rng.uniform(min(decades), max(decades), size) * np.exp(2j * np.pi * rng.random(size))
+    if zeros:
+        values[rng.random(size) < 0.3] = 0.0
+    coeffs = gs.FourierCoefficients(group.window, m, p_E=p_E, packed=values)
+
+    def e_norms(rows):
+        return [scaled_fsum_norm(row, p_E) for row in np.abs(rows).reshape(-1, m).tolist()]
+
+    entries = np.reshape(e_norms(values), (batch, -1))
+    # e_norm keeps the plain root t^(1/p_E) wherever the sum computes, so that reports keep their
+    # bits; rounding 1/p_E moves it by up to 2^-53 |ln t| / p_E <= 2^-53 (|ln max a| + ln m)
+    tops = np.abs(values).max(axis=-1)
+    plain = 2.0**-53 * (np.abs(np.log(np.where(tops > 0.0, tops, 1.0))) + math.log(m))
+    assert_close(gs.e_norm(values, p_E), entries, 1e-14 + plain)
+    dims = group.window.entry_dims.tolist()
+    assert_close(gs.s_p_norm(coeffs, p), [scaled_fsum_norm(e, p, dims) for e in entries.tolist()], 1e-12)
+    weights = gs.canonical_weights(group).sobolev_entries(group.window, s).tolist()
+    want = [scaled_fsum_norm(e, 2.0, weights) for e in entries.tolist()]
+    assert_close(gs.h_s_norm(coeffs, gs.canonical_weights(group), s), want, 1e-12)
+    nodes = np.reshape(e_norms(gs.node_samples(coeffs, group)), (batch, -1)).tolist()
+    quadrature = group.quadrature.weights.tolist()
+    want = [scaled_fsum_norm(row, p, quadrature) for row in nodes]
+    assert_close(gs.lebesgue_norm(coeffs, group, p), want, 1e-12)
 
 
 def test_l_p_norm_rejects_bad_p(z4):
@@ -188,8 +260,10 @@ def test_exponent_guards_refuse_bad_values(norm, bad):
     group = gs.make_group("circle", band=4)
     coeffs, weights = gs.random_band_limited(1, group, m=2), gs.canonical_weights(group)
     call = {
-        "lebesgue_norm": lambda: gs.lebesgue_norm(gs.node_samples(coeffs, group), group, 2.0, bad),
-        "lebesgue_norm_target": lambda: gs.lebesgue_norm(gs.node_samples(coeffs, group), group, bad, 2.0),
+        "lebesgue_norm": lambda: gs.lebesgue_norm(coeffs, group, bad),
+        # the coefficients refuse the target exponent p_E that the norm would read
+        "lebesgue_norm_target": lambda: gs.lebesgue_norm(
+            gs.FourierCoefficients(group.window, 2, p_E=bad, packed=coeffs.packed), group, 2.0),
         "s_p_norm": lambda: gs.s_p_norm(coeffs, bad),
         "h_s_norm": lambda: gs.h_s_norm(coeffs, weights, bad),
         "embedding_constant_C": lambda: gs.embedding_constant_C(weights, bad, group.window),

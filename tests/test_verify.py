@@ -509,18 +509,18 @@ def test_default_shaped_run_computes_each_norm_once(monkeypatch):
     Lebesgue lhs per exponent: the H^s norm is computed once per (group, s),
     20 times and not 84, and the L^p norm once per (group, p), 20 times and not 40."""
     h_s, lebesgue = [], []
-    sobolev_entries, lebesgue_norm = gs.WeightSequence.sobolev_entries, verify._lebesgue
+    sobolev_entries, lebesgue_norm = gs.WeightSequence.sobolev_entries, sobolev._lebesgue
 
     def counting_sobolev_entries(weights, window, s):  # read once per H^s computation
         h_s.append((window, s))
         return sobolev_entries(weights, window, s)
 
-    def counting_lebesgue(norms, group, p):
+    def counting_lebesgue(norms, group, p):  # called once per L^p computation
         lebesgue.append((group.name, p))
         return lebesgue_norm(norms, group, p)
 
     monkeypatch.setattr(gs.WeightSequence, "sobolev_entries", counting_sobolev_entries)
-    monkeypatch.setattr(verify, "_lebesgue", counting_lebesgue)
+    monkeypatch.setattr(sobolev, "_lebesgue", counting_lebesgue)
     cfg = RunConfig()
     report = gs.run_suite({**gs.DEFAULT_CONFIG, "batch_size": 20, "vector_checks": 0})
     groups = [gs.make_group(dict(spec)) for spec in cfg.groups]
