@@ -13,7 +13,9 @@ It holds every run, and per workload and end-to-end metric each side's
 median and quartiles, the pairs the change wins by the metric's ``better``
 direction (ties count for neither) and the pairs run. A run that fails, or
 reports an incorrect operation, stops the script with exit code 1 before
-anything is written.
+anything is written. A tree that holds ``src/groupsobolev/__pycache__`` is refused
+before any run (exit code 2): the benchmark runs with ``PYTHONDONTWRITEBYTECODE=1``,
+so a stray bytecode cache skips compiling the package and lowers that tree's ``setup_s``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="BENCH_*.json file to update")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        if (tree / "src" / "groupsobolev" / "__pycache__").exists():
+            print(f"error: {tree} holds src/groupsobolev/__pycache__; remove it, since the "
+                  "benchmark compiles the package afresh in every run", file=sys.stderr)
+            return 2
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
     workloads = [w["name"] for w in declared["workloads"]]

@@ -166,6 +166,9 @@ class DualWindow:
         if len(self.dims) != len(self.labels):
             raise ValueError("labels and dims must be parallel")
 
+    def __hash__(self) -> int:  # O(1), and no state to pickle: equal windows agree in any process
+        return hash((self.kind, self.band, len(self.labels)))
+
     @cached_property
     def _positions(self) -> dict:
         return {label: i for i, label in enumerate(self.labels)}

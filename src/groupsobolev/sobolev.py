@@ -72,19 +72,22 @@ class WeightSequence:
             return []
         return [l for l in window.labels if l not in self.table]
 
-    def sobolev_entries(self, window: DualWindow, s: float) -> np.ndarray:
-        """d * (1 + w^2)^s per packed entry of ``window``, cached per (window, s)."""
-        vec = self._sobolev_entries.get((window, s))
-        if vec is None:
-            missing = self.missing(window)
-            if missing:
+    def sobolev_entries(self, window: DualWindow, s: float) -> tuple[np.ndarray, float]:
+        """(d (1 + w^2)^s / M per packed entry of ``window``, sqrt M), cached per (window, s):
+        M is the largest (1 + w^2)^s where one overflows a float, else 1."""
+        out = self._sobolev_entries.get((window, s))
+        if out is None:
+            if missing := self.missing(window):
                 raise KeyError(f"no weight defined for window labels {missing}")
-            w = np.array([self.value(l) for l in window.labels])
-            with np.errstate(over="ignore"):  # h_s_norm refuses the inf
-                vec = window.entry_dims * window.entry_values((1.0 + w * w) ** s)
+            base = 1.0 + np.array([self.value(l) for l in window.labels]) ** 2
+            with np.errstate(over="ignore"):  # h_s_norm refuses an inf sqrt M
+                power, root = base**s, 1.0
+                if not power.max() < np.inf:
+                    power, root = (base / base.max()) ** s, float(base.max() ** (s / 2))
+            vec = window.entry_dims * window.entry_values(power)
             vec.flags.writeable = False
-            self._sobolev_entries[(window, s)] = vec
-        return vec
+            out = self._sobolev_entries[(window, s)] = vec, root
+        return out
 
 
 def _zero(label) -> float:
@@ -139,13 +142,17 @@ def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> 
     one value per function of a batch, as a read-only array computed once
     per (weights, s) and kept on ``coeffs``.
 
-    Reduces bit-for-bit to the p = 2 spectral norm at s = 0. A norm that
-    overflows a float, as the weights do at large s, is a ValueError.
+    Reduces bit-for-bit to the p = 2 spectral norm at s = 0. Weights that overflow a float are
+    scaled (``sobolev_entries``); a norm that overflows is a ValueError.
     """
     if not s >= 0:
         raise ValueError(f"Sobolev order s must be >= 0, got {s}")
-    norm = coeffs.memo(("h_s_norm", weights, s), lambda: weighted_spectral_norm(
-        coeffs, weights.sobolev_entries(coeffs.window, s), 2.0))
+
+    def compute():
+        entries, root = weights.sobolev_entries(coeffs.window, s)
+        return root * weighted_spectral_norm(coeffs, entries, 2.0)
+
+    norm = coeffs.memo(("h_s_norm", weights, s), compute)
     if not np.isfinite(norm).all():
         raise ValueError(f"the order s={s:g} Sobolev norm overflows on the {coeffs.window.kind} "
                          f"window of band {coeffs.window.band}")

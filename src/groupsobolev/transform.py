@@ -121,7 +121,7 @@ class FourierCoefficients:
             raise ValueError(f"packed coefficients must have shape (K, m) = ({window.size}, {m})")
         elif packed.ndim > 3:
             raise ValueError("packed coefficients hold one function (K, m) or a batch (B, K, m)")
-        if not np.isfinite(packed).all():
+        if not np.isfinite(packed.ravel().view(float)).all():  # one pass over re and im
             raise ValueError("Fourier coefficients must be finite")
         packed.flags.writeable = False
         self.window, self.m, self.p_E, self.packed = window, m, p_E, packed
@@ -173,7 +173,7 @@ class VectorFunction:
             arr = arr[:, None]
         if arr.ndim != 2:
             raise ValueError("samples must have shape (nodes, m)")
-        if not np.isfinite(arr).all():
+        if not np.isfinite(arr.ravel().view(float)).all():  # one pass over re and im
             raise ValueError("function samples must be finite")
         if not self.p_E >= 1:
             raise ValueError(f"p_E must be >= 1, got {self.p_E!r}")
@@ -245,6 +245,8 @@ def _pth_root(a, p, weights=1.0) -> float | np.ndarray:
     and a batch must not. A float for one row."""
     with np.errstate(over="ignore"):  # a sum above every float is inf
         total = (weights * a**p).sum(axis=-1)
+        if total.ndim == 0 and 2.0**-1022 <= total < math.inf:  # one row that needs no scaling
+            return float(total) ** (1.0 / p)
         totals, scales = total.ravel().tolist(), [1.0] * total.size
         if not all(2.0**-1022 <= t < math.inf for t in totals):  # a sum not normal and finite
             totals, scales = (v.ravel().tolist() for v in _power_sum(a, p, total, weights))

@@ -286,10 +286,11 @@ def _int_seeds(seeds) -> list:
 
 def _fan_out(shape: tuple, **values) -> list:
     """Each keyword's value as a list of one entry per function or vector:
-    for a batch, ``shape`` (n,), a sequence of n entries or one value that
-    all share; one function or vector, ``shape`` (), is a batch of one."""
+    for a batch, ``shape`` (n,), n entries in a list, tuple, range or ndarray of ndim >= 1,
+    or one value that all share; one function or vector, ``shape`` (), is a batch of one."""
     (n,) = shape or (1,)
-    out = [[v] * n if np.ndim(v) == 0 else list(v) for v in values.values()]
+    out = [list(v) if isinstance(v, (list, tuple, range)) or isinstance(v, np.ndarray) and v.ndim
+           else [v] * n for v in values.values()]
     if any(len(v) != n for v in out):
         raise ValueError(f"a batch of {n} needs " + " and ".join(f"{n} {k}s" for k in values))
     return out
@@ -311,6 +312,23 @@ def _vector_norms(vecs: list, ps: list) -> np.ndarray:
         out[at[two]] = e_norm(x[two])
         out[at[power]] = _pth_root(a[power], p[power, None])
     return out
+
+
+def _block_norms(entry_norms: np.ndarray, window, p: float) -> np.ndarray:
+    """(sum |C|_E^p)^(1/p) per block of ``window``, (B, labels), from the (B, K) entry norms; only a
+    block whose plain sum is not finite or normal is scaled by its largest modulus, as a row is."""
+    starts = window.offsets[:-1]
+    if math.isinf(p):
+        return np.maximum.reduceat(entry_norms, starts, axis=-1)
+    with np.errstate(over="ignore"):  # a sum above every float is scaled
+        total = np.add.reduceat(entry_norms**p, starts, axis=-1)
+    if (plain := (np.finfo(float).tiny <= total) & (total < np.inf)).all():
+        return total ** (1.0 / p)
+    top = np.maximum.reduceat(entry_norms, starts, axis=-1)
+    scaled = ~plain & (0 < top) & (top < np.inf)
+    spread = np.repeat(np.where(scaled, top, 1.0), np.diff(window.offsets), axis=-1)
+    total = np.where(scaled, np.add.reduceat((entry_norms / spread) ** p, starts, axis=-1), total)
+    return np.where(scaled, top, 1.0) * total ** (1.0 / p)
 
 
 def _hilbert_factor(coeffs: FourierCoefficients) -> float:
@@ -364,15 +382,10 @@ def check_block_comparison(
     if not (1 <= p <= q):
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
-    starts = coeffs.window.offsets[:-1]
     entry_norms = _entry_norms(coeffs).reshape(len(seeds), coeffs.window.size)
-    lhs = np.add.reduceat(entry_norms**p, starts, axis=-1).ravel() ** (1.0 / p)
-    if math.isinf(q):
-        norm_q = np.maximum.reduceat(entry_norms, starts, axis=-1)
-    else:
-        norm_q = np.add.reduceat(entry_norms**q, starts, axis=-1) ** (1.0 / q)
+    lhs = _block_norms(entry_norms, coeffs.window, p).ravel()
     factors = np.array([(d * d) ** (1.0 / p - 1.0 / q) for d in coeffs.window.dims])
-    rhs = (factors * norm_q).ravel()
+    rhs = (factors * _block_norms(entry_norms, coeffs.window, q)).ravel()
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
     blocks = [label_key(label) for label in coeffs.window.labels]
     pq = {"p": p, "q": _exponent(q)}

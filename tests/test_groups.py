@@ -1,8 +1,13 @@
 import dataclasses
 import json
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -752,6 +757,32 @@ def test_custom_group_above_order_32_loads():
     g = gs.make_group("custom", source={"order": order, "mult_table": table, "irreps": irreps})
     assert g.window.size == order
     assert gs.orthogonality_selftest(g).passed
+
+
+def test_equal_windows_hash_equal():
+    a, b = (gs.make_group("circle", band=512).window for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_a_window_pickled_under_another_hash_seed_keeps_its_cache_entry():
+    # string labels hash differently under another PYTHONHASHSEED: a hash kept on the pickled
+    # window would disagree with the one of an equal window built here
+    script = """
+import json, pickle, sys
+import groupsobolev as gs
+window = gs.make_group("custom", source=json.loads(sys.argv[1])).window
+hash(window), window.index("chi1"), window.offsets
+sys.stdout.buffer.write(pickle.dumps(window))
+"""
+    data = _z3_custom(include_trivial=True)
+    src = str(Path(gs.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(data)], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "1"})
+    assert done.returncode == 0, done.stderr
+    window, group = pickle.loads(done.stdout), gs.make_group("custom", source=data)
+    assert window == group.window and hash(window) == hash(group.window)
+    weights = gs.canonical_weights(group)
+    assert weights.sobolev_entries(window, 1.0) is weights.sobolev_entries(group.window, 1.0)
 
 
 def _relabel(data, index, label):

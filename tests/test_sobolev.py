@@ -99,17 +99,24 @@ def test_one_builtin_weights_object_serves_every_window(make, formula, specs):
             w = np.array([formula(label) for label in window.labels])
             squares = [d * d for d in window.dims]
             expected = np.repeat(window.dims, squares) * np.repeat((1.0 + w * w) ** s, squares)
-            got = weights.sobolev_entries(window, s)
-            assert got.shape == (window.size,) and np.array_equal(got, expected)
+            got, root = weights.sobolev_entries(window, s)
+            assert got.shape == (window.size,) and np.array_equal(got, expected) and root == 1.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_h_s_norm_refuses_an_overflowing_weight(circle16):
-    # (1 + 16^2)^130 is past the largest float: the norm would read inf, and pass any check
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_h_s_norm_scales_an_overflowing_weight(circle16):
+    # (1 + 16^2)^130 is past the largest float, but the norm of a unit draw, about 257^65, is not;
+    # a norm past every float (s = 400) would read inf, and pass any check, so it is refused
     coeffs = gs.random_band_limited(0, circle16, m=2)
-    assert math.isfinite(gs.h_s_norm(coeffs, gs.canonical_weights(circle16), 120.0))
-    with pytest.raises(ValueError, match="s=130 .* circle window of band 16"):
-        gs.h_s_norm(coeffs, gs.canonical_weights(circle16), 130.0)
+    moduli = gs.e_norm(coeffs.packed).tolist()  # one entry per label, all of dim 1
+    for s in (120.0, 130.0):
+        logs = [s * math.log1p(n * n) + 2.0 * math.log(a) for n, a in zip(circle16.window.labels, moduli)]
+        top = max(logs)
+        want = math.exp(0.5 * (top + math.log(math.fsum(math.exp(x - top) for x in logs))))
+        assert abs(gs.h_s_norm(coeffs, gs.canonical_weights(circle16), s) - want) <= 1e-12 * want
+    with pytest.raises(ValueError, match="s=400 .* circle window of band 16"):
+        gs.h_s_norm(coeffs, gs.canonical_weights(circle16), 400.0)
 
 
 def test_h_s_norm_monotone_in_s(su2_2):
@@ -232,7 +239,7 @@ def test_norms_match_a_scaled_fsum_over_the_float_range(
     assert_close(gs.e_norm(values, p_E), entries, 1e-14 + plain)
     dims = group.window.entry_dims.tolist()
     assert_close(gs.s_p_norm(coeffs, p), [scaled_fsum_norm(e, p, dims) for e in entries.tolist()], 1e-12)
-    weights = gs.canonical_weights(group).sobolev_entries(group.window, s).tolist()
+    weights = gs.canonical_weights(group).sobolev_entries(group.window, s)[0].tolist()  # s <= 3: no weight overflows
     want = [scaled_fsum_norm(e, 2.0, weights) for e in entries.tolist()]
     assert_close(gs.h_s_norm(coeffs, gs.canonical_weights(group), s), want, 1e-12)
     nodes = np.reshape(e_norms(gs.node_samples(coeffs, group)), (batch, -1)).tolist()

@@ -218,6 +218,27 @@ def test_block_comparison_random_batches(su2_2):
             assert all(r.passed for r in gs.check_block_comparison(coeffs, p, q))
 
 
+def test_block_comparison_scales_a_block_whose_sum_underflows(su2_1):
+    # |C|^2 of a 1e-170 draw is below the smallest normal float: unscaled, rhs read 0.0
+    coeffs = gs.random_band_limited(0, su2_1, 2)
+    plain = gs.check_block_comparison(coeffs, 1.5, 2.0)
+    tiny = gs.check_block_comparison(1e-170 * coeffs, 1.5, 2.0)
+    for small, big in zip(tiny, plain):
+        assert abs(small.rhs - 1e-170 * big.rhs) <= 1e-12 * 1e-170 * big.rhs and small.passed
+
+
+@pytest.mark.parametrize("value, shared", [
+    (7, True), (np.int64(7), True), (np.array(7), True), ({"batch": 0}, True), (None, True),
+    ([1, 2, 3], False), ((1, 2, 3), False), (range(1, 4), False), (np.array([1, 2, 3]), False),
+])
+def test_fan_out_tells_a_shared_value_from_one_per_function_by_type(value, shared):
+    (got,) = verify._fan_out((3,), seed=value)
+    assert got == ([value] * 3 if shared else [1, 2, 3])
+    if not shared:
+        with pytest.raises(ValueError, match="a batch of 4 needs 4 seeds"):
+            verify._fan_out((4,), seed=value)
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
