@@ -316,7 +316,7 @@ def _vector_norms(vecs: list, ps: list) -> np.ndarray:
 
 def _block_norms(entry_norms: np.ndarray, window, p: float) -> np.ndarray:
     """(sum |C|_E^p)^(1/p) per block of ``window``, (B, labels), from the (B, K) entry norms; only a
-    block whose plain sum is not finite or normal is scaled by its largest modulus, as a row is."""
+    block whose plain sum is not finite or normal is scaled by its largest modulus, as ``_power_sum`` does."""
     starts = window.offsets[:-1]
     if math.isinf(p):
         return np.maximum.reduceat(entry_norms, starts, axis=-1)
