@@ -315,8 +315,8 @@ def _vector_norms(vecs: list, ps: list) -> np.ndarray:
 
 
 def _block_norms(entry_norms: np.ndarray, window, p: float) -> np.ndarray:
-    """(sum |C|_E^p)^(1/p) per block of ``window``, (B, labels), from the (B, K) entry norms; only a
-    block whose plain sum is not finite or normal is scaled by its largest modulus, as ``_power_sum`` does."""
+    """(sum |C|_E^p)^(1/p) per block of ``window``, (B, labels), from the (B, K) entry norms, scaled
+    by the block's largest modulus only where its plain sum is not finite or normal (``_power_sum``)."""
     starts = window.offsets[:-1]
     if math.isinf(p):
         return np.maximum.reduceat(entry_norms, starts, axis=-1)
