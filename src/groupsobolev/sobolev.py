@@ -24,7 +24,7 @@ import numpy as np
 
 from .groups import DualWindow, GroupSpec
 from .transform import FourierCoefficients, VectorFunction, e_norm, synthesize
-from .transform import _node_norms, _per_function, _pth_root, weighted_spectral_norm
+from .transform import _entry_norms, _node_norms, _per_function, _pth_root, weighted_spectral_norm
 
 __all__ = [
     "ConstantEstimate",
@@ -72,22 +72,18 @@ class WeightSequence:
             return []
         return [l for l in window.labels if l not in self.table]
 
-    def sobolev_entries(self, window: DualWindow, s: float) -> tuple[np.ndarray, float]:
-        """(d (1 + w^2)^s / M per packed entry of ``window``, sqrt M), cached per (window, s):
-        M is the largest (1 + w^2)^s where one overflows a float, else 1."""
-        out = self._sobolev_entries.get((window, s))
-        if out is None:
+    def sobolev_entries(self, window: DualWindow, s: float) -> np.ndarray:
+        """d * (1 + w^2)^s per packed entry of ``window``, cached per (window, s)."""
+        vec = self._sobolev_entries.get((window, s))
+        if vec is None:
             if missing := self.missing(window):
                 raise KeyError(f"no weight defined for window labels {missing}")
-            base = 1.0 + np.array([self.value(l) for l in window.labels]) ** 2
-            with np.errstate(over="ignore"):  # h_s_norm refuses an inf sqrt M
-                power, root = base**s, 1.0
-                if not power.max() < np.inf:
-                    power, root = (base / base.max()) ** s, float(base.max() ** (s / 2))
-            vec = window.entry_dims * window.entry_values(power)
+            w = np.array([self.value(l) for l in window.labels])
+            with np.errstate(over="ignore"):  # h_s_norm weighs the moduli instead
+                vec = window.entry_dims * window.entry_values((1.0 + w * w) ** s)
             vec.flags.writeable = False
-            out = self._sobolev_entries[(window, s)] = vec, root
-        return out
+            self._sobolev_entries[(window, s)] = vec
+        return vec
 
 
 def _zero(label) -> float:
@@ -142,15 +138,21 @@ def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> 
     one value per function of a batch, as a read-only array computed once
     per (weights, s) and kept on ``coeffs``.
 
-    Reduces bit-for-bit to the p = 2 spectral norm at s = 0. Weights that overflow a float are
-    scaled (``sobolev_entries``); a norm that overflows is a ValueError.
+    Reduces bit-for-bit to the p = 2 spectral norm at s = 0. A row whose weight or sum overflows
+    sums the terms sqrt(d (1 + w^2)^s) |C|_E, scaled by the largest; one past every float is a
+    ValueError.
     """
     if not s >= 0:
         raise ValueError(f"Sobolev order s must be >= 0, got {s}")
 
     def compute():
-        entries, root = weights.sobolev_entries(coeffs.window, s)
-        return root * weighted_spectral_norm(coeffs, entries, 2.0)
+        norm = weighted_spectral_norm(coeffs, weights.sobolev_entries(coeffs.window, s), 2.0)
+        if np.isfinite(norm).all():
+            return norm
+        with np.errstate(invalid="ignore"):  # an inf weight times a zero modulus weighs 0
+            moduli, half = _entry_norms(coeffs), weights.sobolev_entries(coeffs.window, s / 2)
+            terms = np.where(moduli > 0, half / np.sqrt(coeffs.window.entry_dims) * moduli, 0.0)
+        return _per_function(np.where(np.isfinite(norm), norm, _pth_root(terms, 2.0)))
 
     norm = coeffs.memo(("h_s_norm", weights, s), compute)
     if not np.isfinite(norm).all():

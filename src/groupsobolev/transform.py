@@ -83,6 +83,20 @@ def _power_sum(a, p, total, weights=1.0):
     return total, np.where(scaled, top, 1.0)
 
 
+def _block_norms(a, offsets, p: float) -> np.ndarray:
+    """(sum a^p)^(1/p) over each block ``offsets[i]:offsets[i + 1]`` of the last axis of moduli
+    ``a``, a sum not finite or normal scaled as ``_power_sum`` scales it; max a at p = inf."""
+    if math.isinf(p):
+        return np.maximum.reduceat(a, offsets[:-1], axis=-1)
+    with np.errstate(over="ignore"):  # a sum above every float is scaled
+        total, scale = np.add.reduceat(a**p, offsets[:-1], axis=-1), 1.0
+        if not ((np.finfo(float).tiny <= total) & (total < np.inf)).all():  # block by block
+            scale = np.ones_like(total)
+            for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+                total[..., i], scale[..., i] = _power_sum(a[..., lo:hi], p, total[..., i])
+    return scale * total ** (1.0 / p)
+
+
 def label_key(label) -> str:
     """Stable string key for an irrep label (JSON block keys)."""
     return str(label)
@@ -243,7 +257,7 @@ def _pth_root(a, p, weights=1.0) -> float | np.ndarray:
     """(sum w a^p)^(1/p) per row as ``_power_sum`` has it, the sum scaled only if a row needs it,
     and each root by the scalar power: numpy's array power can differ from it in the last bit,
     and a batch must not. A float for one row."""
-    with np.errstate(over="ignore"):  # a sum above every float is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf; inf * 0: nan
         total = (weights * a**p).sum(axis=-1)
         if total.ndim == 0 and 2.0**-1022 <= total < math.inf:  # one row that needs no scaling
             return float(total) ** (1.0 / p)

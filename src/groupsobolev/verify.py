@@ -49,6 +49,7 @@ from .sobolev import (
 )
 from .transform import (
     FourierCoefficients,
+    _block_norms,
     _entry_norms,
     _pth_root,
     e_norm,
@@ -314,23 +315,6 @@ def _vector_norms(vecs: list, ps: list) -> np.ndarray:
     return out
 
 
-def _block_norms(entry_norms: np.ndarray, window, p: float) -> np.ndarray:
-    """(sum |C|_E^p)^(1/p) per block of ``window``, (B, labels), from the (B, K) entry norms, scaled
-    by the block's largest modulus only where its plain sum is not finite or normal (``_power_sum``)."""
-    starts = window.offsets[:-1]
-    if math.isinf(p):
-        return np.maximum.reduceat(entry_norms, starts, axis=-1)
-    with np.errstate(over="ignore"):  # a sum above every float is scaled
-        total = np.add.reduceat(entry_norms**p, starts, axis=-1)
-    if (plain := (np.finfo(float).tiny <= total) & (total < np.inf)).all():
-        return total ** (1.0 / p)
-    top = np.maximum.reduceat(entry_norms, starts, axis=-1)
-    scaled = ~plain & (0 < top) & (top < np.inf)
-    spread = np.repeat(np.where(scaled, top, 1.0), np.diff(window.offsets), axis=-1)
-    total = np.where(scaled, np.add.reduceat((entry_norms / spread) ** p, starts, axis=-1), total)
-    return np.where(scaled, top, 1.0) * total ** (1.0 / p)
-
-
 def _hilbert_factor(coeffs: FourierCoefficients) -> float:
     """K = m^|1/p_E - 1/2| (1/inf = 0): an l^2_m inequality's factor for E = l^p_m."""
     return coeffs.m ** abs(1.0 / coeffs.p_E - 0.5)
@@ -383,9 +367,9 @@ def check_block_comparison(
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     entry_norms = _entry_norms(coeffs).reshape(len(seeds), coeffs.window.size)
-    lhs = _block_norms(entry_norms, coeffs.window, p).ravel()
+    lhs = _block_norms(entry_norms, coeffs.window.offsets, p).ravel()
     factors = np.array([(d * d) ** (1.0 / p - 1.0 / q) for d in coeffs.window.dims])
-    rhs = (factors * _block_norms(entry_norms, coeffs.window, q)).ravel()
+    rhs = (factors * _block_norms(entry_norms, coeffs.window.offsets, q)).ravel()
     tol = ALGEBRAIC_TOL * (1.0 + rhs)
     blocks = [label_key(label) for label in coeffs.window.labels]
     pq = {"p": p, "q": _exponent(q)}

@@ -99,11 +99,10 @@ def test_one_builtin_weights_object_serves_every_window(make, formula, specs):
             w = np.array([formula(label) for label in window.labels])
             squares = [d * d for d in window.dims]
             expected = np.repeat(window.dims, squares) * np.repeat((1.0 + w * w) ** s, squares)
-            got, root = weights.sobolev_entries(window, s)
-            assert got.shape == (window.size,) and np.array_equal(got, expected) and root == 1.0
+            got = weights.sobolev_entries(window, s)
+            assert got.shape == (window.size,) and np.array_equal(got, expected)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_h_s_norm_scales_an_overflowing_weight(circle16):
     # (1 + 16^2)^130 is past the largest float, but the norm of a unit draw, about 257^65, is not;
@@ -117,6 +116,15 @@ def test_h_s_norm_scales_an_overflowing_weight(circle16):
         assert abs(gs.h_s_norm(coeffs, gs.canonical_weights(circle16), s) - want) <= 1e-12 * want
     with pytest.raises(ValueError, match="s=400 .* circle window of band 16"):
         gs.h_s_norm(coeffs, gs.canonical_weights(circle16), 400.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [130.0, 140.0, 300.0])
+def test_h_s_norm_of_a_constant_ignores_the_overflowing_weights(circle16, s):
+    # the weights past n = 0 overflow, or underflow once divided by the largest: the norm is |c0|
+    c0 = np.array([3.0 - 4.0j, 12.0])
+    coeffs = gs.FourierCoefficients(circle16.window, 2, {0: c0[None, None, :]})
+    assert gs.h_s_norm(coeffs, gs.canonical_weights(circle16), s) == 13.0
 
 
 def test_h_s_norm_monotone_in_s(su2_2):
@@ -239,7 +247,7 @@ def test_norms_match_a_scaled_fsum_over_the_float_range(
     assert_close(gs.e_norm(values, p_E), entries, 1e-14 + plain)
     dims = group.window.entry_dims.tolist()
     assert_close(gs.s_p_norm(coeffs, p), [scaled_fsum_norm(e, p, dims) for e in entries.tolist()], 1e-12)
-    weights = gs.canonical_weights(group).sobolev_entries(group.window, s)[0].tolist()  # s <= 3: no weight overflows
+    weights = gs.canonical_weights(group).sobolev_entries(group.window, s).tolist()
     want = [scaled_fsum_norm(e, 2.0, weights) for e in entries.tolist()]
     assert_close(gs.h_s_norm(coeffs, gs.canonical_weights(group), s), want, 1e-12)
     nodes = np.reshape(e_norms(gs.node_samples(coeffs, group)), (batch, -1)).tolist()

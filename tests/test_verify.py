@@ -218,13 +218,19 @@ def test_block_comparison_random_batches(su2_2):
             assert all(r.passed for r in gs.check_block_comparison(coeffs, p, q))
 
 
-def test_block_comparison_scales_a_block_whose_sum_underflows(su2_1):
-    # |C|^2 of a 1e-170 draw is below the smallest normal float: unscaled, rhs read 0.0
+@pytest.mark.parametrize("factor", [1e-170, 1e170])
+def test_block_comparison_scales_a_block_sum_out_of_the_float_range(su2_1, factor):
+    # |C|^2 of the draw is below the smallest normal float or above the largest: unscaled, the
+    # norms read 0.0 or inf; in a batch, the function whose sums compute keeps its bits
     coeffs = gs.random_band_limited(0, su2_1, 2)
     plain = gs.check_block_comparison(coeffs, 1.5, 2.0)
-    tiny = gs.check_block_comparison(1e-170 * coeffs, 1.5, 2.0)
-    for small, big in zip(tiny, plain):
-        assert abs(small.rhs - 1e-170 * big.rhs) <= 1e-12 * 1e-170 * big.rhs and small.passed
+    scaled = gs.check_block_comparison(factor * coeffs, 1.5, 2.0)
+    for small, big in zip(scaled, plain):
+        for got, want in ((small.lhs, big.lhs), (small.rhs, big.rhs)):
+            assert abs(got - factor * want) <= 1e-12 * factor * want
+    both = np.stack([coeffs.packed, factor * coeffs.packed])
+    batch = gs.check_block_comparison(gs.FourierCoefficients(su2_1.window, 2, packed=both), 1.5, 2.0)
+    assert [(r.lhs, r.rhs) for r in batch] == [(r.lhs, r.rhs) for r in [*plain, *scaled]]
 
 
 @pytest.mark.parametrize("value, shared", [
