@@ -6,13 +6,15 @@ Records are paired by position: records are in report order, deterministic
 across reruns.
 A pair matches when it has the same keys, name, group, seed and context,
 the same pass flag, and |delta lhs| and |delta rhs| each within the old
-record's ``tol``. Context values are compared after decoding the strict-JSON
-spelling "inf" of an infinite exponent, so a report written with bare
-``Infinity`` tokens compares equal to one written with "inf" strings.
+record's ``tol``, with no division: a record of tol 0 (lhs = rhs = 0)
+matches only one with the same lhs and rhs. Context values are compared
+after decoding the strict-JSON spelling "inf" of an infinite exponent, so
+a report written with bare ``Infinity`` tokens compares equal to one
+written with "inf" strings.
 The per-check record counts and failure counts of the summaries must agree.
 
-Prints one line per check (records, pass flags, worst |delta|/tol) and exits
-0 when every record matches, 1 otherwise.
+Prints one line per check (records, worst |delta|/tol, where 0/0 counts as
+0) and exits 0 when every record matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ def compare(old: dict, new: dict) -> tuple[list[str], dict]:
             continue
         if a["pass"] != b["pass"]:
             problems.append(f"{where}: pass {a['pass']} != {b['pass']}")
-        ratio = max(abs(a[k] - b[k]) for k in ("lhs", "rhs")) / a["tol"]
-        if not ratio <= 1.0:
-            problems.append(f"{where}: |delta| is {ratio:.3g} of tol {a['tol']!r}")
+        delta = max(abs(a[k] - b[k]) for k in ("lhs", "rhs"))
+        if not delta <= a["tol"]:
+            problems.append(f"{where}: |delta| {delta!r} exceeds tol {a['tol']!r}")
+        ratio = 0.0 if delta == 0 else delta / a["tol"] if a["tol"] else math.inf
         entry = stats.setdefault(a["name"], [0, 0.0])
         entry[0] += 1
         entry[1] = max(entry[1], ratio)

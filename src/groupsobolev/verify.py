@@ -18,7 +18,9 @@ sides (K = 1.0 at p_E = 2); the others hold for any Banach E as they stand.
 
 Tolerance classes: 1e-12 (algebraic identities), 1e-9 (quantities the
 quadrature computes exactly), 1e-6 (Lebesgue norms of non-band-limited
-integrands on the smaller side).
+integrands on the smaller side). A record of class cls has tol
+cls * min(lhs, rhs) and passes iff lhs <= (1 + cls) rhs, so scaling a
+function by any factor scales lhs, rhs and tol alike and keeps the verdict.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ __all__ = [
 ALGEBRAIC_TOL = 1e-12
 QUADRATURE_TOL = 1e-9
 LEBESGUE_TOL = 1e-6
-CONTINUITY_TOL = 1e-10
 
 CSV_COLUMNS = ("name", "group", "seed", "lhs", "rhs", "slack", "tol", "pass")
 
@@ -253,16 +254,17 @@ class RecordTable(Sequence):
 
 
 def _table(
-    name: str, lhs, rhs, tol, seeds: list, contexts: list, extra: dict | None = None,
+    name: str, lhs, rhs, cls: float, seeds: list, contexts: list, extra: dict | None = None,
     columns: dict | None = None, *, group: str = "-"
 ) -> RecordTable:
     """The records of one check call, one per (seed, context) pair, the i-th
     with its seed as a Python int and the context ``{**context, **extra}``
-    plus each key k of ``columns`` mapped to ``columns[k][i]``; lhs, rhs and
-    tol hold one value per pair or one for all."""
+    plus each key k of ``columns`` mapped to ``columns[k][i]``; lhs and rhs
+    hold one value per pair or one for all; tol is ``cls * min(lhs, rhs)``."""
     extra, columns, seeds = extra or {}, columns or {}, _int_seeds(seeds)
     floats = np.empty((3, len(seeds)))
-    floats[0], floats[1], floats[2] = lhs, rhs, tol
+    floats[0], floats[1] = lhs, rhs
+    floats[2] = cls * np.minimum(floats[0], floats[1])
     contexts = [ctx or {} for ctx in contexts] if None in contexts else contexts
     key_sets = dict.fromkeys(map(tuple, contexts))
     if len(key_sets) > 1:
@@ -344,11 +346,10 @@ def check_vector_norm_comparison(
             raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
     norm_p, norm_q = _vector_norms(vecs, ps), _vector_norms(vecs, qs)
     factor = np.array([vec.size ** (1.0 / p - 1.0 / q) for vec, p, q in zip(vecs, ps, qs)])
-    tol = ALGEBRAIC_TOL * (1.0 + norm_p)
     columns = {"p": ps, "q": list(map(_exponent, qs)), "n": [vec.size for vec in vecs]}
-    args = (seeds, contexts, None, columns)
-    dec = _table("vector_norm_decreasing", norm_q, norm_p, tol, *args, group=group)
-    bound = _table("vector_norm_dimension_bound", norm_p, factor * norm_q, tol, *args, group=group)
+    args = (ALGEBRAIC_TOL, seeds, contexts, None, columns)
+    dec = _table("vector_norm_decreasing", norm_q, norm_p, *args, group=group)
+    bound = _table("vector_norm_dimension_bound", norm_p, factor * norm_q, *args, group=group)
     return RecordTable.concat([dec, bound])
 
 
@@ -370,13 +371,12 @@ def check_block_comparison(
     lhs = _block_norms(entry_norms, coeffs.window.offsets, p).ravel()
     factors = np.array([(d * d) ** (1.0 / p - 1.0 / q) for d in coeffs.window.dims])
     rhs = (factors * _block_norms(entry_norms, coeffs.window.offsets, q)).ravel()
-    tol = ALGEBRAIC_TOL * (1.0 + rhs)
     blocks = [label_key(label) for label in coeffs.window.labels]
-    pq = {"p": p, "q": _exponent(q)}
     columns = {"block": blocks * len(seeds)}
     seeds = [fseed for fseed in seeds for _ in blocks]
     contexts = [ctx for ctx in contexts for _ in blocks]
-    return _table("block_norm_comparison", lhs, rhs, tol, seeds, contexts, pq, columns, group=group)
+    args = (seeds, contexts, {"p": p, "q": _exponent(q)}, columns)
+    return _table("block_norm_comparison", lhs, rhs, ALGEBRAIC_TOL, *args, group=group)
 
 
 def check_monotone_embedding(
@@ -393,11 +393,9 @@ def check_monotone_embedding(
     if not t > s >= 0:
         raise ValueError(f"need t > s >= 0, got s={s}, t={t}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
-    lhs = h_s_norm(coeffs, weights, s)
-    rhs = h_s_norm(coeffs, weights, t)
-    tol = ALGEBRAIC_TOL * (1.0 + rhs)
-    extra = {"s": s, "t": t}
-    return _table("monotone_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group)
+    lhs, rhs = h_s_norm(coeffs, weights, s), h_s_norm(coeffs, weights, t)
+    args = (seeds, contexts, {"s": s, "t": t})
+    return _table("monotone_embedding", lhs, rhs, ALGEBRAIC_TOL, *args, group=group)
 
 
 def check_l2_embedding(
@@ -413,8 +411,8 @@ def check_l2_embedding(
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     lhs = lebesgue_norm(coeffs, group, 2.0)
     rhs = _hilbert_factor(coeffs) * h_s_norm(coeffs, weights, s)
-    tol = QUADRATURE_TOL * (1.0 + rhs)
-    return _table("l2_embedding", lhs, rhs, tol, seeds, contexts, {"s": s}, group=group.name)
+    args = (seeds, contexts, {"s": s})
+    return _table("l2_embedding", lhs, rhs, QUADRATURE_TOL, *args, group=group.name)
 
 
 def check_sup_embedding(
@@ -441,9 +439,9 @@ def check_sup_embedding(
     lhs = probed_sup(coeffs, group, extra_samples, probe_seed)
     estimate = embedding_constant_C(weights, s, group.window)
     rhs = estimate.value * h_s_norm(coeffs, weights, s)
-    tol = QUADRATURE_TOL * (1.0 + rhs)
     extra = {"constant_verdict": estimate.verdict, "s": s, "constant": estimate.value}
-    return _table("sup_embedding", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
+    args = (seeds, contexts, extra)
+    return _table("sup_embedding", lhs, rhs, QUADRATURE_TOL, *args, group=group.name)
 
 
 def check_hausdorff_young(
@@ -461,9 +459,8 @@ def check_hausdorff_young(
     alpha_prime = alpha / (alpha - 1.0)
     lhs = lebesgue_norm(coeffs, group, alpha_prime)
     rhs = _hilbert_factor(coeffs) * s_p_norm(coeffs, alpha)
-    tol = LEBESGUE_TOL * (1.0 + rhs)
-    extra = {"alpha": alpha, "alpha_prime": alpha_prime}
-    return _table("hausdorff_young", lhs, rhs, tol, seeds, contexts, extra, group=group.name)
+    args = (seeds, contexts, {"alpha": alpha, "alpha_prime": alpha_prime})
+    return _table("hausdorff_young", lhs, rhs, LEBESGUE_TOL, *args, group=group.name)
 
 
 def check_lq_embedding(
@@ -493,9 +490,9 @@ def check_lq_embedding(
     extra = {"s": s, "t": t, "alpha": params.alpha, "alpha_prime": params.alpha_prime,
              "constant": bound, "constant_verdict": verdict}
 
-    def table(name, lhs, tol, shared):
+    def table(name, lhs, cls, shared):
         rhs = shared["constant"] * norm
-        return _table(name, lhs, rhs, tol * (1.0 + rhs), seeds, contexts, shared, group=group.name)
+        return _table(name, lhs, rhs, cls, seeds, contexts, shared, group=group.name)
 
     lq_extra = {**extra, "constant": _hilbert_factor(coeffs) * bound}
     lq = table("lq_embedding", lhs_lp, LEBESGUE_TOL, lq_extra)
@@ -520,9 +517,8 @@ def check_continuity_modulus(
     op_norm = np.linalg.svd(diff, compute_uv=False)[:, 0]
     args = ([seed] * pair_budget, [context] * pair_budget, {"block": label_key(label)})
     columns = {"pair": range(pair_budget)}
-    return _table(
-        "continuity_modulus", entry_max, op_norm, CONTINUITY_TOL, *args, columns, group=group.name
-    )
+    return _table("continuity_modulus", entry_max, op_norm, ALGEBRAIC_TOL, *args, columns,
+                  group=group.name)
 
 
 def _derive_seed(*parts: int) -> int:
@@ -581,8 +577,8 @@ class VerificationReport:
         }
 
     def json_parts(self) -> Iterator[str]:
-        """The text of ``to_json_text`` in pieces, made as they are asked for:
-        metadata and summary indented by two, then one record per line as
+        """``to_json_dict`` as strict JSON in pieces, made as they are asked
+        for: metadata and summary indented by two, then one record per line as
         ``json.JSONEncoder`` writes it, one piece per run of records."""
         data = {"metadata": self.metadata, "summary": self.summary()}
         runs = self.records.json_runs()
@@ -591,10 +587,6 @@ class VerificationReport:
         yield next(runs, "")
         yield from (",\n    " + run for run in runs)
         yield "\n  ]\n}\n"
-
-    def to_json_text(self) -> str:
-        """``to_json_dict`` as strict JSON, laid out as ``json_parts`` says."""
-        return "".join(self.json_parts())
 
     def to_csv_text(self) -> str:
         return "\n".join([",".join(CSV_COLUMNS), *self.records.csv_runs()]) + "\n"

@@ -1,9 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groupsobolev as gs
 from groupsobolev import verify
@@ -415,6 +422,85 @@ def test_an_unexpected_error_exits_3_with_its_traceback(tmp_path, capsys, monkey
     assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("Traceback") and "RuntimeError: run_suite crashed" in err
+
+
+SMALL_GROUPS = [
+    *({"kind": "cyclic", "n": n} for n in (1, 2, 5)),
+    {"kind": "s3"},
+    *({"kind": "circle", "band": band} for band in (0, 1, 3)),
+    *({"kind": "su2", "band": band, "half_integers": half}
+      for band in (0.0, 1.0) for half in (False, True)),
+]
+
+
+@st.composite
+def admitted_configs(draw) -> dict:
+    """A small config that ``RunConfig`` admits, with p_E, s and (s, t) drawn near their bounds."""
+    groups = draw(st.lists(st.sampled_from(SMALL_GROUPS), min_size=1, max_size=2))
+    table = st.floats(0.0, 1e3)
+    weights = draw(st.one_of(
+        st.sampled_from(["canonical", "zero"]),
+        st.tuples(*(st.fixed_dictionaries({str(label): table for label in
+                                           gs.make_group(dict(spec)).window.labels})
+                    for spec in groups)).map(list),
+    ))
+    s = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300]), st.floats(0.0, 2.0), st.floats(100.0, 500.0))
+    low = st.one_of(st.floats(1e-300, 1e-3), st.floats(1e-3, 10.0))
+    ratio = st.one_of(st.floats(1.0 + 2**-40, 1.01), st.floats(1.01, 1e6))
+    pair = st.tuples(low, ratio).map(lambda sr: [sr[0], sr[0] * sr[1]]).filter(lambda p: _admitted(*p))
+    return {
+        "groups": groups,
+        "m": draw(st.integers(1, 3)),
+        "p_E": draw(st.one_of(st.sampled_from(["inf", 1.0, 2.0, 1e308]), st.floats(1.0, 1e308))),
+        "weights": weights,
+        "s_values": draw(st.lists(s, max_size=3)),
+        "st_pairs": draw(st.lists(pair, max_size=2)),
+        "batch_size": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 2**64)),
+        "vector_checks": draw(st.integers(0, 5)),
+        "vector_max_dim": draw(st.integers(1, 4)),
+        "continuity_pairs": draw(st.integers(0, 6)),
+        "sup_extra_samples": draw(st.integers(0, 8)),
+        "block_check_stride": draw(st.integers(0, 3)),
+        "tamper": draw(st.booleans()),
+        "quiet": draw(st.booleans()),
+    }
+
+
+def _admitted(s, t) -> bool:
+    """Whether ``exponents`` admits the pair (s, t)."""
+    try:
+        gs.exponents(s, t)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config=admitted_configs())
+def test_verify_on_any_small_admitted_config_reaches_a_verdict_or_one_error_line(config):
+    # a RuntimeWarning raises in the run, so main exits 3 with its traceback
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, err, path = io.StringIO(), io.StringIO(), Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--config", str(path), "--out", str(Path(tmp) / "o")])
+        reports = sorted(p.name for p in (Path(tmp) / "o").glob("*"))
+        summary = json.loads((Path(tmp) / "o" / reports[-1]).read_text())["summary"] if reports else None
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ") and reports == []
+    else:
+        assert err.getvalue() == ""
+        assert reports == ["verification_report.csv", "verification_report.json"]
+        assert summary["all_pass"] is (code == 0)
+        verdict = f"{'PASS' if code == 0 else 'FAIL'}: {summary['record_count']} records"
+        if config["quiet"]:
+            assert out.getvalue() == ""
+        else:
+            assert out.getvalue().splitlines()[-1].startswith(verdict)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -47,10 +48,10 @@ SMALL_CONFIG = {
 
 
 def _one_chunk_per_record(records) -> RecordTable:
-    """``records`` as a table that holds each of them in a chunk of its own."""
-    return RecordTable.concat(
-        _table(r.name, r.lhs, r.rhs, r.tol, [r.seed], [r.context], group=r.group) for r in records
-    )
+    """``records`` as a table that holds each of them, tol included, in a chunk of its own."""
+    tables = [_table(r.name, r.lhs, r.rhs, 0.0, [r.seed], [r.context], group=r.group) for r in records]
+    floats = [np.array([[r.lhs], [r.rhs], [r.tol]]) for r in records]
+    return RecordTable([replace(t.chunks[0], floats=f) for t, f in zip(tables, floats)])
 
 
 #: The report order: records grouped by name, then group, by a stable sort.
@@ -243,6 +244,58 @@ def test_fan_out_tells_a_shared_value_from_one_per_function_by_type(value, share
     if not shared:
         with pytest.raises(ValueError, match="a batch of 4 needs 4 seeds"):
             verify._fan_out((4,), seed=value)
+
+
+# ---------------------------------------------------------------------------
+# homogeneity: each inequality is homogeneous of degree 1, so lambda f gets f's verdict
+
+
+def _homogeneous_checks(coeffs, vectors, group, weights) -> dict:
+    """Each homogeneous check's table on the batch ``coeffs`` and on ``vectors``."""
+    blocks = [gs.check_block_comparison(coeffs, p, q) for p, q in ((1.0, 2.0), (1.5, math.inf))]
+    return {
+        "vector": gs.check_vector_norm_comparison(vectors, [1.0, 1.5, 2.0], [2.0, 3.0, math.inf]),
+        "block": RecordTable.concat(blocks),
+        "monotone": gs.check_monotone_embedding(coeffs, weights, 0.5, 1.0),
+        "l2": gs.check_l2_embedding(coeffs, weights, 1.0, group),
+        "sup": gs.check_sup_embedding(coeffs, weights, 2.0, group, 20),
+        "hausdorff_young": gs.check_hausdorff_young(coeffs, group, 1.5),
+        "lq": gs.check_lq_embedding(coeffs, weights, 1.0, 2.0, group),
+    }
+
+
+def test_a_records_tol_is_its_class_times_the_smaller_side():
+    lhs, rhs = [1.0, 2.0, 0.0, 1.0 + 5e-13, 1.0 + 2e-12], [2.0, 1.0, 0.0, 1.0, 1.0]
+    table = _table("x", lhs, rhs, 1e-12, [-1] * 5, [{}] * 5)
+    assert table.floats[3].tolist() == [1e-12, 1e-12, 0.0, 1e-12, 1e-12]
+    assert table.passed.tolist() == [True, False, True, True, False]  # lhs <= (1 + 1e-12) rhs
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [2.0**-560, 2.0**560])  # powers of 2 scale exactly
+@pytest.mark.parametrize("name", ["z12", "s3", "circle16", "su2_2"])
+def test_a_scaled_function_gets_the_same_verdict_and_fails_under_tamper(request, name, scale):
+    # a tolerance with an absolute floor passes every tampered record of a 2^-560 draw
+    group = request.getfixturevalue(name)
+    weights = gs.canonical_weights(group)
+    # three draws, and a kernel of blocks (1 + w^2)^(-2) I e: its sup is near the s = 2 bound,
+    # so that on every group the sup check fails under tamper
+    kernel = {label: (1.0 + weights.value(label) ** 2) ** -2.0 * np.eye(d)[:, :, None] * [1.0, 0.5j]
+              for label, d in zip(group.window.labels, group.window.dims)}
+    kernel = gs.FourierCoefficients(group.window, 2, kernel).packed
+    coeffs = gs.random_band_limited([1, 2, 3], group, 2)
+    coeffs = gs.FourierCoefficients(group.window, 2, packed=[*coeffs.packed, kernel])
+    vectors = [np.random.default_rng(n).standard_normal(n) for n in (1, 4, 9)]
+    plain = _homogeneous_checks(coeffs, vectors, group, weights)
+    scaled = _homogeneous_checks(scale * coeffs, [scale * v for v in vectors], group, weights)
+    for check, table in scaled.items():
+        assert len(table) == len(plain[check]) > 0, check
+        for got, want in zip(table, plain[check]):
+            for g, w in ((got.lhs, want.lhs), (got.rhs, want.rhs), (got.tol, want.tol)):
+                assert abs(g - scale * w) <= 1e-12 * scale * w, (check, got, want)
+            assert got.passed == want.passed, (check, got, want)
+        for run in (plain[check], table):
+            assert not run.tampered().passed.all(), check
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +616,7 @@ def test_default_shaped_run_computes_each_norm_once(monkeypatch):
 def test_report_text_has_one_record_per_line():
     report = gs.run_suite({**SMALL_CONFIG, "batch_size": 1, "vector_checks": 60})
     report.metadata["generated_at"] = "2026-01-01T00:00:00+00:00"
-    text = report.to_json_text()
+    text = "".join(report.json_parts())
     assert json.loads(text) == json.loads(dump_json(report.to_json_dict()))
     lines = text.splitlines()
     assert f'    "record_count": {len(report.records)},' in lines
@@ -577,17 +630,17 @@ def test_report_text_has_one_record_per_line():
 
 def test_report_text_without_records_is_json():
     report = gs.VerificationReport(RecordTable(), {"package": "groupsobolev"})
-    assert json.loads(report.to_json_text()) == report.to_json_dict()
+    assert json.loads("".join(report.json_parts())) == report.to_json_dict()
 
 
 def test_report_text_refuses_nan():
     def report(lhs, context):
         return gs.VerificationReport(_table("x", lhs, 1.0, 1e-12, [-1], [context]), {})
 
-    assert json.loads(report(0.5, {"alpha": 1.5}).to_json_text())
+    assert json.loads("".join(report(0.5, {"alpha": 1.5}).json_parts()))
     for lhs, context in ((0.5, {"alpha": math.nan}), (math.nan, {}), (math.inf, {})):
         with pytest.raises(ValueError, match="JSON compliant"):
-            report(lhs, context).to_json_text()
+            "".join(report(lhs, context).json_parts())
 
 
 def test_run_suite_tamper_hook_fails():
@@ -658,7 +711,15 @@ def test_compare_reports_script():
     nudged = json.loads(dump_json(old))
     rec = nudged["records"][0]
     rec["lhs"] += 2.0 * rec["tol"]
-    assert any("of tol" in p for p in compare(old, nudged)[0])
+    assert any("exceeds tol" in p for p in compare(old, nudged)[0])
+
+    # a trivial irrep's continuity records have lhs = rhs = tol = 0: 0/0 counts as 0
+    zero = next(i for i, r in enumerate(old["records"]) if r["tol"] == 0.0)
+    assert old["records"][zero]["name"] == "continuity_modulus" and stats["continuity_modulus"][1] < 1.0
+    nudged = json.loads(dump_json(old))
+    nudged["records"][zero]["rhs"] = 5e-324
+    assert [p for p in compare(old, nudged)[0] if "exceeds tol 0.0" in p]
+    assert compare(old, nudged)[1]["continuity_modulus"][1] == math.inf
     flipped = json.loads(dump_json(old))
     flipped["records"][1]["pass"] = not flipped["records"][1]["pass"]
     assert any("pass" in p for p in compare(old, flipped)[0])
@@ -990,7 +1051,7 @@ def test_table_order_matches_the_sort_key_oracle(z4):
     random.Random(1).shuffle(rows)
     assert list(_one_chunk_per_record(rows).ordered()) == sorted(rows, key=REPORT_ORDER)
     report_of_all = gs.VerificationReport(table.ordered(), {})
-    lines = report_of_all.to_json_text().splitlines()
+    lines = "".join(report_of_all.json_parts()).splitlines()
     start = lines.index('  "records": [')
     got = [line.strip().rstrip(",") for line in lines[start + 1 : start + 1 + len(table)]]
     assert got == [json.JSONEncoder().encode(r.to_dict()) for r in report_of_all.records]
@@ -1032,7 +1093,7 @@ def test_numpy_integer_seeds_are_written_as_python_ints():
     table = gs.check_vector_norm_comparison([np.ones(2)] * 2, 1.0, 2.0, seed=np.arange(2))
     assert [(type(r.seed), r.seed) for r in table] == [(int, 0), (int, 1)] * 2
     report = gs.VerificationReport(table, {})
-    assert [r["seed"] for r in json.loads(report.to_json_text())["records"]] == [0, 1, 0, 1]
+    assert [r["seed"] for r in json.loads("".join(report.json_parts()))["records"]] == [0, 1, 0, 1]
     assert report.to_csv_text().splitlines()[1].split(",")[2] == "0"
     for bad in (1.5, "7", None, np.float64(2.0)):
         with pytest.raises(ValueError, match=f"seed needs an integer, got {re.escape(repr(bad))}$"):
@@ -1064,7 +1125,7 @@ def test_one_function_replays_its_batch_records_bit_for_bit(spec, check):
 def _rendered(table) -> tuple[list, str]:
     """The JSON record lines and the CSV text of a report of ``table``."""
     report = gs.VerificationReport(table, {})
-    lines = report.to_json_text().splitlines()
+    lines = "".join(report.json_parts()).splitlines()
     start = lines.index('  "records": [')
     assert lines[start + 1 + len(table) :] == ["  ]", "}"]
     return [line.strip().rstrip(",") for line in lines[start + 1 : -2]], report.to_csv_text()
@@ -1102,13 +1163,13 @@ def test_reports_render_rows_in_any_order_as_the_per_record_oracle(z4):
         assert csv_text == _csv_oracle(rows), order
     for empty in (RecordTable(), gs.check_vector_norm_comparison([], 1.0, 2.0)):
         report = gs.VerificationReport(empty, {})
-        assert json.loads(report.to_json_text()) == report.to_json_dict()
+        assert json.loads("".join(report.json_parts())) == report.to_json_dict()
         assert report.to_csv_text() == _csv_oracle([])
     # a NaN or inf among a column's finite floats is still refused
     for bad in (math.nan, math.inf):
         refused = _table("x", 0.5, 1.0, 1e-12, [1, 2, 3], [{"a": 1.5}, {"a": bad}, {"a": 2.5}])
         with pytest.raises(ValueError, match="JSON compliant"):
-            gs.VerificationReport(refused, {}).to_json_text()
+            "".join(gs.VerificationReport(refused, {}).json_parts())
         kept = [_table("x", 0.5, 1.0, 1e-12, [s], [{"a": a}]) for s, a in ((1, 1.5), (3, 2.5))]
         assert _rendered(RecordTable.concat(kept))[0][1].endswith('"context": {"a": 2.5}}')
         assert gs.VerificationReport(refused, {}).to_csv_text() == _csv_oracle(refused)
@@ -1133,7 +1194,7 @@ def test_reports_escape_a_group_name_as_csv_and_json_do():
         writer.writerow([r.name, r.group, r.seed, *floats, str(r.passed).lower()])
     assert report.to_csv_text() == buf.getvalue()
     assert '"Z2, ""odd"" \u2202"' in buf.getvalue()
-    lines = report.to_json_text().splitlines()
+    lines = "".join(report.json_parts()).splitlines()
     start = lines.index('  "records": [')
     got = [line.strip().rstrip(",") for line in lines[start + 1 : start + 1 + len(report.records)]]
     assert got == [json.JSONEncoder().encode(r.to_dict()) for r in report.records]
@@ -1145,5 +1206,5 @@ def test_a_seed_beyond_64_bits_reaches_the_vector_records():
     config = {**SMALL_CONFIG, "groups": [], "seed": seed, "vector_checks": 5}
     report = gs.run_suite(config)
     assert len(report.records) == 10 and all(r.seed == seed for r in report.records)
-    assert report.to_json_text().count(f'"seed": {seed}, ') == 10
+    assert "".join(report.json_parts()).count(f'"seed": {seed}, ') == 10
     assert report.to_csv_text().count(f",{seed},") == 10
