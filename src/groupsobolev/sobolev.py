@@ -184,7 +184,7 @@ def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
     return _lebesgue(e_norm(f.sample(group), f.p_E), group, p)
 
 
-_PROBE_SLICE = 256  # Haar elements per synthesis of the sup probe
+_PROBE_SLICE = 128  # Haar elements per synthesis of the sup probe; bounds its temporaries
 
 
 def probed_sup(coeffs: FourierCoefficients, group: GroupSpec, extra_samples: int = 0, seed=0):

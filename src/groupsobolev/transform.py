@@ -216,14 +216,19 @@ def synthesize(coeffs: FourierCoefficients, group: GroupSpec, elements=None) -> 
     for a batch.
 
     Evaluates at the quadrature nodes by default (the group's node synthesis),
-    at ``elements`` otherwise (their packed matrices times the weighted rows).
+    at ``elements`` otherwise: one product for the batch, its (B*m, K) weighted
+    rows times the elements' (n, K) packed matrices transposed, returned as the
+    (..., n, m) view. Row by row, a batch keeps its single functions' bits; the
+    column form (n, K) @ (K, B*m) does not.
     """
     if coeffs.window != group.window:
         raise ValueError("coefficient window does not match the group")
-    weighted = group.window.entry_dims[:, None] * coeffs.packed
+    dims = group.window.entry_dims
     if elements is None:
-        return group.synthesis(weighted)
-    return group.packed_matrices(elements) @ weighted
+        return group.synthesis(dims[:, None] * coeffs.packed)
+    matrices = group.packed_matrices(elements)  # len(matrices), not -1, reshapes an empty batch
+    values = (coeffs.packed.swapaxes(-1, -2) * dims).reshape(-1, dims.size) @ matrices.T
+    return values.reshape(*coeffs.packed.shape[:-2], coeffs.m, len(matrices)).swapaxes(-1, -2)
 
 
 def node_samples(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:

@@ -238,9 +238,13 @@ class RecordTable(Sequence):
         their ``to_dict()``, one chunk at a time, its lines joined by ",\\n    "."""
         if not np.isfinite(self.floats).all():
             raise ValueError("Out of range float values are not JSON compliant")
+        shares = contexts = None
         for c, texts in self._runs():
+            # a chunk with the previous one's context columns and items reuses its texts
+            if shares != (shares := (id(c.columns), id(c.shared), c.keys, len(c.seeds))):
+                contexts = c.texts()
             head = f'{{"name": {_JSON(c.name)}, "group": {_JSON(c.group)}, "seed": '
-            lines = zip(*texts, c.texts())
+            lines = zip(*texts, contexts)
             yield ",\n    ".join([f'{head}{s}, "lhs": {a}, "rhs": {b}, "slack": {d}, "tol": {t}, '
                                   f'"pass": {p}, "context": {x}' for s, a, b, d, t, p, x in lines])
 
@@ -349,8 +353,11 @@ def check_vector_norm_comparison(
     columns = {"p": ps, "q": list(map(_exponent, qs)), "n": [vec.size for vec in vecs]}
     args = (ALGEBRAIC_TOL, seeds, contexts, None, columns)
     dec = _table("vector_norm_decreasing", norm_q, norm_p, *args, group=group)
-    bound = _table("vector_norm_dimension_bound", norm_p, factor * norm_q, *args, group=group)
-    return RecordTable.concat([dec, bound])
+    # one seeds, columns and shared object for the pair: a report texts each context once
+    bound = _table("vector_norm_dimension_bound", norm_p, factor * norm_q, ALGEBRAIC_TOL, seeds,
+                   [{}] * len(seeds), group=group)
+    return RecordTable(dec.chunks + [replace(d, name=b.name, floats=b.floats)
+                                     for d, b in zip(dec.chunks, bound.chunks)])
 
 
 def check_block_comparison(

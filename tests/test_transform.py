@@ -661,6 +661,20 @@ def test_off_node_synthesis_at_zero_elements(any_group):
 
 
 @pytest.mark.parametrize("name", LAYOUT_KINDS)
+def test_off_node_synthesis_of_a_batch_of_200_is_bit_equal_to_each_function(name, request):
+    """A default-size batch is synthesized off the nodes in one product; each
+    function's values are those of its own synthesis, bit for bit."""
+    group = request.getfixturevalue(name)
+    batch = gs.random_band_limited(list(range(200)), group, m=3)
+    els = group.random_elements(np.random.default_rng(3), 256)
+    values = gs.synthesize(batch, group, elements=els)
+    assert values.shape == (200, 256, 3)
+    for b in range(200):
+        single = gs.synthesize(gs.random_band_limited(b, group, m=3), group, elements=els)
+        assert np.array_equal(values[b], single), b
+
+
+@pytest.mark.parametrize("name", LAYOUT_KINDS)
 def test_batch_views_synthesis_and_norms_match_single_functions(name, request):
     group = request.getfixturevalue(name)
     singles = [gs.random_band_limited(seed, group, m=2, p_E=3.0) for seed in range(4)]

@@ -578,7 +578,7 @@ def test_default_run_synthesizes_once_per_group(monkeypatch):
     report = gs.run_suite({**gs.DEFAULT_CONFIG, "batch_size": 4, "vector_checks": 0})
     names = ["cyclic(12)", "s3", "circle(16)", "su2(2)"]
     slices = -(-gs.DEFAULT_CONFIG["sup_extra_samples"] // sobolev._PROBE_SLICE)
-    assert slices == 4
+    assert slices == 8
     probed = ["circle(16)", "su2(2)"]
     assert off_nodes == [name for name in probed for _ in range(slices)] and at_nodes == names
     assert report.counts()["sup_embedding"] == 4 * 4 * len(gs.DEFAULT_CONFIG["s_values"])
@@ -1122,6 +1122,28 @@ def test_one_function_replays_its_batch_records_bit_for_bit(spec, check):
         assert [(r.lhs, r.rhs) for r in replayed] == [(r.lhs, r.rhs) for r in batched]
 
 
+@pytest.mark.parametrize("p_E", [2.0, 1.0, "inf"])
+@pytest.mark.parametrize("spec", [{"kind": "circle", "band": 16}, {"kind": "su2", "band": 2}])
+def test_sup_records_of_a_default_size_batch_replay_bit_for_bit(spec, p_E):
+    """The sup probe synthesizes a batch of 200, the default run's, in one
+    product per slice of elements; each function alone gets the same lhs and
+    rhs, bit for bit, and the probe, not the nodes, sets some of them."""
+    group, p_E = gs.make_group(dict(spec)), float(p_E)
+    weights = gs.canonical_weights(group)
+    singles = [gs.random_band_limited(fseed, group, 3, p_E) for fseed in range(200)]
+    packed = np.stack([c.packed for c in singles])
+    batch = gs.FourierCoefficients(group.window, 3, p_E=p_E, packed=packed)
+
+    def run(coeffs, seed):
+        return gs.check_sup_embedding(coeffs, weights, 1.0, group, 1000, (1729, 7, 0), seed=seed)
+
+    table = run(batch, list(range(200)))
+    assert (np.array([r.lhs for r in table]) > sobolev.probed_sup(batch, group)).any()
+    for b, coeffs in enumerate(singles):
+        (replayed,) = run(coeffs, b)
+        assert (replayed.lhs, replayed.rhs) == (table[b].lhs, table[b].rhs), b
+
+
 def _rendered(table) -> tuple[list, str]:
     """The JSON record lines and the CSV text of a report of ``table``."""
     report = gs.VerificationReport(table, {})
@@ -1173,6 +1195,22 @@ def test_reports_render_rows_in_any_order_as_the_per_record_oracle(z4):
         kept = [_table("x", 0.5, 1.0, 1e-12, [s], [{"a": a}]) for s, a in ((1, 1.5), (3, 2.5))]
         assert _rendered(RecordTable.concat(kept))[0][1].endswith('"context": {"a": 2.5}}')
         assert gs.VerificationReport(refused, {}).to_csv_text() == _csv_oracle(refused)
+
+
+def test_a_vector_batch_texts_the_contexts_of_each_pair_once(monkeypatch):
+    """The two chunks of a vector batch share their context columns, so the
+    JSON report texts them once; a tampered table shares nothing and texts
+    each chunk. Both render as json.dumps writes each record."""
+    vectors = [np.arange(1.0, n + 1) for n in (1, 2, 3, 2)]
+    contexts = [{"index": i, "tag": "x"} for i in range(4)]
+    table = gs.check_vector_norm_comparison(
+        vectors, [1.0, 1.5, 2.0, 3.0], [2.0, 2.0, math.inf, 3.0], seed=5, context=contexts
+    )
+    calls, texts = [], verify._Chunk.texts
+    monkeypatch.setattr(verify._Chunk, "texts", lambda c: calls.append(c.name) or texts(c))
+    for rows in (table, table.tampered()):
+        assert _rendered(rows)[0] == [json.dumps(r.to_dict()) for r in rows]
+    assert calls == ["vector_norm_decreasing"] * 2 + ["vector_norm_dimension_bound"]
 
 
 def test_reports_escape_a_group_name_as_csv_and_json_do():
