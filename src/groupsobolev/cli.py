@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
     if "json" in cfg.formats:
         atomic_write_text(outdir / "verification_report.json", report.json_parts())
     if "csv" in cfg.formats:
-        atomic_write_text(outdir / "verification_report.csv", report.to_csv_text())
+        atomic_write_text(outdir / "verification_report.csv", report.csv_parts())
     if not cfg.quiet:
         counts, tightest = report.counts(), report.tightest()
         names, codes = report.records.name_codes()

@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .groups import DualWindow, GroupSpec
-from .transform import FourierCoefficients, VectorFunction, e_norm, synthesize
+from .transform import _PROBE_SLICE, FourierCoefficients, VectorFunction, e_norm, synthesize
 from .transform import _entry_norms, _node_norms, _per_function, _pth_root, weighted_spectral_norm
 
 __all__ = [
@@ -182,9 +182,6 @@ def _lebesgue(norms: np.ndarray, group: GroupSpec, p: float) -> float | np.ndarr
 def l_p_norm(f: VectorFunction, group: GroupSpec, p: float) -> float:
     """The L^p norm of ``f``'s node samples, as ``lebesgue_norm`` computes it."""
     return _lebesgue(e_norm(f.sample(group), f.p_E), group, p)
-
-
-_PROBE_SLICE = 128  # Haar elements per synthesis of the sup probe; bounds its temporaries
 
 
 def probed_sup(coeffs: FourierCoefficients, group: GroupSpec, extra_samples: int = 0, seed=0):

@@ -49,6 +49,9 @@ __all__ = [
     "weighted_spectral_norm",
 ]
 
+_PROBE_SLICE = 128  # Haar elements per synthesis of the sup probe; bounds its temporaries
+_NODE_SLICE_BYTES = 2**21  # node samples per synthesis of a batch's node norms, one function at least
+
 
 def e_norm(values, p: float = 2.0) -> np.ndarray:
     """l^p norm of complex vectors along the last axis; ``p`` may be inf."""
@@ -232,14 +235,20 @@ def synthesize(coeffs: FourierCoefficients, group: GroupSpec, elements=None) -> 
 
 
 def node_samples(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:
-    """``synthesize(coeffs, group)`` at the nodes, computed once per group
-    and kept on ``coeffs``; read-only."""
+    """The node synthesis, kept on ``coeffs`` per group (``_node_norms`` keeps none); read-only."""
     return coeffs.memo(("samples", group), lambda: synthesize(coeffs, group))
 
 
 def _node_norms(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:
-    """|f(x_k)|_E at the nodes, (n,) or (B, n), kept on ``coeffs`` per group; read-only."""
-    return coeffs.memo(("node_norms", group), lambda: e_norm(node_samples(coeffs, group), coeffs.p_E))
+    """|f(x_k)|_E at the nodes, (n,) or (B, n), kept on ``coeffs`` per group; read-only. A batch is
+    synthesized in slices of ``_NODE_SLICE_BYTES`` of samples, each function keeping its bits."""
+    def compute(batch=coeffs.packed):  # a batch (B, K, m) in slices, one function (K, m) whole
+        step = max(1, _NODE_SLICE_BYTES // (16 * group.node_count * coeffs.m))  # functions per slice
+        slices = np.split(batch, range(step, len(batch), step)) if batch.ndim == 3 else []
+        parts = [FourierCoefficients(coeffs.window, coeffs.m, packed=x) for x in slices] or [coeffs]
+        return np.concatenate([e_norm(synthesize(x, group), coeffs.p_E) for x in parts])
+
+    return coeffs.memo(("node_norms", group), compute)
 
 
 def _entry_norms(coeffs: FourierCoefficients) -> np.ndarray:

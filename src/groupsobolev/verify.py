@@ -595,8 +595,14 @@ class VerificationReport:
         yield from (",\n    " + run for run in runs)
         yield "\n  ]\n}\n"
 
+    def csv_parts(self) -> Iterator[str]:
+        """``to_csv_text`` in pieces, made as they are asked for: the header, then one per run."""
+        yield ",".join(CSV_COLUMNS)
+        yield from ("\n" + run for run in self.records.csv_runs())
+        yield "\n"
+
     def to_csv_text(self) -> str:
-        return "\n".join([",".join(CSV_COLUMNS), *self.records.csv_runs()]) + "\n"
+        return "".join(self.csv_parts())
 
 
 def run_suite(config) -> VerificationReport:

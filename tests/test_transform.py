@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupsobolev as gs
+from groupsobolev import transform
 from groupsobolev.groups import ORTHOGONALITY_TOL, _little_d_matrix, _su2_axes
 from groupsobolev.transform import (
     _entry_norms,
@@ -359,6 +361,52 @@ def test_entry_and_node_norms_are_kept_read_only(any_group):
         with pytest.raises(ValueError, match="read-only"):
             kept[0, 0] = 1.0
     assert _entry_norms(coeffs) is entries and _node_norms(coeffs, any_group) is nodes
+
+
+@pytest.mark.parametrize("p_E", [2.0, 1.0, 3.0, math.inf])
+@pytest.mark.parametrize("name", ["z12", "s3", "circle16", "su2_2", "su2_1h"])
+def test_node_norms_of_a_batch_in_slices_keep_every_bit(name, p_E, request, monkeypatch):
+    """A batch of 70 is synthesized in three slices of at most 32 functions'
+    samples, and each function's node norms are bit-equal to those of one
+    synthesis of the whole batch; no samples are kept. An empty batch and a
+    single function go through whole, and a function above the slice size
+    is a slice of its own."""
+    group, slices, synthesize = request.getfixturevalue(name), [], transform.synthesize
+
+    def counted(coeffs, group):
+        slices.append(len(coeffs.packed))
+        return synthesize(coeffs, group)
+
+    monkeypatch.setattr(transform, "_NODE_SLICE_BYTES", 32 * group.node_count * 3 * 16)
+    monkeypatch.setattr(transform, "synthesize", counted)
+    batch = gs.random_band_limited(list(range(70)), group, m=3, p_E=p_E)
+    norms = _node_norms(batch, group)
+    assert slices == [32, 32, 6]
+    assert np.array_equal(norms, e_norm(synthesize(batch, group), p_E))
+    assert norms.shape == (70, group.node_count) and ("samples", group) not in batch._memo
+    empty = gs.random_band_limited([], group, m=3, p_E=p_E)
+    assert _node_norms(empty, group).shape == (0, group.node_count)
+    single = gs.random_band_limited(69, group, m=3, p_E=p_E)
+    assert np.array_equal(_node_norms(single, group), e_norm(gs.synthesize(single, group), p_E))
+    assert np.array_equal(_node_norms(single, group), norms[69])
+    monkeypatch.setattr(transform, "_NODE_SLICE_BYTES", 1)  # below one function's samples
+    slices.clear()
+    assert np.array_equal(_node_norms(gs.random_band_limited([0, 1, 2], group, m=3, p_E=p_E), group), norms[:3])
+    assert slices == [1, 1, 1]
+
+
+def test_lebesgue_norm_of_a_batch_holds_no_sample_batch(su2_4):
+    """The L^2 norm of a fresh batch of 200 on su2(4) peaks below the size of
+    its (200, nodes, 3) complex samples, which it never holds at once."""
+    batch = gs.random_band_limited(list(range(200)), su2_4, m=3)
+    sample_batch = 200 * su2_4.node_count * 3 * 16
+    tracemalloc.start()
+    try:
+        gs.lebesgue_norm(batch, su2_4, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sample_batch
 
 
 def test_node_samples_are_kept_per_group(z12):

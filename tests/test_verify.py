@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupsobolev as gs
-from groupsobolev import sobolev, transform, verify
+from groupsobolev import cli, sobolev, transform, verify
 from groupsobolev.transform import dump_json
 from groupsobolev.verify import (
     CSV_COLUMNS,
@@ -656,6 +656,24 @@ def test_report_csv_shape():
     assert lines[0] == "name,group,seed,lhs,rhs,slack,tol,pass"
     assert len(lines) == len(report.records) + 1
     assert all(line.endswith(("true", "false")) for line in lines[1:])
+
+
+def test_verify_streams_the_csv_by_run(tmp_path, monkeypatch):
+    """``cmd_verify`` writes ``csv_parts``, never the whole ``to_csv_text``,
+    and the pieces join to it: plain, tampered and for an empty table."""
+    def whole_text(self):
+        raise AssertionError("the CSV report is built as one string")
+
+    report = gs.run_suite(SMALL_CONFIG)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    monkeypatch.setattr(gs.VerificationReport, "to_csv_text", whole_text)
+    assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert (tmp_path / "o" / "verification_report.csv").read_text() == _csv_oracle(report.records)
+    monkeypatch.undo()
+    for table in (report.records, report.records.tampered(), RecordTable()):
+        streamed = gs.VerificationReport(table, {})
+        assert "".join(streamed.csv_parts()) == streamed.to_csv_text() == _csv_oracle(table)
 
 
 def test_report_summary_fields():
