@@ -24,7 +24,7 @@ import numpy as np
 
 from .groups import DualWindow, GroupSpec
 from .transform import _PROBE_SLICE, FourierCoefficients, VectorFunction, e_norm, synthesize
-from .transform import _entry_norms, _node_norms, _per_function, _pth_root, weighted_spectral_norm
+from .transform import _entry_norms, _node_norms, _per_function, _pth_root
 
 __all__ = [
     "ConstantEstimate",
@@ -146,7 +146,7 @@ def h_s_norm(coeffs: FourierCoefficients, weights: WeightSequence, s: float) -> 
         raise ValueError(f"Sobolev order s must be >= 0, got {s}")
 
     def compute():
-        norm = weighted_spectral_norm(coeffs, weights.sobolev_entries(coeffs.window, s), 2.0)
+        norm = _pth_root(_entry_norms(coeffs), 2.0, weights.sobolev_entries(coeffs.window, s))
         if np.isfinite(norm).all():
             return norm
         with np.errstate(invalid="ignore"):  # an inf weight times a zero modulus weighs 0

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -46,7 +45,6 @@ __all__ = [
     "s_p_norm",
     "save_coefficients",
     "synthesize",
-    "weighted_spectral_norm",
 ]
 
 _PROBE_SLICE = 128  # Haar elements per synthesis of the sup probe; bounds its temporaries
@@ -56,21 +54,19 @@ _NODE_SLICE_BYTES = 2**21  # node samples per synthesis of a batch's node norms,
 def e_norm(values, p: float = 2.0) -> np.ndarray:
     """l^p norm of complex vectors along the last axis; ``p`` may be inf."""
     values = np.asarray(values)
-    total = None
-    if p == 2.0:  # sum of re^2 + im^2: one contraction over the float view, no |a| temporary
-        x = np.ascontiguousarray(values, complex if np.iscomplexobj(values) else float).view(float)
-        total = np.einsum("...i,...i->...", x, x)
-        low = (total < np.finfo(float).tiny).ravel()  # scaled, unless all its entries are zero
-        if total.max(initial=0.0) < np.inf and not (
-            low.any() and x.reshape(low.size, -1).compress(low, axis=0).any()
-        ):
-            return np.sqrt(total)
-    a = np.abs(values)
-    if math.isinf(p):
-        return a.max(axis=-1)
-    with np.errstate(over="ignore"):  # a sum or a norm above every float is inf
-        total, scale = _power_sum(a, p, (a**p).sum(axis=-1) if total is None else total)
-        return scale * total ** (1.0 / p)
+    if p != 2.0:
+        return _pth_root(np.abs(values), p)
+    # sum of re^2 + im^2: one contraction over the float view, no |a| temporary
+    x = np.ascontiguousarray(values, complex if np.iscomplexobj(values) else float).view(float)
+    total = np.einsum("...i,...i->...", x, x)
+    low = (total < np.finfo(float).tiny).ravel()  # scaled, unless all its entries are zero
+    if total.max(initial=0.0) < np.inf and not (
+        low.any() and x.reshape(low.size, -1).compress(low, axis=0).any()
+    ):
+        return np.sqrt(total)
+    with np.errstate(over="ignore"):  # a norm above every float is inf
+        total, scale = _power_sum(np.abs(values), 2.0, total)
+        return scale * np.sqrt(total)
 
 
 def _power_sum(a, p, total, weights=1.0):
@@ -86,18 +82,13 @@ def _power_sum(a, p, total, weights=1.0):
     return total, np.where(scaled, top, 1.0)
 
 
-def _block_norms(a, offsets, p: float) -> np.ndarray:
-    """(sum a^p)^(1/p) over each block ``offsets[i]:offsets[i + 1]`` of the last axis of moduli
-    ``a``, a sum not finite or normal scaled as ``_power_sum`` scales it; max a at p = inf."""
-    if math.isinf(p):
-        return np.maximum.reduceat(a, offsets[:-1], axis=-1)
-    with np.errstate(over="ignore"):  # a sum above every float is scaled
-        total, scale = np.add.reduceat(a**p, offsets[:-1], axis=-1), 1.0
-        if not ((np.finfo(float).tiny <= total) & (total < np.inf)).all():  # block by block
-            scale = np.ones_like(total)
-            for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-                total[..., i], scale[..., i] = _power_sum(a[..., lo:hi], p, total[..., i])
-    return scale * total ** (1.0 / p)
+def _block_norms(a, window: DualWindow, p: float) -> np.ndarray:
+    """``_pth_root`` of each window block of the last axis of moduli ``a``, (..., blocks): over
+    the blocks zero-padded to max(d)^2 entries, which add nothing to a sum or a maximum."""
+    block = window.entry_values(range(len(window.dims))).astype(int)
+    padded = np.zeros((*a.shape[:-1], len(window.dims), max(window.dims) ** 2))
+    padded[..., block, np.arange(window.size) - np.take(window.offsets, block)] = a
+    return _pth_root(padded, p)
 
 
 def label_key(label) -> str:
@@ -268,25 +259,22 @@ def _per_function(values) -> float | np.ndarray:
 
 
 def _pth_root(a, p, weights=1.0) -> float | np.ndarray:
-    """(sum w a^p)^(1/p) per row as ``_power_sum`` has it, the sum scaled only if a row needs it,
-    and each root by the scalar power: numpy's array power can differ from it in the last bit,
-    and a batch must not. A float for one row."""
+    """(sum w a^p)^(1/p) over the last axis of moduli ``a``, max a where p = inf; ``p`` a float
+    or one per row, (..., 1). A sum not finite or normal is scaled as ``_power_sum`` scales it,
+    the others keep their bits. Every root is numpy's power, which gives a row the same bits
+    alone as in a batch. A float for one row."""
+    if isinstance(p, np.ndarray) and (top := np.isinf(p[..., 0])).any():  # rows at p = inf
+        rest = _pth_root(a, np.where(top[..., None], 1.0, p), weights)
+        return np.where(top, a.max(axis=-1), rest)
+    if not isinstance(p, np.ndarray) and math.isinf(p):
+        return _per_function(a.max(axis=-1))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf; inf * 0: nan
-        total = (weights * a**p).sum(axis=-1)
+        total, scale = (weights * a**p).sum(axis=-1), 1.0
         if total.ndim == 0 and 2.0**-1022 <= total < math.inf:  # one row that needs no scaling
-            return float(total) ** (1.0 / p)
-        totals, scales = total.ravel().tolist(), [1.0] * total.size
-        if not all(2.0**-1022 <= t < math.inf for t in totals):  # a sum not normal and finite
-            totals, scales = (v.ravel().tolist() for v in _power_sum(a, p, total, weights))
-    ps = p.ravel().tolist() if isinstance(p, np.ndarray) else [p] * total.size
-    roots = [m * t ** (1.0 / q) for t, m, q in zip(totals, scales, ps)]
-    return roots[0] if total.ndim == 0 else np.reshape(roots, total.shape)
-
-
-def weighted_spectral_norm(coeffs: FourierCoefficients, entry_weights, p: float):
-    """(sum_c entry_weights[c] * |P[c]|_E^p)^(1/p) over the packed rows P;
-    one value per function of a batch."""
-    return _pth_root(_entry_norms(coeffs), p, entry_weights)
+            return float(np.power(total, 1.0 / p))
+        if not ((2.0**-1022 <= total) & (total < math.inf)).all():  # a sum not normal and finite
+            total, scale = _power_sum(a, p, total, weights)
+        return _per_function(scale * np.power(total[..., None], 1.0 / p)[..., 0])
 
 
 def s_p_norm(coeffs: FourierCoefficients, p: float) -> float | np.ndarray:
@@ -297,9 +285,7 @@ def s_p_norm(coeffs: FourierCoefficients, p: float) -> float | np.ndarray:
     """
     if not p >= 1:
         raise ValueError(f"spectral norm requires p >= 1, got {p}")
-    if math.isinf(p):
-        return _per_function(_entry_norms(coeffs).max(axis=-1))
-    return weighted_spectral_norm(coeffs, coeffs.window.entry_dims, p)
+    return _pth_root(_entry_norms(coeffs), p, coeffs.window.entry_dims)
 
 
 def random_band_limited(
@@ -393,17 +379,17 @@ def dump_json(data: dict) -> str:
 
 def atomic_write_text(path, text) -> None:
     """Write ``text``, a str or an iterable of them, via a temp file in the
-    target directory, then rename."""
+    target directory, then rename; the file has the mode a plain ``open`` gives."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x")  # 0o666 less the umask
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -314,10 +314,9 @@ def _vector_norms(vecs: list, ps: list) -> np.ndarray:
     for n in set(sizes.tolist()):
         at = np.flatnonzero(sizes == n)
         x, p = np.array([vecs[i] for i in at]), ps[at]
-        a, top, two, power = np.abs(x), np.isinf(p), p == 2.0, np.isfinite(p) & (p != 2.0)
-        out[at[top]] = a[top].max(axis=-1)
+        two = p == 2.0
         out[at[two]] = e_norm(x[two])
-        out[at[power]] = _pth_root(a[power], p[power, None])
+        out[at[~two]] = _pth_root(np.abs(x[~two]), p[~two, None])
     return out
 
 
@@ -375,9 +374,9 @@ def check_block_comparison(
         raise ValueError(f"need 1 <= p <= q, got p={p}, q={q}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     entry_norms = _entry_norms(coeffs).reshape(len(seeds), coeffs.window.size)
-    lhs = _block_norms(entry_norms, coeffs.window.offsets, p).ravel()
+    lhs = _block_norms(entry_norms, coeffs.window, p).ravel()
     factors = np.array([(d * d) ** (1.0 / p - 1.0 / q) for d in coeffs.window.dims])
-    rhs = (factors * _block_norms(entry_norms, coeffs.window.offsets, q)).ravel()
+    rhs = (factors * _block_norms(entry_norms, coeffs.window, q)).ravel()
     blocks = [label_key(label) for label in coeffs.window.labels]
     columns = {"block": blocks * len(seeds)}
     seeds = [fseed for fseed in seeds for _ in blocks]

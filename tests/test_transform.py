@@ -3,6 +3,8 @@ import functools
 import hashlib
 import json
 import math
+import os
+import stat
 import tracemalloc
 import warnings
 
@@ -531,10 +533,17 @@ def test_e_norm_scales_a_power_sum_that_underflows_or_overflows():
     with pytest.MonkeyPatch.context() as mp:  # an all-zero vector keeps p = 2 on the einsum
         mp.setattr("groupsobolev.transform._power_sum", None)
         assert gs.e_norm(np.array([[0.0, 0.0], [3.0, 4.0j]])).tolist() == [0.0, 5.0]
-    # a sum that computes keeps the bits of the plain formula
+    # a sum that computes keeps the bits of the plain sum, rooted by numpy's power
     v = np.random.default_rng(4).standard_normal(7) + 1j
     for p in (1.0, 1.5, 3.0, 40.0):
-        assert gs.e_norm(v, p) == (np.abs(v) ** p).sum() ** (1.0 / p)
+        assert gs.e_norm(v, p) == np.power((np.abs(v) ** p).sum(), 1.0 / p)
+
+
+def test_e_norm_of_one_row_has_the_bits_of_that_row_in_a_batch():
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((5000, 3)) + 1j * rng.standard_normal((5000, 3))
+    for p in (1.5, 3.0, 400.0, math.inf):
+        assert e_norm(rows, p).tolist() == [float(e_norm(row, p)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +613,15 @@ def test_atomic_write_creates_parents(tmp_path):
     atomic_write_text(target, "payload")
     assert target.read_text() == "payload"
     assert not list(target.parent.glob("*.tmp"))
+
+
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        atomic_write_text(tmp_path / "x.txt", "payload")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "x.txt").stat().st_mode) == 0o644
 
 
 def test_a_failed_atomic_write_leaves_the_target_and_no_temporary_file(tmp_path):

@@ -859,16 +859,19 @@ def test_suite_passes_for_every_target_norm(p_E):
     assert not gs.run_suite({**SMALL_CONFIG, "p_E": p_E, "tamper": True}).all_pass
 
 
-def test_block_comparison_matches_per_block_loop(su2_2):
-    coeffs = gs.random_band_limited(3, su2_2, m=2, p_E=3.0)
-    for p, q in ((1.0, 2.0), (1.5, 4.0), (1.2, math.inf)):
-        records = gs.check_block_comparison(coeffs, p, q)
-        for rec, label, d in zip(records, su2_2.window.labels, su2_2.window.dims):
-            norms = gs.e_norm(coeffs.block(label), 3.0).reshape(-1)
-            lhs = (norms**p).sum() ** (1.0 / p)
-            norm_q = norms.max() if math.isinf(q) else (norms**q).sum() ** (1.0 / q)
-            rhs = (d * d) ** (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q)) * norm_q
-            assert abs(rec.lhs - lhs) <= 1e-12 * lhs and abs(rec.rhs - rhs) <= 1e-12 * rhs
+def test_block_comparison_matches_per_block_loop(su2_2, s3, su2_1h):
+    # s3's blocks hold 1, 1 and 4 entries, su2_1h's 1, 4 and 9: most are zero-padded
+    for group in (su2_2, s3, su2_1h):
+        coeffs = gs.random_band_limited(3, group, m=2, p_E=3.0)
+        for p, q in ((1.0, 2.0), (1.5, 4.0), (1.2, math.inf)):
+            records = gs.check_block_comparison(coeffs, p, q)
+            assert len(records) == len(group.window.labels)
+            for rec, label, d in zip(records, group.window.labels, group.window.dims):
+                norms = gs.e_norm(coeffs.block(label), 3.0).reshape(-1)
+                lhs = (norms**p).sum() ** (1.0 / p)
+                norm_q = norms.max() if math.isinf(q) else (norms**q).sum() ** (1.0 / q)
+                rhs = (d * d) ** (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q)) * norm_q
+                assert abs(rec.lhs - lhs) <= 1e-12 * lhs and abs(rec.rhs - rhs) <= 1e-12 * rhs
 
 
 # ---------------------------------------------------------------------------
