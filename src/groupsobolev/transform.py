@@ -51,8 +51,8 @@ _PROBE_SLICE = 128  # Haar elements per synthesis of the sup probe; bounds its t
 _NODE_SLICE_BYTES = 2**21  # node samples per synthesis of a batch's node norms, one function at least
 
 
-def e_norm(values, p: float = 2.0) -> np.ndarray:
-    """l^p norm of complex vectors along the last axis; ``p`` may be inf."""
+def e_norm(values, p: float = 2.0) -> float | np.ndarray:
+    """l^p norm of complex vectors along the last axis, a float for one vector; ``p`` may be inf."""
     values = np.asarray(values)
     if p != 2.0:
         return _pth_root(np.abs(values), p)
@@ -63,10 +63,10 @@ def e_norm(values, p: float = 2.0) -> np.ndarray:
     if total.max(initial=0.0) < np.inf and not (
         low.any() and x.reshape(low.size, -1).compress(low, axis=0).any()
     ):
-        return np.sqrt(total)
+        return _per_function(np.sqrt(total))
     with np.errstate(over="ignore"):  # a norm above every float is inf
         total, scale = _power_sum(np.abs(values), 2.0, total)
-        return scale * np.sqrt(total)
+        return _per_function(scale * np.sqrt(total))
 
 
 def _power_sum(a, p, total, weights=1.0):
@@ -288,6 +288,38 @@ def s_p_norm(coeffs: FourierCoefficients, p: float) -> float | np.ndarray:
     return _pth_root(_entry_norms(coeffs), p, coeffs.window.entry_dims)
 
 
+def _seed_words(rows, n_words: int) -> np.ndarray:
+    """``np.random.SeedSequence(row).generate_state(n_words)`` of each row of ints, (N, n_words)
+    uint32: numpy's pool mixing (O'Neill's seed_seq) at once over all rows of a word count."""
+    def hashmix(v, mult=0x931E8875):  # generate_state's step too, with its own h and mult
+        nonlocal h
+        v, h = v ^ h, h * mult & 0xFFFFFFFF
+        return (v := v * h) ^ v >> 16  # uint32 arrays wrap mod 2^32 without a warning
+
+    if bad := [x for row in rows for x in row if not isinstance(x, (int, np.integer)) or x < 0]:
+        raise ValueError(f"a seed needs a non-negative integer, got {bad[0]!r}")
+    rows = [[x >> s & 0xFFFFFFFF for x in map(int, r) for s in range(0, x.bit_length() or 1, 32)]
+            for r in rows]  # numpy's words of an int: little-endian uint32, 0 one zero word
+    out = np.empty((len(rows), n_words), np.uint32)
+    for k in set(map(len, rows)):
+        at = [i for i, row in enumerate(rows) if len(row) == k]
+        h, words = 0x43B0D7E5, [*np.array([rows[i] for i in at], np.uint32).T]
+        pool = [hashmix(words[i] if i < k else 0 * words[0]) for i in range(4)] + words[4:]
+        for src, dst in [(s, d) for s in range(len(pool)) for d in range(4) if s != d]:
+            r = pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715
+            pool[dst] = r ^ r >> 16
+        h = 0x8B51F9DD
+        out[at] = np.stack([hashmix(pool[i % 4], 0x58F38DED) for i in range(n_words)], axis=-1)
+    return out
+
+
+class _HeldWords(np.ndarray):
+    """uint32 words that are their own seed sequence: ``generate_state`` gives them back."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.view(dtype)[:n_words]
+
+
 def random_band_limited(
     seed: int | Sequence[int],
     group: GroupSpec,
@@ -296,16 +328,17 @@ def random_band_limited(
 ) -> FourierCoefficients:
     """Seeded random coefficients, one standard complex-Gaussian draw per entry.
 
-    ``seed`` is one seed, or a sequence of B ints, always read as the batch
-    (B, K, m) of their single draws. Per seed, the 2 K m normals are drawn at
-    once and read label by label, each block (d, d, m) in row-major order, its
-    real parts first, then its imaginary ones.
+    ``seed`` is one non-negative int, or a sequence of B, always read as the batch (B, K, m)
+    of their single draws. Per seed, the 2 K m normals of ``np.random.default_rng(seed)`` are
+    drawn at once and read label by label, each block (d, d, m) in row-major order, its real
+    parts first, then its imaginary ones; the seeds' generator states come from one pass.
     """
     window = group.window
     seeds = list(seed) if np.ndim(seed) else [seed]
     draws = np.zeros((len(seeds), 2 * window.size, m))
-    for row, s in zip(draws, seeds):
-        np.random.default_rng(s).standard_normal(out=row)
+    np.random.bit_generator.ISeedSequence.register(_HeldWords)  # here: import loads no numpy.random
+    for row, words in zip(draws, _seed_words([(s,) for s in seeds], 8).view(_HeldWords)):
+        np.random.Generator(np.random.PCG64(words)).standard_normal(out=row)
     real = window.row_major_position + window.entry_values(window.offsets[:-1]).astype(int)
     packed = draws[:, real] + 1j * draws[:, real + window.entry_dims.astype(int) ** 2]
     # C order: a batch's reductions then sum as each function's own do

@@ -54,6 +54,7 @@ from .transform import (
     _block_norms,
     _entry_norms,
     _pth_root,
+    _seed_words,
     e_norm,
     label_key,
     random_band_limited,
@@ -527,10 +528,6 @@ def check_continuity_modulus(
                   group=group.name)
 
 
-def _derive_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
-
-
 # ---------------------------------------------------------------------------
 # report
 
@@ -633,11 +630,11 @@ def run_suite(config) -> VerificationReport:
 
         if cfg.continuity_pairs > 0:
             budget = max(1, cfg.continuity_pairs // len(group.window.labels))
-            for li, label in enumerate(group.window.labels):
-                label_seed = _derive_seed(cfg.seed, 11, gi, li)
+            rows = [(cfg.seed, 11, gi, li) for li in range(len(group.window.labels))]
+            for label, label_seed in zip(group.window.labels, _seed_words(rows, 1)[:, 0].tolist()):
                 parts.append(check_continuity_modulus(group, label, budget, seed=label_seed))
 
-        seeds = [_derive_seed(cfg.seed, gi, b) for b in range(cfg.batch_size)]
+        seeds = _seed_words([(cfg.seed, gi, b) for b in range(cfg.batch_size)], 1)[:, 0].tolist()
         contexts = [{"batch": b} for b in range(cfg.batch_size)]
         coeffs = random_band_limited(seeds, group, cfg.m, p_E=cfg.p_E)
         batch = {"seed": seeds, "context": contexts}

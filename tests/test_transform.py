@@ -4,9 +4,13 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,77 @@ def test_random_band_limited_batch_stacks_the_single_draws_bit_for_bit(spec, law
     assert draw(np.array(seeds[:1])).packed.shape == (1, group.window.size, 3)
 
 
+def _default_rng_draw(seed, group, m):
+    """The oracle of a draw: numpy's default_rng(seed) normals, read block by block, each
+    block's real parts first, then its imaginary ones."""
+    normals = np.random.default_rng(seed).standard_normal(2 * group.window.size * m)
+    blocks, start = {}, 0
+    for label, d in zip(group.window.labels, group.window.dims):
+        real, imag = normals[start : start + 2 * d * d * m].reshape(2, d, d, m)
+        blocks[label], start = real + 1j * imag, start + 2 * d * d * m
+    return gs.FourierCoefficients(group.window, m, blocks).packed
+
+
+def test_seed_words_equal_numpy_seed_sequence_states():
+    rng = np.random.default_rng(0)
+    sizes = rng.integers(1, 8, 2000)
+    rows = [rng.integers(0, 2**32, k, dtype=np.uint32) for k in sizes]
+    for i, row in enumerate(rows[:600]):  # the extreme words, at every position
+        row[i % len(row)] = [0, 2**32 - 1][i % 2]
+    for n in (1, 8):
+        want = np.array([np.random.SeedSequence(row).generate_state(n) for row in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the uint32 arithmetic wraps without a warning
+            for k in range(1, 8):  # an (N, k) uint32 array
+                at = np.flatnonzero(sizes == k)
+                got = transform._seed_words(np.array([rows[i] for i in at]), n)
+                assert got.dtype == np.uint32 and np.array_equal(got, want[at])
+            # tuples of Python ints of every length in one call
+            assert np.array_equal(transform._seed_words([tuple(row.tolist()) for row in rows], n), want)
+
+
+WIDE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**70, np.int64(5)]
+
+
+def test_random_band_limited_equals_default_rng_draws_at_every_seed_width(su2_2):
+    want = [_default_rng_draw(seed, su2_2, 2) for seed in WIDE_SEEDS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, packed in zip(WIDE_SEEDS, want):
+            assert gs.random_band_limited(seed, su2_2, 2).packed.tobytes() == packed.tobytes()
+        batch = gs.random_band_limited(WIDE_SEEDS, su2_2, 2)  # 1, 2, 3 and 3 words in one batch
+    assert batch.packed.tobytes() == np.stack(want).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", -1, [3, -1], [0, 2.0], None])
+def test_random_band_limited_refuses_a_seed_that_is_no_non_negative_integer(z4, seed):
+    bad = seed[-1] if isinstance(seed, list) else seed
+    with pytest.raises(ValueError, match=re.escape(f"non-negative integer, got {bad!r}")):
+        gs.random_band_limited(seed, z4, 2)
+
+
+def test_random_band_limited_takes_numpy_integers_and_bools(z4):
+    for seed, same in [(np.uint64(7), 7), (np.int32(0), 0), (True, 1), ([np.int8(3), False], [3, 0])]:
+        got = gs.random_band_limited(seed, z4, 2).packed
+        assert got.tobytes() == gs.random_band_limited(same, z4, 2).packed.tobytes()
+
+
+def test_numpy_random_is_loaded_by_the_first_draw_not_by_import_or_group_builds():
+    script = """
+import sys
+import groupsobolev as gs
+from groupsobolev.config import DEFAULT_CONFIG
+groups = [gs.make_group(dict(spec)) for spec in DEFAULT_CONFIG["groups"]]
+assert "numpy.random" not in sys.modules
+gs.random_band_limited(1, groups[0], 2)
+assert "numpy.random" in sys.modules
+"""
+    src = str(Path(gs.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 # ---------------------------------------------------------------------------
 # kept node samples and probes
 
@@ -537,6 +612,13 @@ def test_e_norm_scales_a_power_sum_that_underflows_or_overflows():
     v = np.random.default_rng(4).standard_normal(7) + 1j
     for p in (1.0, 1.5, 3.0, 40.0):
         assert gs.e_norm(v, p) == np.power((np.abs(v) ** p).sum(), 1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_e_norm_of_one_vector_is_a_python_float(p):
+    for vec in ([3.0, 4.0], [1e-170, 1e-170]):  # the plain sum and, at p = 2 and 3, the scaled one
+        assert type(e_norm(vec, p)) is float
+    assert type(e_norm([[3.0, 4.0], [1e-170, 1e-170]], p)) is np.ndarray
 
 
 def test_e_norm_of_one_row_has_the_bits_of_that_row_in_a_batch():

@@ -25,10 +25,14 @@ from groupsobolev.verify import (
     CSV_COLUMNS,
     RecordTable,
     RunConfig,
-    _derive_seed,
     _table,
     resolve_weights,
 )
+
+def _derive_seed(*parts: int) -> int:
+    """The oracle of the suite's seeds: numpy's first SeedSequence word of ``parts``."""
+    return int(np.random.SeedSequence(parts).generate_state(1)[0])
+
 
 SMALL_CONFIG = {
     "groups": [
@@ -1267,3 +1271,17 @@ def test_a_seed_beyond_64_bits_reaches_the_vector_records():
     assert len(report.records) == 10 and all(r.seed == seed for r in report.records)
     assert "".join(report.json_parts()).count(f'"seed": {seed}, ') == 10
     assert report.to_csv_text().count(f",{seed},") == 10
+
+
+def test_a_seed_of_three_words_seeds_every_function_and_label_as_numpy_does():
+    seed = 2**64 + 1  # (seed, gi, b) is five entropy words, (seed, 11, gi, li) six
+    report = gs.run_suite({**SMALL_CONFIG, "seed": seed, "vector_checks": 5})
+    want = {}
+    for gi, spec in enumerate(SMALL_CONFIG["groups"]):
+        group = gs.make_group(dict(spec))
+        want |= {(group.name, b): _derive_seed(seed, gi, b) for b in range(3)}
+        want |= {(group.name, transform.label_key(label)): _derive_seed(seed, 11, gi, li)
+                 for li, label in enumerate(group.window.labels)}
+    got = {(r.group, r.context["block"] if r.name == "continuity_modulus" else r.context["batch"]): r.seed
+           for r in report.records if r.group != "-"}
+    assert got == want
