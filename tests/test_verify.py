@@ -29,6 +29,7 @@ from groupsobolev.verify import (
     resolve_weights,
 )
 
+
 def _derive_seed(*parts: int) -> int:
     """The oracle of the suite's seeds: numpy's first SeedSequence word of ``parts``."""
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
