@@ -30,7 +30,6 @@ from .transform import (
     e_norm,
     forward_transform,
     load_coefficients,
-    node_samples,
     random_band_limited,
     s_p_norm,
     save_coefficients,

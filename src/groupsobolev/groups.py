@@ -60,6 +60,9 @@ ORTHOGONALITY_TOL = 1e-9
 #: self-test (1e-9) are tested. Its Euler grid has 1.1 million nodes.
 SU2_MAX_SPIN = 32.0
 
+#: Window kinds of the finite groups: the nodes are every element, the dual has no tail.
+FINITE_KINDS = ("cyclic", "s3", "custom")
+
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
@@ -258,12 +261,10 @@ class GroupSpec:
     largest distance from them at three grid nodes.
     """
 
-    kind: str
     name: str
     window: DualWindow
     quadrature: QuadratureRule
     identity: Any
-    order: int | None
     _matrices: Callable[[Any, np.ndarray], np.ndarray]
     multiply: Callable[[Any, Any], Any]
     random_elements: Callable[[np.random.Generator, int], np.ndarray]
@@ -340,12 +341,10 @@ def _finite_group(
         return int(mult_table[indices(x), indices(y)].item())
 
     return GroupSpec(
-        kind=kind,
         name=name,
         window=window,
         quadrature=QuadratureRule(nodes, weights),
         identity=identity,
-        order=order,
         _matrices=lambda label, elements: irrep_tables[label][indices(elements)],
         multiply=multiply,
         random_elements=lambda rng, count: rng.integers(0, order, size=count),
@@ -409,11 +408,6 @@ def _make_cyclic(n: int) -> GroupSpec:
     return _finite_group("cyclic", f"cyclic({n})", table, irrep_tables, n - 1, 0, transforms)
 
 
-def _perm_sign(p: tuple) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return -1 if inv % 2 else 1
-
-
 def _make_s3() -> GroupSpec:
     perms = list(permutations(range(3)))
     idx = {p: i for i, p in enumerate(perms)}
@@ -434,12 +428,11 @@ def _make_s3() -> GroupSpec:
         ]
     )
     trivial = np.ones((order, 1, 1), dtype=complex)
-    sign = np.array([_perm_sign(p) for p in perms], dtype=complex).reshape(order, 1, 1)
+    sign = np.zeros((order, 1, 1), dtype=complex)
     standard = np.zeros((order, 2, 2), dtype=complex)
     for i, p in enumerate(perms):
-        pmat = np.zeros((3, 3))
-        for j in range(3):
-            pmat[p[j], j] = 1.0
+        pmat = np.eye(3)[:, p]  # column j is the unit vector p[j]
+        sign[i] = round(np.linalg.det(pmat))  # exactly +-1
         standard[i] = basis.T @ pmat @ basis
     tables = {"trivial": trivial, "sign": sign, "standard": standard}
     return _finite_group("s3", "s3", table, tables, 2, "trivial", _dense_transforms(tables))
@@ -481,12 +474,10 @@ def _make_circle(band: int) -> GroupSpec:
     )
 
     return GroupSpec(
-        kind="circle",
         name=f"circle({band})",
         window=window,
         quadrature=QuadratureRule(nodes, weights),
         identity=0.0,
-        order=None,
         _matrices=lambda freq, x: np.exp(1j * freq * np.asarray(x, dtype=float).reshape(-1, 1, 1)),
         multiply=lambda x, y: (float(x) + float(y)) % TWO_PI,
         random_elements=lambda rng, count: rng.uniform(0.0, TWO_PI, size=count),
@@ -539,12 +530,10 @@ def _make_su2(band: float, half_integers: bool = False) -> GroupSpec:
         return np.stack([alpha, beta, gamma], axis=-1)
 
     return GroupSpec(
-        kind="su2",
         name=name,
         window=window,
         quadrature=QuadratureRule(nodes, weights),
         identity=(0.0, 0.0, 0.0),
-        order=None,
         _matrices=wigner_d_matrix,
         multiply=multiply,
         random_elements=random_elements,

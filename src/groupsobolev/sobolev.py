@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .groups import DualWindow, GroupSpec
+from .groups import FINITE_KINDS, DualWindow, GroupSpec
 from .transform import _PROBE_SLICE, FourierCoefficients, VectorFunction, e_norm, synthesize
 from .transform import _entry_norms, _node_norms, _per_function, _pth_root
 
@@ -126,7 +126,7 @@ def weights_from_table(table: dict, window: DualWindow) -> WeightSequence:
 
 def canonical_weights(group: GroupSpec) -> WeightSequence:
     """Default weights per group kind; zero on finite groups."""
-    return {"circle": circle_weights, "su2": su2_weights}.get(group.kind, zero_weights)()
+    return {"circle": circle_weights, "su2": su2_weights}.get(group.window.kind, zero_weights)()
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def probed_sup(coeffs: FourierCoefficients, group: GroupSpec, extra_samples: int
     batch, kept on ``coeffs``: exact on a finite group, whose nodes are every
     element; elsewhere a lower bound, which can pass a violated inequality."""
     best = _node_norms(coeffs, group).max(axis=-1)
-    if extra_samples > 0 and group.order is None:
+    if extra_samples > 0 and group.window.kind not in FINITE_KINDS:
 
         def probe():
             els = group.random_elements(np.random.default_rng(seed), extra_samples)
@@ -204,8 +204,6 @@ def probed_sup(coeffs: FourierCoefficients, group: GroupSpec, extra_samples: int
 
 # ---------------------------------------------------------------------------
 # embedding constants and series verdicts
-
-FINITE_KINDS = ("cyclic", "s3", "custom")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ __all__ = [
     "forward_transform",
     "label_key",
     "load_coefficients",
-    "node_samples",
     "random_band_limited",
     "s_p_norm",
     "save_coefficients",
@@ -59,23 +58,25 @@ def e_norm(values, p: float = 2.0) -> float | np.ndarray:
     # sum of re^2 + im^2: one contraction over the float view, no |a| temporary
     x = np.ascontiguousarray(values, complex if np.iscomplexobj(values) else float).view(float)
     total = np.einsum("...i,...i->...", x, x)
-    low = (total < np.finfo(float).tiny).ravel()  # scaled, unless all its entries are zero
-    if total.max(initial=0.0) < np.inf and not (
-        low.any() and x.reshape(low.size, -1).compress(low, axis=0).any()
-    ):
+    if _normal(total).all():
         return _per_function(np.sqrt(total))
     with np.errstate(over="ignore"):  # a norm above every float is inf
         total, scale = _power_sum(np.abs(values), 2.0, total)
         return _per_function(scale * np.sqrt(total))
 
 
+def _normal(total) -> np.ndarray:
+    """Where a power sum keeps its bits unscaled: finite and at least the smallest normal float."""
+    return (2.0**-1022 <= total) & (total < math.inf)
+
+
 def _power_sum(a, p, total, weights=1.0):
     """(sum w (a/M)^p over the last axis of moduli ``a``, weights ``w`` along it, M) from the plain
-    sum ``total`` (inf where it overflows): M = max a where 0 < M < inf and ``total`` is not finite
-    or below the smallest normal float, else 1, so a sum that computes keeps its bits and an inf or
+    sum ``total`` (inf where it overflows): M = max a where 0 < M < inf and ``total`` is not
+    ``_normal``, else 1, so a sum that computes keeps its bits, a zero row stays zero and an inf or
     nan entry stays. ``p``: float or (..., 1)."""
     top = a.max(axis=-1, initial=0.0)
-    scaled = (~np.isfinite(total) | (total < np.finfo(float).tiny)) & (0 < top) & (top < np.inf)
+    scaled = ~_normal(total) & (0 < top) & (top < np.inf)
     if scaled.any():  # only the scaled rows are raised to p again
         total, p_at = np.array(total, float), p if np.ndim(p) == 0 else p[scaled]
         total[scaled] = (weights * (a[scaled] / top[scaled, None]) ** p_at).sum(axis=-1)
@@ -106,7 +107,7 @@ class FourierCoefficients:
     u_{i+1, j+1}. Labels missing from ``blocks`` at construction are zero.
 
     ``packed`` is a read-only copy of the array passed in, so what is derived
-    from it, such as the node samples and the E-norms, is computed once and kept (``memo``).
+    from it, its E-norms and norms but never its samples, is computed once and kept (``memo``).
     """
 
     def __init__(self, window: DualWindow, m: int, blocks: dict | None = None,
@@ -225,11 +226,6 @@ def synthesize(coeffs: FourierCoefficients, group: GroupSpec, elements=None) -> 
     return values.reshape(*coeffs.packed.shape[:-2], coeffs.m, len(matrices)).swapaxes(-1, -2)
 
 
-def node_samples(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:
-    """The node synthesis, kept on ``coeffs`` per group (``_node_norms`` keeps none); read-only."""
-    return coeffs.memo(("samples", group), lambda: synthesize(coeffs, group))
-
-
 def _node_norms(coeffs: FourierCoefficients, group: GroupSpec) -> np.ndarray:
     """|f(x_k)|_E at the nodes, (n,) or (B, n), kept on ``coeffs`` per group; read-only. A batch is
     synthesized in slices of ``_NODE_SLICE_BYTES`` of samples, each function keeping its bits."""
@@ -260,7 +256,7 @@ def _per_function(values) -> float | np.ndarray:
 
 def _pth_root(a, p, weights=1.0) -> float | np.ndarray:
     """(sum w a^p)^(1/p) over the last axis of moduli ``a``, max a where p = inf; ``p`` a float
-    or one per row, (..., 1). A sum not finite or normal is scaled as ``_power_sum`` scales it,
+    or one per row, (..., 1). A sum not ``_normal`` is scaled as ``_power_sum`` scales it,
     the others keep their bits. Every root is numpy's power, which gives a row the same bits
     alone as in a batch. A float for one row."""
     if isinstance(p, np.ndarray) and (top := np.isinf(p[..., 0])).any():  # rows at p = inf
@@ -270,9 +266,9 @@ def _pth_root(a, p, weights=1.0) -> float | np.ndarray:
         return _per_function(a.max(axis=-1))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf; inf * 0: nan
         total, scale = (weights * a**p).sum(axis=-1), 1.0
-        if total.ndim == 0 and 2.0**-1022 <= total < math.inf:  # one row that needs no scaling
+        if (normal := _normal(total)).ndim == 0 and normal:  # one row that needs no scaling
             return float(np.power(total, 1.0 / p))
-        if not ((2.0**-1022 <= total) & (total < math.inf)).all():  # a sum not normal and finite
+        if not normal.all():
             total, scale = _power_sum(a, p, total, weights)
         return _per_function(scale * np.power(total[..., None], 1.0 / p)[..., 0])
 
@@ -351,9 +347,10 @@ def random_band_limited(
 
 
 def _json_field(data, key: str, kind=dict):
-    """``data[key]``, a ``kind`` (dict or (list, tuple)), else a ValueError naming ``key``."""
-    if not isinstance(value := data.get(key) if isinstance(data, dict) else None, kind):
-        what = "an object" if kind is dict else "a list"
+    """``data[key]``, a ``kind`` (dict, (list, tuple), or object: not null), else a ValueError."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if value is None or not isinstance(value, kind):
+        what = {dict: "an object", object: "a value"}.get(kind, "a list")
         raise ValueError(f"coefficient file field {key!r} needs {what}, got {value!r}")
     return value
 
@@ -361,11 +358,11 @@ def _json_field(data, key: str, kind=dict):
 def window_from_json(data: dict) -> DualWindow:
     window = _json_field(data, "window")
     return DualWindow(
-        kind=window["kind"],
-        band=window["band"],
+        kind=_json_field(window, "kind", object),
+        band=_json_field(window, "band", object),
         labels=tuple(_json_field(window, "labels", (list, tuple))),
         dims=tuple(int(d) for d in _json_field(window, "dims", (list, tuple))),
-        trivial=window["trivial"],
+        trivial=_json_field(window, "trivial", object),
         half_integers=bool(window.get("half_integers", False)),
     )
 
@@ -390,7 +387,7 @@ def coefficients_from_json(data: dict, group: GroupSpec) -> FourierCoefficients:
     window = window_from_json(data)
     if window != group.window:
         raise ValueError("coefficient file window does not match the group")
-    m, p_E = data["m"], data.get("p_E", 2.0)
+    m, p_E = _json_field(data, "m", object), data.get("p_E", 2.0)
     if isinstance(m, bool) or not isinstance(m, int):
         raise ValueError(f"coefficient file field 'm' needs an integer, got {m!r}")
     if p_E != "inf" and (isinstance(p_E, bool) or not isinstance(p_E, (int, float))):

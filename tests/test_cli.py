@@ -569,6 +569,18 @@ def test_norms_refuses_a_malformed_coefficient_file(tmp_path, capsys, edit, mess
     assert line.startswith("error: ") and message in line
 
 
+@pytest.mark.parametrize("field", ["m", "kind", "band", "trivial"])
+def test_norms_refuses_a_coefficient_file_without_a_field_by_naming_it(tmp_path, capsys, field):
+    assert main(["spectra", "--group", "cyclic:4", "--out", str(tmp_path), "--quiet"]) == 0
+    path = tmp_path / "spectra_cyclic_4.json"
+    data = json.loads(path.read_text())
+    del (data if field == "m" else data["window"])[field]
+    path.write_text(json.dumps(data))
+    assert main(["norms", "--coefficients", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()  # no traceback
+    assert line == f"error: coefficient file field {field!r} needs a value, got None"
+
+
 def test_verify_refuses_a_non_integer_circle_band(tmp_path, capsys):
     cfgpath = write_config(tmp_path, groups=[{"kind": "circle", "band": 2.7}], batch_size=1)
     assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 2

@@ -674,7 +674,7 @@ def _z3_custom(include_trivial: bool) -> dict:
 
 def test_custom_group_loads_and_passes():
     g = gs.make_group("custom", source=_z3_custom(include_trivial=True))
-    assert g.order == 3
+    assert g.node_count == 3
     assert g.window.trivial == "chi0"
     assert gs.orthogonality_selftest(g).passed
 
@@ -690,7 +690,27 @@ def test_custom_group_from_file(tmp_path):
     path = tmp_path / "z3.json"
     path.write_text(json.dumps(_z3_custom(include_trivial=True)))
     g = gs.make_group("custom", source=path)
-    assert g.order == 3
+    assert g.node_count == 3
+
+
+@pytest.mark.parametrize("name", ["z4", "s3", "circle2", "su2_1", "custom_z3"])
+def test_the_sup_probe_and_the_constant_tail_agree_on_which_groups_are_finite(name, request):
+    """``probed_sup`` draws elements off the nodes exactly when ``embedding_constant_C``
+    bounds a tail past the window: both read ``groups.FINITE_KINDS``."""
+    if name == "custom_z3":
+        group = gs.make_group("custom", source=_z3_custom(include_trivial=True))
+    else:
+        group = request.getfixturevalue(name)
+    drawn = []
+
+    def draw(rng, count):
+        drawn.append(count)
+        return group.random_elements(rng, count)
+
+    gs.probed_sup(gs.random_band_limited(0, group, m=2),
+                  dataclasses.replace(group, random_elements=draw), 50, 0)
+    estimate = gs.embedding_constant_C(gs.canonical_weights(group), 3.0, group.window)
+    assert bool(drawn) == (estimate.upper != estimate.value) == (name in ("circle2", "su2_1"))
 
 
 def test_custom_group_rejects_nonunitary():

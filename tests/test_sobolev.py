@@ -157,7 +157,7 @@ def test_h_s_norm_homogeneous(scale, s, seed):
 
 def test_l_p_norm_constant(any_group, constant):
     v = np.array([1.0, -2.0j, 0.5])
-    f = gs.VectorFunction.from_samples(gs.node_samples(constant(any_group, v), any_group))
+    f = gs.VectorFunction.from_samples(gs.synthesize(constant(any_group, v), any_group))
     for p in (1.0, 2.0, 3.5):
         assert abs(gs.l_p_norm(f, any_group, p) - gs.e_norm(v, 2.0)) <= 1e-12
 
@@ -250,7 +250,7 @@ def test_norms_match_a_scaled_fsum_over_the_float_range(
     weights = gs.canonical_weights(group).sobolev_entries(group.window, s).tolist()
     want = [scaled_fsum_norm(e, 2.0, weights) for e in entries.tolist()]
     assert_close(gs.h_s_norm(coeffs, gs.canonical_weights(group), s), want, 1e-12)
-    nodes = np.reshape(e_norms(gs.node_samples(coeffs, group)), (batch, -1)).tolist()
+    nodes = np.reshape(e_norms(gs.synthesize(coeffs, group)), (batch, -1)).tolist()
     quadrature = group.quadrature.weights.tolist()
     want = [scaled_fsum_norm(row, p, quadrature) for row in nodes]
     assert_close(gs.lebesgue_norm(coeffs, group, p), want, 1e-12)

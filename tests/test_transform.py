@@ -28,7 +28,6 @@ from groupsobolev.transform import (
     coefficients_to_json,
     dump_json,
     e_norm,
-    node_samples,
     window_from_json,
 )
 from groupsobolev.sobolev import probed_sup
@@ -409,25 +408,10 @@ def test_packed_is_a_read_only_copy_of_the_callers_array(su2_2):
         coeffs.block(1.0)[0, 0] = 1.0
 
 
-def test_node_samples_are_kept_read_only_and_never_stale(any_group):
-    mine = gs.random_band_limited(5, any_group, m=3).packed.copy()
-    coeffs = gs.FourierCoefficients(any_group.window, 3, packed=mine)
-    samples = node_samples(coeffs, any_group)
-    assert not samples.flags.writeable
-    fresh = _synthesize_by_label(coeffs, any_group)
-    assert np.abs(samples - fresh).max() <= 1e-12 * (1.0 + float(np.abs(fresh).max()))
-    direct = gs.synthesize(coeffs, any_group)
-    assert np.array_equal(samples, direct)
-    mine[...] = 0.0  # the caller's array is not the coefficients' own
-    again = node_samples(coeffs, any_group)
-    assert again is samples and np.array_equal(again, direct)
-    assert gs.synthesize(coeffs, any_group).flags.writeable  # synthesize returns a new array
-
-
 def test_entry_and_node_norms_are_kept_read_only(any_group):
     coeffs = gs.random_band_limited([1, 2, 3], any_group, m=3, p_E=3.0)
     entries, nodes = _entry_norms(coeffs), _node_norms(coeffs, any_group)
-    computed = (e_norm(coeffs.packed, 3.0), e_norm(node_samples(coeffs, any_group), 3.0))
+    computed = (e_norm(coeffs.packed, 3.0), e_norm(gs.synthesize(coeffs, any_group), 3.0))
     for kept, direct in zip((entries, nodes), computed):
         assert np.array_equal(kept, direct) and not kept.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -455,7 +439,7 @@ def test_node_norms_of_a_batch_in_slices_keep_every_bit(name, p_E, request, monk
     norms = _node_norms(batch, group)
     assert slices == [32, 32, 6]
     assert np.array_equal(norms, e_norm(synthesize(batch, group), p_E))
-    assert norms.shape == (70, group.node_count) and ("samples", group) not in batch._memo
+    assert norms.shape == (70, group.node_count) and all(v.ndim < 3 for v in batch._memo.values())
     empty = gs.random_band_limited([], group, m=3, p_E=p_E)
     assert _node_norms(empty, group).shape == (0, group.node_count)
     single = gs.random_band_limited(69, group, m=3, p_E=p_E)
@@ -479,13 +463,6 @@ def test_lebesgue_norm_of_a_batch_holds_no_sample_batch(su2_4):
     finally:
         tracemalloc.stop()
     assert peak < sample_batch
-
-
-def test_node_samples_are_kept_per_group(z12):
-    other = gs.make_group("cyclic", n=12)  # the same window, a different group object
-    coeffs = gs.random_band_limited(6, z12, m=2)
-    assert node_samples(coeffs, other) is not node_samples(coeffs, z12)
-    assert np.array_equal(node_samples(coeffs, other), node_samples(coeffs, z12))
 
 
 def test_probe_is_kept_per_group_seed_count_and_target_norm(su2_2):
@@ -520,7 +497,7 @@ def test_probe_is_kept_per_group_seed_count_and_target_norm(su2_2):
 
 def test_forward_of_spectral_function_samples_first(su2_1h):
     coeffs = gs.random_band_limited(21, su2_1h, m=2)
-    f = gs.VectorFunction.from_samples(node_samples(coeffs, su2_1h))
+    f = gs.VectorFunction.from_samples(gs.synthesize(coeffs, su2_1h))
     back = gs.forward_transform(f, su2_1h)
     assert np.abs(coeffs.packed - back.packed).max() <= 1e-12 * (1.0 + np.abs(coeffs.packed).max())
 
@@ -600,9 +577,11 @@ def test_e_norm_scales_a_power_sum_that_underflows_or_overflows():
         root2 = 1e-170 * math.sqrt(2)
         assert gs.e_norm([[math.inf, 1e200], [1e-170, 1e-170]]).tolist() == [math.inf, root2]
         assert gs.e_norm([[0.0, 0.0], [1e-170, 1e-170]]).tolist() == [0.0, root2]
-    with pytest.MonkeyPatch.context() as mp:  # an all-zero vector keeps p = 2 on the einsum
-        mp.setattr("groupsobolev.transform._power_sum", None)
-        assert gs.e_norm(np.array([[0.0, 0.0], [3.0, 4.0j]])).tolist() == [0.0, 5.0]
+    # an all-zero vector's sum is not normal, and _power_sum leaves it unscaled: its max is 0
+    zero_row = np.array([[0.0, 0.0], [3.0, 4.0j]])
+    total, scale = transform._power_sum(np.abs(zero_row), 2.0, np.array([0.0, 25.0]))
+    assert total.tolist() == [0.0, 25.0] and scale.tolist() == [1.0, 1.0]
+    assert gs.e_norm(zero_row).tolist() == [0.0, 5.0]
     # a sum that computes keeps the bits of the plain sum, rooted by numpy's power
     v = np.random.default_rng(4).standard_normal(7) + 1j
     for p in (1.0, 1.5, 3.0, 40.0):

@@ -921,11 +921,16 @@ def test_batch_gives_the_records_of_single_calls(any_group, check):
 
 
 def test_batch_needs_one_seed_and_context_per_function(z4):
+    """Every coefficient check fans a batch out alike: a seed list of another length is
+    refused, and a scalar seed and a dict context are shared by every function."""
     batch = gs.FourierCoefficients(z4.window, 1, packed=np.ones((3, 4, 1)))
-    with pytest.raises(ValueError, match="3 seeds and 3 contexts"):
-        gs.check_hausdorff_young(batch, z4, 1.5, seed=[1, 2])
-    shared = gs.check_hausdorff_young(batch, z4, 1.5, seed=9, context={"k": 1})
-    assert [(r.seed, r.context["k"]) for r in shared] == [(9, 1)] * 3
+    for check in ("monotone", "l2", "sup", "hausdorff_young", "lq", "block"):
+        run = _coefficient_check(check, z4)
+        with pytest.raises(ValueError, match="3 seeds and 3 contexts"):
+            run(batch, seed=[1, 2])
+        shared = run(batch, seed=9, context={"k": 1})
+        assert len(shared) >= 3 and len(shared) % 3 == 0, check
+        assert {(r.seed, r.context["k"]) for r in shared} == {(9, 1)}, check
 
 
 def test_an_empty_batch_gives_no_records(z4, su2_2):
