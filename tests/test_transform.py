@@ -395,7 +395,7 @@ assert "numpy.random" in sys.modules
 
 
 # ---------------------------------------------------------------------------
-# kept node samples and probes
+# kept norms and probes
 
 
 def test_packed_is_a_read_only_copy_of_the_callers_array(su2_2):
@@ -406,6 +406,8 @@ def test_packed_is_a_read_only_copy_of_the_callers_array(su2_2):
         coeffs.packed[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         coeffs.block(1.0)[0, 0] = 1.0
+    samples = gs.synthesize(coeffs, su2_2)  # a new array on every call, none kept
+    assert samples.flags.writeable and samples is not gs.synthesize(coeffs, su2_2)
 
 
 def test_entry_and_node_norms_are_kept_read_only(any_group):
