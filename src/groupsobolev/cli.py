@@ -189,14 +189,9 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def run_suite(cfg: RunConfig):
-    """``verify.run_suite``, imported on the first run: no other command loads the harness."""
-    from .verify import run_suite
-
-    return run_suite(cfg)
-
-
 def cmd_verify(args) -> int:
+    from .verify import run_suite  # imported here: no other command loads the harness
+
     cfg = _load_config(args)
     report = run_suite(cfg)
     report.metadata["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()

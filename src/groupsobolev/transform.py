@@ -38,7 +38,6 @@ __all__ = [
     "coefficients_to_json",
     "e_norm",
     "forward_transform",
-    "label_key",
     "load_coefficients",
     "random_band_limited",
     "s_p_norm",
@@ -46,7 +45,9 @@ __all__ = [
     "synthesize",
 ]
 
-_PROBE_SLICE = 128  # Haar elements per synthesis of the sup probe; bounds its temporaries
+#: Haar elements per synthesis of the sup probe; bounds its temporaries. Part of the reports'
+#: bits: another width can move a probed maximum in its last bit (BLAS blocks by shape).
+_PROBE_SLICE = 128
 _NODE_SLICE_BYTES = 2**21  # node samples per synthesis of a batch's node norms, one function at least
 
 
@@ -151,6 +152,8 @@ class FourierCoefficients:
             return NotImplemented
         if self.window != other.window or self.m != other.m:
             raise ValueError("coefficient families live on different windows")
+        if self.p_E != other.p_E:
+            raise ValueError(f"coefficient families have different p_E: {self.p_E} and {other.p_E}")
         packed = op(self.packed, other.packed)
         return FourierCoefficients(self.window, self.m, p_E=self.p_E, packed=packed)
 

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import __version__
+from . import _HARNESS, __version__
 from .config import DEFAULT_CONFIG, RunConfig, resolve_weights
 from .groups import GroupSpec, make_group
 from .sobolev import (
@@ -61,22 +61,7 @@ from .transform import (
     s_p_norm,
 )
 
-__all__ = [
-    "DEFAULT_CONFIG",
-    "InequalityRecord",
-    "RecordTable",
-    "RunConfig",
-    "VerificationReport",
-    "check_block_comparison",
-    "check_continuity_modulus",
-    "check_hausdorff_young",
-    "check_l2_embedding",
-    "check_lq_embedding",
-    "check_monotone_embedding",
-    "check_sup_embedding",
-    "check_vector_norm_comparison",
-    "run_suite",
-]
+__all__ = [name for name in _HARNESS if name != "verify"]
 
 ALGEBRAIC_TOL = 1e-12
 QUADRATURE_TOL = 1e-9

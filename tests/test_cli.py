@@ -417,7 +417,7 @@ def test_an_unexpected_error_exits_3_with_its_traceback(tmp_path, capsys, monkey
     def crash(cfg):
         raise RuntimeError("run_suite crashed")
 
-    monkeypatch.setattr("groupsobolev.cli.run_suite", crash)
+    monkeypatch.setattr("groupsobolev.verify.run_suite", crash)
     cfgpath = write_config(tmp_path)
     assert main(["verify", "--config", cfgpath, "--out", str(tmp_path / "o"), "--quiet"]) == 3
     err = capsys.readouterr().err

@@ -190,6 +190,16 @@ def test_synthesize_window_mismatch(z4, z12):
         gs.synthesize(coeffs, z12, elements=[0, 1])
 
 
+def test_coefficient_sums_refuse_two_target_spaces(z4):
+    a = gs.random_band_limited(0, z4, 2, p_E=1.0)
+    b = gs.random_band_limited(1, z4, 2, p_E=2.0)
+    for x, y in ((a, b), (b, a)):
+        for combine in (x.__add__, x.__sub__):
+            with pytest.raises(ValueError, match="p_E") as info:
+                combine(y)
+            assert f"{x.p_E} and {y.p_E}" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # properties over random groups and bands
 

@@ -509,6 +509,15 @@ assert gs.verify.DEFAULT_CONFIG is gs.DEFAULT_CONFIG
         gs.no_such_name
 
 
+def test_each_public_name_is_listed_once_and_the_package_exports_them_all():
+    from groupsobolev import _HARNESS, groups, sobolev, transform
+
+    names = [*groups.__all__, *transform.__all__, *sobolev.__all__, *_HARNESS]
+    assert len(names) == len(set(names))
+    assert gs.__all__ == sorted({*names, "groups", "transform", "sobolev"})
+    assert all(hasattr(gs, name) for name in gs.__all__)
+
+
 def test_run_suite_empty_groups_passes():
     report = gs.run_suite(
         {"groups": [], "vector_checks": 0, "continuity_pairs": 0, "batch_size": 1}
