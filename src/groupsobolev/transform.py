@@ -297,8 +297,9 @@ def _seed_words(rows, n_words: int) -> np.ndarray:
 
     if bad := [x for row in rows for x in row if not isinstance(x, (int, np.integer)) or x < 0]:
         raise ValueError(f"a seed needs a non-negative integer, got {bad[0]!r}")
-    rows = [[x >> s & 0xFFFFFFFF for x in map(int, r) for s in range(0, x.bit_length() or 1, 32)]
-            for r in rows]  # numpy's words of an int: little-endian uint32, 0 one zero word
+    rows = [r if int(max(r)) < 2**32 else  # a row of one-word ints is its words; numpy's
+            [x >> s & 0xFFFFFFFF for x in map(int, r) for s in range(0, x.bit_length() or 1, 32)]
+            for r in rows]  # words of an int are little-endian uint32, 0 one zero word
     out = np.empty((len(rows), n_words), np.uint32)
     for k in set(map(len, rows)):
         at = [i for i, row in enumerate(rows) if len(row) == k]

@@ -93,9 +93,12 @@ class InequalityRecord:
 
 
 def _texts(values, encode) -> list:
-    """Each value's text: ``__repr__`` for an exact int or a finite float, else ``encode``."""
-    if set(map(type, values)) <= {int}:
+    """Each value's text: ``__repr__`` for an exact int or a finite float, else ``encode``, called
+    once per distinct value when all are str (0.0 == -0.0 and 1 == True, but their texts differ)."""
+    if (kinds := set(map(type, values))) <= {int}:
         return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map({v: encode(v) for v in set(values)}.__getitem__, values))
     return [float.__repr__(v) if type(v) is float and math.isfinite(v) else encode(v)
             for v in values]
 
@@ -130,18 +133,24 @@ class _Chunk:
         return InequalityRecord(self.name, self.group, self.seeds[i], lhs, rhs, rhs - lhs, tol,
                                 rhs - lhs >= -tol, self.context(i))
 
-    def texts(self) -> list:
-        """The records' JSON contexts, each ending its line; shared items encoded once."""
-        parts, values = [], []
-        for k in self.keys:
-            if k in self.columns:
-                before, _, after = _JSON({k: 0})[1:-1].rpartition("0")
-                parts.append(before.replace("%", "%%") + "%s" + after)
-                values.append(_texts(self.columns[k], _JSON))
-            else:
-                parts.append(_JSON({k: self.shared[k]})[1:-1].replace("%", "%%"))
-        template = "{" + ", ".join(parts) + "}}"
-        return [template % row for row in (zip(*values) if values else [()] * len(self.seeds))]
+    def texts(self, texted: dict) -> tuple:
+        """The records' JSON contexts, each ending its line, i's before + texts[i] + after: shared
+        items encoded once, each column once per ``texted``, a render's texts by id(column)."""
+        literals, values, text = [], [], "{"
+        for j, k in enumerate(self.keys):
+            text += ", " * (j > 0) + _JSON({k: self.shared.get(k, 0)})[1:-1]
+            if k in self.columns:  # the column's texts go where its placeholder 0 was
+                literals.append(text[:-1])
+                if id(column := self.columns[k]) not in texted:
+                    texted[id(column)] = _texts(column, _JSON)
+                values.append(texted[id(column)])
+                text = ""
+        literals.append(text + "}}")
+        if len(values) == 1:  # one varying text: the line puts it between the literals
+            return literals[0], values[0], literals[1]
+        template = "%s".join(t.replace("%", "%%") for t in literals)
+        rows = zip(*values) if values else [()] * len(self.seeds)
+        return "", [template % row for row in rows], ""
 
 
 class RecordTable(Sequence):
@@ -224,15 +233,18 @@ class RecordTable(Sequence):
         their ``to_dict()``, one chunk at a time, its lines joined by ",\\n    "."""
         if not np.isfinite(self.floats).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        shares = contexts = None
+        shares, texted = None, {}  # the chunks hold every column, so no id in texted is reused
+        last = {id(column): c for c in self.chunks for column in c.columns.values()}
         for c, texts in self._runs():
             # a chunk with the previous one's context columns and items reuses its texts
             if shares != (shares := (id(c.columns), id(c.shared), c.keys, len(c.seeds))):
-                contexts = c.texts()
+                before, contexts, after = c.texts(texted)
+            texted = {k: v for k, v in texted.items() if last[k] is not c}  # until its last chunk
             head = f'{{"name": {_JSON(c.name)}, "group": {_JSON(c.group)}, "seed": '
             lines = zip(*texts, contexts)
             yield ",\n    ".join([f'{head}{s}, "lhs": {a}, "rhs": {b}, "slack": {d}, "tol": {t}, '
-                                  f'"pass": {p}, "context": {x}' for s, a, b, d, t, p, x in lines])
+                                  f'"pass": {p}, "context": {before}{x}{after}'
+                                  for s, a, b, d, t, p, x in lines])
 
     def csv_runs(self) -> Iterator[str]:
         """Each chunk's records as ``csv.writer`` writes their CSV_COLUMNS
@@ -243,27 +255,28 @@ class RecordTable(Sequence):
             yield "\n".join([f"{head}{s},{a},{b},{d},{t},{p}" for s, a, b, d, t, p in lines])
 
 
+class _Columns(dict):
+    """The contexts of a batch as columns: each context key, in order, to its list of one
+    value per function. ``_fan_out`` makes one of a list of dicts, and passes one as it is."""
+
+
 def _table(
-    name: str, lhs, rhs, cls: float, seeds: list, contexts: list, extra: dict | None = None,
+    name: str, lhs, rhs, cls: float, seeds: list, contexts, extra: dict | None = None,
     columns: dict | None = None, *, group: str = "-"
 ) -> RecordTable:
     """The records of one check call, one per (seed, context) pair, the i-th
     with its seed as a Python int and the context ``{**context, **extra}``
     plus each key k of ``columns`` mapped to ``columns[k][i]``; lhs and rhs
-    hold one value per pair or one for all; tol is ``cls * min(lhs, rhs)``."""
+    hold one value per pair or one for all; tol is ``cls * min(lhs, rhs)``; ``contexts``
+    are dicts or, as the checks pass them, their ``_Columns``."""
     extra, columns, seeds = extra or {}, columns or {}, _int_seeds(seeds)
     floats = np.empty((3, len(seeds)))
     floats[0], floats[1] = lhs, rhs
     floats[2] = cls * np.minimum(floats[0], floats[1])
-    contexts = [ctx or {} for ctx in contexts] if None in contexts else contexts
-    key_sets = dict.fromkeys(map(tuple, contexts))
-    if len(key_sets) > 1:
-        raise ValueError(f"the contexts of one check call need one key set, got {list(key_sets)}")
-    first = contexts[0] if contexts else {}
+    (contexts,) = _fan_out((len(seeds),), context=contexts)
     shared = {k: v for k, v in extra.items() if k not in columns}
-    varying = {k: [ctx[k] for ctx in contexts] for k in first if k not in shared}
-    varying |= {k: list(v) for k, v in columns.items()}
-    keys = tuple(dict.fromkeys([*first, *extra, *columns]))
+    varying = {k: v for k, v in contexts.items() if k not in shared} | columns
+    keys = tuple(dict.fromkeys([*contexts, *extra, *columns]))
     chunk = _Chunk(name, group, seeds, floats, keys, shared, varying)
     return RecordTable([chunk] if seeds else [])
 
@@ -280,13 +293,19 @@ def _int_seeds(seeds) -> list:
 def _fan_out(shape: tuple, **values) -> list:
     """Each keyword's value as a list of one entry per function or vector:
     for a batch, ``shape`` (n,), n entries in a list, tuple, range or ndarray of ndim >= 1,
-    or one value that all share; one function or vector, ``shape`` (), is a batch of one."""
+    or one value that all share; one function or vector, ``shape`` (), is a batch of one.
+    The ``context`` keyword's dicts (None for {}), of one key set, come as ``_Columns``."""
     (n,) = shape or (1,)
-    out = [list(v) if isinstance(v, (list, tuple, range)) or isinstance(v, np.ndarray) and v.ndim
-           else [v] * n for v in values.values()]
-    if any(len(v) != n for v in out):
+    out = {k: v if isinstance(v, _Columns) else list(v) if isinstance(v, (list, tuple, range))
+           or isinstance(v, np.ndarray) and v.ndim else [v] * n for k, v in values.items()}
+    if any(len(v) != n for v in out.values() if not isinstance(v, _Columns)):
         raise ValueError(f"a batch of {n} needs " + " and ".join(f"{n} {k}s" for k in values))
-    return out
+    if type(dicts := out.get("context")) is list:
+        key_sets = dict.fromkeys(tuple(d or ()) for d in dicts)
+        if len(key_sets) > 1:
+            raise ValueError(f"the contexts of one check call need one key set, got {[*key_sets]}")
+        out["context"] = _Columns({k: [d[k] for d in dicts] for k in next(iter(key_sets), ())})
+    return list(out.values())
 
 
 def _exponent(p: float):
@@ -340,7 +359,7 @@ def check_vector_norm_comparison(
     dec = _table("vector_norm_decreasing", norm_q, norm_p, *args, group=group)
     # one seeds, columns and shared object for the pair: a report texts each context once
     bound = _table("vector_norm_dimension_bound", norm_p, factor * norm_q, ALGEBRAIC_TOL, seeds,
-                   [{}] * len(seeds), group=group)
+                   _Columns(), group=group)
     return RecordTable(dec.chunks + [replace(d, name=b.name, floats=b.floats)
                                      for d, b in zip(dec.chunks, bound.chunks)])
 
@@ -366,7 +385,7 @@ def check_block_comparison(
     blocks = [label_key(label) for label in coeffs.window.labels]
     columns = {"block": blocks * len(seeds)}
     seeds = [fseed for fseed in seeds for _ in blocks]
-    contexts = [ctx for ctx in contexts for _ in blocks]
+    contexts = _Columns({k: [v for v in column for _ in blocks] for k, column in contexts.items()})
     args = (seeds, contexts, {"p": p, "q": _exponent(q)}, columns)
     return _table("block_norm_comparison", lhs, rhs, ALGEBRAIC_TOL, *args, group=group)
 
@@ -507,7 +526,8 @@ def check_continuity_modulus(
     diff = group.irrep_matrices(label, xs) - group.irrep_matrices(label, ys)
     entry_max = np.abs(diff).max(axis=(1, 2))
     op_norm = np.linalg.svd(diff, compute_uv=False)[:, 0]
-    args = ([seed] * pair_budget, [context] * pair_budget, {"block": label_key(label)})
+    contexts = _Columns({k: v * pair_budget for k, v in _fan_out((), context=context)[0].items()})
+    args = ([seed] * pair_budget, contexts, {"block": label_key(label)})
     columns = {"pair": range(pair_budget)}
     return _table("continuity_modulus", entry_max, op_norm, ALGEBRAIC_TOL, *args, columns,
                   group=group.name)
@@ -594,12 +614,13 @@ def run_suite(config) -> VerificationReport:
 
     rng_vec = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101)))
     vectors, ps, qs = [], [], []
-    for _ in range(cfg.vector_checks):
+    for _ in range(cfg.vector_checks):  # 2n normals and 2 uniforms: the draws of n, n, 1 and 1
         n = int(rng_vec.integers(1, cfg.vector_max_dim + 1))
-        vectors.append(rng_vec.standard_normal(n) + 1j * rng_vec.standard_normal(n))
-        ps.append(p := float(1.0 + 3.0 * rng_vec.random()))
-        qs.append(math.inf if rng_vec.random() < 0.1 else p + float(3.0 * rng_vec.random()))
-    contexts = [{"index": idx} for idx in range(len(vectors))]
+        normals, (u, v) = rng_vec.standard_normal(2 * n), rng_vec.random(2).tolist()
+        vectors.append(normals[:n] + 1j * normals[n:])
+        ps.append(p := 1.0 + 3.0 * u)
+        qs.append(math.inf if v < 0.1 else p + 3.0 * rng_vec.random())
+    contexts = _Columns(index=list(range(len(vectors))))
     parts.append(check_vector_norm_comparison(vectors, ps, qs, seed=cfg.seed, context=contexts))
 
     s_sorted = sorted(cfg.s_values)
@@ -620,7 +641,7 @@ def run_suite(config) -> VerificationReport:
                 parts.append(check_continuity_modulus(group, label, budget, seed=label_seed))
 
         seeds = _seed_words([(cfg.seed, gi, b) for b in range(cfg.batch_size)], 1)[:, 0].tolist()
-        contexts = [{"batch": b} for b in range(cfg.batch_size)]
+        contexts = _Columns(batch=list(range(cfg.batch_size)))  # one for every check of the group
         coeffs = random_band_limited(seeds, group, cfg.m, p_E=cfg.p_E)
         batch = {"seed": seeds, "context": contexts}
 
@@ -638,7 +659,8 @@ def run_suite(config) -> VerificationReport:
             step = slice(None, None, cfg.block_check_stride)
             packed = coeffs.packed[step]
             strided = FourierCoefficients(group.window, cfg.m, p_E=cfg.p_E, packed=packed)
-            strided_batch = {"group": group.name, "seed": seeds[step], "context": contexts[step]}
+            strided_batch = {"group": group.name, "seed": seeds[step],
+                             "context": _Columns({k: v[step] for k, v in contexts.items()})}
             for p, q in pq_pairs:
                 parts.append(check_block_comparison(strided, p, q, **strided_batch))
 

@@ -365,6 +365,14 @@ def test_seed_words_equal_numpy_seed_sequence_states():
                 assert got.dtype == np.uint32 and np.array_equal(got, want[at])
             # tuples of Python ints of every length in one call
             assert np.array_equal(transform._seed_words([tuple(row.tolist()) for row in rows], n), want)
+    for rows in (
+        [(1729, 0, b) for b in range(50)],  # every int one word, as a default run's rows
+        [(7, 2**40 + b, b) if b % 3 else (7, 1, b) for b in range(30)],  # one-word and wider rows
+        [(2**32 - 1,), (2**32,), (0, 2**32 - 1), (2**32, 0), (np.uint64(2**32 - 1),),
+         (np.uint64(2**32),)],  # the boundary of one word
+    ):
+        want = np.array([np.random.SeedSequence(row).generate_state(8) for row in rows])
+        assert np.array_equal(transform._seed_words(rows, 8), want)
 
 
 # seeds of 1, 2 and 3 words; numpy integers and a bool are read as the ints they hold

@@ -492,8 +492,11 @@ def test_importing_the_package_leaves_the_harness_unloaded_until_a_name_of_it_is
 import sys
 import groupsobolev as gs
 from groupsobolev import cli
-assert cli.main(["constants", "--out", sys.argv[1], "--quiet"]) == 0  # as every command but verify
-assert "groupsobolev.verify" not in sys.modules
+out = sys.argv[1]
+for argv in (["constants"], ["spectra", "--group", "su2:2"],  # as every command but verify
+             ["norms", "--coefficients", out + "/spectra_su2_2.json"]):
+    assert cli.main([*argv, "--out", out, "--quiet"]) == 0
+    assert "groupsobolev.verify" not in sys.modules, argv
 assert {"run_suite", "DEFAULT_CONFIG", "check_lq_embedding", "verify"} <= set(dir(gs))
 assert "groupsobolev.verify" not in sys.modules
 from groupsobolev import run_suite
@@ -1247,10 +1250,37 @@ def test_a_vector_batch_texts_the_contexts_of_each_pair_once(monkeypatch):
         vectors, [1.0, 1.5, 2.0, 3.0], [2.0, 2.0, math.inf, 3.0], seed=5, context=contexts
     )
     calls, texts = [], verify._Chunk.texts
-    monkeypatch.setattr(verify._Chunk, "texts", lambda c: calls.append(c.name) or texts(c))
+    monkeypatch.setattr(verify._Chunk, "texts", lambda c, *a: calls.append(c.name) or texts(c, *a))
     for rows in (table, table.tampered()):
         assert _rendered(rows)[0] == [json.dumps(r.to_dict()) for r in rows]
     assert calls == ["vector_norm_decreasing"] * 2 + ["vector_norm_dimension_bound"]
+
+
+def test_a_context_column_keeps_the_text_of_each_value_apart_from_its_equals():
+    """0.0 == -0.0 and 1 == True == 1.0, but each keeps its own text in a
+    context column, with floats among the values and without; a repeated
+    label reads alike. Both render as json.dumps writes each record."""
+    values = [0.0, -0.0, 1, True, 1.0, "label", "label", 1, True, -0.0]
+    for column in (values, [v for v in values if type(v) is not float]):
+        table = _table("x", 0.5, 1.0, 1e-12, range(len(column)), [{"v": v} for v in column])
+        assert _rendered(table)[0] == [json.dumps(r.to_dict()) for r in table]
+
+
+def test_a_suite_report_texts_the_batch_column_of_each_group_once(monkeypatch):
+    """run_suite hands every check of a group one batch column, and a report
+    texts each column object once, however many chunks hold it."""
+    config = {**SMALL_CONFIG, "groups": SMALL_CONFIG["groups"][2:], "vector_checks": 3}
+    report = gs.run_suite(config)
+    texted, texts = [], verify._texts
+    monkeypatch.setattr(verify, "_texts", lambda v, encode: texted.append(id(v)) or texts(v, encode))
+    "".join(report.json_parts())
+    batch = {}  # group -> ids of the batch columns of its chunks, the strided block ones aside
+    for c in report.records.chunks:
+        if "batch" in c.columns and c.name != "block_norm_comparison":
+            batch.setdefault(c.group, set()).add(id(c.columns["batch"]))
+    assert sorted(map(len, batch.values())) == [1, 1]
+    assert [texted.count(i) for ids in batch.values() for i in ids] == [1, 1]
+    assert len(texted) == len(set(texted))
 
 
 def test_reports_escape_a_group_name_as_csv_and_json_do():
