@@ -59,29 +59,14 @@ def e_norm(values, p: float = 2.0) -> float | np.ndarray:
     # sum of re^2 + im^2: one contraction over the float view, no |a| temporary
     x = np.ascontiguousarray(values, complex if np.iscomplexobj(values) else float).view(float)
     total = np.einsum("...i,...i->...", x, x)
-    if _normal(total).all():
+    if (normal := _normal(total)).all():
         return _per_function(np.sqrt(total))
-    with np.errstate(over="ignore"):  # a norm above every float is inf
-        total, scale = _power_sum(np.abs(values), 2.0, total)
-        return _per_function(scale * np.sqrt(total))
+    return _per_function(np.where(normal, np.sqrt(total), _pth_root(np.abs(values), 2.0)))
 
 
 def _normal(total) -> np.ndarray:
     """Where a power sum keeps its bits unscaled: finite and at least the smallest normal float."""
     return (2.0**-1022 <= total) & (total < math.inf)
-
-
-def _power_sum(a, p, total, weights=1.0):
-    """(sum w (a/M)^p over the last axis of moduli ``a``, weights ``w`` along it, M) from the plain
-    sum ``total`` (inf where it overflows): M = max a where 0 < M < inf and ``total`` is not
-    ``_normal``, else 1, so a sum that computes keeps its bits, a zero row stays zero and an inf or
-    nan entry stays. ``p``: float or (..., 1)."""
-    top = a.max(axis=-1, initial=0.0)
-    scaled = ~_normal(total) & (0 < top) & (top < np.inf)
-    if scaled.any():  # only the scaled rows are raised to p again
-        total, p_at = np.array(total, float), p if np.ndim(p) == 0 else p[scaled]
-        total[scaled] = (weights * (a[scaled] / top[scaled, None]) ** p_at).sum(axis=-1)
-    return total, np.where(scaled, top, 1.0)
 
 
 def _block_norms(a, window: DualWindow, p: float) -> np.ndarray:
@@ -259,9 +244,10 @@ def _per_function(values) -> float | np.ndarray:
 
 def _pth_root(a, p, weights=1.0) -> float | np.ndarray:
     """(sum w a^p)^(1/p) over the last axis of moduli ``a``, max a where p = inf; ``p`` a float
-    or one per row, (..., 1). A sum not ``_normal`` is scaled as ``_power_sum`` scales it,
-    the others keep their bits. Every root is numpy's power, which gives a row the same bits
-    alone as in a batch. A float for one row."""
+    or one per row, (..., 1). A sum not ``_normal`` is redone scaled by M = max a where
+    0 < M < inf, so a zero row stays zero and an inf or nan entry stays; the others keep their
+    bits. Every root is numpy's power, which gives a row the same bits alone as in a batch. A
+    float for one row."""
     if isinstance(p, np.ndarray) and (top := np.isinf(p[..., 0])).any():  # rows at p = inf
         rest = _pth_root(a, np.where(top[..., None], 1.0, p), weights)
         return np.where(top, a.max(axis=-1), rest)
@@ -271,8 +257,12 @@ def _pth_root(a, p, weights=1.0) -> float | np.ndarray:
         total, scale = (weights * a**p).sum(axis=-1), 1.0
         if (normal := _normal(total)).ndim == 0 and normal:  # one row that needs no scaling
             return float(np.power(total, 1.0 / p))
-        if not normal.all():
-            total, scale = _power_sum(a, p, total, weights)
+        if not normal.all():  # the max is taken only here: a batch of normal sums skips it
+            top = a.max(axis=-1, initial=0.0)
+            if (scaled := ~normal & (0 < top) & (top < np.inf)).any():  # raise only these again
+                total, p_at = np.array(total, float), p if np.ndim(p) == 0 else p[scaled]
+                total[scaled] = (weights * (a[scaled] / top[scaled, None]) ** p_at).sum(axis=-1)
+            scale = np.where(scaled, top, 1.0)
         return _per_function(scale * np.power(total[..., None], 1.0 / p)[..., 0])
 
 
@@ -402,7 +392,8 @@ def coefficients_from_json(data: dict, group: GroupSpec) -> FourierCoefficients:
     for key, nested in _json_field(data, "blocks").items():
         if key not in by_key:
             raise ValueError(f"coefficient file has unknown block key {key!r}")
-        raw = np.asarray(nested, dtype=float)
+        if (raw := np.asarray(nested, dtype=float)).ndim == 0 or raw.shape[-1] != 2:
+            raise ValueError(f"coefficient file block {key!r} needs [re, im] pairs, got shape {raw.shape}")
         blocks[by_key[key]] = raw[..., 0] + 1j * raw[..., 1]
     return FourierCoefficients(group.window, m, blocks, p_E)
 

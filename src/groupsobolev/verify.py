@@ -6,11 +6,11 @@ batch, packed (B, K, m), with one seed and one context per function, or one
 function, packed (K, m), as a batch of one. It returns the records of all
 functions in one RecordTable, function after function (a check of two
 names returns one name's records, then the other's), and reads the node
-samples and E-norms that the batch's coefficients keep. The vector check
-takes a list of vectors, or one vector, in the same way. ``run_suite`` draws
-each configured group's batch of seeded random band-limited functions, runs
-every check on it once per parameter, and aggregates a deterministic report
-from the checks' tables; every record counts toward its verdict.
+and entry E-norms that the batch's coefficients keep. The vector check takes
+a list or tuple of vectors, or one vector, in the same way. ``run_suite``
+draws each configured group's batch of seeded random band-limited functions,
+runs every check on it once per parameter, and aggregates a deterministic
+report from the checks' tables; every record counts toward its verdict.
 
 For E = l^p_m, the L2, Hausdorff-Young and Lq checks go through l^2_m, so
 their rhs carries K = m^|1/p_E - 1/2| from comparing the two norms on both
@@ -339,15 +339,15 @@ def check_vector_norm_comparison(
 ) -> RecordTable:
     """|x|_q <= |x|_p and |x|_p <= n^(1/p - 1/q) |x|_q for 1 <= p <= q.
 
-    ``x`` is one vector, or a batch: a list of vectors of any lengths, with
-    one p, q, seed and context per vector (a single value is shared); an
-    empty list is an empty batch. Two records per vector: all the
-    decreasing records, then all the dimension-bound ones, each vector
-    after vector."""
-    batch = isinstance(x, list) and (not x or any(np.ndim(v) for v in x))
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in (x if batch else [x])]
-    if any(vec.size == 0 for vec in vecs):
-        raise ValueError("a vector needs at least one entry")
+    ``x`` is one vector, or a batch: a list or tuple of vectors of any lengths,
+    with one p, q, seed and context per vector (a single value is shared); an
+    empty list is an empty batch. A vector has one axis: an array of more is
+    refused, not flattened. Two records per vector: all the decreasing records,
+    then all the dimension-bound ones, each vector after vector."""
+    batch = isinstance(x, (list, tuple)) and (not x or any(np.ndim(v) for v in x))
+    vecs = [np.array(v, complex, copy=None, ndmin=1) for v in (x if batch else [x])]
+    if bad := [vec.shape for vec in vecs if vec.ndim > 1 or vec.size == 0]:
+        raise ValueError(f"a vector needs at least one entry on one axis, got shape {bad[0]}")
     ps, qs, seeds, contexts = _fan_out((len(vecs),), p=p, q=q, seed=seed, context=context)
     for p, q in zip(ps, qs):
         if not (1 <= p <= q):
@@ -463,7 +463,8 @@ def check_hausdorff_young(
     seed: int = -1,
     context: dict | None = None,
 ) -> RecordTable:
-    """|f|_(L^a') <= K |spectrum|_(S_a) for 1 < a < 2, a' the conjugate."""
+    """|f|_(L^a') <= K |spectrum|_(S_a) for 1 < a < 2, a' the conjugate; S_a is ``s_p_norm``
+    at a, the d-weighted entrywise l^a norm of the entry E-norms, not a Schatten norm."""
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"need 1 < alpha < 2, got {alpha}")
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
@@ -484,13 +485,12 @@ def check_lq_embedding(
     seed: int = -1,
     context: dict | None = None,
 ) -> RecordTable:
-    """Lebesgue embedding |f|_(L^a') <= K B |f|_(H^s), plus the spectral
-    chain |spectrum|_(S_a) <= B |f|_(H^s) that the proof routes through, by
-    Hoelder on the entry norms for any E; two records per function: all the
-    lq_embedding records, then all the chain's, each function after function
-    for a batch. Each record carries its constant, K B or B,
-    and the verdict on the series sum d^3 (1 + w^2)^(-t) behind B over the
-    whole dual as ``constant_verdict``."""
+    """Lebesgue embedding |f|_(L^a') <= K B |f|_(H^s), plus the spectral chain
+    |spectrum|_(S_a) <= B |f|_(H^s), S_a the entrywise ``s_p_norm`` at a, not a Schatten
+    norm, that the proof routes through, by Hoelder on the entry norms for any E; two records
+    per function: all the lq_embedding records, then all the chain's, each function after
+    function for a batch. Each record carries its constant, K B or B, and the verdict on the
+    series sum d^3 (1 + w^2)^(-t) behind B over the whole dual as ``constant_verdict``."""
     params = exponents(s, t)
     seeds, contexts = _fan_out(coeffs.packed.shape[:-2], seed=seed, context=context)
     bound = lq_bound_constant(weights, t, s, group.window)

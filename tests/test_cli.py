@@ -547,9 +547,19 @@ def test_norms_refuses_a_weight_table_value_that_is_not_a_number(tmp_path, capsy
     assert "weight for 1 must be a finite number >= 0, got '1.5'" in capsys.readouterr().err
 
 
+def _block_0(entries):
+    """An edit of a coefficient file that sets block "0" to ``entries(block)``."""
+    return lambda data: {**data, "blocks": {**data["blocks"], "0": entries(data["blocks"]["0"])}}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
+        (_block_0(lambda b: [[[z[:1] for z in row] for row in rows] for rows in b]),
+         "coefficient file block '0' needs [re, im] pairs, got shape (1, 1, 3, 1)"),
+        (_block_0(lambda b: [[[[*z, 99.0] for z in row] for row in rows] for rows in b]),
+         "coefficient file block '0' needs [re, im] pairs, got shape (1, 1, 3, 3)"),
+        (_block_0(lambda b: 1.0), "coefficient file block '0' needs [re, im] pairs, got shape ()"),
         (lambda data: {**data, "window": {**data["window"], "labels": 5}},
          "coefficient file field 'labels' needs a list, got 5"),
         (lambda data: {**data, "window": {**data["window"], "dims": None}},
@@ -558,7 +568,7 @@ def test_norms_refuses_a_weight_table_value_that_is_not_a_number(tmp_path, capsy
         (lambda data: {**data, "window": 5}, "coefficient file field 'window' needs an object, got 5"),
         (lambda data: [data], "coefficient file field 'window' needs an object, got None"),
     ],
-    ids=["labels-5", "dims-null", "blocks-list", "window-5", "array"],
+    ids=["re", "re-im-99", "block-number", "labels-5", "dims-null", "blocks-list", "window-5", "array"],
 )
 def test_norms_refuses_a_malformed_coefficient_file(tmp_path, capsys, edit, message):
     assert main(["spectra", "--group", "cyclic:4", "--out", str(tmp_path), "--quiet"]) == 0

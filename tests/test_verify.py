@@ -181,6 +181,16 @@ def test_a_vector_without_entries_is_refused():
             gs.check_vector_norm_comparison(x, 1.0, math.inf)
 
 
+def test_a_tuple_of_vectors_is_a_batch_and_an_array_of_more_axes_is_refused():
+    as_list = gs.check_vector_norm_comparison([np.ones(4)] * 3, 1.0, 2.0)
+    as_tuple = gs.check_vector_norm_comparison((np.ones(4),) * 3, 1.0, 2.0)
+    assert len(as_tuple) == 6 and list(as_tuple) == list(as_list)
+    assert {r.context["n"] for r in as_tuple} == {4}
+    for x in (np.ones((3, 4)), [np.ones((3, 4))]):
+        with pytest.raises(ValueError, match=r"one axis, got shape \(3, 4\)$"):
+            gs.check_vector_norm_comparison(x, 1.0, 2.0)
+
+
 def test_a_batched_vector_call_refuses_bad_lengths_and_exponents():
     vectors = [np.ones(2), np.ones(3), np.ones(1)]
     with pytest.raises(ValueError, match="a batch of 3 needs"):
